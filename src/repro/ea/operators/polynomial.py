@@ -52,26 +52,30 @@ def polynomial_mutation(
 
     lo, hi = 0.0, float(n_servers - 1)
     span = hi - lo
-    x = genomes.astype(np.float64)
-    mutate = rng.random(genomes.shape) < rate
-    u = rng.random(genomes.shape)
+    draws = rng.random(genomes.shape)
+    mutate = np.flatnonzero(draws < rate)
+    u = rng.random(out=draws).ravel()[mutate]  # second draw, same buffer
 
-    # Standard bounded polynomial mutation (Deb's delta-q formulation).
-    delta1 = (x - lo) / span
-    delta2 = (hi - x) / span
+    # Standard bounded polynomial mutation (Deb's delta-q formulation),
+    # evaluated only on the genes the mask selects (flat indices: a
+    # boolean gather over the whole matrix costs more than the formula).
+    out = genomes.copy()
+    genes = out.reshape(-1)
+    x = genes[mutate].astype(np.float64)
+    below = u < 0.5
     mut_pow = 1.0 / (eta + 1.0)
     with np.errstate(invalid="ignore"):
-        below = u < 0.5
-        xy = np.where(below, 1.0 - delta1, 1.0 - delta2)
+        xy = 1.0 - np.where(below, x - lo, hi - x) / span
+        tail = xy ** (eta + 1.0)
         val = np.where(
             below,
-            2.0 * u + (1.0 - 2.0 * u) * xy ** (eta + 1.0),
-            2.0 * (1.0 - u) + 2.0 * (u - 0.5) * xy ** (eta + 1.0),
+            2.0 * u + (1.0 - 2.0 * u) * tail,
+            2.0 * (1.0 - u) + 2.0 * (u - 0.5) * tail,
         )
-        deltaq = np.where(below, val**mut_pow - 1.0, 1.0 - val**mut_pow)
+        root = val**mut_pow
+    deltaq = np.where(below, root - 1.0, 1.0 - root)
 
-    mutated = x + deltaq * span
-    out = np.where(mutate, mutated, x)
-    rounded = np.rint(out).astype(np.int64)
-    np.clip(rounded, 0, n_servers - 1, out=rounded)
-    return rounded
+    # Unselected genes keep their value and take the same clip.
+    genes[mutate] = np.rint(x + deltaq * span)
+    np.clip(out, 0, n_servers - 1, out=out)
+    return out

@@ -8,7 +8,8 @@ standard"), so children are rounded to the nearest integer and clipped
 into ``[0, m)``.
 
 The whole parent population is crossed in one vectorized pass: pair
-(2i, 2i+1), draw per-gene spread factors, blend, round, clip.
+(2i, 2i+1), draw per-gene spread factors, blend the pairs that cross,
+round, clip.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ __all__ = ["sbx_crossover"]
 
 def _spread_factor(u: np.ndarray, eta: float) -> np.ndarray:
     """The SBX beta distribution sample for uniform draws ``u``."""
-    beta = np.empty_like(u)
-    low = u <= 0.5
-    beta[low] = (2.0 * u[low]) ** (1.0 / (eta + 1.0))
-    beta[~low] = (1.0 / (2.0 * (1.0 - u[~low]))) ** (1.0 / (eta + 1.0))
-    return beta
+    base = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
+    return base ** (1.0 / (eta + 1.0))
 
 
 def sbx_crossover(
@@ -65,28 +63,24 @@ def sbx_crossover(
         raise ValidationError(f"n_servers must be >= 1, got {n_servers}")
     rng = as_generator(seed)
 
-    p1 = parents[0::2].astype(np.float64)
-    p2 = parents[1::2].astype(np.float64)
     pairs = pop // 2
-
     u = rng.random((pairs, n))
-    beta = _spread_factor(u, eta)
-    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
-
-    # Per-gene 50% swap keeps SBX symmetric, as in the reference
-    # implementation.
     swap = rng.random((pairs, n)) < 0.5
-    c1s = np.where(swap, c2, c1)
-    c2s = np.where(swap, c1, c2)
+    cross = np.flatnonzero(rng.random(pairs) < rate)
 
-    cross_mask = (rng.random(pairs) < rate)[:, None]
-    child1 = np.where(cross_mask, c1s, p1)
-    child2 = np.where(cross_mask, c2s, p2)
-
-    offspring = np.empty_like(parents, dtype=np.float64)
-    offspring[0::2] = child1
-    offspring[1::2] = child2
-    rounded = np.rint(offspring).astype(np.int64)
-    np.clip(rounded, 0, n_servers - 1, out=rounded)
-    return rounded
+    # Pairs that skip crossover keep their parents' genes; only the
+    # crossing pairs are blended.
+    offspring = parents.copy()
+    if cross.size:
+        p1 = parents[2 * cross].astype(np.float64)
+        p2 = parents[2 * cross + 1].astype(np.float64)
+        beta = _spread_factor(u[cross], eta)
+        c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+        c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+        # Per-gene 50% swap keeps SBX symmetric, as in the reference
+        # implementation.
+        swapped = swap[cross]
+        offspring[2 * cross] = np.rint(np.where(swapped, c2, c1))
+        offspring[2 * cross + 1] = np.rint(np.where(swapped, c1, c2))
+    np.clip(offspring, 0, n_servers - 1, out=offspring)
+    return offspring

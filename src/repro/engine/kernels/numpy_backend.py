@@ -13,7 +13,11 @@ bit for bit, reached by different routes:
 * the Eq. 24 QoS decay evaluates ``exp`` only on the overloaded cells
   (the reference computes it everywhere then selects).  Per-element
   the operations and operands are identical, so the selected values
-  are too.
+  are too;
+* the worst attribute per server is a chain of column-wise
+  ``np.minimum`` calls instead of a reduction over the last axis.  A
+  minimum returns one of its operands, and QoS values are never NaN
+  or negative zero, so the order does not change the result.
 """
 
 from __future__ import annotations
@@ -120,18 +124,28 @@ class NumpyKernel(Kernel):
         max_qos: FloatArray,
     ) -> FloatArray:
         total = usage + base_usage
-        safe = np.where(capacity > 0, capacity, 1.0)
-        load = total / safe
-        load = np.where((capacity <= 0) & (total > 0), np.inf, load)
-        shape = load.shape
-        qos = np.empty(shape, dtype=np.float64)
+        if (capacity > 0).all():
+            load = total / capacity
+        else:
+            safe = np.where(capacity > 0, capacity, 1.0)
+            load = np.where((capacity <= 0) & (total > 0), np.inf, total / safe)
+        qos = np.empty(load.shape, dtype=np.float64)
         qos[...] = max_qos
-        overload = load > max_load
-        if overload.any():
-            knee = np.broadcast_to(max_load, shape)[overload]
-            ceiling = np.broadcast_to(max_qos, shape)[overload]
+        # Flat indices of the overloaded cells; ``cell`` is each one's
+        # (server, attribute) entry in the (m, h) knee/ceiling tables.
+        over = np.flatnonzero(load > max_load)
+        if over.size:
+            cell = over % max_load.size
+            knee = max_load.ravel()[cell]
             # Overloaded cells have load > knee, so the exp argument is
             # already <= 0 — no clamp needed (matches the reference's
             # minimum(0, .) on this subset element for element).
-            qos[overload] = ceiling * np.exp((knee - load[overload]) / (1.0 - knee))
-        return qos.min(axis=-1)
+            qos.ravel()[over] = max_qos.ravel()[cell] * np.exp(
+                (knee - load.ravel()[over]) / (1.0 - knee)
+            )
+        # Column-wise minimum over the attribute axis: a reduction over
+        # a 3-wide last axis runs one short inner loop per server.
+        worst = qos[..., 0].copy()
+        for col in range(1, qos.shape[-1]):
+            np.minimum(worst, qos[..., col], out=worst)
+        return worst

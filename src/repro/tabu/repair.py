@@ -27,6 +27,7 @@ from repro.engine.kernels import active_kernel
 from repro.engine.parallel import RepairParams
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
+from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.tabu.neighborhood import NeighborFinder, TabuList
 from repro.telemetry import RepairInvoked, get_bus, get_registry
@@ -182,7 +183,9 @@ class TabuRepair:
 
     def _faulty_vms(self, assignment: IntArray, usage: FloatArray) -> IntArray:
         """VMs that must move: hosted on an overloaded server, or member
-        of a violated affinity/anti-affinity group (Fig. 5, line 2)."""
+        of a violated affinity/anti-affinity group (Fig. 5, line 2).
+        Unplaced members are never faulty: they host nothing, and
+        :meth:`_group_violations` already ignores them."""
         offenders = self._overloaded_servers(usage)
         faulty = np.zeros(self.request.n, dtype=bool)
         if offenders.size:
@@ -190,6 +193,7 @@ class TabuRepair:
         for group in self.request.groups:
             if self._group_violations(assignment, group) > 0:
                 faulty[list(group.members)] = True
+        faulty &= assignment != UNPLACED
         return np.flatnonzero(faulty).astype(np.int64)
 
     def _still_faulty(

@@ -38,15 +38,19 @@ def dominates(a: FloatArray, b: FloatArray) -> bool:
 def dominance_matrix(objectives: FloatArray) -> BoolArray:
     """Pairwise dominance: ``out[i, j]`` is True iff point i dominates j.
 
-    Vectorized via broadcasting — O(n^2 * m) memory but no Python loop,
-    which is the profitable trade for the population sizes used here
-    (Table III: population 100).
+    Built one objective column at a time: each column adds one (n, n)
+    broadcast comparison, so no (n, n, m) tensor is reduced over its
+    short last axis (Table III: population 100, three objectives).
     """
     obj = np.asarray(objectives, dtype=np.float64)
     if obj.ndim != 2:
         raise ValueError(f"objectives must be 2-D, got shape {obj.shape}")
-    le = np.all(obj[:, None, :] <= obj[None, :, :], axis=2)
-    lt = np.any(obj[:, None, :] < obj[None, :, :], axis=2)
+    n = obj.shape[0]
+    le = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for column in obj.T:
+        le &= column[:, None] <= column[None, :]
+        lt |= column[:, None] < column[None, :]
     return le & lt
 
 

@@ -12,8 +12,11 @@ drift is a bug, not a tolerance question.
 The checker drives fuzzed scenario instances plus the structural edge
 cases vectorized code most often gets wrong — the empty population,
 rows with every gene :data:`~repro.model.placement.UNPLACED`, the
-single-server estate, and ``int32`` genomes — through every available
-backend, comparing raw bytes against the reference at two levels:
+single-server estate, ``int32`` genomes, an estate with zero-capacity
+attributes, committed base usage, a tile with no overloaded cell and
+one tile at the paper's widest size (800 servers x 1600 VMs) — through
+every available backend, comparing raw bytes against the reference at
+two levels:
 
 1. **primitive level** — ``scatter_usage`` / ``batch_usage`` /
    ``batch_active`` / ``batch_over_counts`` / ``server_min_qos`` on the
@@ -28,6 +31,7 @@ telemetry lands in ``verify.kernels.*``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,36 +131,44 @@ def _population(
     return population
 
 
+def _generated(seed: int, servers: int, vms: int, tightness: float) -> CompiledProblem:
+    spec = ScenarioSpec(
+        servers=servers,
+        datacenters=max(1, servers // 4),
+        vms=vms,
+        tightness=tightness,
+    )
+    scenario = ScenarioGenerator(spec, seed=seed).generate()
+    merged, _ = Request.concatenate(list(scenario.requests))
+    return CompiledProblem(scenario.infrastructure, merged)
+
+
 def _cases(seed: int, instances: int):
-    """(name, compiled, population) triples: fuzzed + structural edges."""
+    """(name, compiled, population, base_usage) cases: fuzzed + edges.
+
+    ``base_usage`` is the committed usage the evaluator is bound to
+    (``None``: an empty estate).
+    """
     rng = np.random.default_rng(seed)
     shapes = [(6, 14), (12, 30), (20, 48)]
     out = []
     for index in range(instances):
         servers, vms = shapes[index % len(shapes)]
-        spec = ScenarioSpec(
-            servers=servers,
-            datacenters=max(1, servers // 4),
-            vms=vms,
-            tightness=0.9,
-        )
-        scenario = ScenarioGenerator(spec, seed=seed + index).generate()
-        merged, _ = Request.concatenate(list(scenario.requests))
-        compiled = CompiledProblem(scenario.infrastructure, merged)
+        compiled = _generated(seed + index, servers, vms, tightness=0.9)
         pop = int(rng.integers(3, 17))
-        population = _population(
-            rng, pop, merged.n, scenario.infrastructure.m, unplaced=0.05
-        )
-        out.append((f"fuzz[{index}] {servers}x{vms}", compiled, population))
+        population = _population(rng, pop, compiled.n, compiled.m, unplaced=0.05)
+        out.append((f"fuzz[{index}] {servers}x{vms}", compiled, population, None))
 
     base = out[0][1]  # reuse the first fuzzed instance for edge shapes
     n, m = base.n, base.m
-    out.append(("edge: empty population", base, np.empty((0, n), np.int64)))
+    infra = base.infrastructure
+    out.append(("edge: empty population", base, np.empty((0, n), np.int64), None))
     out.append(
         (
             "edge: all-unplaced rows",
             base,
             np.full((4, n), UNPLACED, dtype=np.int64),
+            None,
         )
     )
     out.append(
@@ -164,28 +176,77 @@ def _cases(seed: int, instances: int):
             "edge: int32 genomes",
             base,
             _population(rng, 6, n, m, unplaced=0.1).astype(np.int32),
+            None,
         )
     )
 
-    single = ScenarioGenerator(
-        ScenarioSpec(servers=1, datacenters=1, vms=6, tightness=0.6),
-        seed=seed + 101,
-    ).generate()
-    merged_single, _ = Request.concatenate(list(single.requests))
-    compiled_single = CompiledProblem(single.infrastructure, merged_single)
+    single = _generated(seed + 101, 1, 6, tightness=0.6)
     out.append(
         (
             "edge: single-server estate",
-            compiled_single,
-            _population(rng, 5, merged_single.n, 1, unplaced=0.2),
+            single,
+            _population(rng, 5, single.n, 1, unplaced=0.2),
+            None,
+        )
+    )
+
+    # Every other server has no capacity on its first attribute: placed
+    # demand there loads it to inf, an empty one stays at load 0.  The
+    # last row stacks every VM on server 1, leaving the others empty.
+    capacity = infra.capacity.copy()
+    capacity[::2, 0] = 0.0
+    zero = CompiledProblem(
+        dataclasses.replace(infra, capacity=capacity), base.request
+    )
+    population = _population(rng, 5, n, m, unplaced=0.1)
+    population[-1] = 1
+    out.append(("edge: zero-capacity attributes", zero, population, None))
+
+    committed = rng.random((m, infra.h)) * infra.capacity * 0.6
+    out.append(
+        (
+            "edge: committed base usage",
+            base,
+            _population(rng, 6, n, m, unplaced=0.05),
+            committed,
+        )
+    )
+
+    # A thousandfold estate: no placement can reach any server's knee.
+    roomy = CompiledProblem(
+        dataclasses.replace(infra, capacity=infra.capacity * 1000.0),
+        base.request,
+    )
+    out.append(
+        (
+            "edge: no overloaded cell",
+            roomy,
+            _population(rng, 6, n, m, unplaced=0.05),
+            None,
+        )
+    )
+
+    wide = _generated(seed + 202, 800, 1600, tightness=0.65)
+    out.append(
+        (
+            "paper width: 800x1600",
+            wide,
+            _population(rng, 3, wide.n, wide.m, unplaced=0.01),
+            None,
         )
     )
     return out
 
 
-def _snapshot(compiled: CompiledProblem, population: np.ndarray) -> dict:
+def _snapshot(
+    compiled: CompiledProblem,
+    population: np.ndarray,
+    base_usage: np.ndarray | None = None,
+) -> dict:
     """Everything one backend computes for (instance, population)."""
-    evaluator = compiled.evaluator(include_assignment_constraint=True)
+    evaluator = compiled.evaluator(
+        include_assignment_constraint=True, base_usage=base_usage
+    )
     capacity = evaluator.constraints.capacity
     infra = compiled.infrastructure
     kern = active_kernel()
@@ -236,13 +297,13 @@ def check_kernel_conformance(
     registry.count("verify.kernels.checks")
 
     cases = _cases(seed, instances)
-    report.cases = tuple(name for name, _, _ in cases)
-    for name, compiled, population in cases:
+    report.cases = tuple(name for name, *_ in cases)
+    for name, compiled, population, base_usage in cases:
         with use_kernel("reference"):
-            ref = _snapshot(compiled, population)
+            ref = _snapshot(compiled, population, base_usage)
         for backend in others:
             with use_kernel(backend):
-                got = _snapshot(compiled, population)
+                got = _snapshot(compiled, population, base_usage)
             _compare(
                 report,
                 backend,

@@ -30,6 +30,7 @@ from repro.errors import DimensionError, ValidationError
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.verify import check_kernel_conformance
+from repro.verify.kernels import _cases as _conformance_cases
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
 
@@ -249,3 +250,40 @@ class TestRepairUsageTile:
         )
         population = np.zeros((3, compiled.request.n), dtype=np.int64)
         assert repairer._usage_tile(population, np.array([], dtype=np.int64)) is None
+
+
+class TestConformanceCaseCoverage:
+    """The QoS edge cases of ``verify --check-kernels`` reach the branch
+    each one is named for."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return {name: case for name, *case in _conformance_cases(seed=7, instances=1)}
+
+    @staticmethod
+    def _load(compiled, population, base_usage):
+        """(infrastructure, placed plus committed usage) of one case."""
+        usage = compiled.evaluator().constraints.capacity.batch_usage(population)
+        total = usage + (0.0 if base_usage is None else base_usage)
+        return compiled.infrastructure, total
+
+    def test_zero_capacity_case_takes_the_inf_branch(self, cases):
+        infra, total = self._load(*cases["edge: zero-capacity attributes"])
+        empty = infra.capacity <= 0
+        assert empty.any()
+        assert (empty & (total > 0)).any()  # loads to inf
+        assert (empty & (total == 0)).any()  # stays at load 0
+
+    def test_committed_base_usage_is_nonzero(self, cases):
+        _, _, base_usage = cases["edge: committed base usage"]
+        assert base_usage is not None and np.all(base_usage > 0)
+
+    def test_no_overloaded_cell(self, cases):
+        infra, total = self._load(*cases["edge: no overloaded cell"])
+        assert total.any()
+        assert not np.any(total / infra.capacity > infra.max_load)
+
+    def test_paper_width_tile(self, cases):
+        compiled, population, _ = cases["paper width: 800x1600"]
+        assert (compiled.m, compiled.n) == (800, 1600)
+        assert population.shape == (3, 1600)

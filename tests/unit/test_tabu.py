@@ -7,8 +7,10 @@ import pytest
 from repro.constraints import ConstraintSet
 from repro.errors import ValidationError
 from repro.model import Request
+from repro.model.placement import UNPLACED
 from repro.objectives import PopulationEvaluator
 from repro.tabu import NeighborFinder, TabuList, TabuRepair, TabuSearch
+from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
 
 class TestTabuList:
@@ -193,6 +195,51 @@ class TestTabuRepair:
     def test_max_rounds_validated(self, small_infra, small_request):
         with pytest.raises(ValidationError):
             TabuRepair(small_infra, small_request, max_rounds=0)
+
+
+class _UsageCheckingRepair(TabuRepair):
+    """Asserts, every round, that the usage the walk updates move by move
+    still equals the usage of the assignment it has reached."""
+
+    def _score(self, assignment, usage):
+        fresh = self.constraints.capacity.server_usage(assignment)
+        np.testing.assert_allclose(usage, fresh, rtol=0, atol=1e-6)
+        return super()._score(assignment, usage)
+
+
+def _genomes_with_unplaced_members(count):
+    """(infrastructure, request, genome) on generated 6x14 instances
+    (tightness 0.9) with one member of every placement group unplaced."""
+    spec = ScenarioSpec(servers=6, datacenters=1, vms=14, tightness=0.9)
+    for seed in range(count):
+        scenario = ScenarioGenerator(spec, seed=seed).generate()
+        request, _ = Request.concatenate(list(scenario.requests))
+        if not request.groups:
+            continue
+        rng = np.random.default_rng(seed)
+        genome = rng.integers(0, scenario.infrastructure.m, size=request.n)
+        for group in request.groups:
+            genome[rng.choice(list(group.members))] = UNPLACED
+        yield scenario.infrastructure, request, genome
+
+
+class TestRepairWithUnplacedGenes:
+    """An unplaced gene hosts nothing: the walk must never pick it as a
+    faulty VM, debit its demand from server m-1, or place it."""
+
+    def test_unplaced_genes_are_never_moved(self):
+        cases = 0
+        for infra, request, genome in _genomes_with_unplaced_members(200):
+            constraint_set = ConstraintSet(infra, request, include_assignment=False)
+            repair = _UsageCheckingRepair(infra, request, seed=0)
+            repaired = repair.repair_genome(genome)
+            unplaced = genome == UNPLACED
+            assert np.all(repaired[unplaced] == UNPLACED)
+            assert constraint_set.violations(repaired) <= constraint_set.violations(
+                genome
+            )
+            cases += 1
+        assert cases >= 100  # most generated requests carry groups
 
 
 class TestTabuSearch:

@@ -85,3 +85,38 @@ class TestIdealNadir:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             ideal_point(np.empty((0, 2)))
+
+
+def _dominance_oracle(objectives):
+    """The (n, n, m) broadcast formulation, kept verbatim as the oracle
+    for the column-at-a-time :func:`dominance_matrix`."""
+    obj = np.asarray(objectives, dtype=np.float64)
+    le = np.all(obj[:, None, :] <= obj[None, :, :], axis=2)
+    lt = np.any(obj[:, None, :] < obj[None, :, :], axis=2)
+    return le & lt
+
+
+class TestDominanceMatrixParity:
+    @pytest.mark.parametrize("n_obj", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 200])
+    def test_matches_broadcast_formulation(self, n, n_obj):
+        rng = np.random.default_rng(100 * n + n_obj)
+        for trial in range(4):
+            # Few distinct levels: many ties, equal rows and partial ties.
+            objs = rng.integers(0, 3 + trial, size=(n, n_obj)).astype(np.float64)
+            if trial >= 2 and n:
+                # Whole NaN rows, plus scattered NaN cells, plus infinities.
+                objs[rng.random(n) < 0.2] = np.nan
+                objs[rng.random((n, n_obj)) < 0.05] = np.nan
+                objs[rng.random((n, n_obj)) < 0.05] = np.inf
+            if trial == 3:
+                objs = objs + rng.random((n, n_obj))
+            got = dominance_matrix(objs)
+            want = _dominance_oracle(objs)
+            assert got.dtype == want.dtype == np.bool_
+            assert got.shape == want.shape == (n, n)
+            assert got.tobytes() == want.tobytes()
+
+    def test_integer_and_list_input(self):
+        objs = [[1, 2, 3], [1, 2, 3], [0, 2, 4], [2, 1, 0]]
+        assert dominance_matrix(objs).tobytes() == _dominance_oracle(objs).tobytes()

@@ -131,9 +131,10 @@ class CapacityConstraint(Constraint):
     def batch_usage(self, population: IntArray) -> FloatArray:
         """Usage tensor (pop, m, h) for a whole population.
 
-        Dispatches to the active kernel backend (flat-index bincount
-        tiles on the numpy backend, ``prange`` scatter on numba) — no
-        Python-level loop over individuals on any backend.
+        Dispatches to the active kernel backend (one bincount per
+        attribute over a ``(row, server)`` cell index on the numpy
+        backend, ``prange`` scatter on numba) — no Python-level loop
+        over individuals on any backend.
         """
         population = np.asarray(population, dtype=np.int64)
         pop, n = population.shape

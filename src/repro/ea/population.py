@@ -65,12 +65,12 @@ class Population:
         return self.violations == 0
 
     def take(self, indices: IntArray) -> "Population":
-        """Sub-population at ``indices`` (copies)."""
+        """Sub-population at ``indices`` (fancy indexing copies)."""
         idx = np.asarray(indices, dtype=np.int64)
         return Population(
-            genomes=self.genomes[idx].copy(),
-            objectives=self.objectives[idx].copy(),
-            violations=self.violations[idx].copy(),
+            genomes=self.genomes[idx],
+            objectives=self.objectives[idx],
+            violations=self.violations[idx],
         )
 
     @staticmethod

@@ -9,9 +9,9 @@ QoS tile on the evaluation/repair hot path:
     obviously correct, and the anchor the differential checker
     (``python -m repro verify --check-kernels``) compares against.
 ``numpy``
-    Flat-index ``np.bincount`` tiles, single-pass composite-key group
-    scoring, masked-``exp`` QoS — no per-row or per-group Python loop
-    anywhere.  The default.
+    Per-attribute ``np.bincount`` tiles, single-pass composite-key
+    group scoring, an in-place one-tile QoS — no per-row or per-group
+    Python loop anywhere.  The default.
 ``numba``
     ``@njit(parallel=True)`` scatter and counting kernels; only
     offered when numba imports (see

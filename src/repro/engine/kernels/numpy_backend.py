@@ -3,17 +3,20 @@
 Same results as :class:`~repro.engine.kernels.base.ReferenceKernel`
 bit for bit, reached by different routes:
 
-* scatters run through ``np.bincount`` (flat ``(row, server, attr)``
-  indices for population tiles) instead of ``np.add.at`` — both
+* scatters run through ``np.bincount`` instead of ``np.add.at`` — both
   accumulate duplicate indices in input order, so the float64 sums are
-  identical;
+  identical.  A population tile takes one bincount per attribute over
+  a ``(row, server)`` cell index and writes each plane into a
+  C-ordered ``(pop, m, h)`` result, so no temporary outgrows the
+  ``(pop, n)`` genome matrix;
 * all placement groups of an instance are scored in **one** pass over
   a composite-key sort (integer arithmetic — exact) instead of one
   Python iteration per group;
-* the Eq. 24 QoS decay evaluates ``exp`` only on the overloaded cells
-  (the reference computes it everywhere then selects).  Per-element
-  the operations and operands are identical, so the selected values
-  are too;
+* the QoS primitive computes Eq. 25 loads and the Eq. 24 decay in
+  place in one float tile, with the reference's operations on every
+  cell.  The reference selects ``max_qos`` below the knee; there the
+  decay's argument clamps to 0, and ``max_qos * exp(0)`` is
+  ``max_qos`` exactly;
 * the worst attribute per server is a chain of column-wise
   ``np.minimum`` calls instead of a reduction over the last axis.  A
   minimum returns one of its operands, and QoS values are never NaN
@@ -32,7 +35,7 @@ __all__ = ["NumpyKernel"]
 
 
 class NumpyKernel(Kernel):
-    """Flat-index bincount tiles + single-pass group scoring."""
+    """Per-attribute bincount tiles + single-pass group scoring."""
 
     name = "numpy"
     vectorized_groups = True
@@ -51,17 +54,21 @@ class NumpyKernel(Kernel):
     def batch_usage(
         self, population: IntArray, demand: FloatArray, m: int
     ) -> FloatArray:
-        pop, n = population.shape
+        pop = population.shape[0]
         h = demand.shape[1]
-        mask = population != UNPLACED
-        # One flat (row, server, attr) index per gene-attribute pair;
-        # unplaced genes land in a scratch server bucket at index m.
-        servers = np.where(mask, population, m)
-        cells = (np.arange(pop, dtype=np.int64)[:, None] * (m + 1) + servers)
-        flat = (cells[:, :, None] * h + np.arange(h, dtype=np.int64)).ravel()
-        weights = np.broadcast_to(demand, (pop, n, h)).ravel()
-        counts = np.bincount(flat, weights=weights, minlength=pop * (m + 1) * h)
-        return counts.reshape(pop, m + 1, h)[:, :m, :]
+        # Each row owns m + 1 buckets.  Offsetting genes by one sends
+        # UNPLACED (-1) to the row's bucket 0, a scratch bucket the
+        # tile drops, with no mask over the population.
+        cells = (
+            population + np.arange(1, pop * (m + 1) + 1, m + 1)[:, None]
+        ).ravel()
+        usage = np.empty((pop, m, h), dtype=np.float64)
+        for col in range(h):
+            counts = np.bincount(
+                cells, weights=np.tile(demand[:, col], pop), minlength=pop * (m + 1)
+            )
+            usage[:, :, col] = counts.reshape(pop, m + 1)[:, 1:]
+        return usage
 
     def batch_active(self, population: IntArray, m: int) -> BoolArray:
         pop = population.shape[0]
@@ -123,29 +130,26 @@ class NumpyKernel(Kernel):
         max_load: FloatArray,
         max_qos: FloatArray,
     ) -> FloatArray:
-        total = usage + base_usage
+        # The call's one full-size float tile: it holds the Eq. 25
+        # loads, then is turned in place into the Eq. 24 QoS.
+        tile = np.add(usage, base_usage, order="C")
         if (capacity > 0).all():
-            load = total / capacity
+            np.divide(tile, capacity, out=tile)
         else:
-            safe = np.where(capacity > 0, capacity, 1.0)
-            load = np.where((capacity <= 0) & (total > 0), np.inf, total / safe)
-        qos = np.empty(load.shape, dtype=np.float64)
-        qos[...] = max_qos
-        # Flat indices of the overloaded cells; ``cell`` is each one's
-        # (server, attribute) entry in the (m, h) knee/ceiling tables.
-        over = np.flatnonzero(load > max_load)
-        if over.size:
-            cell = over % max_load.size
-            knee = max_load.ravel()[cell]
-            # Overloaded cells have load > knee, so the exp argument is
-            # already <= 0 — no clamp needed (matches the reference's
-            # minimum(0, .) on this subset element for element).
-            qos.ravel()[over] = max_qos.ravel()[cell] * np.exp(
-                (knee - load.ravel()[over]) / (1.0 - knee)
-            )
+            unbounded = (capacity <= 0) & (tile > 0)
+            np.divide(tile, np.where(capacity > 0, capacity, 1.0), out=tile)
+            tile[unbounded] = np.inf
+        # The reference's decay on every cell.  Below the knee the
+        # argument clamps to 0 and max_qos * exp(0) is max_qos exactly,
+        # the value the reference selects there.
+        np.subtract(max_load, tile, out=tile)
+        np.divide(tile, 1.0 - max_load, out=tile)
+        np.minimum(0.0, tile, out=tile)
+        np.exp(tile, out=tile)
+        np.multiply(max_qos, tile, out=tile)
         # Column-wise minimum over the attribute axis: a reduction over
         # a 3-wide last axis runs one short inner loop per server.
-        worst = qos[..., 0].copy()
-        for col in range(1, qos.shape[-1]):
-            np.minimum(worst, qos[..., col], out=worst)
+        worst = tile[..., 0].copy()
+        for col in range(1, tile.shape[-1]):
+            np.minimum(worst, tile[..., col], out=worst)
         return worst

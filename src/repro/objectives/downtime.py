@@ -83,13 +83,21 @@ class DowntimeCost:
         )
 
     def _penalties(self, qos_per_resource: FloatArray) -> FloatArray:
-        """Map delivered QoS per resource to monetary penalties."""
+        """Map delivered QoS per resource to monetary penalties.
+
+        Works in place: ``qos_per_resource`` must be a fresh array the
+        caller owns, and it comes back holding the penalties.
+        """
         cq = self.request.qos_guarantee
         cu = self.request.downtime_cost
+        out = qos_per_resource
         if self.mode == "literal":
-            return cu * (qos_per_resource / cq)
-        shortfall = np.maximum(0.0, (cq - qos_per_resource) / cq)
-        return cu * shortfall
+            np.divide(out, cq, out=out)
+        else:
+            np.subtract(cq, out, out=out)
+            np.divide(out, cq, out=out)
+            np.maximum(0.0, out, out=out)
+        return np.multiply(cu, out, out=out)
 
     # ------------------------------------------------------------------
     def value(self, assignment: IntArray) -> float:
@@ -129,9 +137,13 @@ class DowntimeCost:
                 f"population has {pop}"
             )
         server_qos = self._server_min_qos(usage)  # (pop, m)
-        mask = population != UNPLACED
-        safe = np.where(mask, population, 0)
-        delivered = np.take_along_axis(server_qos, safe, axis=1)
-        penalties = self._penalties(delivered)
-        penalties = np.where(mask, penalties, 0.0)
+        m = server_qos.shape[1]
+        # A flat gather of each gene's host.  An UNPLACED (-1) gene reads
+        # the cell just before its row (the last cell, for row 0), and
+        # its penalty is zeroed below.
+        cells = population + np.arange(0, pop * m, m)[:, None]
+        penalties = self._penalties(server_qos.ravel()[cells])
+        unplaced = population == UNPLACED
+        if unplaced.any():
+            penalties[unplaced] = 0.0
         return penalties.sum(axis=1)

@@ -70,7 +70,11 @@ class UsageOperatingCost:
         m = self.infrastructure.m
         mask = population != UNPLACED
         if not self.per_server_operating:
-            rates = np.where(mask, self._per_resource_rate[np.where(mask, population, 0)], 0.0)
+            # An UNPLACED (-1) gene reads the last server's rate; it is
+            # zeroed before the per-row sum.
+            rates = self._per_resource_rate[population]
+            if not mask.all():
+                rates[~mask] = 0.0
             return rates.sum(axis=1)
         usage_rates = np.where(
             mask, self.infrastructure.usage_cost[np.where(mask, population, 0)], 0.0

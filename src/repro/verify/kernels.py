@@ -14,9 +14,9 @@ cases vectorized code most often gets wrong — the empty population,
 rows with every gene :data:`~repro.model.placement.UNPLACED`, the
 single-server estate, ``int32`` genomes, an estate with zero-capacity
 attributes, committed base usage, a tile with no overloaded cell and
-one tile at the paper's widest size (800 servers x 1600 VMs) — through
-every available backend, comparing raw bytes against the reference at
-two levels:
+two tiles at the paper's widest size (800 servers x 1600 VMs), one of
+them fully placed like every EA genome — through every available
+backend, comparing raw bytes against the reference at two levels:
 
 1. **primitive level** — ``scatter_usage`` / ``batch_usage`` /
    ``batch_active`` / ``batch_over_counts`` / ``server_min_qos`` on the
@@ -232,6 +232,16 @@ def _cases(seed: int, instances: int):
             "paper width: 800x1600",
             wide,
             _population(rng, 3, wide.n, wide.m, unplaced=0.01),
+            None,
+        )
+    )
+    # EA genomes are always fully placed, which is the branch the
+    # evaluation takes on every NSGA generation.
+    out.append(
+        (
+            "paper width: 800x1600 fully placed",
+            wide,
+            _population(rng, 16, wide.n, wide.m, unplaced=0.0),
             None,
         )
     )

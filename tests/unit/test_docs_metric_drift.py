@@ -1,12 +1,15 @@
-"""Doc-drift guard: every metric name ``src/`` records must have a row
-in docs/OBSERVABILITY.md.
+"""Doc-drift guard: every metric and span name ``src/`` records must be
+documented in docs/OBSERVABILITY.md.
 
 Metric names are string literals handed to a registry's ``count``,
-``gauge`` or ``observe``.  This test walks the syntax tree of every
-module under ``src/`` (nothing is imported or executed), collects those
-literals, and fails for any name the page does not show in backticks —
-either bare (`` `cp.solves` ``) or as a labelled series
-(`` `cp.repair.moves{repairer=cp}` ``).
+``gauge`` or ``observe``; span names are the first argument of a
+``span(...)`` call.  This test walks the syntax tree of every module
+under ``src/`` (nothing is imported or executed), collects those names,
+and fails for any name the page does not show in backticks.  A metric
+may appear bare (`` `cp.solves` ``) or as a labelled series
+(`` `cp.repair.moves{repairer=cp}` ``).  A span named by an f-string
+matches a backticked name with a ``<...>`` placeholder in place of each
+formatted part (`` `<algorithm>.generation` ``).
 """
 
 import ast
@@ -21,23 +24,26 @@ _RECORDERS = {"count", "gauge", "observe"}
 _REGISTRY_RE = re.compile(r"registry(\(\))?$")
 
 
-def emitted_metric_names(source_root: Path = REPO_ROOT / "src") -> dict[str, str]:
-    """Metric name -> first ``path:line`` recording it, over ``source_root``."""
-    names: dict[str, str] = {}
+def _calls(source_root: Path):
+    """(``path:line``, call node) for every call with arguments under ``source_root``."""
     for path in sorted(source_root.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _RECORDERS
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-                and _REGISTRY_RE.search(ast.unparse(node.func.value))
-            ):
-                continue
-            where = f"{path.relative_to(source_root)}:{node.lineno}"
+            if isinstance(node, ast.Call) and node.args:
+                yield f"{path.relative_to(source_root)}:{node.lineno}", node
+
+
+def emitted_metric_names(source_root: Path = REPO_ROOT / "src") -> dict[str, str]:
+    """Metric name -> first ``path:line`` recording it, over ``source_root``."""
+    names: dict[str, str] = {}
+    for where, node in _calls(source_root):
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in _RECORDERS
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+            and _REGISTRY_RE.search(ast.unparse(node.func.value))
+        ):
             names.setdefault(node.args[0].value, where)
     return names
 
@@ -51,7 +57,50 @@ def undocumented(names, page: str) -> list[str]:
     )
 
 
+#: Stands for one formatted part of an f-string span name.
+_PLACEHOLDER = "<*>"
+
+
+def _span_name(node: ast.expr) -> str | None:
+    """The span name a literal or f-string spells, else ``None``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(
+            part.value if isinstance(part, ast.Constant) else _PLACEHOLDER
+            for part in node.values
+        )
+    return None
+
+
+def emitted_span_names(source_root: Path = REPO_ROOT / "src") -> dict[str, str]:
+    """Span name -> first ``path:line`` opening it, over ``source_root``.
+
+    Covers ``span(...)`` and ``<tracer>.span(...)`` calls; a call that
+    forwards a variable (the tracer's own ``span`` helper) names no span.
+    """
+    names: dict[str, str] = {}
+    for where, node in _calls(source_root):
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        name = _span_name(node.args[0]) if callee == "span" else None
+        if name is not None:
+            names.setdefault(name, where)
+    return names
+
+
+def undocumented_spans(names, page: str) -> list[str]:
+    """The span names ``page`` never shows in backticks."""
+    missing = []
+    for name in names:
+        pattern = "<[^`<>]+>".join(re.escape(part) for part in name.split(_PLACEHOLDER))
+        if not re.search(f"`{pattern}`", page):
+            missing.append(name)
+    return sorted(missing)
+
+
 _EMITTED = emitted_metric_names()
+_SPANS = emitted_span_names()
 
 
 class TestMetricsAreDocumented:
@@ -82,3 +131,40 @@ class TestMetricsAreDocumented:
         assert set(names) == {"made.up.counter", "made.up.seconds"}
         page = "| `made.up.counter.total` | counter | ... |\n| `made.up.seconds{algorithm=…}` |"
         assert undocumented(names, page) == ["made.up.counter"]
+
+
+class TestSpansAreDocumented:
+    def test_extractor_finds_every_span_site(self):
+        assert set(_SPANS) == {
+            "<*>.generation",
+            "ea.repair",
+            "scheduler.allocate",
+            "service.reoptimize.cycle",
+            "market.broker",
+        }, _SPANS
+
+    def test_every_span_is_documented(self):
+        missing = undocumented_spans(_SPANS, OBSERVABILITY.read_text())
+        assert not missing, "spans missing from docs/OBSERVABILITY.md: " + ", ".join(
+            f"{name} ({_SPANS[name]})" for name in missing
+        )
+
+    def test_guard_catches_an_undocumented_span(self, tmp_path):
+        """Sanity check on the guard: a made-up span shows up as missing,
+        an f-string span needs a placeholder in its backticked name, and
+        a forwarded variable names no span."""
+        module = tmp_path / "spans.py"
+        module.write_text(
+            "from repro.telemetry import span, get_tracer\n"
+            'with span("made.up.span", rows=1):\n'
+            "    pass\n"
+            'with get_tracer().span(f"{kind}.made.up"):\n'
+            "    pass\n"
+            "def forward(name):\n"
+            "    return span(name)\n"
+        )
+        names = emitted_span_names(tmp_path)
+        assert set(names) == {"made.up.span", "<*>.made.up"}
+        page = "`made.up.span.total` and `<kind>.made.up`"
+        assert undocumented_spans(names, page) == ["made.up.span"]
+        assert undocumented_spans(names, "`kind.made.up`") == ["<*>.made.up", "made.up.span"]

@@ -199,6 +199,11 @@ class TestPopulationContainer:
         sub = pop.take(np.array([0, 2]))
         sub.genomes[0, 0] = 99
         assert pop.genomes[0, 0] != 99
+        for name in ("genomes", "objectives", "violations"):
+            assert not np.shares_memory(getattr(sub, name), getattr(pop, name)), name
+        # Taking every row in order still copies.
+        whole = pop.take(np.arange(len(pop)))
+        assert not np.shares_memory(whole.genomes, pop.genomes)
 
     def test_concatenate(self):
         a, b = self._population(3), self._population(2)

@@ -9,6 +9,9 @@ and the satellite contracts around them (capacity retargeting, the
 repair usage tile, batch_violations overrides).
 """
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from repro.engine.kernels import (
     use_kernel,
 )
 from repro.errors import DimensionError, ValidationError
+from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.verify import check_kernel_conformance
@@ -287,3 +291,179 @@ class TestConformanceCaseCoverage:
         compiled, population, _ = cases["paper width: 800x1600"]
         assert (compiled.m, compiled.n) == (800, 1600)
         assert population.shape == (3, 1600)
+
+    def test_fully_placed_paper_width_tile(self, cases):
+        compiled, population, _ = cases["paper width: 800x1600 fully placed"]
+        assert (compiled.m, compiled.n) == (800, 1600)
+        assert population.shape == (16, 1600)
+        assert not (population == UNPLACED).any()
+
+
+# ----------------------------------------------------------------------
+# The numpy backend's bodies before the one-tile rewrite, verbatim: the
+# oracles the rewritten primitives must match byte for byte.
+# ----------------------------------------------------------------------
+def flat_key_batch_usage(population, demand, m):
+    """``NumpyKernel.batch_usage`` over one flat (row, server, attr) key."""
+    pop, n = population.shape
+    h = demand.shape[1]
+    mask = population != UNPLACED
+    # One flat (row, server, attr) index per gene-attribute pair;
+    # unplaced genes land in a scratch server bucket at index m.
+    servers = np.where(mask, population, m)
+    cells = (np.arange(pop, dtype=np.int64)[:, None] * (m + 1) + servers)
+    flat = (cells[:, :, None] * h + np.arange(h, dtype=np.int64)).ravel()
+    weights = np.broadcast_to(demand, (pop, n, h)).ravel()
+    counts = np.bincount(flat, weights=weights, minlength=pop * (m + 1) * h)
+    return counts.reshape(pop, m + 1, h)[:, :m, :]
+
+
+def subset_exp_server_min_qos(usage, base_usage, capacity, max_load, max_qos):
+    """``NumpyKernel.server_min_qos`` with ``exp`` on the overloaded cells only."""
+    total = usage + base_usage
+    if (capacity > 0).all():
+        load = total / capacity
+    else:
+        safe = np.where(capacity > 0, capacity, 1.0)
+        load = np.where((capacity <= 0) & (total > 0), np.inf, total / safe)
+    qos = np.empty(load.shape, dtype=np.float64)
+    qos[...] = max_qos
+    # Flat indices of the overloaded cells; ``cell`` is each one's
+    # (server, attribute) entry in the (m, h) knee/ceiling tables.
+    over = np.flatnonzero(load > max_load)
+    if over.size:
+        cell = over % max_load.size
+        knee = max_load.ravel()[cell]
+        # Overloaded cells have load > knee, so the exp argument is
+        # already <= 0 — no clamp needed (matches the reference's
+        # minimum(0, .) on this subset element for element).
+        qos.ravel()[over] = max_qos.ravel()[cell] * np.exp(
+            (knee - load.ravel()[over]) / (1.0 - knee)
+        )
+    # Column-wise minimum over the attribute axis: a reduction over
+    # a 3-wide last axis runs one short inner loop per server.
+    worst = qos[..., 0].copy()
+    for col in range(1, qos.shape[-1]):
+        np.minimum(worst, qos[..., col], out=worst)
+    return worst
+
+
+@dataclasses.dataclass(frozen=True)
+class ParityCase:
+    """One evaluation input for the byte-parity fuzz."""
+
+    name: str
+    infrastructure: Infrastructure
+    request: Request
+    population: np.ndarray
+    #: (m, h) committed usage; zeros for an empty estate.
+    base_usage: np.ndarray
+
+
+def parity_cases() -> list[ParityCase]:
+    """Small fuzzed inputs over every shape the rewrite must survive:
+    pop 0, 1 and odd; fully placed, 2% and 100% UNPLACED; int32 and
+    int64 genomes; m = 1; a zero-capacity attribute; committed base
+    usage; an estate where no cell can overload."""
+    rng = np.random.default_rng(13)
+    six = _compiled(servers=6, vms=14, seed=5)
+    infra, request = six.infrastructure, six.request
+    zero_capacity = infra.capacity.copy()
+    zero_capacity[::2, 0] = 0.0
+    single = _compiled(servers=1, datacenters=1, vms=6, tightness=0.6)
+    # name -> (estate, request, the capacity committed usage scales with)
+    estates = {
+        "6 servers": (infra, request, infra.capacity),
+        "m=1": (single.infrastructure, single.request, single.infrastructure.capacity),
+        "zero-capacity attribute": (
+            dataclasses.replace(infra, capacity=zero_capacity), request, infra.capacity
+        ),
+        "no overloaded cell": (
+            dataclasses.replace(infra, capacity=infra.capacity * 1000.0),
+            request,
+            infra.capacity,
+        ),
+    }
+    cases = []
+    for estate, (infrastructure, req, scale) in estates.items():
+        m, h = infrastructure.m, infrastructure.h
+        committed = {
+            "empty estate": np.zeros((m, h)),
+            "committed usage": rng.random((m, h)) * scale * 0.6,
+        }
+        for (base_name, base_usage), pop, unplaced, dtype in itertools.product(
+            committed.items(), (0, 1, 7), (0.0, 0.02, 1.0), (np.int64, np.int32)
+        ):
+            population = rng.integers(0, m, size=(pop, req.n))
+            population[rng.random(population.shape) < unplaced] = UNPLACED
+            cases.append(
+                ParityCase(
+                    f"{estate}, {base_name}, pop {pop}, {unplaced:.0%} unplaced, "
+                    f"{np.dtype(dtype).name}",
+                    infrastructure,
+                    req,
+                    population.astype(dtype),
+                    base_usage,
+                )
+            )
+    return cases
+
+
+def paper_scale_case() -> ParityCase:
+    """One NSGA-III evaluation call at the paper's widest size: 100
+    fully placed genomes of 1600 VMs on 800 servers."""
+    compiled = _compiled(servers=800, datacenters=4, vms=1600, seed=1, tightness=0.65)
+    m = compiled.m
+    population = np.random.default_rng(3).integers(0, m, size=(100, compiled.request.n))
+    return ParityCase(
+        "paper scale: 100x1600, m=800",
+        compiled.infrastructure,
+        compiled.request,
+        population,
+        np.zeros((m, compiled.infrastructure.h)),
+    )
+
+
+def same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestOneTileEvaluationParity:
+    """The numpy backend's population tile and QoS primitive keep every
+    byte of their previous bodies (the oracles above)."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [*parity_cases(), paper_scale_case()]
+
+    def test_cases_cover_the_listed_shapes(self, cases):
+        pops = {case.population.shape[0] for case in cases}
+        assert {0, 1, 7, 100} <= pops
+        assert any(case.population.dtype == np.int32 for case in cases)
+        assert any(case.infrastructure.m == 1 for case in cases)
+        assert any(case.base_usage.any() for case in cases)
+        assert any((case.infrastructure.capacity <= 0).any() for case in cases)
+        unplaced = [(case.population == UNPLACED).mean() for case in cases if case.population.size]
+        assert 0.0 in unplaced and 1.0 in unplaced and any(0 < u < 1 for u in unplaced)
+
+    def test_batch_usage(self, cases):
+        kernel = get_kernel("numpy")
+        for case in cases:
+            demand, m = case.request.demand, case.infrastructure.m
+            got = kernel.batch_usage(case.population, demand, m)
+            # The flat-key body returned an int64 tile for pop 0.
+            assert got.dtype == np.float64 and got.flags.c_contiguous, case.name
+            assert same_bytes(got, flat_key_batch_usage(case.population, demand, m)), case.name
+
+    def test_server_min_qos(self, cases):
+        kernel = get_kernel("numpy")
+        for case in cases:
+            infra = case.infrastructure
+            usage = flat_key_batch_usage(case.population, case.request.demand, infra.m)
+            tables = (case.base_usage, infra.capacity, infra.max_load, infra.max_qos)
+            want = subset_exp_server_min_qos(usage, *tables)
+            assert same_bytes(kernel.server_min_qos(usage, *tables), want), case.name
+            if usage.shape[0]:  # the single-genome (m, h) form
+                want = subset_exp_server_min_qos(usage[0], *tables)
+                assert same_bytes(kernel.server_min_qos(usage[0], *tables), want), case.name

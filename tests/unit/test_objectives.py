@@ -1,9 +1,11 @@
 """Unit tests for the objective system (Eq. 15, 22-26)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import DimensionError, ValidationError
 from repro.model.placement import UNPLACED
 from repro.objectives import (
     DowntimeCost,
@@ -14,6 +16,13 @@ from repro.objectives import (
     aggregate_scalar,
     loads_from_usage,
     qos_from_load,
+)
+from tests.unit.test_kernels import (
+    same_bytes,
+    flat_key_batch_usage,
+    paper_scale_case,
+    parity_cases,
+    subset_exp_server_min_qos,
 )
 
 
@@ -208,3 +217,131 @@ class TestPopulationEvaluator:
         good = np.array([[0, 0, 2, 3, 4, 5]])
         result = evaluator.evaluate_population(good)
         assert result.feasible.tolist() == [True]
+
+
+# ----------------------------------------------------------------------
+# The objective bodies before the flat gather and the UNPLACED skip,
+# verbatim: the oracles the rewritten batch paths must match byte for
+# byte.  The downtime oracle runs on the numpy QoS primitive and
+# penalty mapping of the same version.
+# ----------------------------------------------------------------------
+def allocating_penalties(self, qos_per_resource):
+    """``DowntimeCost._penalties`` returning a new array."""
+    cq = self.request.qos_guarantee
+    cu = self.request.downtime_cost
+    if self.mode == "literal":
+        return cu * (qos_per_resource / cq)
+    shortfall = np.maximum(0.0, (cq - qos_per_resource) / cq)
+    return cu * shortfall
+
+
+def _oracle_server_min_qos(self, usage):
+    infra = self.infrastructure
+    return subset_exp_server_min_qos(
+        usage, self.base_usage, infra.capacity, infra.max_load, infra.max_qos
+    )
+
+
+def take_along_axis_downtime_batch(self, population, usage):
+    """``DowntimeCost.batch`` gathering through ``np.take_along_axis``."""
+    population = np.asarray(population, dtype=np.int64)
+    pop, n = population.shape
+    if usage.shape[0] != pop:
+        raise DimensionError(
+            f"usage tensor covers {usage.shape[0]} individuals, "
+            f"population has {pop}"
+        )
+    server_qos = _oracle_server_min_qos(self, usage)  # (pop, m)
+    mask = population != UNPLACED
+    safe = np.where(mask, population, 0)
+    delivered = np.take_along_axis(server_qos, safe, axis=1)
+    penalties = allocating_penalties(self, delivered)
+    penalties = np.where(mask, penalties, 0.0)
+    return penalties.sum(axis=1)
+
+
+def allocating_downtime_value_from_usage(self, assignment, usage):
+    """``DowntimeCost.value_from_usage`` on the allocating penalties."""
+    assignment = np.asarray(assignment, dtype=np.int64)
+    mask = assignment != UNPLACED
+    server_qos = _oracle_server_min_qos(self, usage)
+    per_resource = np.zeros(self.request.n)
+    per_resource[mask] = server_qos[assignment[mask]]
+    penalties = allocating_penalties(self, per_resource)
+    return float(penalties[mask].sum())
+
+
+def masked_usage_cost_batch(self, population):
+    """``UsageOperatingCost.batch`` masking UNPLACED genes twice."""
+    population = np.asarray(population, dtype=np.int64)
+    if population.ndim != 2:
+        raise DimensionError(
+            f"population must be 2-D, got shape {population.shape}"
+        )
+    m = self.infrastructure.m
+    mask = population != UNPLACED
+    if not self.per_server_operating:
+        rates = np.where(mask, self._per_resource_rate[np.where(mask, population, 0)], 0.0)
+        return rates.sum(axis=1)
+    usage_rates = np.where(
+        mask, self.infrastructure.usage_cost[np.where(mask, population, 0)], 0.0
+    )
+    usage = usage_rates.sum(axis=1)
+    pop = population.shape[0]
+    servers = np.where(mask, population, m)
+    flat = (np.arange(pop)[:, None] * (m + 1) + servers).ravel()
+    counts = np.bincount(flat, minlength=pop * (m + 1)).reshape(pop, m + 1)[:, :m]
+    operating = (counts > 0) @ self.infrastructure.operating_cost
+    return usage + operating
+
+
+class TestBatchObjectiveParity:
+    """``DowntimeCost.batch`` and ``UsageOperatingCost.batch`` keep every
+    byte of their previous bodies over the kernel parity fuzz (pop 0, 1
+    and odd; fully placed, 2% and 100% UNPLACED; int32 genomes; m = 1;
+    zero capacity; committed usage; no overload; one paper-scale call)."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [*parity_cases(), paper_scale_case()]
+
+    def test_downtime_batch(self, cases):
+        for case, mode in itertools.product(cases, ("shortfall", "literal")):
+            cost = DowntimeCost(
+                case.infrastructure, case.request, base_usage=case.base_usage, mode=mode
+            )
+            usage = flat_key_batch_usage(
+                case.population, case.request.demand, case.infrastructure.m
+            )
+            want = take_along_axis_downtime_batch(cost, case.population, usage)
+            got = cost.batch(case.population, usage)
+            assert same_bytes(got, want), f"{case.name}, {mode}"
+
+    def test_downtime_value_from_usage(self, cases):
+        for case, mode in itertools.product(cases[:-1], ("shortfall", "literal")):
+            cost = DowntimeCost(
+                case.infrastructure, case.request, base_usage=case.base_usage, mode=mode
+            )
+            usage = flat_key_batch_usage(
+                case.population, case.request.demand, case.infrastructure.m
+            )
+            for genome, tile in zip(case.population, usage):
+                want = allocating_downtime_value_from_usage(cost, genome, tile)
+                got = cost.value_from_usage(genome, tile)
+                assert same_bytes(got, want), f"{case.name}, {mode}"
+
+    def test_usage_cost_batch(self, cases):
+        for case, per_server in itertools.product(cases, (False, True)):
+            cost = UsageOperatingCost(case.infrastructure, per_server_operating=per_server)
+            want = masked_usage_cost_batch(cost, case.population)
+            got = cost.batch(case.population)
+            assert same_bytes(got, want), f"{case.name}, per_server={per_server}"
+
+    def test_batch_leaves_the_genomes_alone(self, cases):
+        case = next(c for c in cases if (c.population == UNPLACED).any())
+        before = case.population.copy()
+        cost = DowntimeCost(case.infrastructure, case.request)
+        usage = flat_key_batch_usage(case.population, case.request.demand, case.infrastructure.m)
+        cost.batch(case.population, usage)
+        UsageOperatingCost(case.infrastructure).batch(case.population)
+        assert np.array_equal(case.population, before)

@@ -5,7 +5,7 @@ ephemeral port, replays a seeded open-loop trace through the real HTTP
 stack with :class:`~repro.service.loadgen.LoadGenerator`, forces one
 background reoptimization cycle, shuts down gracefully (final
 checkpoint) and then proves the session with the conformance oracle
-(``verify --check-service`` semantics).  Asserted every run:
+(``verify --check service`` semantics).  Asserted every run:
 
 * **zero 5xx** across the whole replay;
 * the reoptimize cycle completes and **improves or preserves** the
@@ -133,10 +133,7 @@ def test_service_load() -> None:
 
         record["conformance"] = {
             "ok": conformance.ok,
-            "records": conformance.records,
-            "windows": conformance.windows,
-            "reoptimizations": conformance.reoptimizations,
-            "residents": conformance.residents,
+            **conformance.stats,
             "comparisons": conformance.comparisons,
         }
         record["latency_p50"] = load["latency_p50"]

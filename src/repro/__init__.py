@@ -38,7 +38,6 @@ from repro.baselines import (
 from repro.cp import CPAllocator, CPSolver, SearchLimits
 from repro.ea import NSGA2, NSGA3, NSGAConfig
 from repro.engine import (
-    ChunkedPopulationEvaluator,
     CompiledProblem,
     IncrementalEvaluator,
     MoveScore,
@@ -128,7 +127,6 @@ __all__ = [
     "CompiledProblem",
     "ProblemCache",
     "ParallelEngine",
-    "ChunkedPopulationEvaluator",
     "IncrementalEvaluator",
     "MoveScore",
     "ParityError",

@@ -14,7 +14,7 @@ Usage (after ``pip install -e .``)::
     python -m repro scenario run steady_churn --seed 7
     python -m repro compare  --providers 3 --prefer 'provider_cost>qos'
     python -m repro scenario run steady_churn --providers 3
-    python -m repro verify   --check-market
+    python -m repro verify   --check market --check parallel=1,2
     python -m repro verify   --fuzz 20 --seed 7
     python -m repro verify   --fuzz 10 --scenario maintenance_drain
     python -m repro serve    --port 8080 --checkpoint-dir state/
@@ -55,6 +55,7 @@ from repro.evaluation import (
     format_series_table,
     format_table,
 )
+from repro.verify import CHECKS
 
 __all__ = ["main", "build_parser"]
 
@@ -352,6 +353,26 @@ def _parse_workers(text: str) -> tuple[int, ...]:
     return counts
 
 
+#: The checks that take ``NAME=ARG``, with the parser of their ARG.
+_CHECK_ARGS = {"parallel": _parse_workers, "service": str}
+
+
+def _parse_check(text: str) -> tuple[str, object]:
+    """``"parallel=1,2"`` → ``("parallel", (1, 2))``; ``"market"`` → ``("market", None)``."""
+    name, has_arg, arg = text.partition("=")
+    if name != "all" and name not in CHECKS:
+        raise argparse.ArgumentTypeError(
+            f"unknown check {name!r}; pick from {', '.join(CHECKS)} or 'all'"
+        )
+    if not has_arg:
+        return name, None
+    if name not in _CHECK_ARGS:
+        raise argparse.ArgumentTypeError(f"check {name!r} takes no argument")
+    if not arg:
+        raise argparse.ArgumentTypeError(f"--check {name}= needs a value")
+    return name, _CHECK_ARGS[name](arg)
+
+
 def _parse_prefer(text: str):
     """Validate a ``crit>crit>...`` preference spec at parse time."""
     from repro.errors import ValidationError
@@ -472,12 +493,7 @@ def cmd_scenario(args) -> int:
 def cmd_verify(args) -> int:
     """Run ``python -m repro verify``."""
     from repro.telemetry import get_registry
-    from repro.verify import (
-        FuzzConfig,
-        check_parallel_determinism,
-        check_resume_determinism,
-        run_fuzz,
-    )
+    from repro.verify import FuzzConfig, run_fuzz
 
     fuzz_kwargs = {}
     if args.scenario:
@@ -521,48 +537,19 @@ def cmd_verify(args) -> int:
     report = run_fuzz(config)
     print(report.format())
     ok = report.ok
-    if args.check_anytime:
-        from repro.verify import check_anytime_conformance
-
-        anytime_report = check_anytime_conformance(seed=args.seed)
+    # name -> ARG; an explicit NAME=ARG wins over the bare run `all` asks for.
+    selected: dict[str, object] = {}
+    for name, arg in args.check or ():
+        if name == "all":
+            selected.update({each: selected.get(each) for each in CHECKS})
+        else:
+            selected[name] = arg
+    for name, arg in selected.items():
+        check = CHECKS[name]
+        check_report = check(seed=args.seed) if arg is None else check(arg, seed=args.seed)
         print()
-        print(anytime_report.format())
-        ok = ok and anytime_report.ok
-    if args.check_market:
-        from repro.verify import check_market_conformance
-
-        market_report = check_market_conformance(seed=args.seed)
-        print()
-        print(market_report.format())
-        ok = ok and market_report.ok
-    if args.check_parallel is not None:
-        parallel_report = check_parallel_determinism(
-            args.check_parallel, seed=args.seed
-        )
-        print()
-        print(parallel_report.format())
-        ok = ok and parallel_report.ok
-    if args.check_kernels:
-        from repro.verify import check_kernel_conformance
-
-        kernels_report = check_kernel_conformance(seed=args.seed)
-        print()
-        print(kernels_report.format())
-        ok = ok and kernels_report.ok
-    if args.check_resume:
-        resume_report = check_resume_determinism(seed=args.seed)
-        print()
-        print(resume_report.format())
-        ok = ok and resume_report.ok
-    if args.check_service is not False:
-        from repro.verify import check_service_conformance
-
-        service_report = check_service_conformance(
-            args.check_service, seed=args.seed
-        )
-        print()
-        print(service_report.format())
-        ok = ok and service_report.ok
+        print(check_report.format())
+        ok = ok and check_report.ok
     snapshot = get_registry().format_summary()
     verify_lines = [line for line in snapshot.splitlines() if "verify." in line]
     if verify_lines:
@@ -818,54 +805,15 @@ def build_parser() -> argparse.ArgumentParser:
                 "incremental path (self-test: the run must then fail)",
             )
             p.add_argument(
-                "--check-parallel",
-                type=_parse_workers,
+                "--check",
+                action="append",
+                type=_parse_check,
                 default=None,
-                metavar="W1,W2,...",
-                help="also prove serial-vs-parallel byte-identity of the "
-                "execution engine at these worker counts (docs/PARALLEL.md)",
-            )
-            p.add_argument(
-                "--check-resume",
-                action="store_true",
-                help="also prove kill-and-resume byte-identity of the "
-                "checkpoint subsystem, serial and 2-worker "
-                "(docs/RUNBOOK.md)",
-            )
-            p.add_argument(
-                "--check-service",
-                nargs="?",
-                default=False,
-                const=None,
-                metavar="DIR",
-                help="also prove live-vs-batch conformance of the "
-                "allocation service: bare flag replays a synthetic "
-                "in-process session, DIR replays the admission log of "
-                "a `repro serve` checkpoint directory (docs/SERVICE.md)",
-            )
-            p.add_argument(
-                "--check-kernels",
-                action="store_true",
-                help="also prove bitwise conformance of every kernel "
-                "backend (reference/numpy/numba) on fuzzed and "
-                "edge-case instances (docs/PERFORMANCE.md)",
-            )
-            p.add_argument(
-                "--check-market",
-                action="store_true",
-                help="also prove the market layer's promises: "
-                "single-provider byte-identity, brokered-front "
-                "non-domination with provider confinement, and "
-                "deterministic total preference selection "
-                "(docs/MARKET.md)",
-            )
-            p.add_argument(
-                "--check-anytime",
-                action="store_true",
-                help="also prove the anytime portfolio contract: "
-                "monotone pooled front, allocate ≡ stepwise parity, "
-                "seed determinism and the reoptimizer's portfolio "
-                "wiring (docs/PORTFOLIO.md)",
+                metavar="NAME[=ARG]",
+                help="also run a registered conformance check (repeatable): "
+                f"{', '.join(CHECKS)}, or 'all'; parallel=W1,W2 picks the "
+                "worker counts and service=DIR replays a `repro serve` "
+                "checkpoint directory (docs/VERIFY.md)",
             )
             p.add_argument(
                 "--allocator",

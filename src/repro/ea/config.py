@@ -66,11 +66,6 @@ class NSGAConfig:
         (``0`` = serial, the default).  Results are byte-identical to
         the serial path for a given seed regardless of worker count;
         see ``docs/PARALLEL.md``.
-    parallel_eval_min_pop:
-        When set (and ``n_workers >= 2``), population evaluations of at
-        least this many genomes are chunked across the worker pool.
-        ``None`` keeps evaluation in-process (repair fan-out alone is
-        usually the win at Table III population sizes).
     checkpoint_dir:
         When set, the run snapshots its full trajectory state into this
         directory at generation boundaries and auto-resumes from the
@@ -109,7 +104,6 @@ class NSGAConfig:
     stall_generations: int | None = None
     seed: int | None = None
     n_workers: int = 0
-    parallel_eval_min_pop: int | None = None
     checkpoint_dir: str | None = None
     checkpoint_every: int | None = None
     energy_weight: float = 0.0
@@ -148,8 +142,6 @@ class NSGAConfig:
             raise ValidationError(
                 f"n_workers must be >= 0, got {self.n_workers}"
             )
-        if self.parallel_eval_min_pop is not None and self.parallel_eval_min_pop < 1:
-            raise ValidationError("parallel_eval_min_pop must be >= 1 when set")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValidationError("checkpoint_every must be >= 1 when set")
         if self.energy_weight < 0:

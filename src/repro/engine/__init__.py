@@ -15,13 +15,13 @@ The evaluation core under the allocation stack, in four parts:
   hatch asserting parity against the reference evaluator;
 * :class:`~repro.engine.parallel.ParallelEngine` — a persistent
   worker pool that publishes compilations into shared memory and fans
-  tabu repair / population evaluation out across processes with
-  byte-identical results (see ``docs/PARALLEL.md``);
+  tabu repair out across processes with byte-identical results (see
+  ``docs/PARALLEL.md``);
 * :mod:`repro.engine.kernels` — the pluggable kernel layer behind the
   evaluation/repair hot path: a reference backend (the original numpy
   code paths), a vectorized flat-bincount numpy backend and an
   optional numba backend, selected by ``REPRO_KERNEL`` / ``--kernel``
-  and held conformant by ``verify --check-kernels``
+  and held conformant by ``verify --check kernels``
   (see ``docs/PERFORMANCE.md``).
 
 See ``docs/ENGINE.md`` for the compile/evaluate split and the
@@ -44,7 +44,6 @@ __all__ = [
     "ParityError",
     "ParityReport",
     "ParallelEngine",
-    "ChunkedPopulationEvaluator",
     "RepairParams",
     "InstanceSpec",
     "SharedInstance",
@@ -62,7 +61,6 @@ _EXPORTS = {
     "ParityError": "repro.engine.incremental",
     "ParityReport": "repro.engine.incremental",
     "ParallelEngine": "repro.engine.parallel",
-    "ChunkedPopulationEvaluator": "repro.engine.parallel",
     "RepairParams": "repro.engine.parallel",
     "InstanceSpec": "repro.engine.parallel",
     "SharedInstance": "repro.engine.parallel",

@@ -7,7 +7,7 @@ QoS tile on the evaluation/repair hot path:
     The original code paths (``np.add.at`` scatters, per-attribute
     bincount tiles, one Python iteration per placement group).  Slow,
     obviously correct, and the anchor the differential checker
-    (``python -m repro verify --check-kernels``) compares against.
+    (``python -m repro verify --check kernels``) compares against.
 ``numpy``
     Per-attribute ``np.bincount`` tiles, single-pass composite-key
     group scoring, an in-place one-tile QoS — no per-row or per-group

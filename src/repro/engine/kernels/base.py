@@ -7,7 +7,7 @@ the QoS curve.  Every backend must produce results **identical** to
 :class:`ReferenceKernel` — bitwise for integers and usage tiles, and
 bitwise for the float objective math too, because all backends are
 required to perform the same per-element float operations in the same
-accumulation order (the property ``verify --check-kernels`` enforces
+accumulation order (the property ``verify --check kernels`` enforces
 on fuzzed instances; see ``docs/PERFORMANCE.md``).
 
 :class:`ReferenceKernel` *is* the original code path of each call site

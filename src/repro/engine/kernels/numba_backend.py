@@ -15,7 +15,7 @@ Bit-identity notes:
 * the Eq. 24 QoS tile delegates to the numpy backend: transcendental
   functions (``exp``) compiled by LLVM are not guaranteed to round
   identically to numpy's SIMD loops, and the conformance contract
-  (``verify --check-kernels``) demands bitwise equality across every
+  (``verify --check kernels``) demands bitwise equality across every
   backend pair.  The integer and scatter kernels are where the
   population-scale wins live; the QoS tile is already one fused numpy
   pass.

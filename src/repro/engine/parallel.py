@@ -17,16 +17,13 @@ the result:
   process boundary once per worker, not once per task.
 * :class:`ParallelEngine` owns the pool and the published segments.
   :meth:`ParallelEngine.repair_rows` dispatches the infeasible slice of
-  a generation in contiguous batches (amortizing task overhead);
-  :meth:`ParallelEngine.evaluate_rows` optionally chunks
-  :meth:`~repro.objectives.evaluator.PopulationEvaluator.evaluate_population`
-  for large populations.  Both degrade gracefully: any pool or
-  shared-memory failure marks the engine unavailable, counts an
-  ``engine.parallel.fallbacks`` and returns ``None`` so the caller
-  falls back to the serial path — which produces the *same* bytes,
-  because per-individual repair RNG streams are derived from spawn
-  keys, not from worker count or completion order (the determinism
-  contract; see ``docs/PARALLEL.md``).
+  a generation in contiguous batches (amortizing task overhead).  It
+  degrades gracefully: any pool or shared-memory failure marks the
+  engine unavailable, counts an ``engine.parallel.fallbacks`` and
+  returns ``None`` so the caller falls back to the serial path — which
+  produces the *same* bytes, because per-individual repair RNG streams
+  are derived from spawn keys, not from worker count or completion
+  order (the determinism contract; see ``docs/PARALLEL.md``).
 
 Telemetry lands in the ``engine.parallel.*`` namespace; worker-side
 counters (attach hits, ``tabu.repair.*``) are recorded into a scoped
@@ -49,7 +46,7 @@ from typing import Any
 import numpy as np
 
 from repro.engine.compiled import CompiledProblem
-from repro.engine.kernels import active_kernel, use_kernel
+from repro.engine.kernels import use_kernel
 from repro.errors import ValidationError
 from repro.telemetry import MetricsRegistry, get_registry, use_registry
 from repro.types import FloatArray, IntArray, PlacementRule
@@ -63,7 +60,6 @@ __all__ = [
     "attach_instance",
     "RepairParams",
     "ParallelEngine",
-    "ChunkedPopulationEvaluator",
 ]
 
 
@@ -84,9 +80,6 @@ _INFRA_FIELDS = (
 
 #: Arrays that rebuild the Request.
 _REQUEST_FIELDS = ("demand", "qos_guarantee", "downtime_cost", "migration_cost")
-
-#: Optional per-window bindings shipped alongside the static instance.
-_BINDING_FIELDS = ("base_usage", "previous_assignment")
 
 
 @dataclass(frozen=True)
@@ -142,9 +135,7 @@ _SEGMENT_COUNTER = itertools.count()
 
 
 def _collect_arrays(
-    compiled: CompiledProblem,
-    base_usage: FloatArray | None,
-    previous_assignment: IntArray | None,
+    compiled: CompiledProblem, base_usage: FloatArray | None
 ) -> dict[str, np.ndarray]:
     infra, request = compiled.infrastructure, compiled.request
     arrays: dict[str, np.ndarray] = {}
@@ -154,17 +145,11 @@ def _collect_arrays(
         arrays[name] = np.ascontiguousarray(getattr(request, name))
     if base_usage is not None:
         arrays["base_usage"] = np.ascontiguousarray(base_usage, dtype=np.float64)
-    if previous_assignment is not None:
-        arrays["previous_assignment"] = np.ascontiguousarray(
-            previous_assignment, dtype=np.int64
-        )
     return arrays
 
 
 def publish_instance(
-    compiled: CompiledProblem,
-    base_usage: FloatArray | None = None,
-    previous_assignment: IntArray | None = None,
+    compiled: CompiledProblem, base_usage: FloatArray | None = None
 ) -> SharedInstance:
     """Copy one instance into a fresh shared-memory segment.
 
@@ -172,7 +157,7 @@ def publish_instance(
     key :class:`~repro.engine.cache.ProblemCache` uses) plus the pid
     and a counter, so concurrent engines never collide.
     """
-    arrays = _collect_arrays(compiled, base_usage, previous_assignment)
+    arrays = _collect_arrays(compiled, base_usage)
     layout: list[tuple[str, int, tuple[int, ...], str]] = []
     offset = 0
     for name, array in arrays.items():
@@ -245,9 +230,7 @@ class _AttachedInstance:
         )
         self.compiled = CompiledProblem(infrastructure, request)
         self.base_usage = views.get("base_usage")
-        self.previous_assignment = views.get("previous_assignment")
         self._repairers: dict[tuple, Any] = {}
-        self._evaluators: dict[tuple, Any] = {}
 
     def repairer(self, params: "RepairParams"):
         """The worker-local :class:`TabuRepair` over the attached instance."""
@@ -268,18 +251,6 @@ class _AttachedInstance:
             )
             self._repairers[key] = repairer
         return repairer
-
-    def evaluator(self, binding: tuple[tuple[str, Any], ...]):
-        """The worker-local :class:`PopulationEvaluator` over the instance."""
-        evaluator = self._evaluators.get(binding)
-        if evaluator is None:
-            evaluator = self.compiled.evaluator(
-                base_usage=self.base_usage,
-                previous_assignment=self.previous_assignment,
-                **dict(binding),
-            )
-            self._evaluators[binding] = evaluator
-        return evaluator
 
 
 #: Per-worker attachment cache: segment name -> attached instance.
@@ -398,22 +369,6 @@ def _repair_task(
     return repaired, snapshot, stopwatch.elapsed
 
 
-def _evaluate_task(
-    spec: InstanceSpec | str,
-    binding: tuple[tuple[str, Any], ...],
-    population: IntArray,
-    kernel: str | None = None,
-):
-    """Evaluate a population chunk inside a worker process."""
-    stopwatch = Stopwatch().start()
-    with use_registry(MetricsRegistry()) as registry, _kernel_scope(kernel):
-        attached = attach_instance(spec)
-        result = attached.evaluator(binding).evaluate_population(population)
-        snapshot = registry.snapshot()
-    stopwatch.stop()
-    return result.objectives, result.violations, snapshot, stopwatch.elapsed
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -519,14 +474,11 @@ class ParallelEngine:
 
     # ------------------------------------------------------------------
     def publish(
-        self,
-        compiled: CompiledProblem,
-        base_usage: FloatArray | None = None,
-        previous_assignment: IntArray | None = None,
+        self, compiled: CompiledProblem, base_usage: FloatArray | None = None
     ) -> InstanceSpec | None:
-        """The shared segment for one (instance, window binding) pair.
+        """The shared segment for one (instance, committed usage) pair.
 
-        Keyed by the compilation fingerprint plus the binding arrays'
+        Keyed by the compilation fingerprint plus the base usage's
         bytes, so re-dispatching the same window attaches the existing
         segment instead of re-publishing."""
         key = (
@@ -534,15 +486,12 @@ class ParallelEngine:
             None if base_usage is None else bytes(
                 np.ascontiguousarray(base_usage, dtype=np.float64)
             ),
-            None if previous_assignment is None else bytes(
-                np.ascontiguousarray(previous_assignment, dtype=np.int64)
-            ),
         )
         shared = self._published.get(key)
         if shared is not None:
             return shared.spec
         try:
-            shared = publish_instance(compiled, base_usage, previous_assignment)
+            shared = publish_instance(compiled, base_usage)
         except Exception:
             self._fallback("shared_memory")
             return None
@@ -657,71 +606,6 @@ class ParallelEngine:
         return np.concatenate(parts, axis=0)
 
     # ------------------------------------------------------------------
-    def evaluate_rows(
-        self,
-        compiled: CompiledProblem,
-        population: IntArray,
-        *,
-        base_usage: FloatArray | None = None,
-        previous_assignment: IntArray | None = None,
-        **evaluator_kwargs,
-    ):
-        """Chunked ``evaluate_population`` over the pool (or ``None``).
-
-        Row evaluation is independent, so splitting the population and
-        re-concatenating chunk results reproduces the serial result
-        exactly (same per-row float operations, same order)."""
-        from repro.objectives.evaluator import EvaluationResult
-
-        pool = self._ensure_pool()
-        if pool is None:
-            return None
-        spec = self.publish(
-            compiled,
-            base_usage=base_usage,
-            previous_assignment=previous_assignment,
-        )
-        if spec is None:
-            return None
-        population = np.ascontiguousarray(population, dtype=np.int64)
-        binding = tuple(sorted(evaluator_kwargs.items()))
-        registry = get_registry()
-        chunks = self._chunks(population.shape[0])
-        payload = self._payload(spec)
-        kernel = active_kernel().name
-        try:
-            futures = [
-                pool.submit(
-                    _evaluate_task, payload, binding, population[chunk], kernel
-                )
-                for chunk in chunks
-            ]
-            objectives: list[np.ndarray] = []
-            violations: list[np.ndarray] = []
-            for chunk, future in zip(chunks, futures):
-                try:
-                    obj, vio, snapshot, elapsed = future.result()
-                except _AttachMiss:
-                    registry.count("engine.parallel.specref.misses")
-                    obj, vio, snapshot, elapsed = pool.submit(
-                        _evaluate_task, spec, binding, population[chunk], kernel
-                    ).result()
-                objectives.append(obj)
-                violations.append(vio)
-                registry.merge(snapshot)
-                registry.observe("engine.parallel.task_seconds", elapsed)
-        except Exception:
-            self._fallback("dispatch")
-            return None
-        self._spec_sent.add(spec.segment)
-        registry.count("engine.parallel.eval_batches")
-        registry.count("engine.parallel.eval_rows", population.shape[0])
-        return EvaluationResult(
-            objectives=np.concatenate(objectives, axis=0),
-            violations=np.concatenate(violations, axis=0),
-        )
-
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Shut the pool down and unlink every published segment."""
         if self._closed:
@@ -752,56 +636,3 @@ class ParallelEngine:
             f"ParallelEngine(n_workers={self.n_workers}, "
             f"segments={len(self._published)}, state={state})"
         )
-
-
-# ----------------------------------------------------------------------
-# Evaluator facade for chunked population evaluation
-# ----------------------------------------------------------------------
-class ChunkedPopulationEvaluator:
-    """Drop-in :class:`PopulationEvaluator` facade that fans large
-    ``evaluate_population`` calls out over a :class:`ParallelEngine`.
-
-    Populations below ``min_rows`` — and every call after the engine
-    degrades — go straight to the wrapped serial evaluator.  Attribute
-    access falls through to the inner evaluator, so callers that only
-    need ``request``/``infrastructure``/``evaluate`` see no difference.
-    """
-
-    def __init__(
-        self,
-        inner,
-        engine: ParallelEngine,
-        compiled: CompiledProblem,
-        *,
-        min_rows: int = 256,
-        base_usage: FloatArray | None = None,
-        previous_assignment: IntArray | None = None,
-        **evaluator_kwargs,
-    ) -> None:
-        self.inner = inner
-        self.engine = engine
-        self.compiled = compiled
-        self.min_rows = int(min_rows)
-        self._base_usage = base_usage
-        self._previous_assignment = previous_assignment
-        self._evaluator_kwargs = evaluator_kwargs
-
-    def evaluate_population(self, population: IntArray):
-        """Evaluate a population, fanning large batches out to the pool."""
-        population = np.ascontiguousarray(population, dtype=np.int64)
-        if population.shape[0] >= self.min_rows and self.engine.available:
-            result = self.engine.evaluate_rows(
-                self.compiled,
-                population,
-                base_usage=self._base_usage,
-                previous_assignment=self._previous_assignment,
-                **self._evaluator_kwargs,
-            )
-            if result is not None:
-                # Keep the serial evaluator's budget accounting honest.
-                self.inner._evaluations += population.shape[0]
-                return result
-        return self.inner.evaluate_population(population)
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)

@@ -24,7 +24,7 @@ from repro.ea.constraint_handling import (
 )
 from repro.ea.nsga2 import NSGA2
 from repro.ea.nsga3 import NSGA3
-from repro.engine.parallel import ChunkedPopulationEvaluator, ParallelEngine
+from repro.engine.parallel import ParallelEngine
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
 from repro.tabu.repair import TabuRepair
@@ -74,21 +74,6 @@ class _NSGAAnytimeRun(AnytimeRun):
             include_assignment_constraint=False,
             energy_weight=allocator.config.energy_weight,
         )
-        execution_engine = allocator._ensure_execution_engine()
-        if (
-            execution_engine is not None
-            and allocator.config.parallel_eval_min_pop is not None
-        ):
-            evaluator = ChunkedPopulationEvaluator(
-                evaluator,
-                execution_engine,
-                self.compiled,
-                min_rows=allocator.config.parallel_eval_min_pop,
-                base_usage=base_usage,
-                previous_assignment=previous_assignment,
-                include_assignment_constraint=False,
-                energy_weight=allocator.config.energy_weight,
-            )
         self.engine = allocator._build_engine(
             infrastructure, merged, base_usage, self.compiled
         )

@@ -21,7 +21,7 @@ López-Pires multi-cloud brokering direction), in three layers:
 
 The single-provider path is byte-identical to the pre-market code:
 one default provider compiles to today's matrices and fingerprints
-(enforced by ``python -m repro verify --check-market``).  The full
+(enforced by ``python -m repro verify --check market``).  The full
 story — provider model, price-book grammar, brokering flow, preference
 spec grammar and a worked example — lives in ``docs/MARKET.md``.
 """

@@ -14,7 +14,7 @@ CP, scheduler) sees a perfectly ordinary instance.
 
 The degenerate one-provider market with the neutral price book compiles
 to matrices byte-identical to its input infrastructure — the
-``verify --check-market`` differential anchor.
+``verify --check market`` differential anchor.
 """
 
 from __future__ import annotations

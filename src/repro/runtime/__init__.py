@@ -15,7 +15,7 @@ Wiring: ``NSGAConfig(checkpoint_every=..., checkpoint_dir=...)`` turns
 on boundary snapshots inside every EA allocator;
 ``ExperimentRunner.run_sweep(..., checkpoint_dir=...)`` adds per-cell
 campaign resume; ``python -m repro resume PATH`` restarts a killed
-campaign; ``python -m repro verify --check-resume`` proves the
+campaign; ``python -m repro verify --check resume`` proves the
 byte-identity contract.  Operational guide: ``docs/RUNBOOK.md``.
 """
 

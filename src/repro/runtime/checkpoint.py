@@ -22,7 +22,7 @@ storage layer of the checkpoint/resume subsystem:
 The resume contract is **byte identity**: a run restored from a
 checkpoint continues exactly as the uninterrupted run would have —
 same final fronts, same rejection sets, same counters — proven by
-``repro.verify.resume`` and ``python -m repro verify --check-resume``.
+``repro.verify.resume`` and ``python -m repro verify --check resume``.
 Floats survive the JSON round trip exactly (``json`` serializes via
 ``repr``, which is lossless for finite doubles), and the RNG state is
 the raw bit-generator state dictionary.
@@ -61,12 +61,12 @@ CHECKPOINT_VERSION = 1
 
 #: NSGAConfig fields that shape the search *trajectory*.  Stopping
 #: criteria (``max_evaluations``, ``time_limit``, ``stall_generations``)
-#: and execution knobs (``n_workers``, ``parallel_eval_min_pop``, the
-#: checkpoint settings themselves) are deliberately excluded: a
-#: checkpoint taken under a 600-evaluation budget resumes byte-
-#: identically into a 10 000-evaluation run, and a serial checkpoint
-#: resumes under a worker pool (the parallel engine's determinism
-#: contract makes both paths emit the same bytes).
+#: and execution knobs (``n_workers``, the checkpoint settings
+#: themselves) are deliberately excluded: a checkpoint taken under a
+#: 600-evaluation budget resumes byte-identically into a 10 000-
+#: evaluation run, and a serial checkpoint resumes under a worker pool
+#: (the parallel engine's determinism contract makes both paths emit
+#: the same bytes).
 _TRAJECTORY_FIELDS = (
     "population_size",
     "sbx_rate",

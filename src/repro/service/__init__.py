@@ -8,7 +8,7 @@ while the NSGA-III+tabu stack chases better fronts in a background
 reoptimizer and publishes migration plans through a copy-on-write,
 epoch-guarded handoff.  Every mutation lands in a replayable admission
 log, so the whole live session can be re-derived by the batch
-scheduler (``python -m repro verify --check-service``) and resumed
+scheduler (``python -m repro verify --check service``) and resumed
 byte-identically from a checkpoint (``python -m repro serve
 --resume``).  See docs/SERVICE.md.
 """

@@ -25,7 +25,7 @@ runtime story:
   (checksummed, atomic) the batch campaigns use;
 * **resume** — ``python -m repro serve --resume --checkpoint-dir D``
   reloads that payload and restores residents byte-identically
-  (provable with ``python -m repro verify --check-service D``).
+  (provable with ``python -m repro verify --check service=D``).
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ class ServiceApp:
         Runs on the event loop (the service's single writer), yielding
         between windows so API traffic and checkpoints interleave; the
         admission log records the whole session for
-        ``verify --check-service``.
+        ``verify --check service``.
         """
         registry = get_registry()
         name = self._playback.spec.name

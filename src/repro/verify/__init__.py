@@ -19,40 +19,39 @@ way.  This package is that guarantee, in three layers:
   dynamic scenario registry: batch-permutation evaluation equivalence,
   integral time-shift invariance, drain-then-fail equivalence
   (``python -m repro verify --scenario NAME``);
-* :mod:`repro.verify.kernels` — bitwise conformance of every kernel
-  backend (reference/numpy/numba) on fuzzed and edge-case instances
-  (``python -m repro verify --check-kernels``);
-* :mod:`repro.verify.parallel` — serial-vs-parallel byte-identity of
-  the execution engine's repair fan-out and chunked evaluation
-  (``python -m repro verify --check-parallel 1,2,4``);
-* :mod:`repro.verify.resume` — kill-and-resume byte-identity of the
-  checkpoint subsystem: a run truncated at a checkpoint boundary and
-  resumed from disk must finish exactly as the uninterrupted run
-  (``python -m repro verify --check-resume``);
-* :mod:`repro.verify.service` — live-vs-batch conformance of the
-  allocation service: replaying a service admission log through a
-  fresh batch scheduler reproduces residents, ledger and clock byte
-  for byte (``python -m repro verify --check-service``);
-* :mod:`repro.verify.anytime` — the anytime portfolio contract:
-  monotone non-worsening pooled front, ``allocate()`` ≡ stepwise
-  parity, seed determinism and the reoptimizer's portfolio wiring
-  (``python -m repro verify --check-anytime``);
-* :mod:`repro.verify.market` — the market layer's promises: a
-  single-provider market is byte-identical to the pre-market model,
-  brokered fronts are mutually nondominated with provider-confined
-  routes, and preference selection is deterministic, total and
-  permutation-invariant (``python -m repro verify --check-market``).
+* :mod:`repro.verify.checks` — the contract registry behind
+  ``python -m repro verify --check NAME[=ARG]``.  :data:`CHECKS` maps
+  each name to a function that runs the real thing twice, compares
+  shape then bytes, and returns one :class:`Report` of typed
+  :class:`Mismatch` records:
+
+  - ``kernels`` (:mod:`~repro.verify.kernels`) — every kernel backend
+    bitwise-equal to the reference on fuzzed and edge-case instances;
+  - ``market`` (:mod:`~repro.verify.market`) — a single-provider market
+    byte-identical to the pre-market model, brokered fronts mutually
+    nondominated with provider-confined routes, preference selection
+    deterministic, total and permutation-invariant;
+  - ``anytime`` (:mod:`~repro.verify.anytime`) — monotone pooled front,
+    ``allocate()`` ≡ stepwise ≡ rerun, and the reoptimizer racing the
+    portfolio;
+  - ``resume`` (:mod:`~repro.verify.resume`) — a run killed at a
+    checkpoint and resumed from disk finishes as the uninterrupted one;
+  - ``parallel`` (:mod:`~repro.verify.parallel`, ``parallel=W1,W2``) —
+    the repair fan-out byte-identical to serial at each worker count,
+    with a pool that really ran;
+  - ``service`` (:mod:`~repro.verify.service`, ``service=DIR``) — an
+    admission log replayed through a fresh batch scheduler reproduces
+    the live residents, ledger and clock.
 
 Telemetry lands in the ``verify.*`` namespace (see
 ``docs/OBSERVABILITY.md``); the checker catalog, oracle semantics and
-extension guide live in ``docs/VERIFY.md``.
+the guide to adding a check live in ``docs/VERIFY.md``.
 """
 
-from repro.verify.anytime import (
-    AnytimeMismatch,
-    AnytimeReport,
-    check_anytime_conformance,
-)
+# checks first: the six check modules import Report from it, and it
+# imports their check functions once Report exists.
+from repro.verify.checks import CHECKS, Mismatch, Report
+from repro.verify.anytime import check_anytime_conformance
 from repro.verify.dynamic import (
     DYNAMIC_LAWS,
     DrainFailEquivalenceLaw,
@@ -62,11 +61,7 @@ from repro.verify.dynamic import (
     check_dynamic_laws,
 )
 from repro.verify.fuzzer import FuzzConfig, FuzzFailure, FuzzReport, run_fuzz
-from repro.verify.kernels import (
-    KernelConformanceReport,
-    KernelMismatch,
-    check_kernel_conformance,
-)
+from repro.verify.kernels import check_kernel_conformance
 from repro.verify.invariants import (
     CheckContext,
     InvariantReport,
@@ -75,11 +70,7 @@ from repro.verify.invariants import (
     register_invariant,
     run_invariants,
 )
-from repro.verify.market import (
-    MarketConformanceReport,
-    MarketMismatch,
-    check_market_conformance,
-)
+from repro.verify.market import check_market_conformance
 from repro.verify.metamorphic import (
     ALL_LAWS,
     CapacityInflationLaw,
@@ -96,23 +87,21 @@ from repro.verify.oracle import (
     OracleReport,
     TermDelta,
 )
-from repro.verify.parallel import (
-    ParallelDeterminismReport,
-    ParallelMismatch,
-    check_parallel_determinism,
-)
-from repro.verify.resume import (
-    ResumeDeterminismReport,
-    ResumeMismatch,
-    check_resume_determinism,
-)
-from repro.verify.service import (
-    ServiceConformanceReport,
-    ServiceMismatch,
-    check_service_conformance,
-)
+from repro.verify.parallel import check_parallel_determinism
+from repro.verify.resume import check_resume_determinism
+from repro.verify.service import check_service_conformance
 
 __all__ = [
+    # the --check registry and its report
+    "CHECKS",
+    "Mismatch",
+    "Report",
+    "check_anytime_conformance",
+    "check_kernel_conformance",
+    "check_market_conformance",
+    "check_parallel_determinism",
+    "check_resume_determinism",
+    "check_service_conformance",
     # invariants
     "CheckContext",
     "InvariantReport",
@@ -146,28 +135,4 @@ __all__ = [
     "FuzzFailure",
     "FuzzReport",
     "run_fuzz",
-    # kernel-backend conformance
-    "KernelConformanceReport",
-    "KernelMismatch",
-    "check_kernel_conformance",
-    # parallel determinism
-    "ParallelDeterminismReport",
-    "ParallelMismatch",
-    "check_parallel_determinism",
-    # kill-and-resume determinism
-    "ResumeDeterminismReport",
-    "ResumeMismatch",
-    "check_resume_determinism",
-    # live-service conformance
-    "ServiceConformanceReport",
-    "ServiceMismatch",
-    "check_service_conformance",
-    # anytime-portfolio conformance
-    "AnytimeMismatch",
-    "AnytimeReport",
-    "check_anytime_conformance",
-    # market-layer conformance
-    "MarketConformanceReport",
-    "MarketMismatch",
-    "check_market_conformance",
 ]

@@ -19,108 +19,22 @@ subsystem's — by running the real thing and comparing bytes:
    routes through the portfolio (its outcome reports
    ``algorithm="portfolio"``), not a leftover fixed-budget stack.
 
-``python -m repro verify --check-anytime`` runs this from the CLI;
-telemetry lands in ``verify.anytime.*``.  Deadlines stay unset here —
-wall-clock cutoffs are legitimately non-deterministic, only the epoch
-trajectory is byte-reproducible.
+``python -m repro verify --check anytime`` runs this from the CLI.
+Deadlines stay unset here — wall-clock cutoffs are legitimately
+non-deterministic, only the epoch trajectory is byte-reproducible.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.ea.config import NSGAConfig
 from repro.ea.hypervolume import hypervolume, reference_point
 from repro.portfolio.racer import PortfolioAllocator
-from repro.telemetry import get_registry
+from repro.verify.checks import Report
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
-__all__ = [
-    "AnytimeMismatch",
-    "AnytimeReport",
-    "check_anytime_conformance",
-]
-
-
-@dataclass(frozen=True)
-class AnytimeMismatch:
-    """One broken clause of the anytime contract."""
-
-    check: str  #: "monotone", "parity", "determinism" or "reoptimizer"
-    field: str  #: which compared quantity broke
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.check}] {self.field}: {self.message}"
-
-
-@dataclass
-class AnytimeReport:
-    """Outcome of one :func:`check_anytime_conformance` pass."""
-
-    seed: int
-    servers: int
-    vms: int
-    members: str
-    epochs: int = 0
-    front_snapshots: int = 0
-    comparisons: int = 0
-    mismatches: list[AnytimeMismatch] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every clause of the contract held."""
-        return not self.mismatches
-
-    def format(self) -> str:
-        """Human-readable summary plus each mismatch."""
-        header = (
-            f"anytime conformance: {self.servers}x{self.vms} "
-            f"seed={self.seed} members={self.members} — "
-            f"{self.epochs} epochs, {self.front_snapshots} pooled-front "
-            f"snapshots, {self.comparisons} comparisons, "
-            f"{len(self.mismatches)} mismatches"
-        )
-        if self.ok:
-            return (
-                header
-                + "\npooled front monotone; allocate ≡ stepwise ≡ rerun; "
-                + "reoptimizer races the portfolio"
-            )
-        return "\n".join([header, *map(str, self.mismatches)])
-
-
-def _flag(
-    report: AnytimeReport, check: str, field_name: str, message: str
-) -> None:
-    get_registry().count("verify.anytime.mismatches")
-    report.mismatches.append(
-        AnytimeMismatch(check=check, field=field_name, message=message)
-    )
-
-
-def _compare_bytes(
-    report: AnytimeReport,
-    check: str,
-    pairs: dict[str, tuple[np.ndarray, np.ndarray]],
-) -> None:
-    registry = get_registry()
-    for name, (expected, actual) in pairs.items():
-        report.comparisons += 1
-        registry.count("verify.anytime.comparisons")
-        expected = np.asarray(expected)
-        actual = np.asarray(actual)
-        if expected.tobytes() == actual.tobytes():
-            continue
-        drift = int(np.count_nonzero(expected != actual))
-        _flag(
-            report,
-            check,
-            name,
-            f"{drift} of {expected.size} entries differ",
-        )
+__all__ = ["check_anytime_conformance"]
 
 
 def check_anytime_conformance(
@@ -132,7 +46,7 @@ def check_anytime_conformance(
     population_size: int = 12,
     max_evaluations: int = 120,
     members: str = "nsga3_tabu+cp+tabu",
-) -> AnytimeReport:
+) -> Report:
     """Prove the anytime portfolio contract on one seeded scenario.
 
     Three runs happen: a plain ``allocate()`` (the reference bytes), a
@@ -141,11 +55,9 @@ def check_anytime_conformance(
     A fourth, smaller solve goes through the live service's shadow
     reoptimizer to prove the wiring.
     """
-    report = AnytimeReport(
-        seed=seed, servers=servers, vms=vms, members=members
+    report = Report(
+        "anytime", f"{servers}x{vms} seed={seed} members={members}"
     )
-    registry = get_registry()
-    registry.count("verify.anytime.checks")
 
     spec = ScenarioSpec(
         servers=servers, datacenters=2, vms=vms, tightness=tightness
@@ -170,8 +82,7 @@ def check_anytime_conformance(
     # 1. Reference bytes + 3. determinism.
     baseline = solve_batch()
     rerun = solve_batch()
-    _compare_bytes(
-        report,
+    report.compare(
         "determinism",
         {
             "outcome.assignment": (baseline.assignment, rerun.assignment),
@@ -183,14 +94,15 @@ def check_anytime_conformance(
     # 2. Stepwise drive: epoch-granular fronts + parity with allocate().
     allocator = PortfolioAllocator(config=config, members=members)
     fronts: list[np.ndarray] = []
+    epochs = 0
     try:
         run = allocator.start(scenario.infrastructure, scenario.requests)
         try:
             while run.step():
-                report.epochs += 1
+                epochs += 1
                 if len(run.pool):
                     fronts.append(np.array(run.best_front(), copy=True))
-            report.epochs += 1
+            epochs += 1
             if len(run.pool):
                 fronts.append(np.array(run.best_front(), copy=True))
             stepwise = run.finish()
@@ -198,8 +110,7 @@ def check_anytime_conformance(
             run.close()
     finally:
         allocator.close()
-    _compare_bytes(
-        report,
+    report.compare(
         "parity",
         {
             "outcome.assignment": (baseline.assignment, stepwise.assignment),
@@ -210,29 +121,22 @@ def check_anytime_conformance(
 
     # Monotone non-worsening pooled front: hypervolume under one shared
     # reference must never shrink from one epoch snapshot to the next.
-    report.front_snapshots = len(fronts)
+    report.stats.update(epochs=epochs, front_snapshots=len(fronts))
     if not fronts:
-        _flag(
-            report,
-            "monotone",
-            "pool",
-            "incumbent pool never filled — no front to check",
+        report.flag(
+            "monotone", "pool", "incumbent pool never filled — no front to check"
         )
     else:
         reference = reference_point(np.vstack(fronts), margin=1.0)
-        previous = None
+        previous = -np.inf
         for index, front in enumerate(fronts):
-            report.comparisons += 1
-            registry.count("verify.anytime.comparisons")
             hv = hypervolume(front, reference)
-            if previous is not None and hv < previous - 1e-9:
-                _flag(
-                    report,
-                    "monotone",
-                    f"snapshot[{index}]",
-                    f"pooled-front hypervolume shrank {previous:.6f} -> "
-                    f"{hv:.6f}",
-                )
+            report.note(
+                hv >= previous - 1e-9,
+                "monotone",
+                f"snapshot[{index}]",
+                f"pooled-front hypervolume shrank {previous:.6f} -> {hv:.6f}",
+            )
             previous = hv
 
     # 4. Service wiring: the shadow reoptimizer must race the portfolio.
@@ -247,17 +151,14 @@ def check_anytime_conformance(
         ]
     )
     payload, _epoch = state.snapshot()
-    report.comparisons += 1
-    registry.count("verify.anytime.comparisons")
     result = shadow_reoptimize(
         scenario.infrastructure, payload, config, members=members
     )
     algorithm = result.get("algorithm")
-    if algorithm != "portfolio":
-        _flag(
-            report,
-            "reoptimizer",
-            "algorithm",
-            f"shadow solve reported {algorithm!r}, expected 'portfolio'",
-        )
+    report.note(
+        algorithm == "portfolio",
+        "reoptimizer",
+        "algorithm",
+        f"shadow solve reported {algorithm!r}, expected 'portfolio'",
+    )
     return report

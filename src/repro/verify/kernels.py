@@ -25,14 +25,12 @@ backend, comparing raw bytes against the reference at two levels:
    violations (which also exercises the vectorized group scoring
    against the reference backend's per-constraint loop).
 
-``python -m repro verify --check-kernels`` runs this from the CLI;
-telemetry lands in ``verify.kernels.*``.
+``python -m repro verify --check kernels`` runs this from the CLI.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,85 +38,10 @@ from repro.engine.compiled import CompiledProblem
 from repro.engine.kernels import active_kernel, available_kernels, use_kernel
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
-from repro.telemetry import get_registry
+from repro.verify.checks import Report
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
-__all__ = [
-    "KernelMismatch",
-    "KernelConformanceReport",
-    "check_kernel_conformance",
-]
-
-
-@dataclass(frozen=True)
-class KernelMismatch:
-    """One array that differed between a backend and the reference."""
-
-    backend: str
-    case: str  #: which fuzzed instance / edge case
-    field: str  #: which compared array drifted
-    message: str
-
-    def __str__(self) -> str:
-        return (
-            f"[{self.backend}] {self.case}: {self.field} diverged from "
-            f"reference — {self.message}"
-        )
-
-
-@dataclass
-class KernelConformanceReport:
-    """Outcome of one :func:`check_kernel_conformance` pass."""
-
-    backends: tuple[str, ...]
-    seed: int
-    cases: tuple[str, ...] = ()
-    comparisons: int = 0
-    mismatches: list[KernelMismatch] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every backend matched the reference byte for byte."""
-        return not self.mismatches
-
-    def format(self) -> str:
-        """Human-readable summary plus each mismatch."""
-        header = (
-            f"kernel conformance: seed={self.seed} "
-            f"backends={list(self.backends)} over {len(self.cases)} cases — "
-            f"{self.comparisons} comparisons, "
-            f"{len(self.mismatches)} mismatches"
-        )
-        if self.ok:
-            return header + "\nall backends bitwise-identical to reference"
-        return "\n".join([header, *map(str, self.mismatches)])
-
-
-def _compare(
-    report: KernelConformanceReport,
-    backend: str,
-    case: str,
-    pairs: dict[str, tuple[np.ndarray, np.ndarray]],
-) -> None:
-    registry = get_registry()
-    for name, (ref, got) in pairs.items():
-        report.comparisons += 1
-        registry.count("verify.kernels.comparisons")
-        ref = np.asarray(ref)
-        got = np.asarray(got)
-        if ref.shape == got.shape and ref.tobytes() == got.tobytes():
-            continue
-        registry.count("verify.kernels.mismatches")
-        if ref.shape != got.shape:
-            message = f"shape {got.shape} != reference {ref.shape}"
-        else:
-            drift = int(np.count_nonzero(ref != got))
-            message = f"{drift} of {ref.size} entries differ"
-        report.mismatches.append(
-            KernelMismatch(
-                backend=backend, case=case, field=name, message=message
-            )
-        )
+__all__ = ["check_kernel_conformance"]
 
 
 def _population(
@@ -293,7 +216,7 @@ def check_kernel_conformance(
     seed: int = 0,
     instances: int = 3,
     kernels: tuple[str, ...] | None = None,
-) -> KernelConformanceReport:
+) -> Report:
     """Prove bitwise backend equality on fuzzed + edge-case inputs.
 
     ``kernels`` defaults to every registered backend (the numba backend
@@ -302,22 +225,19 @@ def check_kernel_conformance(
     """
     backends = tuple(kernels) if kernels is not None else available_kernels()
     others = tuple(b for b in backends if b != "reference")
-    report = KernelConformanceReport(backends=backends, seed=seed)
-    registry = get_registry()
-    registry.count("verify.kernels.checks")
-
     cases = _cases(seed, instances)
-    report.cases = tuple(name for name, *_ in cases)
+    report = Report(
+        "kernels",
+        f"seed={seed} backends={','.join(backends)}",
+        stats={"cases": len(cases)},
+    )
     for name, compiled, population, base_usage in cases:
         with use_kernel("reference"):
             ref = _snapshot(compiled, population, base_usage)
         for backend in others:
             with use_kernel(backend):
                 got = _snapshot(compiled, population, base_usage)
-            _compare(
-                report,
-                backend,
-                name,
-                {key: (ref[key], got[key]) for key in ref},
+            report.compare(
+                f"{backend}: {name}", {key: (ref[key], got[key]) for key in ref}
             )
     return report

@@ -18,15 +18,13 @@ The market layer (:mod:`repro.market`) promises two things at once:
    selection is deterministic, total over any front, and invariant
    under front permutation.
 
-``python -m repro verify --check-market`` runs this from the CLI;
-telemetry lands in ``verify.market.*``.  Provider model and preference
-grammar: ``docs/MARKET.md``.
+``python -m repro verify --check market`` runs this from the CLI.
+Provider model and preference grammar: ``docs/MARKET.md``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,74 +36,11 @@ from repro.market.providers import ProviderMarket
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.serialization import infrastructure_to_dict
-from repro.telemetry import get_registry
 from repro.utils.pareto import dominance_matrix
+from repro.verify.checks import Report
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
-__all__ = [
-    "MarketMismatch",
-    "MarketConformanceReport",
-    "check_market_conformance",
-]
-
-
-@dataclass(frozen=True)
-class MarketMismatch:
-    """One broken market-layer promise."""
-
-    check: str  #: which conformance check failed
-    case: str  #: which instance / fixture
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.check}] {self.case}: {self.message}"
-
-
-@dataclass
-class MarketConformanceReport:
-    """Outcome of one :func:`check_market_conformance` pass."""
-
-    seed: int
-    cases: tuple[str, ...] = ()
-    comparisons: int = 0
-    mismatches: list[MarketMismatch] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every market promise held."""
-        return not self.mismatches
-
-    def format(self) -> str:
-        """Human-readable summary plus each mismatch."""
-        header = (
-            f"market conformance: seed={self.seed} over "
-            f"{len(self.cases)} cases — {self.comparisons} comparisons, "
-            f"{len(self.mismatches)} mismatches"
-        )
-        if self.ok:
-            return (
-                header
-                + "\nsingle-provider path byte-identical; brokered front and "
-                "preference selection conform"
-            )
-        return "\n".join([header, *map(str, self.mismatches)])
-
-
-def _note(
-    report: MarketConformanceReport,
-    ok: bool,
-    check: str,
-    case: str,
-    message: str,
-) -> None:
-    registry = get_registry()
-    report.comparisons += 1
-    registry.count("verify.market.comparisons", check=check)
-    if not ok:
-        registry.count("verify.market.mismatches", check=check)
-        report.mismatches.append(
-            MarketMismatch(check=check, case=case, message=message)
-        )
+__all__ = ["check_market_conformance"]
 
 
 def _scenario(seed: int, servers: int = 12, vms: int = 10):
@@ -123,28 +58,26 @@ def _scenario(seed: int, servers: int = 12, vms: int = 10):
 # Check 1: single-provider byte-identity (serialization, fingerprint,
 # differential allocation outcome)
 # ----------------------------------------------------------------------
-def _check_identity(report: MarketConformanceReport, seed: int) -> None:
+def _check_identity(report: Report, seed: int) -> None:
     scenario = _scenario(seed)
     infra = scenario.infrastructure
     requests = list(scenario.requests)
     case = f"identity[{seed}]"
 
     compiled = ProviderMarket.from_infrastructure(infra, 1).compile(at=9.0)
-    _note(
-        report,
+    report.note(
         json.dumps(infrastructure_to_dict(infra), sort_keys=True)
         == json.dumps(infrastructure_to_dict(compiled.infrastructure), sort_keys=True),
-        "single_provider_serialization",
         case,
+        "single_provider_serialization",
         "1-provider market compile changed the serialized estate",
     )
     merged, _ = Request.concatenate(requests)
-    _note(
-        report,
+    report.note(
         CompiledProblem.fingerprint_of(infra, merged)
         == CompiledProblem.fingerprint_of(compiled.infrastructure, merged),
-        "single_provider_fingerprint",
         case,
+        "single_provider_fingerprint",
         "1-provider market compile changed the problem fingerprint",
     )
 
@@ -152,13 +85,12 @@ def _check_identity(report: MarketConformanceReport, seed: int) -> None:
     through = RoundRobinAllocator().allocate(
         compiled.infrastructure, list(requests)
     )
-    _note(
-        report,
+    report.note(
         np.array_equal(direct.assignment, through.assignment)
         and np.array_equal(direct.accepted, through.accepted)
         and direct.objectives.tobytes() == through.objectives.tobytes(),
-        "single_provider_outcome",
         case,
+        "single_provider_outcome",
         "allocation through the 1-provider market diverged from the "
         "direct allocation",
     )
@@ -167,7 +99,7 @@ def _check_identity(report: MarketConformanceReport, seed: int) -> None:
 # ----------------------------------------------------------------------
 # Check 2: brokered-market semantics on a 3-provider estate
 # ----------------------------------------------------------------------
-def _check_broker(report: MarketConformanceReport, seed: int) -> None:
+def _check_broker(report: Report, seed: int) -> None:
     scenario = _scenario(seed + 17)
     market = ProviderMarket.from_infrastructure(scenario.infrastructure, 3)
     broker = BrokeredAllocator(market, lambda: RoundRobinAllocator())
@@ -175,18 +107,16 @@ def _check_broker(report: MarketConformanceReport, seed: int) -> None:
     case = f"broker[{seed}]"
 
     front = outcome.front_objectives
-    _note(
-        report,
+    report.note(
         front.shape[0] < 2 or not np.any(dominance_matrix(front)),
-        "brokered_front_non_domination",
         case,
+        "brokered_front_non_domination",
         "brokered front contains a dominated plan",
     )
-    _note(
-        report,
+    report.note(
         any(plan is outcome.deployed for plan in outcome.front),
-        "deployed_in_front",
         case,
+        "deployed_in_front",
         f"deployed plan {outcome.deployed.route!r} is not a front member",
     )
 
@@ -201,23 +131,21 @@ def _check_broker(report: MarketConformanceReport, seed: int) -> None:
             plan.outcome.accepted[owner], plan.outcome.assignment, UNPLACED
         )
         placed = genes[genes != UNPLACED]
-        _note(
-            report,
+        report.note(
             placed.size == 0 or bool(np.all(provider[placed] == k)),
-            "provider_confinement",
             case,
+            "provider_confinement",
             f"route provider:{name} placed accepted work outside "
             f"provider {k}",
         )
 
     repeat = broker.allocate(list(scenario.requests), at=6.0)
-    _note(
-        report,
+    report.note(
         repeat.deployed.route == outcome.deployed.route
         and repeat.deployed.objectives.tobytes()
         == outcome.deployed.objectives.tobytes(),
-        "broker_determinism",
         case,
+        "broker_determinism",
         "two identical brokered runs deployed different plans",
     )
 
@@ -225,7 +153,7 @@ def _check_broker(report: MarketConformanceReport, seed: int) -> None:
 # ----------------------------------------------------------------------
 # Check 3: preference-selection consistency on fuzzed fronts
 # ----------------------------------------------------------------------
-def _check_preferences(report: MarketConformanceReport, seed: int) -> None:
+def _check_preferences(report: Report, seed: int) -> None:
     rng = np.random.default_rng(seed)
     orders = [
         None,
@@ -239,18 +167,16 @@ def _check_preferences(report: MarketConformanceReport, seed: int) -> None:
         for preference in orders:
             label = "ideal-point" if preference is None else preference.spec
             index = select_index(front, preference)
-            _note(
-                report,
+            report.note(
                 0 <= index < front.shape[0],
-                "selection_total",
                 case,
+                "selection_total",
                 f"{label}: index {index} outside the front",
             )
-            _note(
-                report,
+            report.note(
                 index == select_index(front, preference),
-                "selection_deterministic",
                 case,
+                "selection_deterministic",
                 f"{label}: two selections over the same front disagreed",
             )
             if preference is None:
@@ -263,44 +189,35 @@ def _check_preferences(report: MarketConformanceReport, seed: int) -> None:
                         np.sqrt((((front - lo) / span) ** 2).sum(axis=1))
                     )
                 )
-                _note(
-                    report,
+                report.note(
                     index == expected,
-                    "selection_ideal_point_identity",
                     case,
+                    "selection_ideal_point_identity",
                     "no-preference selection drifted from the ideal-point "
                     "pick",
                 )
             else:
                 permutation = rng.permutation(front.shape[0])
                 mirrored = select_index(front[permutation], preference)
-                _note(
-                    report,
+                report.note(
                     np.array_equal(
                         front[index], front[permutation][mirrored]
                     ),
-                    "selection_permutation_invariant",
                     case,
+                    "selection_permutation_invariant",
                     f"{label}: selected vector changed under permutation",
                 )
 
 
-def check_market_conformance(*, seed: int = 0) -> MarketConformanceReport:
+def check_market_conformance(*, seed: int = 0) -> Report:
     """Prove the market layer's byte-identity and brokering promises.
 
     Runs the single-provider differential, the 3-provider brokered
     semantics and the preference-selection laws; see the module
     docstring for the full catalog.
     """
-    report = MarketConformanceReport(seed=seed)
-    registry = get_registry()
-    registry.count("verify.market.checks")
+    report = Report("market", f"seed={seed}")
     _check_identity(report, seed)
     _check_broker(report, seed)
     _check_preferences(report, seed)
-    report.cases = (
-        f"identity[{seed}]",
-        f"broker[{seed}]",
-        "preference fronts x6",
-    )
     return report

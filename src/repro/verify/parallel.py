@@ -1,14 +1,16 @@
 """Serial-vs-parallel determinism verification.
 
 The parallel execution engine's contract (``docs/PARALLEL.md``) is that
-fanning tabu repair and population evaluation out over worker processes
-changes *nothing* about the result: for a given seed the final
-populations and the selected assignment are byte-identical to the
-serial path at every worker count.  This module drives that contract
+fanning tabu repair out over worker processes changes *nothing* about
+the result: for a given seed the final populations and the selected
+assignment are byte-identical to the serial path at every worker
+count.  This module drives that contract
 the way the oracle drives evaluator parity — run both paths for real,
 compare raw bytes, diagnose any drift.
 
-Two layers are compared per worker count:
+Two layers are compared per worker count, and at each the pool must
+really have run: an engine that fell back to serial is a mismatch, not
+a pass, since both sides of the comparison would then be serial.
 
 1. **engine level** — an NSGA-III + tabu-repair run over a compiled
    instance, serial handler vs pool-backed handler; the final
@@ -18,15 +20,11 @@ Two layers are compared per worker count:
    (merge, repair, selection, post-process), comparing the returned
    assignment and objective vector.
 
-``python -m repro verify --check-parallel 1,2,4`` runs this from the
-CLI; telemetry lands in ``verify.parallel.*``.
+``python -m repro verify --check parallel=1,2,4`` runs this from the
+CLI.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.ea.config import NSGAConfig
 from repro.ea.constraint_handling import RepairHandling
@@ -35,85 +33,10 @@ from repro.engine.compiled import CompiledProblem
 from repro.engine.parallel import ParallelEngine
 from repro.model.request import Request
 from repro.tabu.repair import TabuRepair
-from repro.telemetry import get_registry
+from repro.verify.checks import Report
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
-__all__ = [
-    "ParallelMismatch",
-    "ParallelDeterminismReport",
-    "check_parallel_determinism",
-]
-
-
-@dataclass(frozen=True)
-class ParallelMismatch:
-    """One field that differed between the serial and parallel runs."""
-
-    n_workers: int
-    layer: str  #: "engine" or "allocator"
-    field: str  #: which compared array drifted
-    message: str
-
-    def __str__(self) -> str:
-        return (
-            f"[{self.layer}] n_workers={self.n_workers}: "
-            f"{self.field} diverged from serial — {self.message}"
-        )
-
-
-@dataclass
-class ParallelDeterminismReport:
-    """Outcome of one :func:`check_parallel_determinism` pass."""
-
-    worker_counts: tuple[int, ...]
-    seed: int
-    servers: int
-    vms: int
-    comparisons: int = 0
-    fallbacks: int = 0
-    mismatches: list[ParallelMismatch] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every parallel run matched the serial bytes."""
-        return not self.mismatches
-
-    def format(self) -> str:
-        """Human-readable summary plus each mismatch."""
-        header = (
-            f"parallel determinism: {self.servers}x{self.vms} seed={self.seed} "
-            f"workers={list(self.worker_counts)} — "
-            f"{self.comparisons} comparisons, "
-            f"{len(self.mismatches)} mismatches"
-            + (f", {self.fallbacks} engine fallbacks" if self.fallbacks else "")
-        )
-        if self.ok:
-            return header + "\nall parallel runs byte-identical to serial"
-        return "\n".join([header, *map(str, self.mismatches)])
-
-
-def _compare(
-    report: ParallelDeterminismReport,
-    n_workers: int,
-    layer: str,
-    pairs: dict[str, tuple[np.ndarray, np.ndarray]],
-) -> None:
-    registry = get_registry()
-    for name, (serial, parallel) in pairs.items():
-        report.comparisons += 1
-        registry.count("verify.parallel.comparisons")
-        if serial.tobytes() == parallel.tobytes():
-            continue
-        registry.count("verify.parallel.mismatches")
-        drift = int(np.count_nonzero(np.asarray(serial) != np.asarray(parallel)))
-        report.mismatches.append(
-            ParallelMismatch(
-                n_workers=n_workers,
-                layer=layer,
-                field=name,
-                message=f"{drift} of {serial.size} entries differ",
-            )
-        )
+__all__ = ["check_parallel_determinism"]
 
 
 def check_parallel_determinism(
@@ -125,7 +48,7 @@ def check_parallel_determinism(
     tightness: float = 0.85,
     population_size: int = 12,
     max_evaluations: int = 120,
-) -> ParallelDeterminismReport:
+) -> Report:
     """Prove serial/parallel byte-identity on one seeded scenario.
 
     The instance is kept deliberately tight so every generation carries
@@ -135,11 +58,10 @@ def check_parallel_determinism(
     serial baseline computed once.
     """
     worker_counts = tuple(int(w) for w in worker_counts)
-    report = ParallelDeterminismReport(
-        worker_counts=worker_counts, seed=seed, servers=servers, vms=vms
+    report = Report(
+        "parallel",
+        f"{servers}x{vms} seed={seed} workers={list(worker_counts)}",
     )
-    registry = get_registry()
-    registry.count("verify.parallel.checks")
 
     spec = ScenarioSpec(
         servers=servers, datacenters=2, vms=vms, tightness=tightness
@@ -167,26 +89,34 @@ def check_parallel_determinism(
         return nsga.run(evaluator).population
 
     def allocator_run(n_workers: int):
+        """The outcome, and whether the allocator's pool stayed up."""
         from repro.hybrid.nsga_allocators import NSGA3TabuAllocator
 
         allocator = NSGA3TabuAllocator(config=config.with_(n_workers=n_workers))
         try:
-            return allocator.allocate(scenario.infrastructure, scenario.requests)
+            outcome = allocator.allocate(scenario.infrastructure, scenario.requests)
+            engine = allocator.execution_engine
+            return outcome, engine is not None and engine.available
         finally:
             allocator.close()
 
+    def require_pool(ran: bool, n_workers: int, layer: str) -> None:
+        if not ran:
+            report.flag(
+                f"{layer} n_workers={n_workers}",
+                "engine.available",
+                "the pool fell back to serial, so nothing ran in parallel",
+            )
+
     serial_population = engine_run(None)
-    serial_outcome = allocator_run(0)
+    serial_outcome, _ = allocator_run(0)
 
     for n_workers in worker_counts:
         with ParallelEngine(n_workers) as engine:
             population = engine_run(engine)
-            if not engine.available:
-                report.fallbacks += 1
-        _compare(
-            report,
-            n_workers,
-            "engine",
+            require_pool(engine.available, n_workers, "engine")
+        report.compare(
+            f"engine n_workers={n_workers}",
             {
                 "population.genomes": (
                     serial_population.genomes,
@@ -202,11 +132,10 @@ def check_parallel_determinism(
                 ),
             },
         )
-        outcome = allocator_run(n_workers)
-        _compare(
-            report,
-            n_workers,
-            "allocator",
+        outcome, pooled = allocator_run(n_workers)
+        require_pool(pooled, n_workers, "allocator")
+        report.compare(
+            f"allocator n_workers={n_workers}",
             {
                 "outcome.assignment": (
                     serial_outcome.assignment,

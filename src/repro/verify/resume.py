@@ -25,18 +25,14 @@ Two layers are compared per worker count (0 = serial):
 2. **allocator level** — a full :class:`NSGA3TabuAllocator.allocate`,
    comparing assignment, objectives and acceptance mask.
 
-``python -m repro verify --check-resume`` runs this from the CLI;
-telemetry lands in ``verify.resume.*``.  ``time_limit`` must stay
-unset here: deadline-bounded repair is wall-clock dependent and
-legitimately breaks byte identity.
+``python -m repro verify --check resume`` runs this from the CLI.
+``time_limit`` must stay unset here: deadline-bounded repair is
+wall-clock dependent and legitimately breaks byte identity.
 """
 
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.ea.config import NSGAConfig
 from repro.ea.constraint_handling import RepairHandling
@@ -46,98 +42,10 @@ from repro.engine.parallel import ParallelEngine
 from repro.model.request import Request
 from repro.runtime.checkpoint import CheckpointManager
 from repro.tabu.repair import TabuRepair
-from repro.telemetry import get_registry
+from repro.verify.checks import Report
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
-__all__ = [
-    "ResumeMismatch",
-    "ResumeDeterminismReport",
-    "check_resume_determinism",
-]
-
-
-@dataclass(frozen=True)
-class ResumeMismatch:
-    """One field where the resumed run drifted from the baseline."""
-
-    n_workers: int
-    layer: str  #: "engine" or "allocator"
-    field: str  #: which compared quantity drifted
-    message: str
-
-    def __str__(self) -> str:
-        return (
-            f"[{self.layer}] n_workers={self.n_workers}: "
-            f"{self.field} diverged after resume — {self.message}"
-        )
-
-
-@dataclass
-class ResumeDeterminismReport:
-    """Outcome of one :func:`check_resume_determinism` pass."""
-
-    worker_counts: tuple[int, ...]
-    seed: int
-    servers: int
-    vms: int
-    comparisons: int = 0
-    resumed_generations: list[int] = field(default_factory=list)
-    mismatches: list[ResumeMismatch] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every resumed run matched the uninterrupted bytes."""
-        return not self.mismatches
-
-    def format(self) -> str:
-        """Human-readable summary plus each mismatch."""
-        header = (
-            f"resume determinism: {self.servers}x{self.vms} seed={self.seed} "
-            f"workers={list(self.worker_counts)} — "
-            f"{self.comparisons} comparisons, "
-            f"resumed at generations {self.resumed_generations}, "
-            f"{len(self.mismatches)} mismatches"
-        )
-        if self.ok:
-            return header + "\nall resumed runs byte-identical to uninterrupted"
-        return "\n".join([header, *map(str, self.mismatches)])
-
-
-def _compare(
-    report: ResumeDeterminismReport,
-    n_workers: int,
-    layer: str,
-    pairs: dict[str, tuple[np.ndarray, np.ndarray]],
-) -> None:
-    registry = get_registry()
-    for name, (baseline, resumed) in pairs.items():
-        report.comparisons += 1
-        registry.count("verify.resume.comparisons")
-        baseline = np.asarray(baseline)
-        resumed = np.asarray(resumed)
-        if baseline.tobytes() == resumed.tobytes():
-            continue
-        registry.count("verify.resume.mismatches")
-        drift = int(np.count_nonzero(baseline != resumed))
-        report.mismatches.append(
-            ResumeMismatch(
-                n_workers=n_workers,
-                layer=layer,
-                field=name,
-                message=f"{drift} of {baseline.size} entries differ",
-            )
-        )
-
-
-def _flag(
-    report: ResumeDeterminismReport, n_workers: int, layer: str, field_name: str, message: str
-) -> None:
-    get_registry().count("verify.resume.mismatches")
-    report.mismatches.append(
-        ResumeMismatch(
-            n_workers=n_workers, layer=layer, field=field_name, message=message
-        )
-    )
+__all__ = ["check_resume_determinism"]
 
 
 def check_resume_determinism(
@@ -150,7 +58,7 @@ def check_resume_determinism(
     population_size: int = 12,
     max_evaluations: int = 144,
     checkpoint_every: int = 2,
-) -> ResumeDeterminismReport:
+) -> Report:
     """Prove kill-and-resume byte-identity on one seeded scenario.
 
     For each worker count three trajectories run: the uninterrupted
@@ -161,11 +69,12 @@ def check_resume_determinism(
     parallel batch counter) across the checkpoint.
     """
     worker_counts = tuple(int(w) for w in worker_counts)
-    report = ResumeDeterminismReport(
-        worker_counts=worker_counts, seed=seed, servers=servers, vms=vms
+    resumed_generations: list[int] = []
+    report = Report(
+        "resume",
+        f"{servers}x{vms} seed={seed} workers={list(worker_counts)}",
+        stats={"resumed_generations": resumed_generations},
     )
-    registry = get_registry()
-    registry.count("verify.resume.checks")
 
     spec = ScenarioSpec(
         servers=servers, datacenters=2, vms=vms, tightness=tightness
@@ -247,20 +156,15 @@ def check_resume_determinism(
             finally:
                 if engine is not None:
                     engine.close()
+        where = f"engine n_workers={n_workers}"
         if resumed.resumed_from is None:
-            _flag(
-                report,
-                n_workers,
-                "engine",
-                "resumed_from",
-                "second run did not pick up the checkpoint",
+            report.flag(
+                where, "resumed_from", "second run did not pick up the checkpoint"
             )
         else:
-            report.resumed_generations.append(resumed.resumed_from)
-        _compare(
-            report,
-            n_workers,
-            "engine",
+            resumed_generations.append(resumed.resumed_from)
+        report.compare(
+            where,
             {
                 "population.genomes": (
                     baseline.population.genomes,
@@ -274,10 +178,7 @@ def check_resume_determinism(
                     baseline.population.violations,
                     resumed.population.violations,
                 ),
-                "evaluations": (
-                    np.asarray(baseline.evaluations),
-                    np.asarray(resumed.evaluations),
-                ),
+                "evaluations": (baseline.evaluations, resumed.evaluations),
             },
         )
 
@@ -286,18 +187,13 @@ def check_resume_determinism(
         with tempfile.TemporaryDirectory() as directory:
             allocator_run(n_workers, truncated_budget, directory)
             resumed_outcome = allocator_run(n_workers, max_evaluations, directory)
+        where = f"allocator n_workers={n_workers}"
         if "resumed_from" not in resumed_outcome.extra:
-            _flag(
-                report,
-                n_workers,
-                "allocator",
-                "resumed_from",
-                "second allocate did not pick up the checkpoint",
+            report.flag(
+                where, "resumed_from", "second allocate did not pick up the checkpoint"
             )
-        _compare(
-            report,
-            n_workers,
-            "allocator",
+        report.compare(
+            where,
             {
                 "outcome.assignment": (
                     baseline_outcome.assignment,

@@ -17,28 +17,22 @@ This module is that differential oracle:
 3. compare per-record decisions and final state bytes, then run the
    PR 3 invariant catalog over the replayed placements.
 
-``python -m repro verify --check-service [DIR]`` runs this from the
-CLI; telemetry lands in ``verify.service.*``.
+``python -m repro verify --check service[=DIR]`` runs this from the
+CLI.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.ea.config import NSGAConfig
 from repro.model.request import Request
-from repro.telemetry import get_registry
+from repro.verify.checks import Report
 from repro.verify.invariants import CheckContext, run_invariants
 from repro.workloads.generator import ScenarioSpec
 from repro.workloads.traces import TraceGenerator, TraceSpec
 
-__all__ = [
-    "ServiceMismatch",
-    "ServiceConformanceReport",
-    "check_service_conformance",
-]
+__all__ = ["check_service_conformance"]
 
 #: Invariants meaningful for a committed (all-accepted) placement.
 _PLACEMENT_INVARIANTS = (
@@ -46,54 +40,6 @@ _PLACEMENT_INVARIANTS = (
     "capacity_respected",
     "group_closure",
 )
-
-
-@dataclass(frozen=True)
-class ServiceMismatch:
-    """One divergence between the live session and its replay."""
-
-    field: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.field}: {self.message}"
-
-
-@dataclass
-class ServiceConformanceReport:
-    """Outcome of one :func:`check_service_conformance` pass."""
-
-    source: str  #: "synthetic" or the checkpoint directory
-    records: int = 0
-    windows: int = 0
-    reoptimizations: int = 0
-    residents: int = 0
-    comparisons: int = 0
-    invariants_checked: int = 0
-    mismatches: list[ServiceMismatch] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether the replay reproduced the live session exactly."""
-        return not self.mismatches
-
-    def format(self) -> str:
-        """Human-readable summary plus each mismatch."""
-        header = (
-            f"service conformance [{self.source}]: {self.records} log records "
-            f"({self.windows} windows, {self.reoptimizations} reoptimizations) "
-            f"→ {self.residents} residents, {self.comparisons} comparisons, "
-            f"{self.invariants_checked} invariants, "
-            f"{len(self.mismatches)} mismatches"
-        )
-        if self.ok:
-            return header + "\nreplay reproduces the live ledger byte-for-byte"
-        return "\n".join([header, *map(str, self.mismatches)])
-
-
-def _flag(report: ServiceConformanceReport, field_name: str, message: str) -> None:
-    get_registry().count("verify.service.mismatches")
-    report.mismatches.append(ServiceMismatch(field=field_name, message=message))
 
 
 def _synthetic_session(
@@ -181,7 +127,7 @@ def check_service_conformance(
     servers: int = 8,
     vms: int = 24,
     windows: int = 8,
-) -> ServiceConformanceReport:
+) -> Report:
     """Prove live-vs-batch equivalence of the service's admission log.
 
     Without ``checkpoint_dir`` a synthetic session is generated
@@ -192,8 +138,6 @@ def check_service_conformance(
     """
     from repro.service.state import replay_admission_log
 
-    registry = get_registry()
-    registry.count("verify.service.checks")
     if checkpoint_dir is None:
         source = "synthetic"
         estate, live = _synthetic_session(seed, servers, vms, windows)
@@ -201,10 +145,18 @@ def check_service_conformance(
         source = str(checkpoint_dir)
         estate, live = _live_from_checkpoint(checkpoint_dir)
 
-    report = ServiceConformanceReport(source=source, records=len(live.log))
-    report.windows = sum(1 for r in live.log if r.get("type") == "window")
-    report.reoptimizations = sum(
-        1 for r in live.log if r.get("type") == "reoptimize"
+    report = Report(
+        "service",
+        source,
+        stats={
+            "records": len(live.log),
+            "windows": sum(1 for r in live.log if r.get("type") == "window"),
+            "reoptimizations": sum(
+                1 for r in live.log if r.get("type") == "reoptimize"
+            ),
+            "residents": 0,
+            "invariants_checked": 0,
+        },
     )
 
     replayed = replay_admission_log(
@@ -220,59 +172,49 @@ def check_service_conformance(
         for field_name in ("accepted", "rejected", "displaced"):
             if field_name not in lrec:
                 continue
-            report.comparisons += 1
-            registry.count("verify.service.comparisons")
-            if list(lrec[field_name]) != list(rrec.get(field_name, [])):
-                _flag(
-                    report,
-                    f"log[{index}].{field_name}",
-                    f"live {lrec[field_name]!r} != replay "
-                    f"{rrec.get(field_name)!r}",
-                )
+            report.note(
+                list(lrec[field_name]) == list(rrec.get(field_name, [])),
+                f"log[{index}]",
+                field_name,
+                f"live {lrec[field_name]!r} != replay {rrec.get(field_name)!r}",
+            )
 
     # Final-state byte identity.
     live_residents = live.residents()
     replay_residents = replayed.residents()
-    report.residents = len(live_residents)
-    report.comparisons += 1
-    if sorted(live_residents) != sorted(replay_residents):
-        _flag(
-            report,
-            "residents",
-            f"live keys {sorted(live_residents)} != replay "
-            f"{sorted(replay_residents)}",
-        )
-    else:
+    report.stats["residents"] = len(live_residents)
+    same_keys = sorted(live_residents) == sorted(replay_residents)
+    report.note(
+        same_keys,
+        "state",
+        "residents",
+        f"live keys {sorted(live_residents)} != replay {sorted(replay_residents)}",
+    )
+    if same_keys:
         for key, genes in live_residents.items():
-            report.comparisons += 1
-            if genes != replay_residents[key]:
-                _flag(
-                    report,
-                    f"residents[{key}]",
-                    f"live genes {genes} != replay {replay_residents[key]}",
-                )
-    live_usage = live.scheduler.state.committed_usage
-    replay_usage = replayed.scheduler.state.committed_usage
-    report.comparisons += 1
-    if live_usage.tobytes() != replay_usage.tobytes():
-        drift = int(np.count_nonzero(live_usage != replay_usage))
-        _flag(
-            report,
-            "committed_usage",
-            f"{drift} of {live_usage.size} ledger entries differ",
-        )
-    report.comparisons += 1
-    if (live.scheduler.clock, live.scheduler.window_index) != (
-        replayed.scheduler.clock,
-        replayed.scheduler.window_index,
-    ):
-        _flag(
-            report,
-            "clock",
-            f"live (t={live.scheduler.clock}, w={live.scheduler.window_index})"
-            f" != replay (t={replayed.scheduler.clock}, "
-            f"w={replayed.scheduler.window_index})",
-        )
+            report.note(
+                genes == replay_residents[key],
+                "state",
+                f"residents[{key}]",
+                f"live genes {genes} != replay {replay_residents[key]}",
+            )
+    report.compare(
+        "state",
+        {
+            "committed_usage": (
+                live.scheduler.state.committed_usage,
+                replayed.scheduler.state.committed_usage,
+            ),
+        },
+    )
+    live_clock = (live.scheduler.clock, live.scheduler.window_index)
+    replay_clock = (replayed.scheduler.clock, replayed.scheduler.window_index)
+    report.note(
+        live_clock == replay_clock,
+        "state",
+        "clock",
+        f"live (t, w)={live_clock} != replay {replay_clock}",
+    )
 
     # The replayed placements must satisfy the PR 3 invariant catalog.
     if replay_residents:
@@ -290,10 +232,7 @@ def check_service_conformance(
             ),
             names=_PLACEMENT_INVARIANTS,
         )
-        report.invariants_checked = len(inv.checked)
+        report.stats["invariants_checked"] = len(inv.checked)
         for violation in inv.violations:
-            _flag(report, f"invariant[{violation.invariant}]", str(violation))
-
-    if report.ok:
-        registry.count("verify.service.passes")
+            report.flag("replay", f"invariant[{violation.invariant}]", str(violation))
     return report

@@ -24,14 +24,14 @@ class TestKillAndResume:
             worker_counts=(0,), max_evaluations=120
         )
         assert report.ok, report.format()
-        assert report.resumed_generations  # the resume actually happened
+        assert report.stats["resumed_generations"]  # the resume actually happened
 
     def test_parallel_byte_identity(self):
         report = check_resume_determinism(
             worker_counts=(2,), max_evaluations=120
         )
         assert report.ok, report.format()
-        assert report.resumed_generations
+        assert report.stats["resumed_generations"]
 
     def test_truncated_budget_resumes_into_full_budget(self, tmp_path):
         """The trajectory key excludes stopping criteria by design."""

@@ -5,7 +5,7 @@ and plays its event stream through live admission, window by window.
 These tests boot the asyncio app in-process, wait for playback to
 finish, and then prove the checkpointed admission log replays
 byte-identically through the batch oracle
-(``verify --check-service``) — the dynamic scenarios and the service
+(``verify --check service``) — the dynamic scenarios and the service
 are the same machine.
 """
 

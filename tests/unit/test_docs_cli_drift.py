@@ -164,5 +164,15 @@ class TestMarketFlags:
             capsys.readouterr()
 
     def test_verify_check_market_parses(self):
-        args = _parse("python -m repro verify --check-market")
-        assert args.check_market is True
+        args = _parse("python -m repro verify --check market")
+        assert args.check == [("market", None)]
+
+
+class TestChecksAreDocumented:
+    def test_every_check_has_a_row_in_verify_md(self):
+        """docs/VERIFY.md's Checks table names every registered check."""
+        from repro.verify import CHECKS
+
+        page = (REPO_ROOT / "docs" / "VERIFY.md").read_text()
+        missing = [name for name in CHECKS if f"| `{name}` |" not in page]
+        assert not missing, f"checks missing from docs/VERIFY.md: {missing}"

@@ -257,7 +257,7 @@ class TestRepairUsageTile:
 
 
 class TestConformanceCaseCoverage:
-    """The QoS edge cases of ``verify --check-kernels`` reach the branch
+    """The QoS edge cases of ``verify --check kernels`` reach the branch
     each one is named for."""
 
     @pytest.fixture(scope="class")

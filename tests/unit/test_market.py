@@ -1,6 +1,6 @@
 """Unit tests for the market layer: preference orders, price books,
 market partitioning/compilation, the brokered allocator, the
-market-layer invariants and the ``verify --check-market`` checker."""
+market-layer invariants and the ``verify --check market`` checker."""
 
 import numpy as np
 import pytest

@@ -1,9 +1,9 @@
 """Unit tests for the intra-run parallel execution engine.
 
 The engine's entire contract is "same bytes, less wall-clock": repair
-fan-out and chunked evaluation must be byte-identical to the serial
-path for a given seed at every worker count, and every failure mode
-must degrade to serial — also byte-identically.  These tests drive the
+fan-out must be byte-identical to the serial path for a given seed at
+every worker count, and every failure mode must degrade to serial —
+also byte-identically.  These tests drive the
 real pool (fork workers) on deliberately tight instances so the repair
 path actually runs.
 """
@@ -18,7 +18,6 @@ from repro.ea.nsga3 import NSGA3
 from repro.ea.reference_points import das_dennis_points, niching_for
 from repro.engine.compiled import CompiledProblem
 from repro.engine.parallel import (
-    ChunkedPopulationEvaluator,
     ParallelEngine,
     RepairParams,
     attach_instance,
@@ -174,37 +173,6 @@ class TestRepairDeterminism:
             assert registry.snapshot().counter_total("engine.parallel.batches") == 0
 
 
-class TestChunkedEvaluation:
-    def test_chunked_matches_serial_and_keeps_budget(self):
-        _, _, compiled = _tight_instance(seed=9)
-        population = _random_population(compiled, rows=24, seed=4)
-        serial = compiled.evaluator()
-        expected = serial.evaluate_population(population)
-        with ParallelEngine(2) as engine:
-            inner = compiled.evaluator()
-            chunked = ChunkedPopulationEvaluator(
-                inner, engine, compiled, min_rows=8
-            )
-            result = chunked.evaluate_population(population)
-            assert engine.available
-        assert expected.objectives.tobytes() == result.objectives.tobytes()
-        assert expected.violations.tobytes() == result.violations.tobytes()
-        # Budget accounting matches the serial evaluator exactly.
-        assert inner._evaluations == serial._evaluations
-
-    def test_small_populations_bypass_engine(self):
-        _, _, compiled = _tight_instance(seed=9)
-        population = _random_population(compiled, rows=4, seed=4)
-        with ParallelEngine(1) as engine:
-            chunked = ChunkedPopulationEvaluator(
-                compiled.evaluator(), engine, compiled, min_rows=256
-            )
-            with use_registry(MetricsRegistry()) as registry:
-                chunked.evaluate_population(population)
-            snapshot = registry.snapshot()
-        assert snapshot.counter_total("engine.parallel.eval_batches") == 0
-
-
 class TestVerifyCheck:
     def test_check_parallel_determinism_passes(self):
         report = check_parallel_determinism(
@@ -213,6 +181,24 @@ class TestVerifyCheck:
         assert report.ok, report.format()
         assert report.comparisons == 10  # 3 engine + 2 allocator per count
 
+    def test_check_parallel_fails_when_the_pool_falls_back(self, monkeypatch):
+        """Both sides of a fallen-back comparison ran serial, so equal
+        bytes prove nothing: each layer's fallback is a mismatch."""
+        import repro.engine.parallel as parallel_mod
+
+        def boom(*args, **kwargs):
+            raise OSError("no shared memory for you")
+
+        monkeypatch.setattr(parallel_mod, "publish_instance", boom)
+        report = check_parallel_determinism(
+            (1,), seed=1, servers=6, vms=10, max_evaluations=60
+        )
+        assert not report.ok
+        assert {(m.where, m.field) for m in report.mismatches} == {
+            ("engine n_workers=1", "engine.available"),
+            ("allocator n_workers=1", "engine.available"),
+        }
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             ParallelEngine(0)
@@ -220,8 +206,6 @@ class TestVerifyCheck:
             ParallelEngine(1, tasks_per_worker=0)
         with pytest.raises(ValidationError):
             NSGAConfig(n_workers=-1)
-        with pytest.raises(ValidationError):
-            NSGAConfig(parallel_eval_min_pop=0)
 
 
 class TestReferencePointCache:

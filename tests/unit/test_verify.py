@@ -1,20 +1,23 @@
 """Unit tests for the conformance subsystem: structured incremental
 parity reports (including the corrupted-compilation failure branch),
-the invariant catalog, the differential oracle's fault injection and
-the ``repro verify`` CLI entry point."""
+the invariant catalog, the differential oracle's fault injection, the
+``--check`` registry's shared report and the ``repro verify`` CLI entry
+point."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import RoundRobinAllocator
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.engine import CompiledProblem, ParityError
 from repro.engine.incremental import CONSTRAINT_TERMS, OBJECTIVE_TERMS
 from repro.model import Request
 from repro.verify import (
+    CHECKS,
     CheckContext,
     DifferentialOracle,
     FuzzConfig,
+    Report,
     invariant_names,
     run_fuzz,
     run_invariants,
@@ -214,6 +217,97 @@ def test_oracle_rejects_unknown_perturb_term(scenario, merged):
 
 
 # ----------------------------------------------------------------------
+# The --check registry's shared report
+# ----------------------------------------------------------------------
+def test_report_compare_flags_byte_drift():
+    report = Report("demo", "unit")
+    report.compare(
+        "layer",
+        {
+            "same": (np.arange(6), np.arange(6)),
+            "drifted": (np.arange(6), np.array([0, 1, 2, 9, 4, 9])),
+            "narrowed": (np.arange(6), np.arange(6, dtype=np.int32)),
+        },
+    )
+    assert report.comparisons == 3
+    assert [(m.where, m.field, m.message) for m in report.mismatches] == [
+        ("layer", "drifted", "2 of 6 entries differ"),
+        ("layer", "narrowed", "dtype int32 != expected int64"),
+    ]
+
+
+def test_report_compare_flags_a_shape_mismatch_with_equal_bytes():
+    expected = np.arange(6).reshape(2, 3)
+    actual = np.arange(6).reshape(3, 2)
+    assert expected.tobytes() == actual.tobytes()
+    report = Report("demo", "unit")
+    report.compare("layer", {"tile": (expected, actual)})
+    assert [m.message for m in report.mismatches] == [
+        "shape (3, 2) != expected (2, 3)"
+    ]
+
+
+def test_report_ok_exactly_when_no_mismatches_and_format_lists_them():
+    report = Report("demo", "6x12 seed=0", stats={"cases": 2})
+    report.note(True, "a", "x", "unused")
+    assert report.ok
+    assert report.format() == (
+        "demo [6x12 seed=0]: ok — 1 comparisons, 0 mismatches, cases=2"
+    )
+    report.note(False, "a", "y", "y drifted")
+    report.flag("b", "resumed_from", "never resumed")
+    assert not report.ok
+    assert report.comparisons == 2
+    assert report.format().splitlines() == [
+        "demo [6x12 seed=0]: FAILED — 2 comparisons, 2 mismatches, cases=2",
+        "  [a] y: y drifted",
+        "  [b] resumed_from: never resumed",
+    ]
+
+
+def test_check_registry_names():
+    assert list(CHECKS) == [
+        "kernels", "market", "anytime", "resume", "parallel", "service"
+    ]
+
+
+@pytest.mark.parametrize(
+    "flags,expected",
+    [
+        (["--check", "all"], [("all", None)]),
+        (["--check", "parallel=1,2"], [("parallel", (1, 2))]),
+        (["--check", "service=state/"], [("service", "state/")]),
+        (
+            ["--check", "kernels", "--check", "resume"],
+            [("kernels", None), ("resume", None)],
+        ),
+        ([], None),
+    ],
+)
+def test_parser_accepts_registered_checks(flags, expected):
+    assert build_parser().parse_args(["verify", *flags]).check == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["nope", "kernels=x", "all=1", "parallel=", "parallel=0", "parallel=a,b"],
+)
+def test_parser_rejects_bad_checks(value, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--check", value])
+    capsys.readouterr()
+
+
+def test_parser_has_one_check_option():
+    """``--check NAME`` replaced the per-contract flags; the only other
+    options spelled ``--check...`` are the common ``--checkpoint-*``."""
+    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+    flags = [flag for action in verify._actions for flag in action.option_strings]
+    checks = [f for f in flags if f.startswith("--check") and not f.startswith("--checkpoint")]
+    assert checks == ["--check"]
+
+
+# ----------------------------------------------------------------------
 # Fuzz harness + CLI
 # ----------------------------------------------------------------------
 def test_run_fuzz_small_campaign_clean():
@@ -253,3 +347,11 @@ def test_cli_verify_exits_nonzero_on_injected_fault(capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "downtime" in out
+
+
+def test_cli_verify_runs_a_registered_check(capsys):
+    code = main(["verify", "--fuzz", "0", "--check", "market"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "market [seed=0]: ok" in out
+    assert "verify.comparisons{check=market}" in out

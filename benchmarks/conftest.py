@@ -79,21 +79,16 @@ def bench_environment() -> dict:
     """Provenance block stamped into every bench artifact.
 
     A BENCH json is only comparable to a rerun on a like-for-like
-    host: the core count, the kernel backend and the numba version all
-    move the numbers, so every artifact records them instead of
-    leaving readers to guess why two files disagree.
+    host: the core count and the numpy version both move the numbers,
+    so every artifact records them instead of leaving readers to guess
+    why two files disagree.
     """
     import platform
 
     import numpy as np
 
-    from repro.engine.kernels import active_kernel
-    from repro.engine.kernels.numba_backend import HAVE_NUMBA, NUMBA_VERSION
-
     return {
         "cpu_count": os.cpu_count() or 1,
-        "kernel_backend": active_kernel().name,
-        "numba_version": NUMBA_VERSION if HAVE_NUMBA else None,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
     }

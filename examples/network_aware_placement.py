@@ -24,7 +24,7 @@ from repro import (
     SpineLeafFabric,
 )
 from repro.evaluation import format_table
-from repro.objectives import CommunicationCost, uniform_group_traffic
+from repro.objectives import CommunicationCost
 from repro.topology import hop_matrix, path_redundancy
 
 

@@ -15,7 +15,6 @@ Run:  python examples/provider_consolidation.py
 import numpy as np
 
 from repro import (
-    Infrastructure,
     RoundRobinAllocator,
     ScenarioGenerator,
     ScenarioSpec,

@@ -653,14 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         "way — see docs/PARALLEL.md)",
     )
     common.add_argument(
-        "--kernel",
-        default=None,
-        choices=("reference", "numpy", "numba", "auto"),
-        help="evaluation kernel backend (default: $REPRO_KERNEL or "
-        "'auto' = numba when importable, else numpy; all backends are "
-        "bitwise-conformant — see docs/PERFORMANCE.md)",
-    )
-    common.add_argument(
         "--include-cp-hybrid",
         action="store_true",
         help="include the slow nsga3_cp hybrid in sweeps",
@@ -933,13 +925,9 @@ def main(argv: list[str] | None = None) -> int:
         atomic_write_json(
             directory / "manifest.json", "campaign_manifest", {"argv": argv}
         )
-    if getattr(args, "kernel", None):
-        from repro.engine.kernels import set_kernel
-
-        set_kernel(args.kernel)
     if getattr(args, "prefer", None) is not None:
-        # Installed process-wide, like the kernel backend: every site
-        # that commits a single plan consults it (docs/MARKET.md).
+        # Installed process-wide: every site that commits a single plan
+        # consults it (docs/MARKET.md).
         from repro.market.preferences import set_preference
 
         set_preference(args.prefer)

@@ -131,10 +131,9 @@ class CapacityConstraint(Constraint):
     def batch_usage(self, population: IntArray) -> FloatArray:
         """Usage tensor (pop, m, h) for a whole population.
 
-        Dispatches to the active kernel backend (one bincount per
-        attribute over a ``(row, server)`` cell index on the numpy
-        backend, ``prange`` scatter on numba) — no Python-level loop
-        over individuals on any backend.
+        Dispatches to the active kernel (one bincount per attribute
+        over a ``(row, server)`` cell index on the numpy kernel) — no
+        Python-level loop over individuals on either kernel.
         """
         population = np.asarray(population, dtype=np.int64)
         pop, n = population.shape

@@ -51,6 +51,7 @@ class SameProviderConstraint(_GroupConstraint):
         self._provider = np.asarray(server_provider, dtype=np.int64)
 
     def violations(self, assignment: IntArray) -> int:
+        """Distinct providers hosting the placed members, minus one."""
         genes = self._member_genes(assignment)
         placed = genes[genes != UNPLACED]
         if placed.size <= 1:
@@ -58,6 +59,7 @@ class SameProviderConstraint(_GroupConstraint):
         return int(np.unique(self._provider[placed]).size - 1)
 
     def batch_violations(self, population: IntArray) -> IntArray:
+        """:meth:`violations` of every row; one pass when all are placed."""
         population = np.asarray(population, dtype=np.int64)
         genes = population[:, self._idx]
         if np.any(genes == UNPLACED):
@@ -75,6 +77,7 @@ class ProviderSpreadConstraint(_GroupConstraint):
         self._provider = np.asarray(server_provider, dtype=np.int64)
 
     def violations(self, assignment: IntArray) -> int:
+        """Placed members beyond the first on each provider."""
         genes = self._member_genes(assignment)
         placed = genes[genes != UNPLACED]
         if placed.size <= 1:
@@ -82,6 +85,7 @@ class ProviderSpreadConstraint(_GroupConstraint):
         return int(placed.size - np.unique(self._provider[placed]).size)
 
     def batch_violations(self, population: IntArray) -> IntArray:
+        """:meth:`violations` of every row; one pass when all are placed."""
         population = np.asarray(population, dtype=np.int64)
         genes = population[:, self._idx]
         if np.any(genes == UNPLACED):
@@ -110,6 +114,7 @@ class ProviderQuotaConstraint(Constraint):
             )
 
     def violations(self, assignment: IntArray) -> int:
+        """VMs placed beyond each capped provider's quota."""
         assignment = np.asarray(assignment, dtype=np.int64)
         placed = assignment[assignment != UNPLACED]
         if placed.size == 0:
@@ -122,6 +127,7 @@ class ProviderQuotaConstraint(Constraint):
         return int(excess.sum())
 
     def batch_violations(self, population: IntArray) -> IntArray:
+        """:meth:`violations` of every row, one row at a time."""
         population = np.asarray(population, dtype=np.int64)
         pop, _ = population.shape
         out = np.empty(pop, dtype=np.int64)

@@ -102,7 +102,7 @@ class ConstraintSet:
 
     # ------------------------------------------------------------------
     def group_layout(self):
-        """Flattened group-index layout for the vectorized kernel backends.
+        """Flattened group-index layout for the vectorized numpy kernel.
 
         Built lazily and cached (the groups are immutable per instance).
         ``None`` when any group constraint is not one of the four

@@ -11,7 +11,7 @@ branch-and-bound optimizer used by :class:`~repro.cp.solver.CPSolver`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -18,7 +18,7 @@ the rate is applied per gene directly, matching the framework default
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import ValidationError
 

@@ -17,11 +17,10 @@ The evaluation core under the allocation stack, in four parts:
   worker pool that publishes compilations into shared memory and fans
   tabu repair out across processes with byte-identical results (see
   ``docs/PARALLEL.md``);
-* :mod:`repro.engine.kernels` — the pluggable kernel layer behind the
-  evaluation/repair hot path: a reference backend (the original numpy
-  code paths), a vectorized flat-bincount numpy backend and an
-  optional numba backend, selected by ``REPRO_KERNEL`` / ``--kernel``
-  and held conformant by ``verify --check kernels``
+* :mod:`repro.engine.kernels` — the kernel layer behind the
+  evaluation/repair hot path: the vectorized numpy kernel every
+  allocation runs, held bit-identical to the reference kernel (the
+  original numpy code paths) by ``verify --check kernels``
   (see ``docs/PERFORMANCE.md``).
 
 See ``docs/ENGINE.md`` for the compile/evaluate split and the

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.kernels import active_kernel
 from repro.errors import ValidationError
 from repro.model.placement import UNPLACED
 from repro.objectives.aggregate import aggregate_scalar
@@ -256,18 +255,11 @@ class IncrementalEvaluator:
         # by an order of magnitude.  Thresholds are precomputed with the
         # same float ops the vectorized path uses, so the comparisons —
         # and therefore the violation counts — stay bit-exact.
-        self._lps = self._limit + self._slack
-        self._lps_list = self._lps.tolist()
+        self._lps_list = (self._limit + self._slack).tolist()
         if qos_strict:
-            self._kps = self._knee_limit + self._knee_slack
-            self._kps_list = self._kps.tolist()
+            self._kps_list = (self._knee_limit + self._knee_slack).tolist()
         else:
-            self._kps = None
             self._kps_list = None
-        # Optional compiled row-wise over-count (numba backend only):
-        # same scalar comparisons as the list path below, captured at
-        # construction time from the then-active kernel.
-        self._row_over = getattr(active_kernel(), "row_over", None)
         self._cap_list = np.asarray(infra.capacity, dtype=np.float64).tolist()
         self._ml_list = np.asarray(infra.max_load, dtype=np.float64).tolist()
         self._mq_list = np.asarray(infra.max_qos, dtype=np.float64).tolist()
@@ -569,21 +561,15 @@ class IncrementalEvaluator:
         # thresholds were precomputed with the vectorized path's exact
         # float ops, so these scalar comparisons are bit-identical.
         for s, row_list in row_lists.items():
-            if self._row_over is not None:
-                over = int(self._row_over(d.rows[s], self._lps[s]))
-            else:
-                thresholds = self._lps_list[s]
-                over = sum(v > t for v, t in zip(row_list, thresholds))
+            thresholds = self._lps_list[s]
+            over = sum(v > t for v, t in zip(row_list, thresholds))
             d.over[s] = over
             d.cap_total += over - int(self._over[s])
             if self.qos_strict:
-                if self._row_over is not None:
-                    knee = int(self._row_over(d.rows[s], self._kps[s]))
-                else:
-                    knee_thresholds = self._kps_list[s]
-                    knee = sum(
-                        v > t for v, t in zip(row_list, knee_thresholds)
-                    )
+                knee_thresholds = self._kps_list[s]
+                knee = sum(
+                    v > t for v, t in zip(row_list, knee_thresholds)
+                )
                 d.knee[s] = knee
                 d.knee_total += knee - int(self._knee_over[s])
 

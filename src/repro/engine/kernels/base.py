@@ -1,24 +1,23 @@
-"""Kernel interface and the reference backend.
+"""The reference kernel: the conformance anchor and the base class.
 
 A *kernel* is the set of array primitives under the evaluation/repair
 hot path: scatter demand onto servers, build the population usage
 tensor, count over-capacity cells, count group-rule violations, price
-the QoS curve.  Every backend must produce results **identical** to
+the QoS curve.  The numpy kernel must produce results **identical** to
 :class:`ReferenceKernel` — bitwise for integers and usage tiles, and
-bitwise for the float objective math too, because all backends are
-required to perform the same per-element float operations in the same
+bitwise for the float objective math too, because it is required to
+perform the same per-element float operations in the same
 accumulation order (the property ``verify --check kernels`` enforces
 on fuzzed instances; see ``docs/PERFORMANCE.md``).
 
 :class:`ReferenceKernel` *is* the original code path of each call site
 (``np.add.at`` scatters, per-attribute ``bincount`` tiles, one Python
 iteration per placement group).  It stays the conformance anchor: the
-faster backends are correct exactly when they match it.
+numpy kernel is correct exactly when it matches it.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from repro.model.placement import UNPLACED
 from repro.types import BoolArray, FloatArray, IntArray
 
-__all__ = ["GroupLayout", "Kernel", "ReferenceKernel"]
+__all__ = ["GroupLayout", "ReferenceKernel"]
 
 
 #: Rule name -> (counts_distinct, uses_datacenter).  ``counts_distinct``
@@ -68,6 +67,7 @@ class GroupLayout:
 
     @property
     def n_groups(self) -> int:
+        """Number of placement groups in the layout."""
         return int(self.offsets.shape[0] - 1)
 
     @staticmethod
@@ -111,23 +111,22 @@ class GroupLayout:
         )
 
 
-class Kernel(abc.ABC):
-    """The primitive set behind evaluation and repair.
+class ReferenceKernel:
+    """The pre-kernel-layer code paths, verbatim — the conformance anchor.
 
-    Shapes: populations are ``(pop, n)`` int64 genome matrices (values
-    in ``[0, m)`` or :data:`UNPLACED`), demand is the request's
-    ``(n, h)`` float64 matrix, usage tensors are ``(pop, m, h)``.
+    Also the base class of the faster kernel, which overrides only the
+    primitives it speeds up.  Shapes: populations are ``(pop, n)``
+    int64 genome matrices (values in ``[0, m)`` or :data:`UNPLACED`),
+    demand is the request's ``(n, h)`` float64 matrix, usage tensors
+    are ``(pop, m, h)``.
     """
 
-    #: Registry name ("reference", "numpy", "numba").
-    name: str = "kernel"
+    name = "reference"
     #: Whether :meth:`batch_group_violations` is implemented (the
-    #: reference backend scores groups through the constraint objects
+    #: reference kernel scores groups through the constraint objects
     #: instead, preserving the original per-group code path).
-    vectorized_groups: bool = False
+    vectorized_groups = False
 
-    # -- scatters ------------------------------------------------------
-    @abc.abstractmethod
     def scatter_usage(
         self, servers: IntArray, demand_rows: FloatArray, m: int
     ) -> FloatArray:
@@ -136,62 +135,6 @@ class Kernel(abc.ABC):
         Callers pass only *placed* genes; duplicate servers accumulate
         in input order (the bit-identity contract).
         """
-
-    @abc.abstractmethod
-    def batch_usage(
-        self, population: IntArray, demand: FloatArray, m: int
-    ) -> FloatArray:
-        """Population usage tensor (pop, m, h); UNPLACED genes contribute 0."""
-
-    @abc.abstractmethod
-    def batch_active(self, population: IntArray, m: int) -> BoolArray:
-        """(pop, m) mask of servers hosting >= 1 placed gene per row."""
-
-    # -- counting ------------------------------------------------------
-    @abc.abstractmethod
-    def batch_over_counts(
-        self, usage: FloatArray, threshold: FloatArray
-    ) -> IntArray:
-        """Per-row count of cells with ``usage > threshold`` -> (pop,) int64."""
-
-    def batch_group_violations(
-        self, population: IntArray, layout: GroupLayout
-    ) -> IntArray:
-        """Summed group-rule violations per row -> (pop,) int64."""
-        raise NotImplementedError(
-            f"{self.name} kernel does not vectorize group scoring"
-        )
-
-    # -- QoS tile ------------------------------------------------------
-    @abc.abstractmethod
-    def server_min_qos(
-        self,
-        usage: FloatArray,
-        base_usage: FloatArray,
-        capacity: FloatArray,
-        max_load: FloatArray,
-        max_qos: FloatArray,
-    ) -> FloatArray:
-        """Worst-attribute QoS per server for a (..., m, h) usage array.
-
-        Eq. 25 loads then Eq. 24 QoS, minimum over attributes — exactly
-        the float ops of :func:`repro.objectives.qos.loads_from_usage`
-        and :func:`repro.objectives.qos.qos_from_load`.
-        """
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class ReferenceKernel(Kernel):
-    """The pre-kernel-layer code paths, verbatim — the conformance anchor."""
-
-    name = "reference"
-    vectorized_groups = False
-
-    def scatter_usage(
-        self, servers: IntArray, demand_rows: FloatArray, m: int
-    ) -> FloatArray:
         usage = np.zeros((m, demand_rows.shape[1]), dtype=np.float64)
         np.add.at(usage, servers, demand_rows)
         return usage
@@ -199,6 +142,7 @@ class ReferenceKernel(Kernel):
     def batch_usage(
         self, population: IntArray, demand: FloatArray, m: int
     ) -> FloatArray:
+        """Population usage tensor (pop, m, h); UNPLACED genes contribute 0."""
         pop, n = population.shape
         h = demand.shape[1]
         mask = population != UNPLACED
@@ -213,6 +157,7 @@ class ReferenceKernel(Kernel):
         return usage
 
     def batch_active(self, population: IntArray, m: int) -> BoolArray:
+        """(pop, m) mask of servers hosting >= 1 placed gene per row."""
         pop = population.shape[0]
         mask = population != UNPLACED
         servers = np.where(mask, population, m)
@@ -223,8 +168,17 @@ class ReferenceKernel(Kernel):
     def batch_over_counts(
         self, usage: FloatArray, threshold: FloatArray
     ) -> IntArray:
+        """Per-row count of cells with ``usage > threshold`` -> (pop,) int64."""
         over = usage > threshold
         return over.sum(axis=tuple(range(1, over.ndim))).astype(np.int64)
+
+    def batch_group_violations(
+        self, population: IntArray, layout: GroupLayout
+    ) -> IntArray:
+        """Summed group-rule violations per row -> (pop,) int64."""
+        raise NotImplementedError(
+            f"{self.name} kernel does not vectorize group scoring"
+        )
 
     def server_min_qos(
         self,
@@ -234,6 +188,12 @@ class ReferenceKernel(Kernel):
         max_load: FloatArray,
         max_qos: FloatArray,
     ) -> FloatArray:
+        """Worst-attribute QoS per server for a (..., m, h) usage array.
+
+        Eq. 25 loads then Eq. 24 QoS, minimum over attributes — exactly
+        the float ops of :func:`repro.objectives.qos.loads_from_usage`
+        and :func:`repro.objectives.qos.qos_from_load`.
+        """
         # Late import: objectives.qos sits above the kernel layer in the
         # package graph (objectives.* modules import this package).
         from repro.objectives.qos import loads_from_usage, qos_from_load

@@ -3,7 +3,8 @@
 Same results as :class:`~repro.engine.kernels.base.ReferenceKernel`
 bit for bit, reached by different routes:
 
-* scatters run through ``np.bincount`` instead of ``np.add.at`` — both
+* scatters run through ``np.bincount`` instead of ``np.add.at`` (the
+  single-genome scatter is :func:`repro.utils.scatter.scatter_rows`) — both
   accumulate duplicate indices in input order, so the float64 sums are
   identical.  A population tile takes one bincount per attribute over
   a ``(row, server)`` cell index and writes each plane into a
@@ -27,15 +28,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.kernels.base import GroupLayout, Kernel
+from repro.engine.kernels.base import GroupLayout, ReferenceKernel
 from repro.model.placement import UNPLACED
-from repro.types import BoolArray, FloatArray, IntArray
+from repro.types import FloatArray, IntArray
+from repro.utils.scatter import scatter_rows
 
 __all__ = ["NumpyKernel"]
 
 
-class NumpyKernel(Kernel):
-    """Per-attribute bincount tiles + single-pass group scoring."""
+class NumpyKernel(ReferenceKernel):
+    """Per-attribute bincount tiles + single-pass group scoring.
+
+    The kernel every allocation runs; it inherits ``batch_active``
+    from the reference unchanged.
+    """
 
     name = "numpy"
     vectorized_groups = True
@@ -43,17 +49,13 @@ class NumpyKernel(Kernel):
     def scatter_usage(
         self, servers: IntArray, demand_rows: FloatArray, m: int
     ) -> FloatArray:
-        h = demand_rows.shape[1]
-        usage = np.empty((m, h), dtype=np.float64)
-        for col in range(h):
-            usage[:, col] = np.bincount(
-                servers, weights=demand_rows[:, col], minlength=m
-            )[:m]
-        return usage
+        """One ``np.bincount`` per attribute (:func:`scatter_rows`)."""
+        return scatter_rows(servers, demand_rows, m)
 
     def batch_usage(
         self, population: IntArray, demand: FloatArray, m: int
     ) -> FloatArray:
+        """One bincount per attribute over a ``(row, server)`` cell index."""
         pop = population.shape[0]
         h = demand.shape[1]
         # Each row owns m + 1 buckets.  Offsetting genes by one sends
@@ -70,17 +72,10 @@ class NumpyKernel(Kernel):
             usage[:, :, col] = counts.reshape(pop, m + 1)[:, 1:]
         return usage
 
-    def batch_active(self, population: IntArray, m: int) -> BoolArray:
-        pop = population.shape[0]
-        mask = population != UNPLACED
-        servers = np.where(mask, population, m)
-        flat = (np.arange(pop, dtype=np.int64)[:, None] * (m + 1) + servers).ravel()
-        counts = np.bincount(flat, minlength=pop * (m + 1))
-        return counts.reshape(pop, m + 1)[:, :m] > 0
-
     def batch_over_counts(
         self, usage: FloatArray, threshold: FloatArray
     ) -> IntArray:
+        """``np.count_nonzero`` over the over-threshold mask."""
         over = usage > threshold
         axes = tuple(range(1, over.ndim))
         return np.count_nonzero(over, axis=axes).astype(np.int64)
@@ -88,6 +83,7 @@ class NumpyKernel(Kernel):
     def batch_group_violations(
         self, population: IntArray, layout: GroupLayout
     ) -> IntArray:
+        """Every group of every row in one composite-key sort."""
         pop = population.shape[0]
         if layout.n_groups == 0:
             return np.zeros(pop, dtype=np.int64)
@@ -130,6 +126,7 @@ class NumpyKernel(Kernel):
         max_load: FloatArray,
         max_qos: FloatArray,
     ) -> FloatArray:
+        """Loads and QoS in place in one tile, then a column-wise minimum."""
         # The call's one full-size float tile: it holds the Eq. 25
         # loads, then is turned in place into the Eq. 24 QoS.
         tile = np.add(usage, base_usage, order="C")

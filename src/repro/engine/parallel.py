@@ -33,7 +33,6 @@ results.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import secrets
@@ -46,7 +45,6 @@ from typing import Any
 import numpy as np
 
 from repro.engine.compiled import CompiledProblem
-from repro.engine.kernels import use_kernel
 from repro.errors import ValidationError
 from repro.telemetry import MetricsRegistry, get_registry, use_registry
 from repro.types import FloatArray, IntArray, PlacementRule
@@ -230,12 +228,11 @@ class _AttachedInstance:
         )
         self.compiled = CompiledProblem(infrastructure, request)
         self.base_usage = views.get("base_usage")
-        self._repairers: dict[tuple, Any] = {}
+        self._repairers: dict[RepairParams, Any] = {}
 
     def repairer(self, params: "RepairParams"):
         """The worker-local :class:`TabuRepair` over the attached instance."""
-        key = params.cache_key()
-        repairer = self._repairers.get(key)
+        repairer = self._repairers.get(params)
         if repairer is None:
             from repro.tabu.repair import TabuRepair
 
@@ -249,7 +246,7 @@ class _AttachedInstance:
                 allow_worsening_moves=params.allow_worsening_moves,
                 compiled=self.compiled,
             )
-            self._repairers[key] = repairer
+            self._repairers[params] = repairer
         return repairer
 
 
@@ -304,32 +301,13 @@ class RepairParams:
     """The tabu-repair knobs a worker needs to mirror the parent's
     :class:`~repro.tabu.repair.TabuRepair` exactly.
 
-    ``kernel`` pins the worker's evaluation backend to the parent's
-    (``None`` leaves the worker on its own default).  All backends are
-    bitwise-conformant, so this is about performance parity — a numba
-    parent should not fan out to numpy workers — not correctness.
+    Frozen, so the params themselves key the worker's repairer cache.
     """
 
     max_rounds: int = 4
     tenure: int = 64
     order: str = "first"
     allow_worsening_moves: bool = True
-    kernel: str | None = None
-
-    def cache_key(self) -> tuple:
-        """Hashable identity for the worker-side repairer cache."""
-        return (
-            self.max_rounds,
-            self.tenure,
-            self.order,
-            self.allow_worsening_moves,
-            self.kernel,
-        )
-
-
-def _kernel_scope(kernel: str | None):
-    """The worker-side kernel context for one task (no-op when unset)."""
-    return use_kernel(kernel) if kernel else contextlib.nullcontext()
 
 
 def _repair_task(
@@ -345,7 +323,7 @@ def _repair_task(
     Returns the repaired rows, the task's metric snapshot (merged into
     the parent registry) and the busy seconds spent (utilization)."""
     stopwatch = Stopwatch().start()
-    with use_registry(MetricsRegistry()) as registry, _kernel_scope(params.kernel):
+    with use_registry(MetricsRegistry()) as registry:
         attached = attach_instance(spec)
         repairer = attached.repairer(params)
         repaired = np.empty_like(genomes)

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.allocator import Allocator, AnytimeRun, BatchOutcome
 from repro.cp.search import SearchLimits
 from repro.cp.solver import CPSolver
 from repro.ea.config import NSGAConfig
 from repro.ea.constraint_handling import (
-    ConstraintHandler,
     NoHandling,
     RepairHandling,
 )

@@ -87,6 +87,7 @@ class PreferenceOrder:
 
     @property
     def spec(self) -> str:
+        """The normalized ``">"``-joined spec string."""
         return ">".join(self.criteria)
 
     def key(self, objectives: FloatArray) -> tuple[float, ...]:

@@ -101,6 +101,7 @@ class PriceBook:
         )
 
     def to_dict(self) -> dict:
+        """The tariff as a JSON-ready dict (:meth:`from_dict` inverts it)."""
         return {
             "operating_rate": self.operating_rate,
             "usage_rate": self.usage_rate,
@@ -112,6 +113,7 @@ class PriceBook:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PriceBook":
+        """The book :meth:`to_dict` serialized."""
         return cls(**data)
 
 
@@ -149,6 +151,7 @@ class MarketInstance:
 
     @property
     def p(self) -> int:
+        """Number of providers in the merged estate."""
         return self.infrastructure.p
 
     def provider_slices(self) -> tuple[IntArray, ...]:
@@ -192,6 +195,7 @@ class ProviderMarket:
 
     @property
     def names(self) -> tuple[str, ...]:
+        """Provider names, in provider order."""
         return tuple(p.name for p in self.providers)
 
     # ------------------------------------------------------------------

@@ -208,7 +208,7 @@ class PopulationEvaluator:
             # One pass over every group of the whole population
             # (integer arithmetic — identical counts to the per-group
             # loop below, which stays for third-party constraints and
-            # the reference backend).
+            # the reference kernel).
             violations += kernel.batch_group_violations(population, layout)
         else:
             for constraint in self.constraints.group_constraints:

@@ -49,7 +49,6 @@ from repro.model.request import Request
 from repro.portfolio.incumbents import IncumbentPool
 from repro.runtime.checkpoint import (
     CheckpointManager,
-    RunCheckpoint,
     trajectory_key,
 )
 from repro.runtime.signals import shutdown_requested
@@ -329,6 +328,7 @@ class PortfolioRun(AnytimeRun):
         return super().best_front()
 
     def set_deadline(self, deadline: float) -> None:
+        """Set the absolute ``time.perf_counter()`` deadline on every member."""
         self._deadline = float(deadline)
         for member in self.members:
             setter = getattr(member.run, "set_deadline", None)
@@ -336,6 +336,7 @@ class PortfolioRun(AnytimeRun):
                 setter(deadline)
 
     def close(self) -> None:
+        """Release every member's per-run resources."""
         for member in self.members:
             member.close()
 
@@ -360,7 +361,8 @@ class PortfolioRun(AnytimeRun):
     def _snapshot(self) -> None:
         """Persist the whole race at the current epoch boundary.
 
-        EA members save their own :class:`RunCheckpoint` files (the
+        EA members save their own
+        :class:`~repro.runtime.checkpoint.RunCheckpoint` files (the
         same format solo runs use); the composite state holds the pool,
         the epoch cursor and the single-solution members' walks."""
         member_states: dict[str, dict] = {}

@@ -23,7 +23,6 @@ import time
 import numpy as np
 
 from repro.constraints.registry import ConstraintSet
-from repro.engine.kernels import active_kernel
 from repro.engine.parallel import RepairParams
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
@@ -400,7 +399,6 @@ class TabuRepair:
                     tenure=self.tenure,
                     order=self.order,
                     allow_worsening_moves=self.allow_worsening_moves,
-                    kernel=active_kernel().name,
                 ),
                 population[rows],
                 rows,

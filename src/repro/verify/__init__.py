@@ -25,7 +25,7 @@ way.  This package is that guarantee, in three layers:
   shape then bytes, and returns one :class:`Report` of typed
   :class:`Mismatch` records:
 
-  - ``kernels`` (:mod:`~repro.verify.kernels`) — every kernel backend
+  - ``kernels`` (:mod:`~repro.verify.kernels`) — the numpy kernel
     bitwise-equal to the reference on fuzzed and edge-case instances;
   - ``market`` (:mod:`~repro.verify.market`) — a single-provider market
     byte-identical to the pre-market model, brokered fronts mutually

@@ -1,6 +1,6 @@
 """One report type and one registry for the ``verify --check`` contracts.
 
-Every subsystem ships a byte-identity contract — kernel backends, the
+Every subsystem ships a byte-identity contract — the kernel layer, the
 market layer, the anytime portfolio, kill-and-resume, serial-vs-parallel
 and the live service — and each contract is proved the same way: run the
 real thing twice and compare what came out.  They all report through

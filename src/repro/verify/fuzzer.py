@@ -24,7 +24,7 @@ around :func:`run_fuzz`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

@@ -1,12 +1,11 @@
-"""Kernel-backend conformance verification.
+"""Kernel conformance verification.
 
 The kernel layer's contract (``docs/PERFORMANCE.md``) is *bitwise*
-equality: every backend registered in :mod:`repro.engine.kernels` must
-produce byte-identical usage tensors, violation counts and objective
-vectors to the ``reference`` backend — the pre-kernel code paths kept
-verbatim.  ``np.bincount`` and ``np.add.at`` both accumulate duplicate
-indices in input order, and the numba backend keeps its inner gene
-loops serial, so exactness is achievable and therefore demanded: any
+equality: the ``numpy`` kernel every allocation runs must produce
+byte-identical usage tensors, violation counts and objective vectors
+to the ``reference`` kernel — the pre-kernel code paths kept verbatim.
+``np.bincount`` and ``np.add.at`` both accumulate duplicate indices in
+input order, so exactness is achievable and therefore demanded: any
 drift is a bug, not a tolerance question.
 
 The checker drives fuzzed scenario instances plus the structural edge
@@ -15,15 +14,15 @@ rows with every gene :data:`~repro.model.placement.UNPLACED`, the
 single-server estate, ``int32`` genomes, an estate with zero-capacity
 attributes, committed base usage, a tile with no overloaded cell and
 two tiles at the paper's widest size (800 servers x 1600 VMs), one of
-them fully placed like every EA genome — through every available
-backend, comparing raw bytes against the reference at two levels:
+them fully placed like every EA genome — through both kernels,
+comparing raw bytes against the reference at two levels:
 
 1. **primitive level** — ``scatter_usage`` / ``batch_usage`` /
    ``batch_active`` / ``batch_over_counts`` / ``server_min_qos`` on the
    same inputs;
 2. **evaluator level** — full ``evaluate_population`` objectives and
    violations (which also exercises the vectorized group scoring
-   against the reference backend's per-constraint loop).
+   against the reference kernel's per-constraint loop).
 
 ``python -m repro verify --check kernels`` runs this from the CLI.
 """
@@ -35,7 +34,7 @@ import dataclasses
 import numpy as np
 
 from repro.engine.compiled import CompiledProblem
-from repro.engine.kernels import active_kernel, available_kernels, use_kernel
+from repro.engine.kernels import active_kernel, use_kernel
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.verify.checks import Report
@@ -176,7 +175,7 @@ def _snapshot(
     population: np.ndarray,
     base_usage: np.ndarray | None = None,
 ) -> dict:
-    """Everything one backend computes for (instance, population)."""
+    """Everything one kernel computes for (instance, population)."""
     evaluator = compiled.evaluator(
         include_assignment_constraint=True, base_usage=base_usage
     )
@@ -215,29 +214,20 @@ def check_kernel_conformance(
     *,
     seed: int = 0,
     instances: int = 3,
-    kernels: tuple[str, ...] | None = None,
 ) -> Report:
-    """Prove bitwise backend equality on fuzzed + edge-case inputs.
-
-    ``kernels`` defaults to every registered backend (the numba backend
-    participates exactly when numba is importable); the ``reference``
-    backend is always the baseline and never compared against itself.
-    """
-    backends = tuple(kernels) if kernels is not None else available_kernels()
-    others = tuple(b for b in backends if b != "reference")
+    """Prove the numpy kernel bitwise equal to the reference on fuzzed + edge-case inputs."""
     cases = _cases(seed, instances)
     report = Report(
         "kernels",
-        f"seed={seed} backends={','.join(backends)}",
+        f"seed={seed} backends=reference,numpy",
         stats={"cases": len(cases)},
     )
     for name, compiled, population, base_usage in cases:
         with use_kernel("reference"):
             ref = _snapshot(compiled, population, base_usage)
-        for backend in others:
-            with use_kernel(backend):
-                got = _snapshot(compiled, population, base_usage)
-            report.compare(
-                f"{backend}: {name}", {key: (ref[key], got[key]) for key in ref}
-            )
+        with use_kernel("numpy"):
+            got = _snapshot(compiled, population, base_usage)
+        report.compare(
+            f"numpy: {name}", {key: (ref[key], got[key]) for key in ref}
+        )
     return report

@@ -12,7 +12,6 @@ These are the qualitative claims of Section IV:
   factor of the CP cost.
 """
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -21,7 +20,6 @@ from repro import (
     NSGA3TabuAllocator,
     NSGAConfig,
     RoundRobinAllocator,
-    ScenarioGenerator,
     ScenarioSpec,
 )
 from repro.evaluation import ExperimentRunner

@@ -6,7 +6,6 @@ the uninterrupted run — at the engine layer, through the allocator,
 through the scheduler, and through the sweep runner's cell journal.
 """
 
-import numpy as np
 import pytest
 
 from repro import CheckpointManager, NSGAConfig, NSGA3TabuAllocator

@@ -14,7 +14,7 @@ from repro.constraints import (
     make_group_constraint,
 )
 from repro.errors import ConstraintError, DimensionError
-from repro.model import PlacementGroup, Request
+from repro.model import PlacementGroup
 from repro.model.placement import UNPLACED
 from repro.types import PlacementRule
 

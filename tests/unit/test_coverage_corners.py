@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import FirstFitAllocator, RoundRobinAllocator
-from repro.cp import CPSearch, CPSolver, SearchLimits
+from repro.cp import CPSearch, CPSolver
 from repro.ea import (
     ExclusionHandling,
     NSGA2,

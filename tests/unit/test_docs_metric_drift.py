@@ -1,5 +1,6 @@
 """Doc-drift guard: every metric and span name ``src/`` records must be
-documented in docs/OBSERVABILITY.md.
+documented in docs/OBSERVABILITY.md, and every metric the page's tables
+document must still be recorded.
 
 Metric names are string literals handed to a registry's ``count``,
 ``gauge`` or ``observe``; span names are the first argument of a
@@ -7,9 +8,13 @@ Metric names are string literals handed to a registry's ``count``,
 under ``src/`` (nothing is imported or executed), collects those names,
 and fails for any name the page does not show in backticks.  A metric
 may appear bare (`` `cp.solves` ``) or as a labelled series
-(`` `cp.repair.moves{repairer=cp}` ``).  A span named by an f-string
+(`` `cp.repair.moves{repairer=cp}` ``).  A name spelled by an f-string
 matches a backticked name with a ``<...>`` placeholder in place of each
 formatted part (`` `<algorithm>.generation` ``).
+
+The other direction reads the first column of every table headed
+``| metric |`` and fails for any backticked name that no literal (or
+f-string, for a name with placeholders) under ``src/`` records.
 """
 
 import ast
@@ -33,36 +38,12 @@ def _calls(source_root: Path):
                 yield f"{path.relative_to(source_root)}:{node.lineno}", node
 
 
-def emitted_metric_names(source_root: Path = REPO_ROOT / "src") -> dict[str, str]:
-    """Metric name -> first ``path:line`` recording it, over ``source_root``."""
-    names: dict[str, str] = {}
-    for where, node in _calls(source_root):
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _RECORDERS
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-            and _REGISTRY_RE.search(ast.unparse(node.func.value))
-        ):
-            names.setdefault(node.args[0].value, where)
-    return names
-
-
-def undocumented(names, page: str) -> list[str]:
-    """The names ``page`` never shows in backticks."""
-    return sorted(
-        name
-        for name in names
-        if f"`{name}`" not in page and f"`{name}{{" not in page
-    )
-
-
-#: Stands for one formatted part of an f-string span name.
+#: Stands for one formatted part of an f-string name.
 _PLACEHOLDER = "<*>"
 
 
-def _span_name(node: ast.expr) -> str | None:
-    """The span name a literal or f-string spells, else ``None``."""
+def _name(node: ast.expr) -> str | None:
+    """The name a literal or f-string spells, else ``None``."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     if isinstance(node, ast.JoinedStr):
@@ -71,6 +52,56 @@ def _span_name(node: ast.expr) -> str | None:
             for part in node.values
         )
     return None
+
+
+def _doc_pattern(name: str) -> str:
+    """A regex for ``name`` as the page spells it: each ``<*>`` is a
+    backticked ``<...>`` placeholder."""
+    return "<[^`<>]+>".join(re.escape(part) for part in name.split(_PLACEHOLDER))
+
+
+def emitted_metric_names(source_root: Path = REPO_ROOT / "src") -> dict[str, str]:
+    """Metric name -> first ``path:line`` recording it, over ``source_root``."""
+    names: dict[str, str] = {}
+    for where, node in _calls(source_root):
+        name = _name(node.args[0])
+        if (
+            name is not None
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _RECORDERS
+            and _REGISTRY_RE.search(ast.unparse(node.func.value))
+        ):
+            names.setdefault(name, where)
+    return names
+
+
+def undocumented(names, page: str) -> list[str]:
+    """The names ``page`` never shows in backticks, bare or labelled."""
+    return sorted(
+        name for name in names if not re.search(f"`{_doc_pattern(name)}[`{{]", page)
+    )
+
+
+def documented_metric_names(page: str) -> list[str]:
+    """The backticked names, labels dropped, in the first column of every
+    table headed ``| metric |`` on ``page``."""
+    names: list[str] = []
+    in_table = False
+    for line in page.splitlines():
+        first = line.split("|")[1].strip() if line.startswith("|") else None
+        in_table = first is not None and (in_table or first == "metric")
+        if in_table:
+            names += [name.split("{")[0] for name in re.findall(r"`([^`]+)`", first)]
+    return names
+
+
+def unrecorded(documented, emitted) -> list[str]:
+    """The documented names that nothing in ``emitted`` records."""
+    return sorted(
+        name
+        for name in documented
+        if re.sub("<[^<>]+>", _PLACEHOLDER, name) not in emitted
+    )
 
 
 def emitted_span_names(source_root: Path = REPO_ROOT / "src") -> dict[str, str]:
@@ -83,7 +114,7 @@ def emitted_span_names(source_root: Path = REPO_ROOT / "src") -> dict[str, str]:
     for where, node in _calls(source_root):
         func = node.func
         callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        name = _span_name(node.args[0]) if callee == "span" else None
+        name = _name(node.args[0]) if callee == "span" else None
         if name is not None:
             names.setdefault(name, where)
     return names
@@ -91,12 +122,7 @@ def emitted_span_names(source_root: Path = REPO_ROOT / "src") -> dict[str, str]:
 
 def undocumented_spans(names, page: str) -> list[str]:
     """The span names ``page`` never shows in backticks."""
-    missing = []
-    for name in names:
-        pattern = "<[^`<>]+>".join(re.escape(part) for part in name.split(_PLACEHOLDER))
-        if not re.search(f"`{pattern}`", page):
-            missing.append(name)
-    return sorted(missing)
+    return sorted(name for name in names if not re.search(f"`{_doc_pattern(name)}`", page))
 
 
 _EMITTED = emitted_metric_names()
@@ -131,6 +157,42 @@ class TestMetricsAreDocumented:
         assert set(names) == {"made.up.counter", "made.up.seconds"}
         page = "| `made.up.counter.total` | counter | ... |\n| `made.up.seconds{algorithm=…}` |"
         assert undocumented(names, page) == ["made.up.counter"]
+
+
+class TestDocumentedMetricsAreRecorded:
+    def test_table_walk_reads_only_metric_tables(self):
+        page = OBSERVABILITY.read_text()
+        documented = documented_metric_names(page)
+        assert len(documented) >= 100, documented
+        assert {"cp.solves", "engine.parallel.fallbacks", "verify.checks"} <= set(documented)
+        # The event-type and sink tables are not metric tables.
+        assert not {"GenerationCompleted", '"console"'} & set(documented)
+
+    def test_every_documented_metric_is_recorded(self):
+        stale = unrecorded(documented_metric_names(OBSERVABILITY.read_text()), _EMITTED)
+        assert not stale, "metric rows in docs/OBSERVABILITY.md that src/ never records: " + (
+            ", ".join(stale)
+        )
+
+    def test_guard_catches_a_stale_row(self, tmp_path):
+        """Sanity check on the guard: a row nothing records is stale, a
+        placeholder row needs a matching f-string, and the tables headed
+        by something other than ``metric`` are not read."""
+        module = tmp_path / "emitter.py"
+        module.write_text(
+            "registry.count(\"made.up.counter\", kind=kind)\n"
+            "registry.observe(f\"{kind}.made.up\", 1.0)\n"
+        )
+        page = (
+            "| metric | kind | meaning |\n|---|---|---|\n"
+            "| `made.up.counter{kind=…}` | counter | recorded |\n"
+            "| `<kind>.made.up` / `gone.metric` | histogram | half stale |\n"
+            "| `made.up` | counter | no literal spells it |\n"
+            "\n| event | fields |\n|---|---|\n| `NotAMetric` | `kind` |\n"
+        )
+        documented = documented_metric_names(page)
+        assert documented == ["made.up.counter", "<kind>.made.up", "gone.metric", "made.up"]
+        assert unrecorded(documented, emitted_metric_names(tmp_path)) == ["gone.metric", "made.up"]
 
 
 class TestSpansAreDocumented:

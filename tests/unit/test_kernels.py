@@ -1,12 +1,12 @@
-"""Unit tests for the kernel-backend layer (registry, edge cases, tiles).
+"""Unit tests for the kernel layer (scoped selection, edge cases, tiles).
 
-The heavy cross-backend sweep lives in
+The heavy numpy-vs-reference sweep lives in
 :func:`repro.verify.check_kernel_conformance`; these tests pin down the
-registry semantics (selection, env var, scoped override), the
-structural edge cases vectorized code most often gets wrong — empty
-populations, all-UNPLACED rows, single-server estates, int32 genomes —
-and the satellite contracts around them (capacity retargeting, the
-repair usage tile, batch_violations overrides).
+scoped override, that the sweep catches drift, the structural edge
+cases vectorized code most often gets wrong — empty populations,
+all-UNPLACED rows, single-server estates, int32 genomes — and the
+satellite contracts around them (capacity retargeting, the repair usage
+tile, batch_violations overrides).
 """
 
 import dataclasses
@@ -19,30 +19,14 @@ from repro.constraints.base import Constraint
 from repro.constraints.capacity import CapacityConstraint
 from repro.constraints.load_cap import LoadCapConstraint
 from repro.engine import CompiledProblem
-from repro.engine.kernels import (
-    HAVE_NUMBA,
-    KERNEL_ENV_VAR,
-    GroupLayout,
-    available_kernels,
-    get_kernel,
-    resolve_kernel_name,
-    set_kernel,
-    use_kernel,
-)
-from repro.errors import DimensionError, ValidationError
+from repro.engine.kernels import GroupLayout, NumpyKernel, active_kernel, use_kernel
+from repro.errors import DimensionError
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.verify import check_kernel_conformance
 from repro.verify.kernels import _cases as _conformance_cases
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Every test leaves the process-wide backend as it found it."""
-    with use_kernel(None):
-        yield
 
 
 def _compiled(servers=6, datacenters=2, vms=14, seed=5, tightness=0.8):
@@ -56,48 +40,44 @@ def _compiled(servers=6, datacenters=2, vms=14, seed=5, tightness=0.8):
 
 class TestRegistry:
     def test_reference_and_numpy_always_available(self):
-        names = available_kernels()
-        assert "reference" in names and "numpy" in names
-
-    def test_auto_resolution(self):
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert resolve_kernel_name("auto") == expected
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert resolve_kernel_name(None) == "reference"
-        monkeypatch.delenv(KERNEL_ENV_VAR)
-        assert resolve_kernel_name(None) == resolve_kernel_name("auto")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError, match="unknown kernel backend"):
-            resolve_kernel_name("fortran")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba present on this host")
-    def test_numba_without_install_is_an_error_not_a_fallback(self):
-        with pytest.raises(ValidationError):
-            resolve_kernel_name("numba")
-
-    def test_get_kernel_is_singleton_per_backend(self):
-        assert get_kernel("numpy") is get_kernel("numpy")
-        assert get_kernel("numpy") is not get_kernel("reference")
+        assert active_kernel().name == "numpy"
+        for name in ("reference", "numpy"):
+            with use_kernel(name) as kernel:
+                assert kernel.name == name
 
     def test_use_kernel_restores_previous(self):
-        before = set_kernel("numpy")
+        before = active_kernel()
         with use_kernel("reference") as kernel:
             assert kernel.name == "reference"
-        from repro.engine.kernels import active_kernel
-
+            assert active_kernel() is kernel
         assert active_kernel() is before
 
 
+class TestConformanceCatchesDrift:
+    def test_one_ulp_qos_nudge_fails_the_check(self, monkeypatch):
+        """A numpy primitive one ulp off the reference must fail the
+        check, both at the primitive and in the objectives it feeds."""
+        exact = NumpyKernel.server_min_qos
+
+        def nudged(self, *args):
+            worst = exact(self, *args)
+            return np.nextafter(worst, np.inf)
+
+        monkeypatch.setattr(NumpyKernel, "server_min_qos", nudged)
+        report = check_kernel_conformance(seed=0, instances=1)
+        assert not report.ok
+        assert {"server_min_qos", "objectives"} <= {
+            mismatch.field for mismatch in report.mismatches
+        }, report.format()
+
+
 class TestEdgeCases:
-    """Satellite: structural edge cases byte-identical across backends."""
+    """Satellite: structural edge cases byte-identical across kernels."""
 
     def _snapshots(self, compiled, population):
         evaluator = compiled.evaluator(include_assignment_constraint=True)
         out = {}
-        for name in available_kernels():
+        for name in ("reference", "numpy"):
             with use_kernel(name):
                 result = evaluator.evaluate_population(population)
                 out[name] = (
@@ -448,7 +428,7 @@ class TestOneTileEvaluationParity:
         assert 0.0 in unplaced and 1.0 in unplaced and any(0 < u < 1 for u in unplaced)
 
     def test_batch_usage(self, cases):
-        kernel = get_kernel("numpy")
+        kernel = NumpyKernel()
         for case in cases:
             demand, m = case.request.demand, case.infrastructure.m
             got = kernel.batch_usage(case.population, demand, m)
@@ -457,7 +437,7 @@ class TestOneTileEvaluationParity:
             assert same_bytes(got, flat_key_batch_usage(case.population, demand, m)), case.name
 
     def test_server_min_qos(self, cases):
-        kernel = get_kernel("numpy")
+        kernel = NumpyKernel()
         for case in cases:
             infra = case.infrastructure
             usage = flat_key_batch_usage(case.population, case.request.demand, infra.m)

@@ -17,12 +17,8 @@ from repro.ea.config import NSGAConfig
 from repro.ea.nsga3 import NSGA3
 from repro.ea.reference_points import das_dennis_points, niching_for
 from repro.engine.compiled import CompiledProblem
-from repro.engine.parallel import (
-    ParallelEngine,
-    RepairParams,
-    attach_instance,
-    publish_instance,
-)
+from repro.engine.kernels import use_kernel
+from repro.engine.parallel import ParallelEngine, attach_instance, publish_instance
 from repro.errors import ValidationError
 from repro.model.request import Request
 from repro.tabu.repair import TabuRepair
@@ -103,11 +99,22 @@ class TestSharedMemoryRoundtrip:
 
 
 class TestRepairDeterminism:
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_parallel_repair_matches_serial_bytes(self, n_workers):
-        serial = _repair_population(None)
+    @pytest.mark.parametrize(
+        "n_workers, kernel",
+        [
+            *(pytest.param(n, "numpy", id=str(n)) for n in (1, 2, 4)),
+            *(pytest.param(n, "reference", id=f"{n}-reference") for n in (1, 2)),
+        ],
+    )
+    def test_parallel_repair_matches_serial_bytes(self, n_workers, kernel):
+        """Workers are forked on the numpy kernel before the parent
+        switches, so a reference parent fans out to numpy workers; the
+        kernels' conformance keeps the bytes equal to serial."""
         with ParallelEngine(n_workers) as engine:
-            parallel = _repair_population(engine)
+            _repair_population(engine, seed=5)  # forks the workers
+            with use_kernel(kernel):
+                serial = _repair_population(None)
+                parallel = _repair_population(engine)
             assert engine.available  # no silent fallback happened
         assert serial.tobytes() == parallel.tobytes()
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.utils import timers
 from repro.verify import FuzzConfig, run_fuzz
 from repro.workloads.scenarios import scenario_names
 
@@ -70,7 +73,10 @@ class TestScenarioCommand:
         ) == 2
         assert "unknown allocator" in capsys.readouterr().err
 
-    def test_run_is_deterministic_per_seed(self, capsys):
+    def test_run_is_deterministic_per_seed(self, capsys, monkeypatch):
+        # The output's time column sums Stopwatch readings; a frozen
+        # clock makes the whole output comparable.
+        monkeypatch.setattr(timers, "time", SimpleNamespace(perf_counter=lambda: 0.0))
         main(["scenario", "run", "diurnal", "--seed", "3"])
         first = capsys.readouterr().out
         main(["scenario", "run", "diurnal", "--seed", "3"])

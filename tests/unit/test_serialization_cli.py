@@ -215,8 +215,6 @@ class TestCliDiagnose:
         assert "no provable infeasibility" in capsys.readouterr().out
 
     def test_broken_scenario_exit_one(self, tmp_path, capsys):
-        import json
-
         from repro.serialization import (
             load_json,
             save_json,

@@ -1,6 +1,5 @@
 """Unit tests for the arrival-trace generator and its scheduler wiring."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import FirstFitAllocator

@@ -90,8 +90,12 @@ class TestStopwatch:
 
     def test_accumulates_across_restarts(self):
         sw = Stopwatch()
-        sw.start(); time.sleep(0.005); first = sw.stop()
-        sw.start(); time.sleep(0.005); second = sw.stop()
+        sw.start()
+        time.sleep(0.005)
+        first = sw.stop()
+        sw.start()
+        time.sleep(0.005)
+        second = sw.stop()
         assert second > first
 
     def test_reset(self):

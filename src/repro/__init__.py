@@ -42,8 +42,6 @@ from repro.engine import (
     IncrementalEvaluator,
     MoveScore,
     ParallelEngine,
-    ParityError,
-    ParityReport,
     ProblemCache,
 )
 from repro.hybrid import (
@@ -129,8 +127,6 @@ __all__ = [
     "ParallelEngine",
     "IncrementalEvaluator",
     "MoveScore",
-    "ParityError",
-    "ParityReport",
     # substrates
     "FabricSpec",
     "SpineLeafFabric",

@@ -11,8 +11,8 @@ The evaluation core under the allocation stack, in four parts:
   instance fingerprint;
 * :class:`~repro.engine.incremental.IncrementalEvaluator` — delta
   scoring of single-VM relocations in O(attributes + groups-of-vm)
-  instead of full-genome re-evaluation, with a :meth:`verify` escape
-  hatch asserting parity against the reference evaluator;
+  instead of full-genome re-evaluation, whose per-term totals
+  :func:`repro.verify.check_parity` holds to the reference evaluator;
 * :class:`~repro.engine.parallel.ParallelEngine` — a persistent
   worker pool that publishes compilations into shared memory and fans
   tabu repair out across processes with byte-identical results (see
@@ -39,9 +39,6 @@ __all__ = [
     "ProblemCache",
     "IncrementalEvaluator",
     "MoveScore",
-    "ParityDelta",
-    "ParityError",
-    "ParityReport",
     "ParallelEngine",
     "RepairParams",
     "InstanceSpec",
@@ -56,9 +53,6 @@ _EXPORTS = {
     "ProblemCache": "repro.engine.cache",
     "IncrementalEvaluator": "repro.engine.incremental",
     "MoveScore": "repro.engine.incremental",
-    "ParityDelta": "repro.engine.incremental",
-    "ParityError": "repro.engine.incremental",
-    "ParityReport": "repro.engine.incremental",
     "ParallelEngine": "repro.engine.parallel",
     "RepairParams": "repro.engine.parallel",
     "InstanceSpec": "repro.engine.parallel",

@@ -10,9 +10,10 @@ for a *current* assignment, and exposes
 * :meth:`score_move` — what (violations, objectives) *would* become if
   ``vm`` moved to ``server``, without mutating anything;
 * :meth:`apply_move` — commit the move and update the state in place;
-* :meth:`verify` — the escape hatch: assert bit-level violation parity
-  (and tight float parity on objectives) against a from-scratch
-  :class:`~repro.objectives.evaluator.PopulationEvaluator` evaluation.
+* :meth:`component_totals` / :meth:`reference_evaluator` — the tracked
+  per-term totals and a from-scratch
+  :class:`~repro.objectives.evaluator.PopulationEvaluator` configured
+  identically, which :func:`repro.verify.check_parity` compares.
 
 The per-move cost is O(h + groups-containing-vm + residents of the two
 touched servers): the capacity/knee checks are per-attribute on two
@@ -40,9 +41,6 @@ __all__ = [
     "OBJECTIVE_TERMS",
     "IncrementalEvaluator",
     "MoveScore",
-    "ParityDelta",
-    "ParityError",
-    "ParityReport",
 ]
 
 _DOWNTIME_MODES = ("shortfall", "literal")
@@ -51,86 +49,6 @@ _DOWNTIME_MODES = ("shortfall", "literal")
 CONSTRAINT_TERMS = ("capacity", "group", "load_cap", "unplaced")
 #: Objective terms in canonical OBJECTIVE_ORDER naming.
 OBJECTIVE_TERMS = ("usage_cost", "downtime", "migration")
-
-
-class ParityError(AssertionError):
-    """Raised by :meth:`IncrementalEvaluator.verify` on state drift.
-
-    Carries the structured :class:`ParityReport` as ``report`` so
-    callers (and the differential oracle) can inspect per-term deltas
-    instead of parsing the message.
-    """
-
-    def __init__(self, message: str, report: "ParityReport | None" = None) -> None:
-        super().__init__(message)
-        self.report = report
-
-
-@dataclass(frozen=True)
-class ParityDelta:
-    """One term's incremental-vs-reference comparison.
-
-    ``kind`` is ``"constraint"`` (integer counts, compared exactly) or
-    ``"objective"`` (floats, compared to ``rtol``/``atol``).
-    """
-
-    term: str
-    kind: str
-    incremental: float
-    reference: float
-    ok: bool
-
-    @property
-    def delta(self) -> float:
-        """Signed drift (incremental minus reference)."""
-        return self.incremental - self.reference
-
-
-@dataclass(frozen=True)
-class ParityReport:
-    """Structured outcome of one :meth:`IncrementalEvaluator.verify`.
-
-    Attributes
-    ----------
-    deltas:
-        Per-term comparisons: the four constraint components first
-        (:data:`CONSTRAINT_TERMS`), then the three objective terms
-        (:data:`OBJECTIVE_TERMS`).
-    rtol, atol:
-        Objective tolerances the comparison used.
-    """
-
-    deltas: tuple[ParityDelta, ...]
-    rtol: float
-    atol: float
-
-    @property
-    def ok(self) -> bool:
-        """Whether every term matched."""
-        return all(d.ok for d in self.deltas)
-
-    @property
-    def mismatches(self) -> tuple[ParityDelta, ...]:
-        """The terms that drifted."""
-        return tuple(d for d in self.deltas if not d.ok)
-
-    def __getitem__(self, term: str) -> ParityDelta:
-        for delta in self.deltas:
-            if delta.term == term:
-                return delta
-        raise KeyError(term)
-
-    def format(self) -> str:
-        """One line per term; drifted terms flagged with ``MISMATCH``."""
-        lines = []
-        for d in self.deltas:
-            flag = "ok      " if d.ok else "MISMATCH"
-            lines.append(
-                f"{flag} {d.kind:<10} {d.term:<10} "
-                f"incremental={d.incremental:.12g} reference={d.reference:.12g} "
-                f"delta={d.delta:+.3g}"
-            )
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -187,7 +105,8 @@ class IncrementalEvaluator:
         :class:`~repro.objectives.evaluator.PopulationEvaluator`.
     downtime_mode, per_server_operating, include_assignment, qos_strict:
         Evaluation options, mirroring the reference evaluator so
-        :meth:`verify` can assert parity under any configuration.
+        :func:`repro.verify.check_parity` can compare them under any
+        configuration.
     """
 
     def __init__(
@@ -679,7 +598,7 @@ class IncrementalEvaluator:
         return self._score_of(d, vm)
 
     # ------------------------------------------------------------------
-    # Parity escape hatch
+    # Parity surface (compared by repro.verify.check_parity)
     # ------------------------------------------------------------------
     def reference_evaluator(self):
         """A from-scratch evaluator configured identically."""
@@ -694,12 +613,6 @@ class IncrementalEvaluator:
             qos_strict=self.qos_strict,
             energy_weight=self.energy_weight,
         )
-
-    def _objective_terms(self) -> tuple[str, ...]:
-        """Objective terms in effect ("energy" only when priced)."""
-        if self.energy_weight > 0.0:
-            return OBJECTIVE_TERMS + ("energy",)
-        return OBJECTIVE_TERMS
 
     def component_totals(self) -> dict[str, float]:
         """The tracked per-term state: the four constraint components
@@ -718,81 +631,6 @@ class IncrementalEvaluator:
         if self.energy_weight > 0.0:
             totals["energy"] = float(self._energy_total)
         return totals
-
-    def reference_components(self) -> dict[str, float]:
-        """The same terms recomputed from scratch by the reference
-        :class:`~repro.objectives.evaluator.PopulationEvaluator`."""
-        evaluator = self.reference_evaluator()
-        assignment = self.assignment
-        constraints = evaluator.constraints
-        load_cap = (
-            float(constraints.load_cap.violations(assignment))
-            if constraints.load_cap is not None
-            else 0.0
-        )
-        reference = {
-            "capacity": float(constraints.capacity.violations(assignment)),
-            "group": float(
-                sum(c.violations(assignment) for c in constraints.group_constraints)
-            ),
-            "load_cap": load_cap,
-            "unplaced": float(np.count_nonzero(assignment == UNPLACED)),
-            "usage_cost": float(evaluator.usage_cost.value(assignment)),
-            "downtime": float(evaluator.downtime.value(assignment)),
-            "migration": float(evaluator.migration.value(assignment)),
-        }
-        if self.energy_weight > 0.0:
-            reference["energy"] = float(evaluator.energy.value(assignment))
-        return reference
-
-    def verify(
-        self, *, rtol: float = 1e-9, atol: float = 1e-9, strict: bool = True
-    ) -> ParityReport:
-        """Check parity against a full from-scratch evaluation.
-
-        Constraint components must match exactly; objective terms to
-        within float re-association noise (``rtol``/``atol``).  Returns
-        the structured :class:`ParityReport`; with ``strict=True`` (the
-        default) a drifted report additionally raises
-        :class:`ParityError` carrying the report.
-        """
-        incremental = self.component_totals()
-        reference = self.reference_components()
-        deltas = []
-        for term in CONSTRAINT_TERMS:
-            deltas.append(
-                ParityDelta(
-                    term=term,
-                    kind="constraint",
-                    incremental=incremental[term],
-                    reference=reference[term],
-                    ok=incremental[term] == reference[term],
-                )
-            )
-        for term in self._objective_terms():
-            deltas.append(
-                ParityDelta(
-                    term=term,
-                    kind="objective",
-                    incremental=incremental[term],
-                    reference=reference[term],
-                    ok=bool(
-                        np.isclose(
-                            incremental[term], reference[term], rtol=rtol, atol=atol
-                        )
-                    ),
-                )
-            )
-        report = ParityReport(deltas=tuple(deltas), rtol=rtol, atol=atol)
-        registry = get_registry()
-        registry.count("engine.delta.verifications")
-        if not report.ok:
-            registry.count("engine.delta.parity_failures")
-            if strict:
-                raise ParityError(
-                    "incremental/full parity drift:\n" + report.format(), report
-                )
-        return report
 
     # ------------------------------------------------------------------
     def flush_telemetry(self) -> None:

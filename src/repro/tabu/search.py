@@ -67,9 +67,6 @@ class TabuSearch:
         Optional pre-compiled instance (compiled on demand otherwise);
         pass it when the caller already holds one so the compilation is
         shared.
-    verify_interval:
-        When > 0, assert delta/full parity every that many iterations
-        (the :meth:`IncrementalEvaluator.verify` escape hatch).
     """
 
     def __init__(
@@ -80,7 +77,6 @@ class TabuSearch:
         tenure: int = 32,
         seed=None,
         compiled: CompiledProblem | None = None,
-        verify_interval: int = 0,
     ) -> None:
         if max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
@@ -93,7 +89,6 @@ class TabuSearch:
         self.max_iterations = int(max_iterations)
         self.neighborhood_size = int(neighborhood_size)
         self.tenure = int(tenure)
-        self.verify_interval = int(verify_interval)
         self._rng = as_generator(seed)
 
     # ------------------------------------------------------------------
@@ -217,8 +212,6 @@ class TabuRun:
         if self.current_score < self.best_score:
             self.best_score = self.current_score
             self.best = state.assignment.copy()
-        if search.verify_interval and iterations % search.verify_interval == 0:
-            state.verify()
         if self._bus.enabled:
             self._bus.emit(
                 search._iteration_event(

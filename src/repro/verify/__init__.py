@@ -12,6 +12,8 @@ way.  This package is that guarantee, in three layers:
   placement through the reference evaluator, the incremental move
   path, the sparse ILP encoding + LP relaxation bound and (on small
   instances) the complete CP search, with per-term mismatch diagnoses;
+  its :func:`check_parity` is the one incremental-vs-reference
+  comparison;
 * :mod:`repro.verify.metamorphic` + :mod:`repro.verify.fuzzer` —
   transformation laws with provable consequences, driven over seeded
   random scenarios (``python -m repro verify --fuzz N``);
@@ -19,11 +21,12 @@ way.  This package is that guarantee, in three layers:
   dynamic scenario registry: batch-permutation evaluation equivalence,
   integral time-shift invariance, drain-then-fail equivalence
   (``python -m repro verify --scenario NAME``);
-* :mod:`repro.verify.checks` — the contract registry behind
+* :mod:`repro.verify.checks` — the one result type, :class:`Report`
+  of typed :class:`Mismatch` records, which every layer above except
+  the invariant catalog returns, and the contract registry behind
   ``python -m repro verify --check NAME[=ARG]``.  :data:`CHECKS` maps
   each name to a function that runs the real thing twice, compares
-  shape then bytes, and returns one :class:`Report` of typed
-  :class:`Mismatch` records:
+  shape then bytes, and returns one :class:`Report`:
 
   - ``kernels`` (:mod:`~repro.verify.kernels`) — the numpy kernel
     bitwise-equal to the reference on fuzzed and edge-case instances;
@@ -55,12 +58,11 @@ from repro.verify.anytime import check_anytime_conformance
 from repro.verify.dynamic import (
     DYNAMIC_LAWS,
     DrainFailEquivalenceLaw,
-    DynamicReport,
     TimeShiftLaw,
     WindowPermutationLaw,
     check_dynamic_laws,
 )
-from repro.verify.fuzzer import FuzzConfig, FuzzFailure, FuzzReport, run_fuzz
+from repro.verify.fuzzer import FuzzConfig, run_fuzz
 from repro.verify.kernels import check_kernel_conformance
 from repro.verify.invariants import (
     CheckContext,
@@ -76,17 +78,11 @@ from repro.verify.metamorphic import (
     CapacityInflationLaw,
     CostScalingLaw,
     DuplicateRequestIdempotenceLaw,
-    LawViolation,
     MetamorphicLaw,
     ServerPermutationLaw,
     run_laws,
 )
-from repro.verify.oracle import (
-    DifferentialOracle,
-    OracleMismatch,
-    OracleReport,
-    TermDelta,
-)
+from repro.verify.oracle import DifferentialOracle, check_parity
 from repro.verify.parallel import check_parallel_determinism
 from repro.verify.resume import check_resume_determinism
 from repro.verify.service import check_service_conformance
@@ -111,9 +107,7 @@ __all__ = [
     "run_invariants",
     # oracle
     "DifferentialOracle",
-    "OracleMismatch",
-    "OracleReport",
-    "TermDelta",
+    "check_parity",
     # metamorphic
     "ALL_LAWS",
     "MetamorphicLaw",
@@ -121,18 +115,14 @@ __all__ = [
     "CapacityInflationLaw",
     "CostScalingLaw",
     "DuplicateRequestIdempotenceLaw",
-    "LawViolation",
     "run_laws",
     # dynamic (stream-level) laws
     "DYNAMIC_LAWS",
     "DrainFailEquivalenceLaw",
-    "DynamicReport",
     "TimeShiftLaw",
     "WindowPermutationLaw",
     "check_dynamic_laws",
     # fuzzing
     "FuzzConfig",
-    "FuzzFailure",
-    "FuzzReport",
     "run_fuzz",
 ]

@@ -1,4 +1,4 @@
-"""One report type and one registry for the ``verify --check`` contracts.
+"""One report type for ``repro.verify`` and one registry for ``verify --check``.
 
 Every subsystem ships a byte-identity contract — the kernel layer, the
 market layer, the anytime portfolio, kill-and-resume, serial-vs-parallel
@@ -7,6 +7,10 @@ real thing twice and compare what came out.  They all report through
 :class:`Report`, so a mismatch reads the same whichever contract broke,
 and they all count into three telemetry series labelled by check name:
 ``verify.checks``, ``verify.comparisons`` and ``verify.mismatches``.
+The differential oracle (``oracle``, ``parity``), the metamorphic laws
+(``metamorphic``, ``dynamic``) and the fuzz campaign (``fuzz``) report
+and count the same way; only the invariant catalog keeps its own
+report type.
 
 :data:`CHECKS` maps each ``python -m repro verify --check NAME`` name to
 its function.  A check function takes ``seed=`` (plus, for ``parallel``
@@ -89,6 +93,20 @@ class Report:
         """Record a mismatch (counted as a comparison only via :meth:`note`)."""
         get_registry().count("verify.mismatches", check=self.check)
         self.mismatches.append(Mismatch(where, field_name, message))
+
+    def merge(self, other: "Report", where: str) -> None:
+        """Fold a finished sub-check in: its comparisons (also tallied in
+        ``stats[other.check]``) and its mismatches, prefixed with ``where``.
+
+        ``other`` counted both into telemetry under its own check label,
+        so nothing is counted again.
+        """
+        self.comparisons += other.comparisons
+        self.stats[other.check] = self.stats.get(other.check, 0) + other.comparisons
+        self.mismatches.extend(
+            Mismatch(f"{where}, {m.where}", m.field, m.message)
+            for m in other.mismatches
+        )
 
     def format(self) -> str:
         """The check, its counts and stats, then one line per mismatch."""

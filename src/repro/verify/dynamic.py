@@ -27,15 +27,15 @@ half-applied permutation — so the regression suite can prove the law
 would actually catch a violation (see
 ``tests/unit/test_scenario_metrics.py``).
 
-Counted into telemetry as ``verify.dynamic.checks`` /
-``verify.dynamic.violations`` per law.
+:func:`check_dynamic_laws` returns one ``dynamic``
+:class:`~repro.verify.checks.Report`; each mismatch names its law.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -43,8 +43,8 @@ from repro.allocator import Allocator
 from repro.errors import ValidationError
 from repro.scheduler.events import ServerFailureEvent
 from repro.scheduler.window import TimeWindowScheduler, WindowReport
-from repro.telemetry import get_registry
-from repro.verify.metamorphic import LawViolation, _evaluate
+from repro.verify.checks import Report
+from repro.verify.metamorphic import _evaluate
 from repro.workloads.scenarios import (
     CompiledScenario,
     DynamicScenarioSpec,
@@ -55,7 +55,6 @@ from repro.workloads.scenarios import (
 __all__ = [
     "DYNAMIC_LAWS",
     "DrainFailEquivalenceLaw",
-    "DynamicReport",
     "TimeShiftLaw",
     "WindowPermutationLaw",
     "check_dynamic_laws",
@@ -122,9 +121,11 @@ class DynamicLaw:
         self,
         compiled: CompiledScenario,
         allocator_factory: Callable[[], Allocator],
+        report: Report,
         inject: str | None = None,
-    ) -> list[LawViolation]:
-        """Apply the transformation and verify the relationship."""
+    ) -> None:
+        """Apply the transformation and note each consequence it must
+        keep in ``report``, under the law's name."""
         raise NotImplementedError
 
 
@@ -133,7 +134,7 @@ class WindowPermutationLaw(DynamicLaw):
 
     name = "window_permutation"
 
-    def check(self, compiled, allocator_factory, inject=None):
+    def check(self, compiled, allocator_factory, report, inject=None):
         """Check the law on one compiled scenario's densest window."""
         spec = compiled.spec
         # The arrivals of the first window holding at least two
@@ -185,32 +186,26 @@ class WindowPermutationLaw(DynamicLaw):
         after = _evaluate(
             compiled.infrastructure, permuted_requests, permuted_assignment
         )
-        out: list[LawViolation] = []
-        if not np.allclose(before[0], after[0], rtol=1e-9, atol=1e-9):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "objectives changed under batch-order permutation",
-                    {"before": before[0].tolist(), "after": after[0].tolist()},
-                )
-            )
-        if before[1] != after[1]:
-            out.append(
-                LawViolation(
-                    self.name,
-                    "violation breakdown changed under batch-order permutation",
-                    {"before": before[1], "after": after[1]},
-                )
-            )
-        if not np.array_equal(before[2][perm], after[2]):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "rejection mask did not permute with the batch",
-                    {},
-                )
-            )
-        return out
+        report.note(
+            np.allclose(before[0], after[0], rtol=1e-9, atol=1e-9),
+            self.name,
+            "objectives",
+            "objectives changed under batch-order permutation: "
+            f"{before[0].tolist()} -> {after[0].tolist()}",
+        )
+        report.note(
+            before[1] == after[1],
+            self.name,
+            "breakdown",
+            "violation breakdown changed under batch-order permutation: "
+            f"{before[1]} -> {after[1]}",
+        )
+        report.note(
+            np.array_equal(before[2][perm], after[2]),
+            self.name,
+            "rejections",
+            "rejection mask did not permute with the batch",
+        )
 
 
 class TimeShiftLaw(DynamicLaw):
@@ -221,7 +216,7 @@ class TimeShiftLaw(DynamicLaw):
     #: Windows to shift by (integral — the law's precondition).
     shift_windows: int = 2
 
-    def check(self, compiled, allocator_factory, inject=None):
+    def check(self, compiled, allocator_factory, report, inject=None):
         """Check the law by replaying the stream shifted in time."""
         spec = compiled.spec
         shift = self.shift_windows * spec.window_length
@@ -249,65 +244,49 @@ class TimeShiftLaw(DynamicLaw):
         base_reports, base_sched = _drive(compiled, allocator_factory())
         shift_reports, shift_sched = _drive(shifted, allocator_factory())
 
-        out: list[LawViolation] = []
-        for report in shift_reports[:offset]:
-            if any(
-                (
-                    report.arrivals,
-                    report.accepted,
-                    report.rejected,
-                    report.departures,
-                    report.displaced,
-                    report.failures,
-                    report.drains,
-                )
-            ):
-                out.append(
-                    LawViolation(
-                        self.name,
-                        f"leading window {report.window_index} of the "
-                        "shifted run was not idle",
-                        {"decisions": _decisions(report)},
+        for window in shift_reports[:offset]:
+            report.note(
+                not any(
+                    (
+                        window.arrivals,
+                        window.accepted,
+                        window.rejected,
+                        window.departures,
+                        window.displaced,
+                        window.failures,
+                        window.drains,
                     )
-                )
-        if len(shift_reports) != len(base_reports) + offset:
-            out.append(
-                LawViolation(
-                    self.name,
-                    "shifted run closed a different number of windows",
-                    {
-                        "base": len(base_reports),
-                        "shifted": len(shift_reports),
-                        "offset": offset,
-                    },
-                )
+                ),
+                self.name,
+                "idle",
+                f"leading window {window.window_index} of the shifted run "
+                f"was not idle: {_decisions(window)}",
             )
-        for index, base in enumerate(base_reports):
-            if index + offset >= len(shift_reports):
-                break
-            mirrored = shift_reports[index + offset]
-            if _decisions(base) != _decisions(mirrored):
-                out.append(
-                    LawViolation(
-                        self.name,
-                        f"window {index} decisions changed under a "
-                        f"{shift:g}-unit time shift",
-                        {
-                            "base": _decisions(base),
-                            "shifted": _decisions(mirrored),
-                        },
-                    )
-                )
-                break
-        if _ledger(base_sched) != _ledger(shift_sched):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "final platform ledger changed under time shift",
-                    {},
-                )
+        report.note(
+            len(shift_reports) == len(base_reports) + offset,
+            self.name,
+            "windows",
+            f"shifted run closed {len(shift_reports)} windows, expected "
+            f"{len(base_reports)} + {offset}",
+        )
+        mirrored = max(0, len(shift_reports) - offset)
+        for index, base in enumerate(base_reports[:mirrored]):
+            same = _decisions(base) == _decisions(shift_reports[index + offset])
+            report.note(
+                same,
+                self.name,
+                "decisions",
+                f"window {index} decisions changed under a {shift:g}-unit "
+                "time shift",
             )
-        return out
+            if not same:
+                break
+        report.note(
+            _ledger(base_sched) == _ledger(shift_sched),
+            self.name,
+            "ledger",
+            "final platform ledger changed under time shift",
+        )
 
 
 class DrainFailEquivalenceLaw(DynamicLaw):
@@ -315,7 +294,7 @@ class DrainFailEquivalenceLaw(DynamicLaw):
 
     name = "drain_fail_equivalence"
 
-    def check(self, compiled, allocator_factory, inject=None):
+    def check(self, compiled, allocator_factory, report, inject=None):
         """Check the law by relabelling every drain as a crash."""
         spec = compiled.spec
         if not compiled.drains:
@@ -343,59 +322,44 @@ class DrainFailEquivalenceLaw(DynamicLaw):
         drain_reports, drain_sched = _drive(compiled, allocator_factory())
         crash_reports, crash_sched = _drive(relabelled, allocator_factory())
 
-        out: list[LawViolation] = []
-        if len(drain_reports) != len(crash_reports):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "relabelled run closed a different number of windows",
-                    {
-                        "drain": len(drain_reports),
-                        "crash": len(crash_reports),
-                    },
-                )
-            )
+        report.note(
+            len(drain_reports) == len(crash_reports),
+            self.name,
+            "windows",
+            f"relabelled run closed {len(crash_reports)} windows, the drain "
+            f"run {len(drain_reports)}",
+        )
         for index, (a, b) in enumerate(zip(drain_reports, crash_reports)):
-            if _decisions(a) != _decisions(b):
-                out.append(
-                    LawViolation(
-                        self.name,
-                        f"window {index} decisions changed when drains were "
-                        "relabelled as failures",
-                        {"drain": _decisions(a), "crash": _decisions(b)},
-                    )
-                )
-                break
-            if sorted(b.drains) != [] or sorted(
-                [*a.failures, *a.drains]
-            ) != sorted(b.failures):
-                out.append(
-                    LawViolation(
-                        self.name,
-                        f"window {index} outage classification did not swap "
-                        "drains for failures",
-                        {
-                            "drain_run": {
-                                "failures": list(a.failures),
-                                "drains": list(a.drains),
-                            },
-                            "crash_run": {
-                                "failures": list(b.failures),
-                                "drains": list(b.drains),
-                            },
-                        },
-                    )
-                )
-                break
-        if _ledger(drain_sched) != _ledger(crash_sched):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "final platform ledger changed under drain relabelling",
-                    {},
-                )
+            same = _decisions(a) == _decisions(b)
+            report.note(
+                same,
+                self.name,
+                "decisions",
+                f"window {index} decisions changed when drains were relabelled "
+                "as failures",
             )
-        return out
+            if not same:
+                break
+            swapped = not b.drains and sorted([*a.failures, *a.drains]) == sorted(
+                b.failures
+            )
+            report.note(
+                swapped,
+                self.name,
+                "outages",
+                f"window {index} outage classification did not swap drains for "
+                f"failures: drain run failures={list(a.failures)} "
+                f"drains={list(a.drains)}, crash run failures={list(b.failures)} "
+                f"drains={list(b.drains)}",
+            )
+            if not swapped:
+                break
+        report.note(
+            _ledger(drain_sched) == _ledger(crash_sched),
+            self.name,
+            "ledger",
+            "final platform ledger changed under drain relabelling",
+        )
 
 
 #: The built-in dynamic laws, in documentation order.
@@ -406,44 +370,18 @@ DYNAMIC_LAWS: tuple[DynamicLaw, ...] = (
 )
 
 
-@dataclass
-class DynamicReport:
-    """Outcome of one dynamic-law check over one scenario."""
-
-    scenario: str
-    seed: int | None
-    checks: int = 0
-    violations: list[LawViolation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every law held."""
-        return not self.violations
-
-    def format(self) -> str:
-        """Summary plus every violation."""
-        status = "ok" if self.ok else "FAILED"
-        lines = [
-            f"verify dynamic [{self.scenario}, seed={self.seed}]: "
-            f"{self.checks} law check(s), "
-            f"{len(self.violations)} violation(s) — {status}"
-        ]
-        lines.extend(f"  {violation}" for violation in self.violations)
-        return "\n".join(lines)
-
-
 def check_dynamic_laws(
     scenario: DynamicScenarioSpec | str = "steady_churn",
     seed: int = 0,
     *,
     allocator_factory: Callable[[], Allocator] | None = None,
-    laws: Sequence[DynamicLaw] | None = None,
     inject: str | None = None,
-) -> DynamicReport:
+) -> Report:
     """Run every dynamic law against one compiled scenario.
 
-    ``inject`` deliberately breaks the matching law's transformation
-    (``"shift_misalign"``, ``"drain_drop"``,
+    Returns one ``dynamic`` :class:`Report`; ``stats["laws"]`` counts
+    the laws run.  ``inject`` deliberately breaks the matching law's
+    transformation (``"shift_misalign"``, ``"drain_drop"``,
     ``"permute_requests_only"``) — the report must then come back
     non-ok, which the regression suite uses to prove each law has
     teeth.
@@ -452,15 +390,11 @@ def check_dynamic_laws(
         scenario = get_scenario(scenario)
     factory = allocator_factory or _default_allocator
     compiled = compile_scenario(scenario, seed=seed)
-    report = DynamicReport(scenario=scenario.name, seed=seed)
-    registry = get_registry()
-    for law in laws if laws is not None else DYNAMIC_LAWS:
-        found = law.check(compiled, factory, inject=inject)
-        report.checks += 1
-        registry.count("verify.dynamic.checks", law=law.name)
-        if found:
-            registry.count(
-                "verify.dynamic.violations", len(found), law=law.name
-            )
-            report.violations.extend(found)
+    report = Report(
+        "dynamic",
+        f"{scenario.name} seed={seed}",
+        stats={"laws": len(DYNAMIC_LAWS)},
+    )
+    for law in DYNAMIC_LAWS:
+        law.check(compiled, factory, report, inject=inject)
     return report

@@ -16,9 +16,11 @@ drawn per scenario), then drives the three conformance layers:
    all four transformation laws.
 
 Everything is derived from one seed, so a failing iteration is
-reproducible from the ``(seed, index)`` pair printed in its failure
-record.  ``python -m repro verify --fuzz N --seed S`` is a thin shell
-around :func:`run_fuzz`.
+reproducible from the ``(seed, index)`` pair and size that prefix each
+of its mismatches.  The campaign returns one ``fuzz``
+:class:`~repro.verify.checks.Report` folding in every layer's report.
+``python -m repro verify --fuzz N --seed S`` is a thin shell around
+:func:`run_fuzz`.
 """
 
 from __future__ import annotations
@@ -32,13 +34,16 @@ from repro.allocator import Allocator
 from repro.engine import CompiledProblem
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
-from repro.telemetry import get_registry
+from repro.verify.checks import Mismatch, Report
 from repro.verify.invariants import CheckContext, run_invariants
-from repro.verify.metamorphic import ALL_LAWS, run_laws
+from repro.verify.metamorphic import run_laws
 from repro.verify.oracle import DifferentialOracle
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
-__all__ = ["FuzzConfig", "FuzzFailure", "FuzzReport", "run_fuzz"]
+__all__ = ["FuzzConfig", "run_fuzz"]
+
+#: Oracle parity checkpoint cadence along each replay walk.
+_CHECKPOINT_EVERY = 40
 
 
 def _default_allocator() -> Allocator:
@@ -61,8 +66,6 @@ class FuzzConfig:
         (servers, vms) pairs cycled across iterations.
     walk_detours:
         Random intermediate moves per VM in the oracle's replay walk.
-    checkpoint_every:
-        Oracle parity checkpoint cadence along the walk.
     allocator_factory:
         Builds the allocator whose outcomes feed the invariant and
         metamorphic layers.
@@ -81,66 +84,11 @@ class FuzzConfig:
     seed: int = 0
     sizes: tuple[tuple[int, int], ...] = ((4, 8), (8, 16), (16, 32))
     walk_detours: int = 2
-    checkpoint_every: int = 40
     allocator_factory: Callable[[], Allocator] = field(
         default=_default_allocator
     )
     perturb: tuple[str, float] | None = None
     dynamic_scenarios: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class FuzzFailure:
-    """One reproducible conformance failure."""
-
-    index: int
-    seed: int
-    servers: int
-    vms: int
-    stage: str  #: "oracle", "invariants", "metamorphic" or "dynamic"
-    message: str
-
-    def __str__(self) -> str:
-        return (
-            f"scenario {self.index} (seed={self.seed}, "
-            f"{self.servers}x{self.vms}) {self.stage}:\n{self.message}"
-        )
-
-
-@dataclass
-class FuzzReport:
-    """Outcome of one :func:`run_fuzz` campaign."""
-
-    config: FuzzConfig
-    scenarios_run: int = 0
-    oracle_checks: int = 0
-    invariant_checks: int = 0
-    law_checks: int = 0
-    dynamic_checks: int = 0
-    failures: list[FuzzFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether the campaign found nothing."""
-        return not self.failures
-
-    def format(self) -> str:
-        """Campaign summary plus every failure's diagnosis."""
-        dynamic = (
-            f"{self.dynamic_checks} dynamic-law checks, "
-            if self.dynamic_checks
-            else ""
-        )
-        lines = [
-            f"verify: {self.scenarios_run} scenario(s), "
-            f"{self.oracle_checks} oracle checks, "
-            f"{self.invariant_checks} invariant checks, "
-            f"{self.law_checks} metamorphic checks, "
-            f"{dynamic}"
-            f"{len(self.failures)} failure(s)"
-        ]
-        lines.extend(str(f) for f in self.failures)
-        return "\n".join(lines)
 
 
 def _random_spec(
@@ -156,34 +104,30 @@ def _random_spec(
     )
 
 
-def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
-    """Run one fuzzing campaign; see the module docstring for shape."""
+def run_fuzz(config: FuzzConfig | None = None) -> Report:
+    """Run one fuzzing campaign; see the module docstring for shape.
+
+    Every layer's comparisons and mismatches fold into the returned
+    ``fuzz`` report, each mismatch prefixed with its scenario's index,
+    seed and size; ``stats`` counts the scenarios run, the invariant
+    checkers that ran and each layer's comparisons.
+    """
     config = config or FuzzConfig()
-    report = FuzzReport(config=config)
-    registry = get_registry()
+    report = Report(
+        "fuzz", f"seed={config.seed}", stats={"scenarios": 0, "invariants": 0}
+    )
     master = np.random.SeedSequence(config.seed)
 
     for index, child in enumerate(master.spawn(config.scenarios)):
         rng = np.random.default_rng(child)
         servers, vms = config.sizes[index % len(config.sizes)]
+        where = f"scenario {index} (seed={config.seed}, {servers}x{vms})"
         spec = _random_spec(rng, servers, vms)
         scenario = ScenarioGenerator(
             spec, seed=np.random.default_rng(child.spawn(1)[0])
         ).generate()
         merged, owner = Request.concatenate(scenario.requests)
         compiled = CompiledProblem.compile(scenario.infrastructure, merged)
-
-        def fail(stage: str, message: str) -> None:
-            report.failures.append(
-                FuzzFailure(
-                    index=index,
-                    seed=config.seed,
-                    servers=servers,
-                    vms=vms,
-                    stage=stage,
-                    message=message,
-                )
-            )
 
         # 1. Differential oracle over a random target assignment (some
         # genes deliberately unplaced) reached through a move walk.
@@ -204,15 +148,15 @@ def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
             compiled=compiled,
             perturb=config.perturb,
         )
-        oracle_report = oracle.replay(
-            target,
-            seed=rng,
-            detours=config.walk_detours,
-            checkpoint_every=config.checkpoint_every,
+        report.merge(
+            oracle.replay(
+                target,
+                seed=rng,
+                detours=config.walk_detours,
+                checkpoint_every=_CHECKPOINT_EVERY,
+            ),
+            f"{where} oracle",
         )
-        report.oracle_checks += oracle_report.checks
-        if not oracle_report.ok:
-            fail("oracle", oracle_report.format())
 
         # 2. A real allocator's outcome must satisfy every invariant.
         allocator = config.allocator_factory()
@@ -228,9 +172,12 @@ def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
             outcome=outcome,
         )
         invariant_report = run_invariants(ctx)
-        report.invariant_checks += len(invariant_report.checked)
-        if not invariant_report.ok:
-            fail("invariants", invariant_report.format())
+        report.stats["invariants"] += len(invariant_report.checked)
+        # run_invariants counted these under verify.invariants.*.
+        report.mismatches.extend(
+            Mismatch(f"{where} invariants", v.invariant, v.message)
+            for v in invariant_report.violations
+        )
 
         # 2b. Fully placed outcomes also go through the oracle with the
         # default scoring modes, where the LP relaxation bound and the
@@ -242,30 +189,27 @@ def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
                 compiled=compiled,
                 perturb=config.perturb,
             )
-            outcome_report = outcome_oracle.replay(
-                outcome.assignment,
-                seed=rng,
-                detours=config.walk_detours,
-                checkpoint_every=config.checkpoint_every,
+            report.merge(
+                outcome_oracle.replay(
+                    outcome.assignment,
+                    seed=rng,
+                    detours=config.walk_detours,
+                    checkpoint_every=_CHECKPOINT_EVERY,
+                ),
+                f"{where} oracle",
             )
-            report.oracle_checks += outcome_report.checks
-            if not outcome_report.ok:
-                fail("oracle", outcome_report.format())
 
         # 3. Metamorphic laws over that same placement.
-        law_violations = run_laws(
-            scenario.infrastructure,
-            scenario.requests,
-            outcome.assignment,
-            rng=rng,
-            previous_assignment=previous,
+        report.merge(
+            run_laws(
+                scenario.infrastructure,
+                scenario.requests,
+                outcome.assignment,
+                rng=rng,
+                previous_assignment=previous,
+            ),
+            f"{where} metamorphic",
         )
-        report.law_checks += len(ALL_LAWS)
-        if law_violations:
-            fail(
-                "metamorphic",
-                "\n".join(str(v) for v in law_violations),
-            )
 
         # 4. Optional dynamic stage: compile one registered scenario at
         # an iteration-derived seed and check the stream-level laws.
@@ -275,17 +219,15 @@ def run_fuzz(config: FuzzConfig | None = None) -> FuzzReport:
             name = config.dynamic_scenarios[
                 index % len(config.dynamic_scenarios)
             ]
-            dynamic_report = check_dynamic_laws(
-                name,
-                seed=int(rng.integers(2**31)),
-                allocator_factory=config.allocator_factory,
+            dynamic_seed = int(rng.integers(2**31))
+            report.merge(
+                check_dynamic_laws(
+                    name,
+                    seed=dynamic_seed,
+                    allocator_factory=config.allocator_factory,
+                ),
+                f"{where} dynamic {name} seed={dynamic_seed}",
             )
-            report.dynamic_checks += dynamic_report.checks
-            if not dynamic_report.ok:
-                fail("dynamic", dynamic_report.format())
 
-        report.scenarios_run += 1
-        registry.count("verify.fuzz.scenarios")
-
-    registry.count("verify.fuzz.failures", len(report.failures))
+        report.stats["scenarios"] += 1
     return report

@@ -19,13 +19,19 @@ This module states the rules as small, independently runnable
 * ``objective_finiteness`` — the reported objective vector is finite
   and non-negative;
 * ``pareto_front_non_domination`` — a reported front is mutually
-  non-dominated.
+  non-dominated;
+* ``energy_bound``, ``provider_capacity_closure``,
+  ``preference_selection_consistency`` and
+  ``brokered_front_non_domination`` — the energy term and the market
+  layer's rules (see ``docs/VERIFY.md``).
 
 Checkers receive a :class:`CheckContext` and *skip* (rather than fail)
 when the context lacks what they need, so one ``run_invariants`` call
-works for a bare genome, a full outcome, or a Pareto front.  Register
-additional invariants with :func:`register_invariant`; see
-``docs/VERIFY.md`` for the catalog and extension guide.
+works for a bare genome, a full outcome, or a Pareto front.  A checker
+that skips returns ``None`` and is left out of the report's
+``checked``.  Register additional invariants with
+:func:`register_invariant`; see ``docs/VERIFY.md`` for the catalog and
+extension guide.
 """
 
 from __future__ import annotations
@@ -68,8 +74,9 @@ class InvariantViolation:
 class InvariantReport:
     """Outcome of one :func:`run_invariants` sweep.
 
-    ``checked`` lists the invariants that actually ran (checkers with
-    missing context skip silently); ``violations`` the failures.
+    ``checked`` lists the invariants that actually compared something
+    (a checker whose context lacks what it needs returns ``None`` and
+    is left out); ``violations`` the failures.
     """
 
     checked: tuple[str, ...]
@@ -149,13 +156,19 @@ class CheckContext:
         return self.outcome.accepted[self.owner]
 
 
-_CHECKERS: dict[str, Callable[[CheckContext], list[InvariantViolation]]] = {}
+_Checker = Callable[[CheckContext], list[InvariantViolation] | None]
+_CHECKERS: dict[str, _Checker] = {}
 
 
 def register_invariant(name: str):
-    """Decorator adding a checker to the catalog under ``name``."""
+    """Decorator adding a checker to the catalog under ``name``.
 
-    def wrap(fn: Callable[[CheckContext], list[InvariantViolation]]):
+    The checker returns its violations (an empty list when the
+    invariant holds), or ``None`` when the context lacks what it needs
+    and it compared nothing.
+    """
+
+    def wrap(fn: _Checker):
         _CHECKERS[name] = fn
         return fn
 
@@ -171,9 +184,9 @@ def invariant_names() -> tuple[str, ...]:
 # The built-in catalog
 # ----------------------------------------------------------------------
 @register_invariant("assignment_well_formed")
-def _assignment_well_formed(ctx: CheckContext) -> list[InvariantViolation]:
+def _assignment_well_formed(ctx: CheckContext) -> list[InvariantViolation] | None:
     if ctx.assignment is None:
-        return []
+        return None
     out: list[InvariantViolation] = []
     assignment = np.asarray(ctx.assignment, dtype=np.int64)
     m = ctx.infrastructure.m
@@ -203,9 +216,9 @@ def _assignment_well_formed(ctx: CheckContext) -> list[InvariantViolation]:
 
 
 @register_invariant("capacity_respected")
-def _capacity_respected(ctx: CheckContext) -> list[InvariantViolation]:
+def _capacity_respected(ctx: CheckContext) -> list[InvariantViolation] | None:
     if ctx.assignment is None or ctx.merged is None:
-        return []
+        return None
     accepted = ctx.accepted_resources
     assignment = np.asarray(ctx.assignment, dtype=np.int64)
     demand = ctx.merged.demand
@@ -215,7 +228,7 @@ def _capacity_respected(ctx: CheckContext) -> list[InvariantViolation]:
         assignment = np.where(accepted, assignment, UNPLACED)
     elif ctx.outcome is None:
         # A bare genome may legitimately overload servers.
-        return []
+        return None
     usage = np.zeros((ctx.infrastructure.m, ctx.infrastructure.h))
     mask = assignment != UNPLACED
     # Deliberately np.add.at, NOT repro.utils.scatter: the invariant
@@ -243,11 +256,11 @@ def _capacity_respected(ctx: CheckContext) -> list[InvariantViolation]:
 
 
 @register_invariant("group_closure")
-def _group_closure(ctx: CheckContext) -> list[InvariantViolation]:
+def _group_closure(ctx: CheckContext) -> list[InvariantViolation] | None:
     if ctx.assignment is None or ctx.merged is None or ctx.outcome is None:
-        return []
+        return None
     if ctx.owner is None:
-        return []
+        return None
     from repro.constraints.registry import make_group_constraint
 
     out: list[InvariantViolation] = []
@@ -271,9 +284,9 @@ def _group_closure(ctx: CheckContext) -> list[InvariantViolation]:
 
 
 @register_invariant("accepted_closure")
-def _accepted_closure(ctx: CheckContext) -> list[InvariantViolation]:
+def _accepted_closure(ctx: CheckContext) -> list[InvariantViolation] | None:
     if ctx.outcome is None or ctx.merged is None or ctx.owner is None:
-        return []
+        return None
     from repro.constraints.registry import ConstraintSet
 
     cons = ConstraintSet(
@@ -299,9 +312,9 @@ def _accepted_closure(ctx: CheckContext) -> list[InvariantViolation]:
 
 
 @register_invariant("objective_finiteness")
-def _objective_finiteness(ctx: CheckContext) -> list[InvariantViolation]:
+def _objective_finiteness(ctx: CheckContext) -> list[InvariantViolation] | None:
     if ctx.objectives is None:
-        return []
+        return None
     objectives = np.asarray(ctx.objectives, dtype=np.float64)
     out: list[InvariantViolation] = []
     if not np.all(np.isfinite(objectives)):
@@ -324,9 +337,9 @@ def _objective_finiteness(ctx: CheckContext) -> list[InvariantViolation]:
 
 
 @register_invariant("energy_bound")
-def _energy_bound(ctx: CheckContext) -> list[InvariantViolation]:
+def _energy_bound(ctx: CheckContext) -> list[InvariantViolation] | None:
     if ctx.assignment is None or ctx.merged is None:
-        return []
+        return None
     from repro.objectives.energy import EnergyCost
 
     cost = EnergyCost(
@@ -372,12 +385,12 @@ def _energy_bound(ctx: CheckContext) -> list[InvariantViolation]:
 
 
 @register_invariant("pareto_front_non_domination")
-def _pareto_front_non_domination(ctx: CheckContext) -> list[InvariantViolation]:
+def _pareto_front_non_domination(ctx: CheckContext) -> list[InvariantViolation] | None:
     if ctx.front_objectives is None:
-        return []
+        return None
     front = np.asarray(ctx.front_objectives, dtype=np.float64)
     if front.ndim != 2 or front.shape[0] < 2:
-        return []
+        return None
     dom = dominance_matrix(front)
     if np.any(dom):
         i, j = np.nonzero(dom)
@@ -392,17 +405,17 @@ def _pareto_front_non_domination(ctx: CheckContext) -> list[InvariantViolation]:
 
 
 @register_invariant("provider_capacity_closure")
-def _provider_capacity_closure(ctx: CheckContext) -> list[InvariantViolation]:
+def _provider_capacity_closure(ctx: CheckContext) -> list[InvariantViolation] | None:
     if ctx.assignment is None or ctx.merged is None:
-        return []
+        return None
     if ctx.infrastructure.p < 2:
-        return []  # single-provider estates have nothing extra to close
+        return None  # single-provider estates have nothing extra to close
     assignment = np.asarray(ctx.assignment, dtype=np.int64)
     accepted = ctx.accepted_resources
     if accepted is not None:
         assignment = np.where(accepted, assignment, UNPLACED)
     elif ctx.outcome is None:
-        return []
+        return None
     provider = ctx.infrastructure.provider_of_server
     usage = np.zeros((ctx.infrastructure.m, ctx.infrastructure.h))
     mask = assignment != UNPLACED
@@ -434,12 +447,12 @@ def _provider_capacity_closure(ctx: CheckContext) -> list[InvariantViolation]:
 @register_invariant("preference_selection_consistency")
 def _preference_selection_consistency(
     ctx: CheckContext,
-) -> list[InvariantViolation]:
+) -> list[InvariantViolation] | None:
     if ctx.front_objectives is None:
-        return []
+        return None
     front = np.asarray(ctx.front_objectives, dtype=np.float64)
     if front.ndim != 2 or front.shape[0] == 0:
-        return []
+        return None
     from repro.market.preferences import active_preference, select_index
 
     preference = active_preference()
@@ -489,9 +502,9 @@ def _preference_selection_consistency(
 
 
 @register_invariant("brokered_front_non_domination")
-def _brokered_front_non_domination(ctx: CheckContext) -> list[InvariantViolation]:
+def _brokered_front_non_domination(ctx: CheckContext) -> list[InvariantViolation] | None:
     if ctx.brokered is None:
-        return []
+        return None
     brokered = ctx.brokered
     out: list[InvariantViolation] = []
     front = np.asarray(brokered.front_objectives, dtype=np.float64)
@@ -538,15 +551,18 @@ def run_invariants(
 ) -> InvariantReport:
     """Run (a subset of) the catalog over one context.
 
-    Counts ``verify.invariants.checks`` / ``verify.invariants.violations``
-    into the telemetry registry, labelled by invariant name.
+    Only checkers that compared something (did not return ``None``)
+    are listed in ``checked`` and counted in ``verify.invariants.checks``;
+    ``verify.invariants.violations`` counts what they found.  Both are
+    labelled by invariant name.
     """
     registry = get_registry()
     checked: list[str] = []
     violations: list[InvariantViolation] = []
     for name in names if names is not None else _CHECKERS:
-        checker = _CHECKERS[name]
-        found = checker(ctx)
+        found = _CHECKERS[name](ctx)
+        if found is None:
+            continue
         checked.append(name)
         registry.count("verify.invariants.checks", invariant=name)
         if found:

@@ -26,12 +26,14 @@ Laws are checked end-to-end through the public evaluation machinery
 (:class:`~repro.objectives.evaluator.PopulationEvaluator`,
 :func:`~repro.allocator.per_request_rejections`), so they cover the
 same code every :class:`~repro.allocator.Allocator` reports through.
+:func:`run_laws` returns one ``metamorphic``
+:class:`~repro.verify.checks.Report`; each mismatch names its law.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -42,31 +44,18 @@ from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.objectives.evaluator import PopulationEvaluator
-from repro.telemetry import get_registry
 from repro.types import FloatArray, IntArray
+from repro.verify.checks import Report
 
 __all__ = [
     "ALL_LAWS",
     "CapacityInflationLaw",
     "CostScalingLaw",
     "DuplicateRequestIdempotenceLaw",
-    "LawViolation",
     "MetamorphicLaw",
     "ServerPermutationLaw",
     "run_laws",
 ]
-
-
-@dataclass(frozen=True)
-class LawViolation:
-    """One broken metamorphic relationship."""
-
-    law: str
-    message: str
-    details: dict = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        return f"[{self.law}] {self.message}"
 
 
 @dataclass(frozen=True)
@@ -119,9 +108,10 @@ class MetamorphicLaw(abc.ABC):
 
     @abc.abstractmethod
     def check(
-        self, ctx: LawContext, rng: np.random.Generator
-    ) -> list[LawViolation]:
-        """Apply the transformation and verify the relationship."""
+        self, ctx: LawContext, rng: np.random.Generator, report: Report
+    ) -> None:
+        """Apply the transformation and note each consequence it must
+        keep in ``report``, under the law's name."""
 
 
 class ServerPermutationLaw(MetamorphicLaw):
@@ -129,7 +119,7 @@ class ServerPermutationLaw(MetamorphicLaw):
 
     name = "server_permutation"
 
-    def check(self, ctx, rng):
+    def check(self, ctx, rng, report):
         """Check the law on one scenario; see :class:`MetamorphicLaw`."""
         infra = ctx.infrastructure
         perm = rng.permutation(infra.m)
@@ -165,32 +155,26 @@ class ServerPermutationLaw(MetamorphicLaw):
             infra, ctx.requests, assignment, ctx.base_usage, ctx.previous_assignment
         )
         after = _evaluate(permuted, ctx.requests, mapped, base, previous)
-        out: list[LawViolation] = []
-        if before[1] != after[1]:
-            out.append(
-                LawViolation(
-                    self.name,
-                    "violation breakdown changed under server relabeling",
-                    {"before": before[1], "after": after[1]},
-                )
-            )
-        if not np.allclose(before[0], after[0], rtol=1e-9, atol=1e-9):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "objective vector changed under server relabeling",
-                    {"before": before[0].tolist(), "after": after[0].tolist()},
-                )
-            )
-        if not np.array_equal(before[2], after[2]):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "rejection mask changed under server relabeling",
-                    {},
-                )
-            )
-        return out
+        report.note(
+            before[1] == after[1],
+            self.name,
+            "breakdown",
+            f"violation breakdown changed under server relabeling: "
+            f"{before[1]} -> {after[1]}",
+        )
+        report.note(
+            np.allclose(before[0], after[0], rtol=1e-9, atol=1e-9),
+            self.name,
+            "objectives",
+            f"objective vector changed under server relabeling: "
+            f"{before[0].tolist()} -> {after[0].tolist()}",
+        )
+        report.note(
+            np.array_equal(before[2], after[2]),
+            self.name,
+            "rejections",
+            "rejection mask changed under server relabeling",
+        )
 
 
 class CapacityInflationLaw(MetamorphicLaw):
@@ -198,7 +182,7 @@ class CapacityInflationLaw(MetamorphicLaw):
 
     name = "capacity_inflation"
 
-    def check(self, ctx, rng):
+    def check(self, ctx, rng, report):
         """Check the law on one scenario; see :class:`MetamorphicLaw`."""
         factor = float(rng.uniform(1.0, 2.0))
         infra = ctx.infrastructure
@@ -217,33 +201,28 @@ class CapacityInflationLaw(MetamorphicLaw):
             ctx.base_usage,
             ctx.previous_assignment,
         )
-        out: list[LawViolation] = []
-        if after[1].get("capacity", 0) > before[1].get("capacity", 0):
-            out.append(
-                LawViolation(
-                    self.name,
-                    f"capacity violations increased under x{factor:.3f} inflation",
-                    {"before": before[1], "after": after[1]},
-                )
-            )
-        if np.any(after[2] & ~before[2]):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "a previously accepted request became rejected after "
-                    f"x{factor:.3f} capacity inflation",
-                    {"requests": np.flatnonzero(after[2] & ~before[2]).tolist()},
-                )
-            )
-        if not np.isclose(after[0][0], before[0][0], rtol=1e-9):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "usage/operating cost depends on capacity (it must not)",
-                    {"before": before[0][0], "after": after[0][0]},
-                )
-            )
-        return out
+        report.note(
+            after[1].get("capacity", 0) <= before[1].get("capacity", 0),
+            self.name,
+            "capacity",
+            f"capacity violations increased under x{factor:.3f} inflation: "
+            f"{before[1]} -> {after[1]}",
+        )
+        newly_rejected = np.flatnonzero(after[2] & ~before[2])
+        report.note(
+            not newly_rejected.size,
+            self.name,
+            "rejections",
+            f"previously accepted requests {newly_rejected.tolist()} became "
+            f"rejected after x{factor:.3f} capacity inflation",
+        )
+        report.note(
+            np.isclose(after[0][0], before[0][0], rtol=1e-9),
+            self.name,
+            "usage_cost",
+            "usage/operating cost depends on capacity (it must not): "
+            f"{before[0][0]} -> {after[0][0]}",
+        )
 
 
 class CostScalingLaw(MetamorphicLaw):
@@ -251,7 +230,7 @@ class CostScalingLaw(MetamorphicLaw):
 
     name = "cost_scaling"
 
-    def check(self, ctx, rng):
+    def check(self, ctx, rng, report):
         """Check the law on one scenario; see :class:`MetamorphicLaw`."""
         factor = float(rng.uniform(0.25, 4.0))
         infra = ctx.infrastructure
@@ -274,32 +253,27 @@ class CostScalingLaw(MetamorphicLaw):
             ctx.base_usage,
             ctx.previous_assignment,
         )
-        out: list[LawViolation] = []
-        if not np.isclose(after[0][0], factor * before[0][0], rtol=1e-9, atol=1e-12):
-            out.append(
-                LawViolation(
-                    self.name,
-                    f"usage cost did not scale by x{factor:.3f}",
-                    {"before": before[0][0], "after": after[0][0]},
-                )
-            )
-        if not np.allclose(after[0][1:], before[0][1:], rtol=1e-9, atol=1e-12):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "downtime/migration objectives changed under cost scaling",
-                    {"before": before[0].tolist(), "after": after[0].tolist()},
-                )
-            )
-        if before[1] != after[1] or not np.array_equal(before[2], after[2]):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "violations or rejections changed under cost scaling",
-                    {"before": before[1], "after": after[1]},
-                )
-            )
-        return out
+        report.note(
+            np.isclose(after[0][0], factor * before[0][0], rtol=1e-9, atol=1e-12),
+            self.name,
+            "usage_cost",
+            f"usage cost did not scale by x{factor:.3f}: "
+            f"{before[0][0]} -> {after[0][0]}",
+        )
+        report.note(
+            np.allclose(after[0][1:], before[0][1:], rtol=1e-9, atol=1e-12),
+            self.name,
+            "objectives",
+            "downtime/migration objectives changed under cost scaling: "
+            f"{before[0].tolist()} -> {after[0].tolist()}",
+        )
+        report.note(
+            before[1] == after[1] and np.array_equal(before[2], after[2]),
+            self.name,
+            "breakdown",
+            "violations or rejections changed under cost scaling: "
+            f"{before[1]} -> {after[1]}",
+        )
 
 
 class DuplicateRequestIdempotenceLaw(MetamorphicLaw):
@@ -307,7 +281,7 @@ class DuplicateRequestIdempotenceLaw(MetamorphicLaw):
 
     name = "duplicate_request_idempotence"
 
-    def check(self, ctx, rng):
+    def check(self, ctx, rng, report):
         """Check the law on one scenario; see :class:`MetamorphicLaw`."""
         requests = ctx.requests
         duplicated = (*requests, requests[int(rng.integers(0, len(requests)))])
@@ -336,45 +310,36 @@ class DuplicateRequestIdempotenceLaw(MetamorphicLaw):
         after = _evaluate(
             ctx.infrastructure, duplicated, extended, ctx.base_usage, previous
         )
-        out: list[LawViolation] = []
-        if not np.allclose(after[0], before[0], rtol=1e-9, atol=1e-12):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "objectives changed after appending an unplaced duplicate",
-                    {"before": before[0].tolist(), "after": after[0].tolist()},
-                )
-            )
+        report.note(
+            np.allclose(after[0], before[0], rtol=1e-9, atol=1e-12),
+            self.name,
+            "objectives",
+            "objectives changed after appending an unplaced duplicate: "
+            f"{before[0].tolist()} -> {after[0].tolist()}",
+        )
         before_breakdown = dict(before[1])
         after_breakdown = dict(after[1])
         before_breakdown.pop("assignment", None)
         after_breakdown.pop("assignment", None)
-        if before_breakdown != after_breakdown:
-            out.append(
-                LawViolation(
-                    self.name,
-                    "non-assignment violations changed after an unplaced "
-                    "duplicate request",
-                    {"before": before_breakdown, "after": after_breakdown},
-                )
-            )
-        if not np.array_equal(before[2], after[2][: len(requests)]):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "original requests' rejection decisions changed",
-                    {},
-                )
-            )
-        if not np.all(after[2][len(requests) :]):
-            out.append(
-                LawViolation(
-                    self.name,
-                    "an unplaced duplicate request was reported accepted",
-                    {},
-                )
-            )
-        return out
+        report.note(
+            before_breakdown == after_breakdown,
+            self.name,
+            "breakdown",
+            "non-assignment violations changed after an unplaced duplicate "
+            f"request: {before_breakdown} -> {after_breakdown}",
+        )
+        report.note(
+            np.array_equal(before[2], after[2][: len(requests)]),
+            self.name,
+            "rejections",
+            "original requests' rejection decisions changed",
+        )
+        report.note(
+            np.all(after[2][len(requests) :]),
+            self.name,
+            "duplicate",
+            "an unplaced duplicate request was reported accepted",
+        )
 
 
 #: The built-in laws, in documentation order.
@@ -395,11 +360,11 @@ def run_laws(
     base_usage: FloatArray | None = None,
     previous_assignment: IntArray | None = None,
     laws: Sequence[MetamorphicLaw] | None = None,
-) -> list[LawViolation]:
-    """Check every law against one placement; returns all violations.
+) -> Report:
+    """Check every law (or ``laws``) against one placement.
 
-    Counts ``verify.metamorphic.checks`` / ``verify.metamorphic.violations``
-    per law into the telemetry registry.
+    Returns one ``metamorphic`` :class:`Report`; each mismatch names its
+    law in ``where``, and ``stats["laws"]`` counts the laws run.
     """
     ctx = LawContext(
         infrastructure=infrastructure,
@@ -408,15 +373,13 @@ def run_laws(
         base_usage=base_usage,
         previous_assignment=previous_assignment,
     )
+    laws = ALL_LAWS if laws is None else laws
+    report = Report(
+        "metamorphic",
+        f"{infrastructure.m}x{ctx.assignment.size}",
+        stats={"laws": len(laws)},
+    )
     rng = rng or np.random.default_rng()
-    registry = get_registry()
-    violations: list[LawViolation] = []
-    for law in laws if laws is not None else ALL_LAWS:
-        found = law.check(ctx, rng)
-        registry.count("verify.metamorphic.checks", law=law.name)
-        if found:
-            registry.count(
-                "verify.metamorphic.violations", len(found), law=law.name
-            )
-            violations.extend(found)
-    return violations
+    for law in laws:
+        law.check(ctx, rng, report)
+    return report

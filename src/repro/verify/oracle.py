@@ -8,15 +8,19 @@ fast scorer every search layer now rides on), the sparse ILP encoding
 of Section III (and its LP relaxation bound), and — on small instances
 — the complete CP search.  They implement the same mathematics through
 entirely different code paths, which makes them ideal mutual oracles:
-any disagreement is a bug in one of them, and the per-term deltas say
-which term drifted.
+any disagreement is a bug in one of them, and the per-term mismatches
+say which term drifted.
 
-:class:`DifferentialOracle` runs those comparisons for one instance:
+:func:`check_parity` is the one incremental-vs-reference comparison:
+it recomputes an :class:`IncrementalEvaluator`'s tracked totals from
+scratch and compares them term by term.
+
+:class:`DifferentialOracle` runs the comparisons for one instance:
 
 * **incremental vs reference** — the target assignment is *reached by
   applying moves* (never by resetting), so the delta path itself is
-  exercised; per-term parity is asserted at checkpoints along the walk
-  and at the end via :meth:`IncrementalEvaluator.verify`;
+  exercised; :func:`check_parity` runs at checkpoints along the walk
+  and at its end;
 * **LP encoding vs constraint set** — a complete, constraint-feasible
   assignment must satisfy every row of the sparse ILP, and the LP
   relaxation optimum must lower-bound its usage/operating cost;
@@ -33,8 +37,6 @@ fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.engine import CompiledProblem
@@ -46,65 +48,87 @@ from repro.engine.incremental import (
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
-from repro.telemetry import get_registry
 from repro.types import FloatArray, IntArray
+from repro.verify.checks import Report
 
-__all__ = ["DifferentialOracle", "OracleMismatch", "OracleReport", "TermDelta"]
+__all__ = ["DifferentialOracle", "check_parity"]
 
-
-@dataclass(frozen=True)
-class TermDelta:
-    """One term compared between a candidate backend and the reference."""
-
-    term: str
-    reference: float
-    candidate: float
-
-    @property
-    def delta(self) -> float:
-        """Signed drift (candidate minus reference)."""
-        return self.candidate - self.reference
+#: Objective terms compare to float re-association noise; constraint
+#: counts compare exactly.
+_RTOL = 1e-9
+_ATOL = 1e-9
+#: Absolute slack on the LP/CP bounds, for the solvers' own tolerances.
+_BOUND_SLACK = 1e-6
+#: The CP cross-check runs only when ``n * m`` is at most this (the
+#: search is complete but exponential).
+_CP_MAX_VARIABLES = 400
 
 
-@dataclass(frozen=True)
-class OracleMismatch:
-    """One disagreement between two scoring backends."""
+def _reference_terms(evaluator, assignment: IntArray) -> dict[str, float]:
+    """Every term the incremental state tracks, recomputed from scratch
+    by ``evaluator`` (``energy`` only when it prices energy)."""
+    constraints = evaluator.constraints
+    load_cap = (
+        float(constraints.load_cap.violations(assignment))
+        if constraints.load_cap is not None
+        else 0.0
+    )
+    terms = {
+        "capacity": float(constraints.capacity.violations(assignment)),
+        "group": float(
+            sum(c.violations(assignment) for c in constraints.group_constraints)
+        ),
+        "load_cap": load_cap,
+        "unplaced": float(np.count_nonzero(assignment == UNPLACED)),
+        "usage_cost": float(evaluator.usage_cost.value(assignment)),
+        "downtime": float(evaluator.downtime.value(assignment)),
+        "migration": float(evaluator.migration.value(assignment)),
+    }
+    if evaluator.energy_weight > 0.0:
+        terms["energy"] = float(evaluator.energy.value(assignment))
+    return terms
 
-    backend: str  #: "incremental", "lp" or "cp"
-    kind: str  #: e.g. "objective", "constraint", "bound", "feasibility"
-    message: str
-    deltas: tuple[TermDelta, ...] = ()
 
-    def __str__(self) -> str:
-        lines = [f"[{self.backend}/{self.kind}] {self.message}"]
-        lines.extend(
-            f"    {d.term}: reference={d.reference:.12g} "
-            f"candidate={d.candidate:.12g} delta={d.delta:+.3g}"
-            for d in self.deltas
+def check_parity(
+    state: IncrementalEvaluator,
+    report: Report | None = None,
+    *,
+    where: str = "incremental",
+    perturb: tuple[str, float] | None = None,
+) -> Report:
+    """Compare ``state``'s tracked totals with a from-scratch evaluation.
+
+    The reference is ``state.reference_evaluator()``, configured like the
+    state, so ``energy`` is compared whenever the state prices it.
+    Constraint components must match exactly, objective terms to float
+    re-association noise; each term is one comparison, and a drifted
+    term's mismatch names it with both values.  Comparisons land in
+    ``report`` under ``where`` (the oracle's walk passes its own), else
+    in a new ``parity`` report.  ``perturb=(term, delta)`` shifts the
+    incremental total of ``term`` first: the fault injection proving
+    the comparison fires.
+    """
+    if report is None:
+        report = Report("parity", f"{state.compiled.m}x{state.compiled.n}")
+    candidate = state.component_totals()
+    if perturb is not None:
+        term, delta = perturb
+        candidate[term] += delta
+    reference = _reference_terms(state.reference_evaluator(), state.assignment)
+    for term, expected in reference.items():
+        actual = candidate[term]
+        if term in CONSTRAINT_TERMS:
+            ok = actual == expected
+        else:
+            ok = bool(np.isclose(actual, expected, rtol=_RTOL, atol=_ATOL))
+        report.note(
+            ok,
+            where,
+            term,
+            f"reference={expected:.12g} candidate={actual:.12g} "
+            f"delta={actual - expected:+.3g}",
         )
-        return "\n".join(lines)
-
-
-@dataclass
-class OracleReport:
-    """Everything one :meth:`DifferentialOracle.replay` call concluded."""
-
-    backends: tuple[str, ...] = ()
-    checks: int = 0
-    mismatches: list[OracleMismatch] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every backend agreed."""
-        return not self.mismatches
-
-    def format(self) -> str:
-        """Diagnosis text: backends consulted, then each mismatch."""
-        head = (
-            f"backends={','.join(self.backends)} checks={self.checks} "
-            f"mismatches={len(self.mismatches)}"
-        )
-        return "\n".join([head, *(str(m) for m in self.mismatches)])
+    return report
 
 
 class DifferentialOracle:
@@ -119,16 +143,6 @@ class DifferentialOracle:
         Evaluation options, forwarded to every backend identically.
     compiled:
         Optional shared compilation.
-    rtol, atol:
-        Objective-parity tolerances; bound checks add ``bound_slack``
-        absolute slack for LP/CP solver tolerances.
-    cp_max_variables:
-        CP cross-check only runs when ``n * m`` is at most this (the
-        search is complete but exponential).
-    cp_limits:
-        Budget for the CP cross-check (defaults are generous for the
-        small instances the gate admits; proofs are only trusted when
-        the search ran to completion).
     perturb:
         Optional ``(term, delta)`` fault injection into the incremental
         candidate — the oracle must then report a mismatch on ``term``.
@@ -145,11 +159,6 @@ class DifferentialOracle:
         per_server_operating: bool = False,
         qos_strict: bool = False,
         compiled: CompiledProblem | None = None,
-        rtol: float = 1e-9,
-        atol: float = 1e-9,
-        bound_slack: float = 1e-6,
-        cp_max_variables: int = 400,
-        cp_limits=None,
         perturb: tuple[str, float] | None = None,
     ) -> None:
         self.infrastructure = infrastructure
@@ -160,11 +169,6 @@ class DifferentialOracle:
         self.per_server_operating = bool(per_server_operating)
         self.qos_strict = bool(qos_strict)
         self.compiled = compiled or CompiledProblem.compile(infrastructure, request)
-        self.rtol = float(rtol)
-        self.atol = float(atol)
-        self.bound_slack = float(bound_slack)
-        self.cp_max_variables = int(cp_max_variables)
-        self.cp_limits = cp_limits
         if perturb is not None:
             term = perturb[0]
             if term not in CONSTRAINT_TERMS + OBJECTIVE_TERMS:
@@ -196,54 +200,6 @@ class DifferentialOracle:
             qos_strict=self.qos_strict,
         )
 
-    def _reference_terms(self, assignment: IntArray) -> dict[str, float]:
-        evaluator = self._evaluator()
-        constraints = evaluator.constraints
-        load_cap = (
-            float(constraints.load_cap.violations(assignment))
-            if constraints.load_cap is not None
-            else 0.0
-        )
-        return {
-            "capacity": float(constraints.capacity.violations(assignment)),
-            "group": float(
-                sum(c.violations(assignment) for c in constraints.group_constraints)
-            ),
-            "load_cap": load_cap,
-            "unplaced": float(np.count_nonzero(assignment == UNPLACED)),
-            "usage_cost": float(evaluator.usage_cost.value(assignment)),
-            "downtime": float(evaluator.downtime.value(assignment)),
-            "migration": float(evaluator.migration.value(assignment)),
-        }
-
-    def _compare_terms(
-        self,
-        reference: dict[str, float],
-        candidate: dict[str, float],
-        report: OracleReport,
-        where: str,
-    ) -> None:
-        bad: list[TermDelta] = []
-        for term in CONSTRAINT_TERMS:
-            report.checks += 1
-            if candidate[term] != reference[term]:
-                bad.append(TermDelta(term, reference[term], candidate[term]))
-        for term in OBJECTIVE_TERMS:
-            report.checks += 1
-            if not np.isclose(
-                candidate[term], reference[term], rtol=self.rtol, atol=self.atol
-            ):
-                bad.append(TermDelta(term, reference[term], candidate[term]))
-        if bad:
-            report.mismatches.append(
-                OracleMismatch(
-                    backend="incremental",
-                    kind="per-term",
-                    message=f"delta state drifted from the reference ({where})",
-                    deltas=tuple(bad),
-                )
-            )
-
     # ------------------------------------------------------------------
     # Incremental backend
     # ------------------------------------------------------------------
@@ -251,7 +207,7 @@ class DifferentialOracle:
         self,
         target: IntArray,
         rng: np.random.Generator,
-        report: OracleReport,
+        report: Report,
         detours: int,
         checkpoint_every: int,
     ) -> None:
@@ -265,54 +221,31 @@ class DifferentialOracle:
                 moves.append((int(vm), int(rng.integers(0, m))))
             moves.append((int(vm), int(target[vm])))
 
-        since_checkpoint = 0
-        for vm, server in moves:
+        for step, (vm, server) in enumerate(moves, start=1):
             preview = state.score_move(vm, server)
             committed = state.apply_move(vm, server)
-            report.checks += 1
-            if preview.violations != committed.violations or not np.allclose(
-                preview.objectives, committed.objectives
-            ):
-                report.mismatches.append(
-                    OracleMismatch(
-                        backend="incremental",
-                        kind="score-apply",
-                        message=(
-                            f"score_move({vm}, {server}) disagrees with the "
-                            "committed apply_move totals"
-                        ),
-                    )
-                )
-            since_checkpoint += 1
-            if checkpoint_every and since_checkpoint >= checkpoint_every:
-                since_checkpoint = 0
-                self._compare_terms(
-                    self._reference_terms(state.assignment),
-                    state.component_totals(),
-                    report,
-                    where=f"mid-walk after {len(moves)} moves",
-                )
-
-        if not np.array_equal(state.assignment, np.asarray(target, np.int64)):
-            report.mismatches.append(
-                OracleMismatch(
-                    backend="incremental",
-                    kind="replay",
-                    message="move replay did not reach the target assignment",
-                )
+            report.note(
+                preview.violations == committed.violations
+                and np.allclose(preview.objectives, committed.objectives),
+                "incremental",
+                "score_move",
+                f"score_move({vm}, {server}) disagrees with the committed "
+                "apply_move totals",
             )
-            return
+            if checkpoint_every and step % checkpoint_every == 0:
+                check_parity(state, report, where=f"incremental after {step} moves")
 
-        candidate = state.component_totals()
-        if self.perturb is not None:
-            term, delta = self.perturb
-            candidate[term] = candidate[term] + delta
-        self._compare_terms(
-            self._reference_terms(state.assignment),
-            candidate,
-            report,
-            where="end of walk",
+        reached = np.array_equal(state.assignment, target)
+        report.note(
+            reached,
+            "incremental",
+            "assignment",
+            "move replay did not reach the target assignment",
         )
+        if reached:
+            check_parity(
+                state, report, where="incremental at walk end", perturb=self.perturb
+            )
 
     # ------------------------------------------------------------------
     # LP backend
@@ -323,7 +256,7 @@ class DifferentialOracle:
         return x
 
     def _check_lp(
-        self, assignment: IntArray, feasible: bool, usage_cost: float, report: OracleReport
+        self, assignment: IntArray, feasible: bool, usage_cost: float, report: Report
     ) -> None:
         from repro.lp.model import ILPModel
         from scipy.optimize import linprog
@@ -332,31 +265,21 @@ class DifferentialOracle:
             self.infrastructure, self.request, base_usage=self.base_usage
         )
         x = self._encode(assignment, model.n, model.m)
-        report.checks += 1
-        if feasible and not model.check(x):
-            report.mismatches.append(
-                OracleMismatch(
-                    backend="lp",
-                    kind="feasibility",
-                    message=(
-                        "assignment is feasible under the constraint set but "
-                        "violates a row of the sparse ILP encoding"
-                    ),
-                )
-            )
+        report.note(
+            not feasible or model.check(x),
+            "lp",
+            "feasibility",
+            "assignment is feasible under the constraint set but violates a "
+            "row of the sparse ILP encoding",
+        )
         integral_cost = float(model.objective @ x)
-        report.checks += 1
-        if not np.isclose(
-            integral_cost, usage_cost, rtol=self.rtol, atol=self.atol
-        ):
-            report.mismatches.append(
-                OracleMismatch(
-                    backend="lp",
-                    kind="objective",
-                    message="ILP objective disagrees with Eq. 22 usage cost",
-                    deltas=(TermDelta("usage_cost", usage_cost, integral_cost),),
-                )
-            )
+        report.note(
+            bool(np.isclose(integral_cost, usage_cost, rtol=_RTOL, atol=_ATOL)),
+            "lp",
+            "usage_cost",
+            "ILP objective disagrees with Eq. 22 usage cost: "
+            f"reference={usage_cost:.12g} candidate={integral_cost:.12g}",
+        )
         if not feasible:
             return
         relaxed = linprog(
@@ -370,88 +293,61 @@ class DifferentialOracle:
         )
         if relaxed.status != 0:  # pragma: no cover - solver hiccup
             return
-        report.checks += 1
-        if relaxed.fun > usage_cost + self.bound_slack:
-            report.mismatches.append(
-                OracleMismatch(
-                    backend="lp",
-                    kind="bound",
-                    message=(
-                        "LP relaxation optimum exceeds the cost of a feasible "
-                        "integral placement (bound violated)"
-                    ),
-                    deltas=(TermDelta("usage_cost", usage_cost, float(relaxed.fun)),),
-                )
-            )
+        report.note(
+            relaxed.fun <= usage_cost + _BOUND_SLACK,
+            "lp",
+            "usage_cost",
+            f"LP relaxation optimum {relaxed.fun:.12g} exceeds the cost "
+            f"{usage_cost:.12g} of a feasible integral placement (bound violated)",
+        )
 
     # ------------------------------------------------------------------
     # CP backend
     # ------------------------------------------------------------------
-    def _check_cp(
-        self, feasible: bool, usage_cost: float, report: OracleReport
-    ) -> None:
+    def _check_cp(self, feasible: bool, usage_cost: float, report: Report) -> None:
         from repro.cp.search import SearchLimits
         from repro.cp.solver import CPSolver
 
-        limits = self.cp_limits or SearchLimits(max_nodes=20_000, time_limit=5.0)
         solver = CPSolver(
             self.infrastructure,
             self.request,
             base_usage=self.base_usage,
-            limits=limits,
+            limits=SearchLimits(max_nodes=20_000, time_limit=5.0),
         )
         solution = solver.optimize()
         if solution.found:
-            cp_terms = self._reference_terms(np.asarray(solution.assignment))
+            cp_terms = _reference_terms(
+                self._evaluator(), np.asarray(solution.assignment)
+            )
             non_assignment = (
                 cp_terms["capacity"] + cp_terms["group"] + cp_terms["load_cap"]
             )
-            report.checks += 1
-            if cp_terms["unplaced"] or (
-                non_assignment and not self.qos_strict
-            ):
-                report.mismatches.append(
-                    OracleMismatch(
-                        backend="cp",
-                        kind="feasibility",
-                        message=(
-                            "CP returned a placement the reference constraint "
-                            "set rejects"
-                        ),
-                        deltas=tuple(
-                            TermDelta(t, 0.0, cp_terms[t])
-                            for t in ("capacity", "group", "unplaced")
-                            if cp_terms[t]
-                        ),
-                    )
-                )
+            broken = ", ".join(
+                f"{t}={cp_terms[t]:g}"
+                for t in ("capacity", "group", "unplaced")
+                if cp_terms[t]
+            )
+            report.note(
+                not (cp_terms["unplaced"] or (non_assignment and not self.qos_strict)),
+                "cp",
+                "feasibility",
+                f"CP returned a placement the reference constraint set rejects ({broken})",
+            )
             if feasible and solution.proved:
-                report.checks += 1
-                if solution.cost > usage_cost + self.bound_slack:
-                    report.mismatches.append(
-                        OracleMismatch(
-                            backend="cp",
-                            kind="bound",
-                            message=(
-                                "CP proved an optimum costlier than a feasible "
-                                "placement we hold"
-                            ),
-                            deltas=(
-                                TermDelta("usage_cost", usage_cost, solution.cost),
-                            ),
-                        )
-                    )
-        elif solution.proved and feasible:
-            report.checks += 1
-            report.mismatches.append(
-                OracleMismatch(
-                    backend="cp",
-                    kind="feasibility",
-                    message=(
-                        "CP proved infeasibility, but the assignment under "
-                        "test is feasible and complete"
-                    ),
+                report.note(
+                    solution.cost <= usage_cost + _BOUND_SLACK,
+                    "cp",
+                    "usage_cost",
+                    f"CP proved an optimum {solution.cost:.12g} costlier than "
+                    f"a feasible placement we hold ({usage_cost:.12g})",
                 )
+        elif solution.proved and feasible:
+            report.note(
+                False,
+                "cp",
+                "feasibility",
+                "CP proved infeasibility, but the assignment under test is "
+                "feasible and complete",
             )
 
     # ------------------------------------------------------------------
@@ -464,26 +360,28 @@ class DifferentialOracle:
         checkpoint_every: int = 50,
         lp: bool = True,
         cp: bool = True,
-    ) -> OracleReport:
+    ) -> Report:
         """Cross-check ``assignment`` through every applicable backend.
 
         The incremental backend always runs (the assignment is reached
-        through ``detours + 1`` moves per VM from an empty placement).
-        The LP checks run for fully placed assignments when SciPy's LP
-        stack imports and the scalar usage-cost mode is in effect; the
-        CP check additionally requires ``n * m <= cp_max_variables``.
+        through ``detours + 1`` moves per VM from an empty placement,
+        with :func:`check_parity` every ``checkpoint_every`` moves and
+        at the end).  The LP checks run for fully placed assignments
+        when SciPy's LP stack imports and the scalar usage-cost mode is
+        in effect; the CP check additionally requires ``n * m <= 400``.
+        The returned ``oracle`` report lists the backends consulted in
+        ``stats["backends"]``.
         """
         target = np.asarray(assignment, dtype=np.int64)
         rng = np.random.default_rng(seed)
-        report = OracleReport()
+        report = Report("oracle", f"{self.compiled.m}x{self.compiled.n}")
         backends = ["incremental"]
-        registry = get_registry()
 
         self._check_incremental(
             target, rng, report, detours=detours, checkpoint_every=checkpoint_every
         )
 
-        reference = self._reference_terms(target)
+        reference = _reference_terms(self._evaluator(), target)
         complete = reference["unplaced"] == 0
         feasible = complete and (
             reference["capacity"] + reference["group"] + reference["load_cap"] == 0
@@ -492,23 +390,17 @@ class DifferentialOracle:
 
         if lp and complete and scalar_cost_mode:
             try:
-                self._check_lp(
-                    target, feasible, reference["usage_cost"], report
-                )
+                self._check_lp(target, feasible, reference["usage_cost"], report)
                 backends.append("lp")
             except ImportError:  # pragma: no cover - scipy always bundled
                 pass
         if (
             cp
             and scalar_cost_mode
-            and self.compiled.n * self.compiled.m <= self.cp_max_variables
+            and self.compiled.n * self.compiled.m <= _CP_MAX_VARIABLES
         ):
             self._check_cp(feasible, reference["usage_cost"], report)
             backends.append("cp")
 
-        report.backends = tuple(backends)
-        registry.count("verify.oracle.replays")
-        registry.count("verify.oracle.checks", report.checks)
-        for mismatch in report.mismatches:
-            registry.count("verify.oracle.mismatches", backend=mismatch.backend)
+        report.stats["backends"] = ",".join(backends)
         return report

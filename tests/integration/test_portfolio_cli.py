@@ -66,6 +66,7 @@ class TestSigintResume:
         assert reference.returncode == 0, reference.stderr
 
         directory = str(tmp_path / "ckpt")
+        events = tmp_path / "events.jsonl"
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -74,6 +75,8 @@ class TestSigintResume:
                 *_COMPARE_ARGS,
                 "--checkpoint-dir",
                 directory,
+                "--telemetry",
+                f"jsonl:{events}",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -81,7 +84,14 @@ class TestSigintResume:
             env=_env(),
             cwd=REPO_ROOT,
         )
-        time.sleep(3.0)
+        # The first telemetry event is emitted from inside the race, so
+        # the SIGINT handler is installed and the race is still running
+        # (a fixed sleep could land before the handler or after the race).
+        deadline = time.monotonic() + 120
+        while not (events.exists() and "\n" in events.read_text()):
+            assert proc.poll() is None, "compare exited before its first event"
+            assert time.monotonic() < deadline, "no telemetry event within 120 s"
+            time.sleep(0.05)
         proc.send_signal(signal.SIGINT)
         stdout, stderr = proc.communicate(timeout=300)
         # Graceful unwind: the flag is raised, the race snapshots at its

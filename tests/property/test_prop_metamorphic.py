@@ -4,7 +4,7 @@ Every law in :mod:`repro.verify.metamorphic` is a theorem of the
 Section III model equations, so it must hold for *any* placement — in
 particular for placements produced by the actual allocators on
 generated scenarios.  Each test below allocates a window, then pushes
-the resulting assignment through the laws and asserts zero violations.
+the resulting assignment through the laws and asserts zero mismatches.
 """
 
 import numpy as np
@@ -51,13 +51,13 @@ def test_all_laws_hold_for_allocator_outcomes(name, servers, vms):
         scenario.infrastructure, scenario.requests
     )
     rng = np.random.default_rng(7)
-    violations = run_laws(
+    report = run_laws(
         scenario.infrastructure,
         scenario.requests,
         outcome.assignment,
         rng=rng,
     )
-    assert not violations, "\n".join(str(v) for v in violations)
+    assert report.ok, report.format()
 
 
 def test_laws_hold_with_window_dynamics():
@@ -71,14 +71,14 @@ def test_laws_hold_with_window_dynamics():
     previous = rng.integers(
         0, scenario.infrastructure.m, size=outcome.assignment.size
     )
-    violations = run_laws(
+    report = run_laws(
         scenario.infrastructure,
         scenario.requests,
         outcome.assignment,
         rng=rng,
         previous_assignment=previous,
     )
-    assert not violations, "\n".join(str(v) for v in violations)
+    assert report.ok, report.format()
 
 
 def test_laws_hold_on_overcommitted_scenarios():
@@ -90,13 +90,13 @@ def test_laws_hold_on_overcommitted_scenarios():
     # A deliberately bad assignment: everything crammed at random.
     assignment = rng.integers(0, scenario.infrastructure.m, size=n)
     assignment[rng.random(n) < 0.15] = UNPLACED
-    violations = run_laws(
+    report = run_laws(
         scenario.infrastructure,
         scenario.requests,
         assignment,
         rng=rng,
     )
-    assert not violations, "\n".join(str(v) for v in violations)
+    assert report.ok, report.format()
 
 
 @pytest.mark.parametrize(
@@ -114,14 +114,15 @@ def test_each_law_runs_individually(law_cls):
     outcome = FirstFitAllocator().allocate(
         scenario.infrastructure, scenario.requests
     )
-    violations = run_laws(
+    report = run_laws(
         scenario.infrastructure,
         scenario.requests,
         outcome.assignment,
         rng=np.random.default_rng(2),
         laws=[law_cls()],
     )
-    assert not violations, "\n".join(str(v) for v in violations)
+    assert report.ok, report.format()
+    assert report.stats["laws"] == 1
 
 
 def test_all_laws_catalog_is_complete():

@@ -82,14 +82,14 @@ def undocumented(names, page: str) -> list[str]:
     )
 
 
-def documented_metric_names(page: str) -> list[str]:
+def documented_metric_names(page: str, header: str = "metric") -> list[str]:
     """The backticked names, labels dropped, in the first column of every
-    table headed ``| metric |`` on ``page``."""
+    table headed ``| <header> |`` on ``page``."""
     names: list[str] = []
     in_table = False
     for line in page.splitlines():
         first = line.split("|")[1].strip() if line.startswith("|") else None
-        in_table = first is not None and (in_table or first == "metric")
+        in_table = first is not None and (in_table or first == header)
         if in_table:
             names += [name.split("{")[0] for name in re.findall(r"`([^`]+)`", first)]
     return names

@@ -8,6 +8,7 @@ import pytest
 from repro.engine import CompiledProblem, ProblemCache
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
+from repro.verify import check_parity
 
 
 def _scaled_request(request: Request, factor: float) -> Request:
@@ -209,15 +210,13 @@ class TestIncrementalEvaluator:
             )
 
     def test_verify_passes_and_detects_drift(self, small_infra, small_request):
-        from repro.engine import ParityError
-
         compiled = CompiledProblem.compile(small_infra, small_request)
         genome = np.array([0, 0, 2, 3, 4, 5])
         state = compiled.incremental(genome)
-        state.verify()  # healthy state
+        assert check_parity(state).ok  # healthy state
         state._cap_total += 3  # corrupt the tracked violation total
-        with pytest.raises(ParityError):
-            state.verify()
+        report = check_parity(state)
+        assert [m.field for m in report.mismatches] == ["capacity"]
 
     def test_unplaced_moves_and_assignment_constraint(
         self, small_infra, small_request
@@ -230,10 +229,10 @@ class TestIncrementalEvaluator:
         base = state.violations
         state.apply_move(5, UNPLACED)
         assert state.violations == base + 1
-        state.verify()
+        assert check_parity(state).ok
         state.apply_move(5, 5)
         assert state.violations == base
-        state.verify()
+        assert check_parity(state).ok
 
     def test_migration_objective_delta(self, small_infra, small_request):
         compiled = CompiledProblem.compile(small_infra, small_request)
@@ -246,6 +245,6 @@ class TestIncrementalEvaluator:
         assert state.objectives[2] == pytest.approx(
             float(small_request.migration_cost[4])
         )
-        state.verify()
+        assert check_parity(state).ok
         state.apply_move(4, 4)  # moving back cancels the charge
         assert state.objectives[2] == 0.0

@@ -134,7 +134,7 @@ class TestDynamicLawRegressions:
     def test_laws_hold_on_clean_streams(self):
         for name in ("steady_churn", "maintenance_drain", "failure_storm"):
             report = check_dynamic_laws(name, seed=5)
-            assert report.checks == len(DYNAMIC_LAWS)
+            assert report.stats["laws"] == len(DYNAMIC_LAWS)
             assert report.ok, report.format()
 
     def test_permutation_law_detects_unpermuted_genome(self):
@@ -145,16 +145,14 @@ class TestDynamicLawRegressions:
             "steady_churn", seed=0, inject="permute_requests_only"
         )
         assert not report.ok
-        assert any(
-            v.law == "window_permutation" for v in report.violations
-        )
+        assert any(m.where == "window_permutation" for m in report.mismatches)
 
     def test_time_shift_law_detects_misaligned_shift(self):
         report = check_dynamic_laws(
             "maintenance_drain", seed=5, inject="shift_misalign"
         )
         assert not report.ok
-        assert any(v.law == "time_shift" for v in report.violations)
+        assert any(m.where == "time_shift" for m in report.mismatches)
 
     def test_drain_fail_law_detects_dropped_drains(self):
         report = check_dynamic_laws(
@@ -162,7 +160,7 @@ class TestDynamicLawRegressions:
         )
         assert not report.ok
         assert any(
-            v.law == "drain_fail_equivalence" for v in report.violations
+            m.where == "drain_fail_equivalence" for m in report.mismatches
         )
 
     def test_report_format_names_scenario(self):

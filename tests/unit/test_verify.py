@@ -1,15 +1,16 @@
-"""Unit tests for the conformance subsystem: structured incremental
-parity reports (including the corrupted-compilation failure branch),
-the invariant catalog, the differential oracle's fault injection, the
-``--check`` registry's shared report and the ``repro verify`` CLI entry
-point."""
+"""Unit tests for the conformance subsystem: the incremental parity
+comparison (including the corrupted-compilation failure branch), the
+invariant catalog, the differential oracle's fault injection, the
+shared report and the ``repro verify`` CLI entry point."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.baselines import RoundRobinAllocator
 from repro.cli import build_parser, main
-from repro.engine import CompiledProblem, ParityError
+from repro.engine import CompiledProblem
 from repro.engine.incremental import CONSTRAINT_TERMS, OBJECTIVE_TERMS
 from repro.model import Request
 from repro.verify import (
@@ -18,11 +19,15 @@ from repro.verify import (
     DifferentialOracle,
     FuzzConfig,
     Report,
+    check_parity,
     invariant_names,
     run_fuzz,
     run_invariants,
 )
 from repro.workloads import ScenarioGenerator, ScenarioSpec
+from tests.unit.test_docs_metric_drift import documented_metric_names
+
+VERIFY_DOC = Path(__file__).resolve().parents[2] / "docs" / "VERIFY.md"
 
 
 @pytest.fixture()
@@ -38,7 +43,7 @@ def merged(scenario):
 
 
 # ----------------------------------------------------------------------
-# IncrementalEvaluator.verify(): the structured parity report
+# check_parity: the one incremental-vs-reference comparison
 # ----------------------------------------------------------------------
 def test_verify_returns_clean_structured_report(scenario, merged):
     compiled = CompiledProblem.compile(scenario.infrastructure, merged)
@@ -46,22 +51,23 @@ def test_verify_returns_clean_structured_report(scenario, merged):
     genome = rng.integers(0, scenario.infrastructure.m, size=merged.n)
     state = compiled.incremental(genome, include_assignment=True)
 
-    report = state.verify()
-    assert report.ok
-    assert not report.mismatches
-    terms = tuple(d.term for d in report.deltas)
-    assert terms == CONSTRAINT_TERMS + OBJECTIVE_TERMS
-    assert {d.kind for d in report.deltas} == {"constraint", "objective"}
-    # Per-term lookup and formatting are part of the diagnosis surface.
-    assert report["usage_cost"].kind == "objective"
-    assert report["capacity"].kind == "constraint"
-    assert "usage_cost" in report.format()
+    report = check_parity(state)
+    assert report.ok, report.format()
+    assert report.check == "parity"
+    assert report.comparisons == len(CONSTRAINT_TERMS + OBJECTIVE_TERMS)
+    # A state that prices energy has its energy total compared too.
+    priced = compiled.incremental(
+        genome, include_assignment=True, energy_weight=0.5
+    )
+    report = check_parity(priced)
+    assert report.ok, report.format()
+    assert report.comparisons == len(CONSTRAINT_TERMS + OBJECTIVE_TERMS) + 1
 
 
 def test_verify_flags_corrupted_compilation(scenario, merged):
     """A compilation whose cost table was tampered with must produce a
-    per-term mismatch on exactly the affected objective, and the strict
-    path must raise a ParityError carrying the report."""
+    per-term mismatch on exactly the affected objective, naming both
+    values and their drift."""
     compiled = CompiledProblem.compile(scenario.infrastructure, merged)
     # Corrupt the compiled per-resource cost rate: the incremental
     # totals are accumulated from this array, while the reference
@@ -72,64 +78,93 @@ def test_verify_flags_corrupted_compilation(scenario, merged):
     genome = rng.integers(0, scenario.infrastructure.m, size=merged.n)
     state = compiled.incremental(genome, include_assignment=True)
 
-    report = state.verify(strict=False)
+    report = check_parity(state)
     assert not report.ok
-    bad = {d.term for d in report.mismatches}
-    assert bad == {"usage_cost"}
-    delta = report["usage_cost"]
-    assert delta.incremental > delta.reference
-    assert np.isclose(delta.delta, 0.25 * merged.n)
-    assert "usage_cost" in report.format()
-
-    with pytest.raises(ParityError) as err:
-        state.verify()
-    assert err.value.report is not None
-    assert not err.value.report.ok
-    assert "usage_cost" in str(err.value)
+    assert [m.field for m in report.mismatches] == ["usage_cost"]
+    message = report.mismatches[0].message
+    assert "reference=" in message and "candidate=" in message
+    assert f"delta={0.25 * merged.n:+.3g}" in message
+    assert "FAILED" in report.format()
 
 
-def test_verify_flags_drifted_constraint_total(scenario, merged):
-    """Constraint terms compare exactly: a one-off drift in the tracked
-    capacity total must be reported as a constraint-kind mismatch."""
+@pytest.mark.parametrize(
+    "term,attribute,energy_weight",
+    [("capacity", "_cap_total", 0.0), ("energy", "_energy_total", 0.5)],
+    ids=["capacity", "energy"],
+)
+def test_verify_flags_one_drifted_total(
+    scenario, merged, term, attribute, energy_weight
+):
+    """A one-off drift in one tracked total (a delta-bookkeeping bug)
+    gives exactly one mismatch, on its own term: capacity compares
+    exactly, and energy is compared whenever the state prices it."""
     compiled = CompiledProblem.compile(scenario.infrastructure, merged)
     rng = np.random.default_rng(2)
     genome = rng.integers(0, scenario.infrastructure.m, size=merged.n)
-    state = compiled.incremental(genome, include_assignment=True)
-    state._cap_total += 1  # simulate a delta-bookkeeping bug
+    state = compiled.incremental(
+        genome, include_assignment=True, energy_weight=energy_weight
+    )
+    assert check_parity(state).ok
+    setattr(state, attribute, getattr(state, attribute) + 1)
 
-    report = state.verify(strict=False)
-    assert not report.ok
-    assert {d.term for d in report.mismatches} == {"capacity"}
-    assert report["capacity"].kind == "constraint"
+    report = check_parity(state)
+    assert [m.field for m in report.mismatches] == [term]
+    assert report.mismatches[0].where == "incremental"
 
 
 # ----------------------------------------------------------------------
 # Invariant catalog
 # ----------------------------------------------------------------------
 def test_invariant_catalog_contains_documented_checkers():
-    names = invariant_names()
-    assert {
-        "assignment_well_formed",
+    """VERIFY.md's catalog table documents every registered invariant,
+    and nothing else."""
+    documented = documented_metric_names(VERIFY_DOC.read_text(), header="invariant")
+    assert sorted(documented) == sorted(invariant_names())
+    assert len(documented) == len(set(documented))
+
+
+def test_invariants_pass_on_real_outcome(scenario):
+    """A real outcome satisfies the catalog, and only the checkers that
+    compared something are listed: a one-provider outcome with no front
+    skips four, its bare genome four more."""
+    outcome = RoundRobinAllocator().allocate(
+        scenario.infrastructure, scenario.requests
+    )
+    skipped = {
+        "pareto_front_non_domination",
+        "preference_selection_consistency",
+        "provider_capacity_closure",
+        "brokered_front_non_domination",
+    }
+    bare_skipped = skipped | {
         "capacity_respected",
         "group_closure",
         "accepted_closure",
         "objective_finiteness",
-        "pareto_front_non_domination",
-    } <= set(names)
-
-
-def test_invariants_pass_on_real_outcome(scenario):
-    outcome = RoundRobinAllocator().allocate(
-        scenario.infrastructure, scenario.requests
-    )
-    ctx = CheckContext(
-        infrastructure=scenario.infrastructure,
-        requests=scenario.requests,
-        outcome=outcome,
-    )
-    report = run_invariants(ctx)
-    assert report.ok, report.format()
-    assert "accepted_closure" in report.checked
+    }
+    for ctx, absent in [
+        (
+            CheckContext(
+                infrastructure=scenario.infrastructure,
+                requests=scenario.requests,
+                outcome=outcome,
+            ),
+            skipped,
+        ),
+        (
+            CheckContext(
+                infrastructure=scenario.infrastructure,
+                requests=scenario.requests,
+                assignment=outcome.assignment,
+            ),
+            bare_skipped,
+        ),
+    ]:
+        report = run_invariants(ctx)
+        assert report.ok, report.format()
+        assert report.checked == tuple(
+            name for name in invariant_names() if name not in absent
+        )
 
 
 def test_invariants_flag_out_of_range_gene(scenario, merged):
@@ -188,8 +223,9 @@ def test_oracle_clean_replay(scenario, merged):
     oracle = DifferentialOracle(scenario.infrastructure, merged)
     report = oracle.replay(target, seed=rng, detours=2, cp=False)
     assert report.ok, report.format()
-    assert "incremental" in report.backends
-    assert report.checks > 0
+    assert report.check == "oracle"
+    assert "incremental" in report.stats["backends"].split(",")
+    assert report.comparisons > 0
 
 
 @pytest.mark.parametrize("term", CONSTRAINT_TERMS + OBJECTIVE_TERMS)
@@ -203,9 +239,9 @@ def test_oracle_detects_injected_fault_per_term(scenario, merged, term):
     )
     report = oracle.replay(target, seed=rng, detours=1, lp=False, cp=False)
     assert not report.ok
-    assert any(
-        d.term == term for mism in report.mismatches for d in mism.deltas
-    )
+    assert [(m.where, m.field) for m in report.mismatches] == [
+        ("incremental at walk end", term)
+    ]
     assert term in report.format()
 
 
@@ -314,10 +350,15 @@ def test_run_fuzz_small_campaign_clean():
     config = FuzzConfig(scenarios=2, seed=123, sizes=((4, 8),))
     report = run_fuzz(config)
     assert report.ok, report.format()
-    assert report.scenarios_run == 2
-    assert report.oracle_checks > 0
-    assert report.invariant_checks > 0
-    assert report.law_checks > 0
+    assert report.check == "fuzz"
+    assert report.stats["scenarios"] == 2
+    assert report.stats["oracle"] > 0
+    assert report.stats["invariants"] > 0
+    assert report.stats["metamorphic"] > 0
+    # The campaign's comparisons are its layers' comparisons, folded in.
+    assert report.comparisons == (
+        report.stats["oracle"] + report.stats["metamorphic"]
+    )
 
 
 def test_cli_verify_exits_zero_on_clean_run(capsys):
@@ -326,8 +367,8 @@ def test_cli_verify_exits_zero_on_clean_run(capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "0 failure(s)" in out
-    assert "verify.fuzz.scenarios" in out
+    assert "fuzz [seed=7]: ok" in out
+    assert "verify.comparisons{check=oracle}" in out
 
 
 def test_cli_verify_exits_nonzero_on_injected_fault(capsys):
@@ -346,7 +387,8 @@ def test_cli_verify_exits_nonzero_on_injected_fault(capsys):
     )
     assert code == 1
     out = capsys.readouterr().out
-    assert "downtime" in out
+    assert "fuzz [seed=7]: FAILED" in out
+    assert "(seed=7, 4x8) oracle, incremental at walk end] downtime:" in out
 
 
 def test_cli_verify_runs_a_registered_check(capsys):

@@ -26,6 +26,7 @@ from repro.constraints.anti_affinity import (
 from repro.constraints.assignment import AssignmentConstraint
 from repro.constraints.base import Constraint
 from repro.constraints.capacity import CapacityConstraint
+from repro.engine.kernels import active_kernel
 from repro.errors import UnknownRuleError
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import PlacementGroup, Request
@@ -154,12 +155,36 @@ class ConstraintSet:
         return True
 
     # ------------------------------------------------------------------
-    def batch_violations(self, population: IntArray) -> IntArray:
-        """Total violations per individual, shape (pop,)."""
+    def batch_violations(
+        self, population: IntArray, usage: FloatArray | None = None
+    ) -> IntArray:
+        """Total violations per individual, shape (pop,).
+
+        ``usage`` is the population's usage tile when the caller already
+        scored it (:meth:`CapacityConstraint.batch_usage`); it is scored
+        here otherwise.  Groups are counted in the active kernel's one
+        pass when it vectorizes them, else one constraint at a time —
+        integer counts, identical either way.
+        """
         population = np.asarray(population, dtype=np.int64)
-        total = np.zeros(population.shape[0], dtype=np.int64)
-        for c in self.all_constraints:
-            total += c.batch_violations(population)
+        kernel = active_kernel()
+        capacity = self.capacity
+        if usage is None:
+            usage = capacity.batch_usage(population)
+        total = kernel.batch_over_counts(usage, capacity._threshold)
+        layout = (
+            self.group_layout()
+            if kernel.vectorized_groups and self.group_constraints
+            else None
+        )
+        if layout is not None:
+            total += kernel.batch_group_violations(population, layout)
+        else:
+            for constraint in self.group_constraints:
+                total += constraint.batch_violations(population)
+        for extra in (self.load_cap, self.assignment):
+            if extra is not None:
+                total += extra.batch_violations(population)
         return total
 
     def batch_feasible(self, population: IntArray) -> np.ndarray:

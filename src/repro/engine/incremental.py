@@ -41,6 +41,8 @@ __all__ = [
     "OBJECTIVE_TERMS",
     "IncrementalEvaluator",
     "MoveScore",
+    "group_violations",
+    "over_count",
 ]
 
 _DOWNTIME_MODES = ("shortfall", "literal")
@@ -49,6 +51,40 @@ _DOWNTIME_MODES = ("shortfall", "literal")
 CONSTRAINT_TERMS = ("capacity", "group", "load_cap", "unplaced")
 #: Objective terms in canonical OBJECTIVE_ORDER naming.
 OBJECTIVE_TERMS = ("usage_cost", "downtime", "migration")
+
+
+def group_violations(rule: PlacementRule, genes: list[int], server_datacenter) -> int:
+    """Violation count of one placement group given its member genes.
+
+    ``genes`` are plain ints (:data:`UNPLACED` allowed, and ignored) and
+    ``server_datacenter`` maps a server id to its datacenter.  The
+    counts are the constraint classes': distinct locations minus one
+    for the co-location rules, collisions for the separation rules.
+    Groups have a handful of members, so a Python set beats any numpy
+    call here; this is the count every single-genome delta path
+    (:class:`IncrementalEvaluator`, the tabu repair walk) shares.
+    """
+    placed = [gene for gene in genes if gene != UNPLACED]
+    if len(placed) <= 1:
+        return 0
+    if rule is PlacementRule.SAME_SERVER:
+        return len(set(placed)) - 1
+    if rule is PlacementRule.DIFFERENT_SERVERS:
+        return len(placed) - len(set(placed))
+    datacenters = {server_datacenter[gene] for gene in placed}
+    if rule is PlacementRule.SAME_DATACENTER:
+        return len(datacenters) - 1
+    return len(placed) - len(datacenters)
+
+
+def over_count(row: list[float], thresholds: list[float]) -> int:
+    """Cells of one server row above their thresholds.
+
+    The scalar twin of ``np.count_nonzero(usage > threshold, axis=1)``
+    for one row: the same float comparisons, minus numpy's per-call
+    dispatch, which dominates on length-h rows.
+    """
+    return sum(value > limit for value, limit in zip(row, thresholds))
 
 
 @dataclass(frozen=True)
@@ -186,6 +222,7 @@ class IncrementalEvaluator:
         self._cq_list = np.asarray(
             compiled.qos_guarantee, dtype=np.float64
         ).tolist()
+        self._dc_list = np.asarray(compiled.server_datacenter).tolist()
         self._cu_list = np.asarray(
             compiled.downtime_charge, dtype=np.float64
         ).tolist()
@@ -250,8 +287,8 @@ class IncrementalEvaluator:
 
         self._group_viol = np.array(
             [
-                self._group_violations(gi, self.assignment[members])
-                for gi, members in enumerate(compiled.group_members)
+                group_violations(rule, self.assignment[members].tolist(), self._dc_list)
+                for rule, members in zip(compiled.group_rules, compiled.group_members)
             ],
             dtype=np.int64,
         )
@@ -333,23 +370,6 @@ class IncrementalEvaluator:
     # ------------------------------------------------------------------
     # Pieces
     # ------------------------------------------------------------------
-    def _group_violations(self, gi: int, genes: IntArray) -> int:
-        """Violation count of one group given its member genes —
-        semantics identical to the constraint classes."""
-        placed = genes[genes != UNPLACED]
-        if placed.size <= 1:
-            return 0
-        rule = self.compiled.group_rules[gi]
-        if rule is PlacementRule.SAME_SERVER:
-            return int(np.unique(placed).size - 1)
-        if rule is PlacementRule.SAME_DATACENTER:
-            dcs = self.compiled.server_datacenter[placed]
-            return int(np.unique(dcs).size - 1)
-        if rule is PlacementRule.DIFFERENT_SERVERS:
-            return int(placed.size - np.unique(placed).size)
-        dcs = self.compiled.server_datacenter[placed]
-        return int(placed.size - np.unique(dcs).size)
-
     def _min_qos(self, usage: FloatArray) -> FloatArray:
         """Worst-attribute QoS per server for a (m, h) usage array."""
         infra = self.compiled.infrastructure
@@ -480,23 +500,19 @@ class IncrementalEvaluator:
         # thresholds were precomputed with the vectorized path's exact
         # float ops, so these scalar comparisons are bit-identical.
         for s, row_list in row_lists.items():
-            thresholds = self._lps_list[s]
-            over = sum(v > t for v, t in zip(row_list, thresholds))
+            over = over_count(row_list, self._lps_list[s])
             d.over[s] = over
             d.cap_total += over - int(self._over[s])
             if self.qos_strict:
-                knee_thresholds = self._kps_list[s]
-                knee = sum(
-                    v > t for v, t in zip(row_list, knee_thresholds)
-                )
+                knee = over_count(row_list, self._kps_list[s])
                 d.knee[s] = knee
                 d.knee_total += knee - int(self._knee_over[s])
 
         # Groups containing the VM: recount with the candidate gene.
         for gi, pos in compiled.vm_group_slots[vm]:
-            genes = self.assignment[compiled.group_members[gi]].copy()
+            genes = self.assignment[compiled.group_members[gi]].tolist()
             genes[pos] = new
-            viol = self._group_violations(gi, genes)
+            viol = group_violations(compiled.group_rules[gi], genes, self._dc_list)
             d.group_viol[gi] = viol
             d.group_total += viol - int(self._group_viol[gi])
 

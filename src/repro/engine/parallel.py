@@ -48,7 +48,6 @@ from repro.engine.compiled import CompiledProblem
 from repro.errors import ValidationError
 from repro.telemetry import MetricsRegistry, get_registry, use_registry
 from repro.types import FloatArray, IntArray, PlacementRule
-from repro.utils.rng import derive_sequence
 from repro.utils.timers import Stopwatch
 
 __all__ = [
@@ -326,22 +325,9 @@ def _repair_task(
     with use_registry(MetricsRegistry()) as registry:
         attached = attach_instance(spec)
         repairer = attached.repairer(params)
-        repaired = np.empty_like(genomes)
-        # The parent dispatches only batch-screened infeasible rows, so
-        # the whole chunk's usage is scored as one kernel tile and the
-        # per-genome feasibility pre-check is skipped — the same fast
-        # path the serial loop takes (bitwise-identical results).
-        tile = repairer._usage_tile(genomes, np.arange(genomes.shape[0]))
-        for local, row in enumerate(rows):
-            rng = np.random.default_rng(
-                derive_sequence(root, batch_index, int(row))
-            )
-            repaired[local] = repairer.repair_genome(
-                genomes[local],
-                rng=rng,
-                usage=None if tile is None else tile[local],
-                known_infeasible=True,
-            )
+        repaired = repairer.repair_rows(
+            genomes, rows, root=root, batch_index=batch_index
+        )
         snapshot = registry.snapshot()
     stopwatch.stop()
     return repaired, snapshot, stopwatch.elapsed

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constraints.registry import ConstraintSet
-from repro.engine.kernels import active_kernel
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
 from repro.objectives.aggregate import ObjectiveVector, aggregate_scalar
@@ -195,28 +194,8 @@ class PopulationEvaluator:
         pop = population.shape[0]
         self._evaluations += pop
 
-        kernel = active_kernel()
-        capacity = self.constraints.capacity
-        usage = capacity.batch_usage(population)
-        violations = kernel.batch_over_counts(usage, capacity._threshold)
-        layout = (
-            self.constraints.group_layout()
-            if kernel.vectorized_groups and self.constraints.group_constraints
-            else None
-        )
-        if layout is not None:
-            # One pass over every group of the whole population
-            # (integer arithmetic — identical counts to the per-group
-            # loop below, which stays for third-party constraints and
-            # the reference kernel).
-            violations += kernel.batch_group_violations(population, layout)
-        else:
-            for constraint in self.constraints.group_constraints:
-                violations += constraint.batch_violations(population)
-        if self.constraints.load_cap is not None:
-            violations += self.constraints.load_cap.batch_violations(population)
-        if self.constraints.assignment is not None:
-            violations += self.constraints.assignment.batch_violations(population)
+        usage = self.constraints.capacity.batch_usage(population)
+        violations = self.constraints.batch_violations(population, usage=usage)
 
         objectives = np.empty((pop, 3))
         objectives[:, 0] = self.usage_cost.batch(population)

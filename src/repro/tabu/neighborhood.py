@@ -3,8 +3,9 @@
 ``findNeighbor(I, i)`` scans servers and returns the first one where
 re-hosting VM i is a *valid allocation*: the server has room for the
 VM's demand on every attribute, and the move does not break any
-affinity/anti-affinity group the VM belongs to.  The scan is vectorized
-— one boolean mask over all m servers per query — and a
+affinity/anti-affinity group the VM belongs to.  The scan is one
+capacity compare over the residual ``limit - usage`` (which the repair
+walk maintains move by move) with the group rules ANDed in, and a
 :class:`TabuList` removes recently vacated (vm, server) pairs from the
 candidate set so repeated repairs do not cycle.
 """
@@ -108,18 +109,28 @@ class NeighborFinder:
         if base_usage is not None:
             limit = limit - np.asarray(base_usage, dtype=np.float64)
         self.limit = limit
-        # Group membership index: for each VM, the groups it belongs to.
+        #: Group membership index: for each VM, the ids of its groups.
         if compiled is not None:
-            self._groups_of_vm: list[list[int]] = [
+            self.groups_of_vm: list[list[int]] = [
                 list(ids) for ids in compiled.member_groups
             ]
         else:
-            self._groups_of_vm = [[] for _ in range(request.n)]
+            self.groups_of_vm = [[] for _ in range(request.n)]
             for gi, group in enumerate(request.groups):
                 for member in group.members:
-                    self._groups_of_vm[member].append(gi)
+                    self.groups_of_vm[member].append(gi)
         self._no_groups_mask = np.ones(infrastructure.m, dtype=bool)
         self._no_groups_mask.setflags(write=False)
+        #: Datacenter of each server, as plain ints.
+        self.dc_of: list[int] = infrastructure.server_datacenter.tolist()
+        #: (g, m) membership: row d marks the servers of datacenter d.
+        self._dc_servers = (
+            np.arange(infrastructure.g)[:, None] == infrastructure.server_datacenter
+        )
+        self._dc_servers.setflags(write=False)
+        # Per-VM capacity bar of the validity test: demand less the
+        # float tolerance, the very floats ``demand - 1e-9`` yields.
+        self._need = request.demand - 1e-9
 
     # ------------------------------------------------------------------
     def capacity_mask(
@@ -146,46 +157,63 @@ class NeighborFinder:
         is therefore the constraint-graph view the repair walks, one VM
         at a time.
         """
-        groups = self._groups_of_vm[vm]
-        if not groups:
+        if not self.groups_of_vm[vm]:
             return self._no_groups_mask
-        infra = self.infrastructure
-        mask = np.ones(infra.m, dtype=bool)
-        dc_of = infra.server_datacenter
-        for gi in groups:
+        return self._and_rules(
+            np.ones(self.infrastructure.m, dtype=bool),
+            self._member_rules(assignment, vm),
+        )
+
+    def _member_rules(
+        self, assignment: IntArray, vm: int
+    ) -> list[tuple[PlacementRule, list[int]]]:
+        """``(rule, servers of the other placed members)`` for each group
+        of ``vm`` that has a placed member besides ``vm``."""
+        rules = []
+        for gi in self.groups_of_vm[vm]:
             group = self.request.groups[gi]
             placed = [
                 int(assignment[k])
                 for k in group.members
                 if k != vm and assignment[k] >= 0
             ]
-            if not placed:
-                continue
-            rule = group.rule
+            if placed:
+                rules.append((group.rule, placed))
+        return rules
+
+    def _and_rules(
+        self, mask: BoolArray, rules: list[tuple[PlacementRule, list[int]]]
+    ) -> BoolArray:
+        """AND the servers each rule admits into ``mask`` (in place)."""
+        for rule, placed in rules:
             if rule is PlacementRule.SAME_SERVER:
                 # Any current member server is progress: joining one
                 # strictly reduces the distinct-location count, and the
-                # capacity mask steers the group toward a member server
+                # capacity test steers the group toward a member server
                 # that actually has room.
-                allowed = np.zeros(infra.m, dtype=bool)
+                allowed = np.zeros(self.infrastructure.m, dtype=bool)
                 allowed[placed] = True
                 mask &= allowed
             elif rule is PlacementRule.SAME_DATACENTER:
-                allowed = np.zeros(infra.g, dtype=bool)
-                allowed[dc_of[placed]] = True
-                mask &= allowed[dc_of]
+                mask &= self._colocated(placed)
             elif rule is PlacementRule.DIFFERENT_SERVERS:
                 mask[placed] = False
             elif rule is PlacementRule.DIFFERENT_DATACENTERS:
-                used = np.zeros(infra.g, dtype=bool)
-                used[dc_of[placed]] = True
-                mask &= ~used[dc_of]
+                mask[self._colocated(placed)] = False
         return mask
+
+    def _colocated(self, servers: list[int]) -> BoolArray:
+        """Servers in the datacenter of any of ``servers`` (read-only)."""
+        datacenters = iter({self.dc_of[j] for j in servers})
+        colocated = self._dc_servers[next(datacenters)]
+        for datacenter in datacenters:
+            colocated = colocated | self._dc_servers[datacenter]
+        return colocated
 
     # ------------------------------------------------------------------
     def find(
         self,
-        usage: FloatArray,
+        residual: FloatArray,
         assignment: IntArray,
         vm: int,
         tabu: TabuList | None = None,
@@ -196,6 +224,11 @@ class NeighborFinder:
 
         Parameters
         ----------
+        residual, assignment:
+            ``self.limit - usage`` for the (m, h) usage of the genome
+            ``assignment`` (an int array or list).  Every cell must
+            equal that subtraction bitwise; the repair walk maintains
+            it move by move.
         order:
             ``"first"`` — lowest server id (the paper's literal loop);
             ``"best_fit"`` — the valid server with the least residual
@@ -207,22 +240,23 @@ class NeighborFinder:
         A server id, or None when no valid allocation exists
         (``findNeighbor`` falls through its loop).
         """
-        valid = self.capacity_mask(usage, assignment, vm)
-        valid &= self.affinity_mask(assignment, vm)
+        valid = self._and_rules(
+            (residual >= self._need[vm]).all(axis=1),
+            self._member_rules(assignment, vm),
+        )
         current = int(assignment[vm])
         if current >= 0:
             valid[current] = False
         if tabu is not None:
             for server in tabu.forbidden_servers(vm):
                 valid[server] = False
-        candidates = np.flatnonzero(valid)
+        candidates = valid.nonzero()[0]
         if candidates.size == 0:
             return None
         if order == "first":
             return int(candidates[0])
         if order == "best_fit":
-            demand = self.request.demand[vm]
-            headroom = (self.limit - usage)[candidates] - demand
+            headroom = residual[candidates] - self.request.demand[vm]
             slack = headroom.sum(axis=1)
             return int(candidates[np.argmin(slack)])
         if order == "random":

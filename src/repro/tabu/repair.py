@@ -14,15 +14,22 @@ where cost and rejection rate are the next to naught") — the state
 returned is the one minimizing (violations, usage-cost) lexicographic
 distance to the ideal: zero violations first, cheapest placement among
 equals.
+
+The walk runs on one :class:`WalkState` per genome: usage, residual
+headroom, per-server overflow counts and per-group violation counts,
+each updated per move in O(h + members of the VM's groups), so no
+step recomputes from the genome what the previous move already knew.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.constraints.registry import ConstraintSet
+from repro.engine.incremental import group_violations, over_count
 from repro.engine.parallel import RepairParams
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
@@ -34,6 +41,152 @@ from repro.types import FloatArray, IntArray
 from repro.utils.rng import as_generator, derive_sequence, root_sequence
 
 __all__ = ["TabuRepair"]
+
+
+class _WalkTables:
+    """What every walk of one repairer reads and none changes.
+
+    ``limit`` and ``threshold`` are the (m, h) capacity left after the
+    committed usage and its overflow threshold; the ``*_rows`` lists
+    hold the same floats row by row for the scalar per-move updates.
+    """
+
+    __slots__ = (
+        "limit",
+        "limit_rows",
+        "threshold",
+        "threshold_rows",
+        "demand_rows",
+        "groups",
+        "groups_of_vm",
+        "dc_of",
+    )
+
+    def __init__(
+        self,
+        limit: FloatArray,
+        threshold: FloatArray,
+        request: Request,
+        groups_of_vm: list[list[int]],
+        dc_of: list[int],
+    ) -> None:
+        self.limit = limit
+        self.limit_rows = limit.tolist()
+        self.threshold = threshold
+        self.threshold_rows = threshold.tolist()
+        self.demand_rows = request.demand.tolist()
+        self.groups = [(group.rule, list(group.members)) for group in request.groups]
+        self.groups_of_vm = groups_of_vm
+        self.dc_of = dc_of
+
+
+class WalkState:
+    """Everything the repair walk knows about one genome, kept per move.
+
+    ``assignment`` (the walk's genome array) and ``genes`` (the same
+    genes as ints) change in place as VMs move.  ``usage`` is the
+    walk's own (m, h) usage: a move takes the VM's demand off the row
+    it leaves and adds it to its target's, in scalar floats but with
+    the same IEEE subtraction and addition a vectorized row update
+    performs, so the floats are the walk's, not a fresh scatter's.
+    Derived from them, and refreshed for the two touched servers only:
+
+    * ``residual`` — the (m, h) array ``limit - usage`` that
+      :meth:`NeighborFinder.find` reads; a touched row is recomputed as
+      ``limit[j] - usage[j]``, so every cell equals the full
+      subtraction bitwise;
+    * ``over`` — per server, the cells above the capacity threshold
+      (``cap_total`` sums them): the overloaded set and the capacity
+      part of the round score;
+    * ``group_viol`` — per placement group, its violation count
+      (``group_total`` sums them), recounted for the moved VM's groups.
+    """
+
+    __slots__ = (
+        "tables",
+        "assignment",
+        "genes",
+        "usage",
+        "residual",
+        "over",
+        "cap_total",
+        "group_viol",
+        "group_total",
+    )
+
+    def __init__(
+        self, tables: _WalkTables, assignment: IntArray, usage: FloatArray
+    ) -> None:
+        self.tables = tables
+        self.assignment = assignment
+        self.genes = genes = assignment.tolist()
+        self.usage = usage
+        self.residual = tables.limit - usage
+        self.over = (usage > tables.threshold).sum(axis=1).tolist()
+        self.cap_total = sum(self.over)
+        self.group_viol = [
+            group_violations(rule, [genes[k] for k in members], tables.dc_of)
+            for rule, members in tables.groups
+        ]
+        self.group_total = sum(self.group_viol)
+
+    @property
+    def violations(self) -> int:
+        """Overloaded cells plus group violations (the round score)."""
+        return self.cap_total + self.group_total
+
+    def faulty_vms(self) -> IntArray:
+        """VMs that must move: hosted on an overloaded server, or member
+        of a violated affinity/anti-affinity group (Fig. 5, line 2).
+        Unplaced members are never faulty: they host nothing, and the
+        group counts already ignore them.  Ascending int64 ids."""
+        assignment = self.assignment
+        # An UNPLACED gene reads server m-1 here; the last mask drops it.
+        faulty = np.array(self.over, dtype=bool)[assignment]
+        for (_, members), count in zip(self.tables.groups, self.group_viol):
+            if count:
+                faulty[members] = True
+        faulty &= assignment != UNPLACED
+        return faulty.nonzero()[0].astype(np.int64, copy=False)
+
+    def still_faulty(self, vm: int) -> bool:
+        """Re-check one VM against the *current* state: earlier moves in
+        the same round may already have fixed its server or group, in
+        which case moving it too would overshoot (drain a server that
+        now fits, or split a group that just converged)."""
+        if self.over[self.genes[vm]]:
+            return True
+        group_viol = self.group_viol
+        return any(group_viol[gi] for gi in self.tables.groups_of_vm[vm])
+
+    def move(self, vm: int, target: int) -> int:
+        """Relocate ``vm`` to ``target``; returns the server it left."""
+        tables = self.tables
+        old = self.genes[vm]
+        demand = tables.demand_rows[vm]
+        usage = self.usage
+        self._set_row(old, [u - d for u, d in zip(usage[old].tolist(), demand)])
+        self._set_row(target, [u + d for u, d in zip(usage[target].tolist(), demand)])
+        self.assignment[vm] = target
+        genes = self.genes
+        genes[vm] = target
+        for gi in tables.groups_of_vm[vm]:
+            rule, members = tables.groups[gi]
+            count = group_violations(rule, [genes[k] for k in members], tables.dc_of)
+            self.group_total += count - self.group_viol[gi]
+            self.group_viol[gi] = count
+        return old
+
+    def _set_row(self, server: int, row: list[float]) -> None:
+        """Install one server's new usage row and what derives from it."""
+        tables = self.tables
+        self.usage[server] = row
+        self.residual[server] = [
+            cap - used for cap, used in zip(tables.limit_rows[server], row)
+        ]
+        count = over_count(row, tables.threshold_rows[server])
+        self.cap_total += count - self.over[server]
+        self.over[server] = count
 
 
 class TabuRepair:
@@ -114,6 +267,18 @@ class TabuRepair:
             if compiled is not None
             else infrastructure.operating_cost + infrastructure.usage_cost
         )
+        # The walk's static tables depend only on the request and the
+        # committed usage, so they are built once.
+        self._tables = _WalkTables(
+            self.finder.limit,
+            self.constraints.capacity._threshold,
+            request,
+            self.finder.groups_of_vm,
+            self.finder.dc_of,
+        )
+        self._grouped = np.zeros(request.n, dtype=bool)
+        for _, members in self._tables.groups:
+            self._grouped[members] = True
         self.repaired_individuals = 0
         self.moves_performed = 0
         #: Optional wall-clock cutoff (``time.perf_counter`` stamp) set
@@ -156,71 +321,9 @@ class TabuRepair:
         self.moves_performed = int(state.get("moves_performed", 0))
 
     # ------------------------------------------------------------------
-    # Fast fault/score paths.  These reuse the usage matrix the repair
-    # loop maintains incrementally, and use Python sets for the tiny
-    # member-server collections (np.unique on 2-8 element arrays is the
-    # profiler-measured bottleneck otherwise).
-    # ------------------------------------------------------------------
-    def _group_violations(self, assignment: IntArray, group) -> int:
-        dc_of = self.infrastructure.server_datacenter
-        genes = [int(assignment[k]) for k in group.members if assignment[k] >= 0]
-        if len(genes) <= 1:
-            return 0
-        rule = group.rule
-        if rule.value == "same_server":
-            return len(set(genes)) - 1
-        if rule.value == "same_datacenter":
-            return len({int(dc_of[j]) for j in genes}) - 1
-        if rule.value == "different_servers":
-            return len(genes) - len(set(genes))
-        return len(genes) - len({int(dc_of[j]) for j in genes})
-
-    def _overloaded_servers(self, usage: FloatArray) -> IntArray:
-        capacity = self.constraints.capacity
-        over = usage > capacity._threshold
-        return np.flatnonzero(over.any(axis=1)).astype(np.int64)
-
-    def _faulty_vms(self, assignment: IntArray, usage: FloatArray) -> IntArray:
-        """VMs that must move: hosted on an overloaded server, or member
-        of a violated affinity/anti-affinity group (Fig. 5, line 2).
-        Unplaced members are never faulty: they host nothing, and
-        :meth:`_group_violations` already ignores them."""
-        offenders = self._overloaded_servers(usage)
-        faulty = np.zeros(self.request.n, dtype=bool)
-        if offenders.size:
-            faulty |= np.isin(assignment, offenders)
-        for group in self.request.groups:
-            if self._group_violations(assignment, group) > 0:
-                faulty[list(group.members)] = True
-        faulty &= assignment != UNPLACED
-        return np.flatnonzero(faulty).astype(np.int64)
-
-    def _still_faulty(
-        self, vm: int, assignment: IntArray, usage: FloatArray
-    ) -> bool:
-        """Re-check one VM against the *current* state: earlier moves in
-        the same round may already have fixed its server or group, in
-        which case moving it too would overshoot (drain a server that
-        now fits, or split a group that just converged)."""
-        server = int(assignment[vm])
-        capacity = self.constraints.capacity
-        if np.any(usage[server] > capacity._threshold[server]):
-            return True
-        for gi in self.finder._groups_of_vm[vm]:
-            if self._group_violations(assignment, self.request.groups[gi]) > 0:
-                return True
-        return False
-
-    def _score(
-        self, assignment: IntArray, usage: FloatArray
-    ) -> tuple[int, float]:
-        """(violations, usage cost) — the lexicographic ideal-point key."""
-        capacity = self.constraints.capacity
-        violations = int(np.count_nonzero(usage > capacity._threshold))
-        for group in self.request.groups:
-            violations += self._group_violations(assignment, group)
-        cost = float(self._cost_rate[assignment[assignment >= 0]].sum())
-        return violations, cost
+    def _usage_cost(self, assignment: IntArray) -> float:
+        """Usage cost of a genome: the ideal-point tie-break."""
+        return float(self._cost_rate[assignment[assignment >= 0]].sum())
 
     def _least_overflow_move(
         self,
@@ -269,7 +372,7 @@ class TabuRepair:
         whether this runs in-process or in a pool worker.
 
         ``usage`` optionally supplies this genome's (m, h) usage matrix
-        (one row of the batch tile population repair scores up front);
+        (one row of the batch tile population repair screens with);
         it must equal ``capacity.server_usage(assignment)`` bitwise,
         which rows of :meth:`CapacityConstraint.batch_usage` do by the
         kernel conformance contract.  ``known_infeasible`` skips the
@@ -289,63 +392,64 @@ class TabuRepair:
             usage = self.constraints.capacity.server_usage(assignment)
         else:
             usage = np.array(usage, dtype=np.float64)  # owned, mutated below
+        state = WalkState(self._tables, assignment, usage)
         best = assignment.copy()
-        best_score = self._score(assignment, usage)
+        best_violations = state.violations
+        best_cost = None  # priced only when a later round ties it
         stall_rounds = 0
-
-        grouped = np.zeros(self.request.n, dtype=bool)
-        for group in self.request.groups:
-            grouped[list(group.members)] = True
 
         for _ in range(self.max_rounds):
             if self._deadline_passed():
                 break
-            faulty = self._faulty_vms(assignment, usage)
+            faulty = state.faulty_vms()
             if faulty.size == 0:
                 break
             # Shuffle, then visit ungrouped VMs first: moving them never
             # perturbs an affinity rule, so capacity pressure drains off
             # overloaded servers without collateral group damage.
             rng.shuffle(faulty)
-            faulty = faulty[np.argsort(grouped[faulty], kind="stable")]
+            faulty = faulty[np.argsort(self._grouped[faulty], kind="stable")]
             moved_any = False
-            for scanned, vm in enumerate(faulty):
+            for scanned, vm in enumerate(faulty.tolist()):
                 # The round itself can be long on big instances; re-check
                 # the budget every few dozen candidate moves.
                 if scanned % 32 == 31 and self._deadline_passed():
                     break
-                if not self._still_faulty(int(vm), assignment, usage):
+                if not state.still_faulty(vm):
                     continue
                 target = self.finder.find(
-                    usage,
-                    assignment,
-                    int(vm),
+                    state.residual,
+                    state.genes,
+                    vm,
                     tabu=tabu,
                     order=self.order,
                     rng=rng,
                 )
                 if target is None and self.allow_worsening_moves:
-                    target = self._least_overflow_move(
-                        usage, assignment, int(vm), tabu
-                    )
+                    target = self._least_overflow_move(state.usage, assignment, vm, tabu)
                 if target is None:
                     continue  # findNeighbor fell through: leave the gene
-                old = int(assignment[vm])
-                demand = self.request.demand[vm]
-                usage[old] -= demand
-                usage[target] += demand
-                assignment[vm] = target
-                tabu.add(int(vm), old)
+                tabu.add(vm, state.move(vm, target))
                 self.moves_performed += 1
                 moved_any = True
-            score = self._score(assignment, usage)
-            if score < best_score:
-                best_score = score
+            # The lexicographic (violations, usage cost) comparison; the
+            # cost only decides a tie, so it is priced only then.
+            violations = state.violations
+            cost = None
+            if violations == best_violations:
+                if best_cost is None:
+                    best_cost = self._usage_cost(best)
+                cost = self._usage_cost(assignment)
+                improved = cost < best_cost
+            else:
+                improved = violations < best_violations
+            if improved:
+                best_violations, best_cost = violations, cost
                 best = assignment.copy()
                 stall_rounds = 0
             else:
                 stall_rounds += 1
-            if best_score[0] == 0:
+            if best_violations == 0:
                 break
             if not moved_any or stall_rounds >= 3:
                 break  # stuck (no move, or three rounds without progress)
@@ -358,10 +462,41 @@ class TabuRepair:
         if bus.enabled:
             bus.emit(
                 RepairInvoked(
-                    repairer="tabu", moves=moves, repaired=best_score[0] == 0
+                    repairer="tabu", moves=moves, repaired=best_violations == 0
                 )
             )
         return best
+
+    def repair_rows(
+        self,
+        genomes: IntArray,
+        rows: IntArray,
+        *,
+        root: np.random.SeedSequence,
+        batch_index: int,
+        usage: FloatArray | Sequence[FloatArray] | None = None,
+    ) -> IntArray:
+        """Repair batch-screened infeasible genomes, one stream per row.
+
+        ``genomes[local]`` is row ``rows[local]`` of population batch
+        ``batch_index``; its walk draws from the stream derived from
+        ``(root, batch_index, rows[local])``, so the serial loop and a
+        pool worker produce the same bytes.  ``usage[local]`` is its
+        (m, h) usage: a row of a usage tile (``genomes``' own tile is
+        scored here when absent).  Once the deadline has passed, the
+        remaining rows come back unrepaired.
+        """
+        if usage is None:
+            usage = self.constraints.capacity.batch_usage(genomes)
+        repaired = genomes.copy()
+        for local, row in enumerate(rows):
+            if self._deadline_passed():
+                break
+            rng = np.random.default_rng(derive_sequence(root, batch_index, int(row)))
+            repaired[local] = self.repair_genome(
+                genomes[local], rng=rng, usage=usage[local], known_infeasible=True
+            )
+        return repaired
 
     # ------------------------------------------------------------------
     def __call__(self, population: IntArray) -> IntArray:
@@ -371,14 +506,17 @@ class TabuRepair:
         coordinate of the per-individual RNG streams.  The call order
         of population repairs within a run is fixed (init, parents,
         offspring per generation), so the counter is identical across
-        serial and parallel executions of the same seed.
+        serial and parallel executions of the same seed.  The batch's
+        usage tile is scored once: it screens feasibility and its rows
+        start the walks.
         """
         population = np.asarray(population, dtype=np.int64)
         if population.ndim == 1:
             return self.repair_genome(population)
         batch_index = self._batch_counter
         self._batch_counter += 1
-        feasible = self.constraints.batch_feasible(population)
+        usage = self.constraints.capacity.batch_usage(population)
+        feasible = self.constraints.batch_violations(population, usage=usage) == 0
         if feasible.all():
             return population
         rows = np.flatnonzero(~feasible)
@@ -412,41 +550,12 @@ class TabuRepair:
             # Engine degraded: fall through to the serial loop, which
             # derives the very same per-row streams — same bytes out.
 
-        tile = self._usage_tile(population, rows)
-        for local, i in enumerate(rows):
-            if self._deadline_passed():
-                break  # remaining rows pass through unrepaired
-            rng = np.random.default_rng(
-                derive_sequence(self._root_seq, batch_index, int(i))
-            )
-            repaired[i] = self.repair_genome(
-                population[i],
-                rng=rng,
-                usage=None if tile is None else tile[local],
-                known_infeasible=True,
-            )
+        repaired[rows] = self.repair_rows(
+            population[rows],
+            rows,
+            root=self._root_seq,
+            batch_index=batch_index,
+            # Views of the screen's tile rows: no second tile is built.
+            usage=[usage[row] for row in rows.tolist()],
+        )
         return repaired
-
-    def _usage_tile(
-        self, population: IntArray, rows: IntArray
-    ) -> FloatArray | None:
-        """Score the whole infeasible batch's usage as one kernel tile.
-
-        Rows of the tile are bitwise-equal to per-genome
-        ``server_usage`` scatters (kernel conformance contract), so
-        handing ``tile[local]`` to :meth:`repair_genome` changes no
-        result — it only replaces ``rows`` individual scatter-adds
-        with one vectorized pass.  Falls back to per-row scatters when
-        the tile would be unreasonably large.
-        """
-        if rows.size == 0 or self._deadline_passed():
-            return None
-        capacity = self.constraints.capacity
-        m, h = capacity.limit.shape
-        if rows.size * m * h > 8_000_000:  # ~64 MB of float64: not worth it
-            return None
-        tile = capacity.batch_usage(population[rows])
-        registry = get_registry()
-        registry.count("engine.kernel.repair_tiles")
-        registry.count("engine.kernel.repair_tile_rows", int(rows.size))
-        return tile

@@ -117,6 +117,9 @@ class CheckContext:
     outcome:
         A full :class:`~repro.allocator.BatchOutcome` (its assignment
         and accepted mask take precedence over the bare fields).
+    accepted:
+        Per-request acceptance mask of a bare ``assignment``, e.g. all
+        True for committed residents; taken from ``outcome`` when given.
     base_usage:
         Committed usage from earlier windows.
     objectives:
@@ -134,6 +137,7 @@ class CheckContext:
     owner: np.ndarray | None = None
     assignment: np.ndarray | None = None
     outcome: BatchOutcome | None = None
+    accepted: np.ndarray | None = None
     base_usage: np.ndarray | None = None
     objectives: np.ndarray | None = None
     front_objectives: np.ndarray | None = None
@@ -143,6 +147,8 @@ class CheckContext:
         if self.outcome is not None:
             if self.assignment is None:
                 self.assignment = self.outcome.assignment
+            if self.accepted is None:
+                self.accepted = self.outcome.accepted
             if self.objectives is None:
                 self.objectives = self.outcome.objectives
         if self.merged is None and self.requests is not None:
@@ -151,9 +157,9 @@ class CheckContext:
     @property
     def accepted_resources(self) -> np.ndarray | None:
         """Boolean mask over merged resources of *accepted* requests."""
-        if self.outcome is None or self.owner is None:
+        if self.accepted is None or self.owner is None:
             return None
-        return self.outcome.accepted[self.owner]
+        return np.asarray(self.accepted, dtype=bool)[self.owner]
 
 
 _Checker = Callable[[CheckContext], list[InvariantViolation] | None]
@@ -222,13 +228,12 @@ def _capacity_respected(ctx: CheckContext) -> list[InvariantViolation] | None:
     accepted = ctx.accepted_resources
     assignment = np.asarray(ctx.assignment, dtype=np.int64)
     demand = ctx.merged.demand
-    if accepted is not None:
-        # Accepted work must fit; rejected (violating) placements are
-        # the EA baselines' documented behaviour, not an invariant break.
-        assignment = np.where(accepted, assignment, UNPLACED)
-    elif ctx.outcome is None:
+    if accepted is None:
         # A bare genome may legitimately overload servers.
         return None
+    # Accepted work must fit; rejected (violating) placements are the EA
+    # baselines' documented behaviour, not an invariant break.
+    assignment = np.where(accepted, assignment, UNPLACED)
     usage = np.zeros((ctx.infrastructure.m, ctx.infrastructure.h))
     mask = assignment != UNPLACED
     # Deliberately np.add.at, NOT repro.utils.scatter: the invariant
@@ -257,14 +262,14 @@ def _capacity_respected(ctx: CheckContext) -> list[InvariantViolation] | None:
 
 @register_invariant("group_closure")
 def _group_closure(ctx: CheckContext) -> list[InvariantViolation] | None:
-    if ctx.assignment is None or ctx.merged is None or ctx.outcome is None:
+    if ctx.assignment is None or ctx.merged is None:
         return None
-    if ctx.owner is None:
+    if ctx.owner is None or ctx.accepted is None:
         return None
     from repro.constraints.registry import make_group_constraint
 
     out: list[InvariantViolation] = []
-    accepted = ctx.outcome.accepted
+    accepted = ctx.accepted
     for gi, group in enumerate(ctx.merged.groups):
         owner = int(ctx.owner[group.members[0]])
         if not accepted[owner]:

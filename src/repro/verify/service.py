@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ea.config import NSGAConfig
-from repro.model.request import Request
 from repro.verify.checks import Report
 from repro.verify.invariants import CheckContext, run_invariants
 from repro.workloads.generator import ScenarioSpec
@@ -216,11 +215,12 @@ def check_service_conformance(
         f"live (t, w)={live_clock} != replay {replay_clock}",
     )
 
-    # The replayed placements must satisfy the PR 3 invariant catalog.
+    # The replayed placements must satisfy the invariant catalog.  Every
+    # resident is committed work, so each request counts as accepted:
+    # that is what lets the capacity and group checks compare.
     if replay_residents:
         keys = sorted(replay_residents)
         requests = [replayed.scheduler.request_for(key) for key in keys]
-        merged, _ = Request.concatenate(requests)
         assignment = np.concatenate(
             [np.asarray(replay_residents[key], dtype=np.int64) for key in keys]
         )
@@ -229,6 +229,7 @@ def check_service_conformance(
                 infrastructure=estate,
                 requests=requests,
                 assignment=assignment,
+                accepted=np.ones(len(requests), dtype=bool),
             ),
             names=_PLACEMENT_INVARIANTS,
         )

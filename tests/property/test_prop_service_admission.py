@@ -70,10 +70,12 @@ def test_accepted_placements_satisfy_invariants(setup):
             infrastructure=scenario.infrastructure,
             requests=requests,
             assignment=assignment,
+            accepted=np.ones(len(requests), dtype=bool),
         ),
         names=_PLACEMENT_INVARIANTS,
     )
     assert report.ok, report.format()
+    assert report.checked == _PLACEMENT_INVARIANTS
     state.scheduler.state.verify_consistency()
 
 

@@ -13,6 +13,7 @@ from repro.constraints import (
     SameServerConstraint,
     make_group_constraint,
 )
+from repro.engine.kernels import use_kernel
 from repro.errors import ConstraintError, DimensionError
 from repro.model import PlacementGroup
 from repro.model.placement import UNPLACED
@@ -189,13 +190,20 @@ class TestFactoryAndSet:
         bad = np.array([0, 1, 2, 3, 4, 5])  # breaks same-server (0,1)
         assert not constraint_set.is_feasible(bad)
 
-    def test_batch_total_matches_single(self, small_infra, small_request):
+    @pytest.mark.parametrize("kernel", ["reference", "numpy"])
+    def test_batch_total_matches_single(self, small_infra, small_request, kernel):
         constraint_set = ConstraintSet(small_infra, small_request)
         rng = np.random.default_rng(3)
         population = rng.integers(0, 8, size=(20, 6))
-        batch = constraint_set.batch_violations(population)
+        population[10:][rng.random((10, 6)) < 0.3] = UNPLACED
+        with use_kernel(kernel):
+            batch = constraint_set.batch_violations(population)
+            tiled = constraint_set.batch_violations(
+                population, usage=constraint_set.capacity.batch_usage(population)
+            )
         single = [constraint_set.violations(row) for row in population]
         assert batch.tolist() == single
+        assert tiled.tolist() == single
 
     def test_batch_breakdown_sums_to_total(self, small_infra, small_request):
         constraint_set = ConstraintSet(small_infra, small_request)

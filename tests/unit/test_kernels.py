@@ -202,6 +202,9 @@ class TestGroupLayout:
 
 class TestRepairUsageTile:
     def test_tile_rows_match_per_genome_usage(self):
+        """The repair screen hands rows of its usage tile to the walk in
+        place of per-genome scatters: the rows must equal them bitwise,
+        unplaced genes included."""
         from repro.tabu.repair import TabuRepair
 
         compiled = _compiled(servers=6, vms=16, seed=13, tightness=0.95)
@@ -215,25 +218,11 @@ class TestRepairUsageTile:
         population = rng.integers(
             0, compiled.m, size=(7, compiled.request.n), dtype=np.int64
         )
-        rows = np.arange(population.shape[0])
-        tile = repairer._usage_tile(population, rows)
-        assert tile is not None
-        for local, i in enumerate(rows):
-            expected = repairer.constraints.capacity.server_usage(population[i])
-            assert tile[local].tobytes() == expected.tobytes()
-
-    def test_tile_skipped_for_empty_rows(self):
-        from repro.tabu.repair import TabuRepair
-
-        compiled = _compiled()
-        repairer = TabuRepair(
-            compiled.infrastructure,
-            compiled.request,
-            seed=0,
-            compiled=compiled,
-        )
-        population = np.zeros((3, compiled.request.n), dtype=np.int64)
-        assert repairer._usage_tile(population, np.array([], dtype=np.int64)) is None
+        population[1::2][rng.random((3, compiled.request.n)) < 0.2] = UNPLACED
+        capacity = repairer.constraints.capacity
+        tile = capacity.batch_usage(population)
+        for row, genome in enumerate(population):
+            assert tile[row].tobytes() == capacity.server_usage(genome).tobytes()
 
 
 class TestConformanceCaseCoverage:

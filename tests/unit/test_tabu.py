@@ -10,6 +10,8 @@ from repro.model import Request
 from repro.model.placement import UNPLACED
 from repro.objectives import PopulationEvaluator
 from repro.tabu import NeighborFinder, TabuList, TabuRepair, TabuSearch
+from repro.tabu import repair as repair_module
+from repro.tabu.repair import WalkState
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
 
@@ -94,7 +96,7 @@ class TestNeighborFinder:
         usage = ConstraintSet(
             small_infra, small_request, include_assignment=False
         ).capacity.server_usage(assignment)
-        target = finder.find(usage, assignment, 5, order="first")
+        target = finder.find(finder.limit - usage, assignment, 5, order="first")
         assert target == 0  # server 0 has room and the lowest id
 
     def test_find_respects_tabu(self, small_infra, small_request):
@@ -105,7 +107,7 @@ class TestNeighborFinder:
         ).capacity.server_usage(assignment)
         tabu = TabuList(tenure=8)
         tabu.add(5, 0)
-        target = finder.find(usage, assignment, 5, tabu=tabu, order="first")
+        target = finder.find(finder.limit - usage, assignment, 5, tabu=tabu, order="first")
         assert target not in (0, 5)  # 0 is tabu, 5 is current
 
     def test_find_orders(self, small_infra, small_request):
@@ -116,10 +118,10 @@ class TestNeighborFinder:
         ).capacity.server_usage(assignment)
         rng = np.random.default_rng(0)
         for order in ("first", "best_fit", "random"):
-            target = finder.find(usage, assignment, 5, order=order, rng=rng)
+            target = finder.find(finder.limit - usage, assignment, 5, order=order, rng=rng)
             assert target is not None and target != 5
         with pytest.raises(ValidationError):
-            finder.find(usage, assignment, 5, order="bogus")
+            finder.find(finder.limit - usage, assignment, 5, order="bogus")
 
     def test_find_returns_none_when_nothing_fits(self, small_infra):
         # One VM as big as the largest server: nowhere else to go once
@@ -134,7 +136,7 @@ class TestNeighborFinder:
         finder = NeighborFinder(small_infra, request, base_usage=base)
         assignment = np.array([2])
         usage = np.zeros_like(base)
-        assert finder.find(usage, assignment, 0) is None
+        assert finder.find(finder.limit - usage, assignment, 0) is None
 
 
 class TestTabuRepair:
@@ -197,14 +199,39 @@ class TestTabuRepair:
             TabuRepair(small_infra, small_request, max_rounds=0)
 
 
-class _UsageCheckingRepair(TabuRepair):
-    """Asserts, every round, that the usage the walk updates move by move
-    still equals the usage of the assignment it has reached."""
+class _CheckedWalkState(WalkState):
+    """Asserts, every round, that the state the walk updates move by move
+    still describes the assignment it has reached: its usage equals
+    ``server_usage(assignment)`` within 1e-6, its residual is ``limit -
+    usage`` bitwise, and its per-server over-counts and per-group counts
+    equal a recount over its own usage and assignment by ``constraints``,
+    the constraint set of the instance under repair."""
 
-    def _score(self, assignment, usage):
-        fresh = self.constraints.capacity.server_usage(assignment)
+    rounds = 0
+    constraints: ConstraintSet
+
+    @property
+    def violations(self) -> int:
+        capacity = self.constraints.capacity
+        usage = self.usage
+        fresh = capacity.server_usage(self.assignment)
         np.testing.assert_allclose(usage, fresh, rtol=0, atol=1e-6)
-        return super()._score(assignment, usage)
+        assert self.genes == self.assignment.tolist()
+        assert self.residual.tobytes() == (capacity.limit - usage).tobytes()
+        over = np.count_nonzero(usage > capacity._threshold, axis=1)
+        assert self.over == over.tolist() and self.cap_total == int(over.sum())
+        groups = [c.violations(self.assignment) for c in self.constraints.group_constraints]
+        assert self.group_viol == groups and self.group_total == sum(groups)
+        type(self).rounds += 1
+        return super().violations
+
+
+@pytest.fixture
+def checked_walk(monkeypatch):
+    """Run every repair walk of the test on :class:`_CheckedWalkState`."""
+    monkeypatch.setattr(repair_module, "WalkState", _CheckedWalkState)
+    monkeypatch.setattr(_CheckedWalkState, "rounds", 0)
+    return _CheckedWalkState
 
 
 def _genomes_with_unplaced_members(count):
@@ -227,11 +254,12 @@ class TestRepairWithUnplacedGenes:
     """An unplaced gene hosts nothing: the walk must never pick it as a
     faulty VM, debit its demand from server m-1, or place it."""
 
-    def test_unplaced_genes_are_never_moved(self):
+    def test_unplaced_genes_are_never_moved(self, checked_walk):
         cases = 0
         for infra, request, genome in _genomes_with_unplaced_members(200):
             constraint_set = ConstraintSet(infra, request, include_assignment=False)
-            repair = _UsageCheckingRepair(infra, request, seed=0)
+            checked_walk.constraints = constraint_set
+            repair = TabuRepair(infra, request, seed=0)
             repaired = repair.repair_genome(genome)
             unplaced = genome == UNPLACED
             assert np.all(repaired[unplaced] == UNPLACED)
@@ -240,6 +268,7 @@ class TestRepairWithUnplacedGenes:
             )
             cases += 1
         assert cases >= 100  # most generated requests carry groups
+        assert checked_walk.rounds > cases  # the state check ran every round
 
 
 class TestTabuSearch:

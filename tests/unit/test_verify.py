@@ -3,6 +3,7 @@ comparison (including the corrupted-compilation failure branch), the
 invariant catalog, the differential oracle's fault injection, the
 shared report and the ``repro verify`` CLI entry point."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.verify import (
     FuzzConfig,
     Report,
     check_parity,
+    check_service_conformance,
     invariant_names,
     run_fuzz,
     run_invariants,
@@ -194,6 +196,41 @@ def test_invariants_flag_corrupted_accepted_mask(scenario):
     )
     report = run_invariants(ctx, names=["accepted_closure"])
     assert not report.ok
+
+
+def test_service_check_runs_all_three_placement_invariants():
+    """The replayed residents are committed work, so the capacity and
+    group checks compare instead of skipping as for a bare genome."""
+    report = check_service_conformance()
+    assert report.ok, report.format()
+    assert report.stats["invariants_checked"] == 3
+
+
+def test_service_check_flags_an_overloaded_resident(monkeypatch):
+    """One replayed resident's demand inflated past any server: live and
+    replayed residents, ledger and clock still agree, so only the
+    capacity invariant can catch it."""
+    from repro.service import state as state_module
+
+    replay = state_module.replay_admission_log
+
+    def corrupted_replay(*args, **kwargs):
+        replayed = replay(*args, **kwargs)
+        corrupted = sorted(replayed.residents())[0]
+        request_for = replayed.scheduler.request_for
+
+        def inflated(key):
+            request = request_for(key)
+            if key == corrupted:
+                request = dataclasses.replace(request, demand=request.demand * 1e6)
+            return request
+
+        monkeypatch.setattr(replayed.scheduler, "request_for", inflated)
+        return replayed
+
+    monkeypatch.setattr(state_module, "replay_admission_log", corrupted_replay)
+    report = check_service_conformance()
+    assert [m.field for m in report.mismatches] == ["invariant[capacity_respected]"]
 
 
 def test_invariants_flag_dominated_front(scenario):

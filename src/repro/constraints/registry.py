@@ -162,30 +162,44 @@ class ConstraintSet:
 
         ``usage`` is the population's usage tile when the caller already
         scored it (:meth:`CapacityConstraint.batch_usage`); it is scored
-        here otherwise.  Groups are counted in the active kernel's one
-        pass when it vectorizes them, else one constraint at a time —
-        integer counts, identical either way.
+        here otherwise.  The group part sums the rows of
+        :meth:`batch_group_violations`.
         """
         population = np.asarray(population, dtype=np.int64)
-        kernel = active_kernel()
         capacity = self.capacity
         if usage is None:
             usage = capacity.batch_usage(population)
-        total = kernel.batch_over_counts(usage, capacity._threshold)
+        total = active_kernel().batch_over_counts(usage, capacity._threshold)
+        if self.group_constraints:
+            total += self.batch_group_violations(population).sum(axis=1)
+        for extra in (self.load_cap, self.assignment):
+            if extra is not None:
+                total += extra.batch_violations(population)
+        return total
+
+    def batch_group_violations(self, population: IntArray) -> IntArray:
+        """Violations per individual and placement group, shape (pop, G).
+
+        Column ``g`` counts group ``g`` of :attr:`group_constraints` (the
+        request's group order).  The active kernel scores every group in
+        one pass when it vectorizes them, else each constraint scores its
+        own column — integer counts, identical either way.
+        """
+        population = np.asarray(population, dtype=np.int64)
+        kernel = active_kernel()
         layout = (
             self.group_layout()
             if kernel.vectorized_groups and self.group_constraints
             else None
         )
         if layout is not None:
-            total += kernel.batch_group_violations(population, layout)
-        else:
-            for constraint in self.group_constraints:
-                total += constraint.batch_violations(population)
-        for extra in (self.load_cap, self.assignment):
-            if extra is not None:
-                total += extra.batch_violations(population)
-        return total
+            return kernel.batch_group_violations(population, layout)
+        columns = np.zeros(
+            (population.shape[0], len(self.group_constraints)), dtype=np.int64
+        )
+        for column, constraint in enumerate(self.group_constraints):
+            columns[:, column] = constraint.batch_violations(population)
+        return columns
 
     def batch_feasible(self, population: IntArray) -> np.ndarray:
         """Boolean feasibility mask per individual."""

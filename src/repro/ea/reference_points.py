@@ -170,26 +170,48 @@ class ReferencePointNiching:
         nearest, distance = self.associate(normalized)
 
         n_confirmed = confirmed.size
-        niche_count = np.bincount(nearest[:n_confirmed], minlength=self.n_points)
-        cand_niche = nearest[n_confirmed:]
-        cand_dist = distance[n_confirmed:]
-        available = np.ones(partial_front.size, dtype=bool)
+        niche_count = np.bincount(nearest[:n_confirmed], minlength=self.n_points).tolist()
+        cand_dist = distance[n_confirmed:].tolist()
+        front = partial_front.tolist()
+        # Each niche's available candidates, in ascending candidate order.
+        members_of: dict[int, list[int]] = {}
+        for index, niche in enumerate(nearest[n_confirmed:].tolist()):
+            members_of.setdefault(niche, []).append(index)
+        live = sorted(members_of)  # niches that still have candidates
         chosen: list[int] = []
 
         while len(chosen) < n_select:
-            # Niches that still have available candidates.
-            live = np.unique(cand_niche[available])
-            counts = niche_count[live]
-            minimal = live[counts == counts.min()]
-            niche = int(rng.choice(minimal))
-            members = np.flatnonzero(available & (cand_niche == niche))
+            least = min(niche_count[niche] for niche in live)
+            minimal = [niche for niche in live if niche_count[niche] == least]
+            # ``rng.integers(0, k)`` is the very draw ``rng.choice``
+            # makes over k entries (rule 1 of docs/PERFORMANCE.md).
+            niche = minimal[int(rng.integers(0, len(minimal)))]
+            members = members_of[niche]
             if niche_count[niche] == 0:
                 # Empty niche: take the member closest to the direction.
-                pick = members[np.argmin(cand_dist[members])]
+                pick = _first_min(members, cand_dist)
             else:
-                pick = int(rng.choice(members))
-            chosen.append(int(partial_front[pick]))
-            available[pick] = False
+                pick = members[int(rng.integers(0, len(members)))]
+            chosen.append(front[pick])
+            members.remove(pick)
+            if not members:
+                live.remove(niche)
             niche_count[niche] += 1
 
         return np.asarray(chosen, dtype=np.int64)
+
+
+def _first_min(indices: list[int], values: list[float]) -> int:
+    """The index ``np.argmin(values[indices])`` selects: the first NaN,
+    else the first smallest value."""
+    best = indices[0]
+    smallest = values[best]
+    if smallest != smallest:
+        return best
+    for index in indices[1:]:
+        value = values[index]
+        if value != value:
+            return index
+        if value < smallest:
+            best, smallest = index, value
+    return best

@@ -175,7 +175,7 @@ class ReferenceKernel:
     def batch_group_violations(
         self, population: IntArray, layout: GroupLayout
     ) -> IntArray:
-        """Summed group-rule violations per row -> (pop,) int64."""
+        """Group-rule violations per row and group -> (pop, G) int64."""
         raise NotImplementedError(
             f"{self.name} kernel does not vectorize group scoring"
         )

@@ -86,7 +86,7 @@ class NumpyKernel(ReferenceKernel):
         """Every group of every row in one composite-key sort."""
         pop = population.shape[0]
         if layout.n_groups == 0:
-            return np.zeros(pop, dtype=np.int64)
+            return np.zeros((pop, 0), dtype=np.int64)
         genes = population[:, layout.members]  # (pop, T)
         placed = genes != UNPLACED
         keys = genes
@@ -116,7 +116,7 @@ class NumpyKernel(ReferenceKernel):
             np.maximum(distinct - 1, 0),
             placed_counts - distinct,
         )
-        return violations.sum(axis=1).astype(np.int64)
+        return violations.astype(np.int64, copy=False)
 
     def server_min_qos(
         self,

@@ -19,12 +19,13 @@ The walk runs on one :class:`WalkState` per genome: usage, residual
 headroom, per-server overflow counts and per-group violation counts,
 each updated per move in O(h + members of the VM's groups), so no
 step recomputes from the genome what the previous move already knew.
+The states of a batch start from one set-up pass
+(:meth:`WalkState.batch`), so no row pays its own set-up either.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from repro.model.request import Request
 from repro.tabu.neighborhood import NeighborFinder, TabuList
 from repro.telemetry import RepairInvoked, get_bus, get_registry
 from repro.types import FloatArray, IntArray
-from repro.utils.rng import as_generator, derive_sequence, root_sequence
+from repro.utils.rng import as_generator, install_stream, root_sequence
 
 __all__ = ["TabuRepair"]
 
@@ -49,6 +50,8 @@ class _WalkTables:
     ``limit`` and ``threshold`` are the (m, h) capacity left after the
     committed usage and its overflow threshold; the ``*_rows`` lists
     hold the same floats row by row for the scalar per-move updates.
+    ``members`` concatenates the groups' members and ``segments``
+    names each entry's group; ``grouped`` marks the VMs in any group.
     """
 
     __slots__ = (
@@ -60,6 +63,9 @@ class _WalkTables:
         "groups",
         "groups_of_vm",
         "dc_of",
+        "members",
+        "segments",
+        "grouped",
     )
 
     def __init__(
@@ -78,6 +84,34 @@ class _WalkTables:
         self.groups = [(group.rule, list(group.members)) for group in request.groups]
         self.groups_of_vm = groups_of_vm
         self.dc_of = dc_of
+        self.members = np.array(
+            [vm for _, members in self.groups for vm in members], dtype=np.int64
+        )
+        self.segments = np.repeat(
+            np.arange(len(self.groups)), [len(members) for _, members in self.groups]
+        )
+        grouped = np.zeros(request.n, dtype=bool)
+        grouped[self.members] = True
+        self.grouped = grouped.tolist()
+
+    def faulty_lists(
+        self, over: IntArray, group_viol: IntArray, genomes: IntArray
+    ) -> list[IntArray]:
+        """exceedingDetection (Fig. 5, line 2) for a batch of walks.
+
+        ``over`` (rows, m) holds each row's over-threshold cells per
+        server, ``group_viol`` (rows, G) its violations per group and
+        ``genomes`` (rows, n) its genes.  Per row: the VMs hosted on an
+        overloaded server or member of a violated group, as ascending
+        int64 ids.  Unplaced genes are never faulty: they host nothing,
+        and the group counts already ignore them.
+        """
+        # An UNPLACED gene reads server m-1 here; the last mask drops it.
+        faulty = (over > 0)[np.arange(len(genomes))[:, None], genomes]
+        rows, entries = (group_viol > 0)[:, self.segments].nonzero()
+        faulty[rows, self.members[entries]] = True
+        faulty &= genomes != UNPLACED
+        return [row.nonzero()[0] for row in faulty]
 
 
 class WalkState:
@@ -100,6 +134,9 @@ class WalkState:
       part of the round score;
     * ``group_viol`` — per placement group, its violation count
       (``group_total`` sums them), recounted for the moved VM's groups.
+
+    :meth:`batch` builds the states of a batch; each views its row of
+    the batch's arrays.
     """
 
     __slots__ = (
@@ -112,23 +149,61 @@ class WalkState:
         "cap_total",
         "group_viol",
         "group_total",
+        "first_faulty",
     )
 
     def __init__(
-        self, tables: _WalkTables, assignment: IntArray, usage: FloatArray
+        self,
+        tables: _WalkTables,
+        assignment: IntArray,
+        genes: list[int],
+        usage: FloatArray,
+        residual: FloatArray,
+        over: list[int],
+        group_viol: list[int],
+        first_faulty: IntArray,
     ) -> None:
         self.tables = tables
         self.assignment = assignment
-        self.genes = genes = assignment.tolist()
+        self.genes = genes
         self.usage = usage
-        self.residual = tables.limit - usage
-        self.over = (usage > tables.threshold).sum(axis=1).tolist()
-        self.cap_total = sum(self.over)
-        self.group_viol = [
-            group_violations(rule, [genes[k] for k in members], tables.dc_of)
-            for rule, members in tables.groups
+        self.residual = residual
+        self.over = over
+        self.cap_total = sum(over)
+        self.group_viol = group_viol
+        self.group_total = sum(group_viol)
+        self.first_faulty: IntArray | None = first_faulty
+
+    @classmethod
+    def batch(
+        cls,
+        tables: _WalkTables,
+        genomes: IntArray,
+        usage: FloatArray,
+        group_viol: IntArray,
+    ) -> list["WalkState"]:
+        """The states of a batch of walks, from one set-up pass.
+
+        ``genomes`` (rows, n) and ``usage`` (rows, m, h) become the
+        walks' own: each state moves VMs in its row of them.
+        ``group_viol`` is the rows' (rows, G) violation matrix
+        (:meth:`~repro.constraints.registry.ConstraintSet.batch_group_violations`).
+        One subtraction gives the residuals, one compare the
+        over-threshold counts and one :meth:`_WalkTables.faulty_lists` call
+        every row's first faulty list.
+        """
+        residual = tables.limit - usage
+        over = np.count_nonzero(usage > tables.threshold, axis=2)
+        per_row = zip(
+            genomes.tolist(),
+            over.tolist(),
+            group_viol.tolist(),
+            tables.faulty_lists(over, group_viol, genomes),
+        )
+        return [
+            cls(tables, genomes[row], genes, usage[row], residual[row], over_row, viol, first)
+            for row, (genes, over_row, viol, first) in enumerate(per_row)
         ]
-        self.group_total = sum(self.group_viol)
 
     @property
     def violations(self) -> int:
@@ -136,18 +211,20 @@ class WalkState:
         return self.cap_total + self.group_total
 
     def faulty_vms(self) -> IntArray:
-        """VMs that must move: hosted on an overloaded server, or member
-        of a violated affinity/anti-affinity group (Fig. 5, line 2).
-        Unplaced members are never faulty: they host nothing, and the
-        group counts already ignore them.  Ascending int64 ids."""
-        assignment = self.assignment
-        # An UNPLACED gene reads server m-1 here; the last mask drops it.
-        faulty = np.array(self.over, dtype=bool)[assignment]
-        for (_, members), count in zip(self.tables.groups, self.group_viol):
-            if count:
-                faulty[members] = True
-        faulty &= assignment != UNPLACED
-        return faulty.nonzero()[0].astype(np.int64, copy=False)
+        """VMs that must move (Fig. 5, line 2), as ascending int64 ids.
+
+        The first call returns the list the batch set-up found; a later
+        one asks :meth:`_WalkTables.faulty_lists` about the current state.
+        """
+        faulty = self.first_faulty
+        if faulty is None:
+            return self.tables.faulty_lists(
+                np.array([self.over]),
+                np.array([self.group_viol], dtype=np.int64),
+                self.assignment[None],
+            )[0]
+        self.first_faulty = None
+        return faulty
 
     def still_faulty(self, vm: int) -> bool:
         """Re-check one VM against the *current* state: earlier moves in
@@ -259,7 +336,9 @@ class TabuRepair:
         self._rng = as_generator(seed)
         # Per-individual streams are addressed by (batch, row) under this
         # root — the determinism contract the parallel fan-out relies on.
+        # Each row's starting state is installed in this one generator.
         self._root_seq = root_sequence(seed)
+        self._stream = np.random.default_rng(0)
         self._batch_counter = 0
         # E + U per server: the cheap cost proxy for ideal-point scoring.
         self._cost_rate = (
@@ -276,9 +355,6 @@ class TabuRepair:
             self.finder.groups_of_vm,
             self.finder.dc_of,
         )
-        self._grouped = np.zeros(request.n, dtype=bool)
-        for _, members in self._tables.groups:
-            self._grouped[members] = True
         self.repaired_individuals = 0
         self.moves_performed = 0
         #: Optional wall-clock cutoff (``time.perf_counter`` stamp) set
@@ -356,43 +432,66 @@ class TabuRepair:
         return int(idx[np.argmin(added[idx])])
 
     # ------------------------------------------------------------------
+    def _start_walks(
+        self, genomes: IntArray, usage: FloatArray | None = None
+    ) -> list[WalkState]:
+        """The walk states of ``genomes`` (rows, n), from one set-up pass
+        (:meth:`WalkState.batch`).  ``usage`` is their (rows, m, h)
+        usage tile, which the walks take over; it is scored here when
+        absent."""
+        genomes = np.array(genomes, dtype=np.int64)  # the walks' own genes
+        if usage is None:
+            usage = self.constraints.capacity.batch_usage(genomes)
+        return WalkState.batch(
+            self._tables,
+            genomes,
+            usage,
+            self.constraints.batch_group_violations(genomes),
+        )
+
+    @staticmethod
+    def _count_repairs(walked: int, moves: int) -> None:
+        """The repair counters, once per set-up with its walks' totals."""
+        if walked:
+            registry = get_registry()
+            registry.count("tabu.repair.individuals", walked, repairer="tabu")
+            registry.count("tabu.repair.moves", moves, repairer="tabu")
+
     def repair_genome(
-        self,
-        assignment: IntArray,
-        rng=None,
-        *,
-        usage: FloatArray | None = None,
-        known_infeasible: bool = False,
+        self, assignment: IntArray, rng=None, *, walk: WalkState | None = None
     ) -> IntArray:
         """Repair one genome (Fig. 5).  Returns a new array.
 
         ``rng`` overrides the repairer's own stream; population repair
-        passes a per-individual generator derived from the root seed so
-        the walk is a pure function of (seed, batch, row) — identical
-        whether this runs in-process or in a pool worker.
+        passes each row's derived stream so the walk is a pure function
+        of (seed, batch, row) — identical whether this runs in-process
+        or in a pool worker.
 
-        ``usage`` optionally supplies this genome's (m, h) usage matrix
-        (one row of the batch tile population repair screens with);
-        it must equal ``capacity.server_usage(assignment)`` bitwise,
-        which rows of :meth:`CapacityConstraint.batch_usage` do by the
-        kernel conformance contract.  ``known_infeasible`` skips the
-        redundant feasibility pre-check for callers that already
-        batch-screened the population.
+        ``walk`` is the genome's state from the set-up of
+        :meth:`repair_rows`, which screened the batch and counts its
+        walks.  Without it, a feasible genome comes back as a copy and
+        an infeasible one is walked from a set-up of a batch of one.
         """
         if rng is None:
             rng = self._rng
-        assignment = np.asarray(assignment, dtype=np.int64).copy()
-        if not known_infeasible and self.constraints.is_feasible(assignment):
-            return assignment
+        if walk is not None:
+            return self._walk(walk, rng)
+        assignment = np.asarray(assignment, dtype=np.int64)
+        if self.constraints.is_feasible(assignment):
+            return assignment.copy()
+        moves_before = self.moves_performed
+        [walk] = self._start_walks(assignment[None])
+        best = self._walk(walk, rng)
+        self._count_repairs(1, self.moves_performed - moves_before)
+        return best
 
+    def _walk(self, state: WalkState, rng: np.random.Generator) -> IntArray:
+        """The rounds of Fig. 5 on ``state``; returns the best genome."""
         self.repaired_individuals += 1
         moves_before = self.moves_performed
         tabu = TabuList(tenure=self.tenure)
-        if usage is None:
-            usage = self.constraints.capacity.server_usage(assignment)
-        else:
-            usage = np.array(usage, dtype=np.float64)  # owned, mutated below
-        state = WalkState(self._tables, assignment, usage)
+        assignment = state.assignment
+        grouped = self._tables.grouped
         best = assignment.copy()
         best_violations = state.violations
         best_cost = None  # priced only when a later round ties it
@@ -404,13 +503,16 @@ class TabuRepair:
             faulty = state.faulty_vms()
             if faulty.size == 0:
                 break
-            # Shuffle, then visit ungrouped VMs first: moving them never
-            # perturbs an affinity rule, so capacity pressure drains off
-            # overloaded servers without collateral group damage.
+            # Shuffle, then visit ungrouped VMs first (a stable
+            # partition): moving them never perturbs an affinity rule, so
+            # capacity pressure drains off overloaded servers without
+            # collateral group damage.
             rng.shuffle(faulty)
-            faulty = faulty[np.argsort(self._grouped[faulty], kind="stable")]
+            shuffled = faulty.tolist()
+            order = [vm for vm in shuffled if not grouped[vm]]
+            order += [vm for vm in shuffled if grouped[vm]]
             moved_any = False
-            for scanned, vm in enumerate(faulty.tolist()):
+            for scanned, vm in enumerate(order):
                 # The round itself can be long on big instances; re-check
                 # the budget every few dozen candidate moves.
                 if scanned % 32 == 31 and self._deadline_passed():
@@ -454,15 +556,13 @@ class TabuRepair:
             if not moved_any or stall_rounds >= 3:
                 break  # stuck (no move, or three rounds without progress)
 
-        moves = self.moves_performed - moves_before
-        registry = get_registry()
-        registry.count("tabu.repair.individuals", repairer="tabu")
-        registry.count("tabu.repair.moves", moves, repairer="tabu")
         bus = get_bus()
         if bus.enabled:
             bus.emit(
                 RepairInvoked(
-                    repairer="tabu", moves=moves, repaired=best_violations == 0
+                    repairer="tabu",
+                    moves=self.moves_performed - moves_before,
+                    repaired=best_violations == 0,
                 )
             )
         return best
@@ -474,28 +574,32 @@ class TabuRepair:
         *,
         root: np.random.SeedSequence,
         batch_index: int,
-        usage: FloatArray | Sequence[FloatArray] | None = None,
+        usage: FloatArray | None = None,
     ) -> IntArray:
         """Repair batch-screened infeasible genomes, one stream per row.
 
         ``genomes[local]`` is row ``rows[local]`` of population batch
-        ``batch_index``; its walk draws from the stream derived from
-        ``(root, batch_index, rows[local])``, so the serial loop and a
-        pool worker produce the same bytes.  ``usage[local]`` is its
-        (m, h) usage: a row of a usage tile (``genomes``' own tile is
-        scored here when absent).  Once the deadline has passed, the
-        remaining rows come back unrepaired.
+        ``batch_index``; its walk draws from the stream of ``(root,
+        batch_index, rows[local])`` (:func:`~repro.utils.rng.install_stream`
+        puts it in the repairer's one stream generator), so the serial
+        loop and a pool worker produce the same bytes.  ``usage`` is the
+        genomes' (rows, m, h) usage tile, which the walks take over; a
+        worker's chunk is scored here.  The walks start from one set-up
+        pass, and the repair counters count the walked rows once.  Once
+        the deadline has passed, the remaining rows come back unrepaired.
         """
-        if usage is None:
-            usage = self.constraints.capacity.batch_usage(genomes)
+        walks = self._start_walks(genomes, usage)
         repaired = genomes.copy()
-        for local, row in enumerate(rows):
+        stream = self._stream
+        moves_before = self.moves_performed
+        walked = 0
+        for local, row in enumerate(np.asarray(rows).tolist()):
             if self._deadline_passed():
                 break
-            rng = np.random.default_rng(derive_sequence(root, batch_index, int(row)))
-            repaired[local] = self.repair_genome(
-                genomes[local], rng=rng, usage=usage[local], known_infeasible=True
-            )
+            install_stream(stream, root, batch_index, row)
+            repaired[local] = self.repair_genome(genomes[local], stream, walk=walks[local])
+            walked += 1
+        self._count_repairs(walked, self.moves_performed - moves_before)
         return repaired
 
     # ------------------------------------------------------------------
@@ -507,8 +611,8 @@ class TabuRepair:
         of population repairs within a run is fixed (init, parents,
         offspring per generation), so the counter is identical across
         serial and parallel executions of the same seed.  The batch's
-        usage tile is scored once: it screens feasibility and its rows
-        start the walks.
+        usage tile is scored once: it screens feasibility and its
+        infeasible rows start the walks.
         """
         population = np.asarray(population, dtype=np.int64)
         if population.ndim == 1:
@@ -520,6 +624,9 @@ class TabuRepair:
         if feasible.all():
             return population
         rows = np.flatnonzero(~feasible)
+        # The infeasible rows of the tile, a copy the walks take over;
+        # the population tile is not kept alive beside it.
+        usage = usage[rows]
         repaired = population.copy()
 
         engine = self.engine
@@ -555,7 +662,6 @@ class TabuRepair:
             rows,
             root=self._root_seq,
             batch_index=batch_index,
-            # Views of the screen's tile rows: no second tile is built.
-            usage=[usage[row] for row in rows.tolist()],
+            usage=usage,
         )
         return repaired

@@ -13,11 +13,41 @@ from repro.constraints import (
     SameServerConstraint,
     make_group_constraint,
 )
+from repro.engine.incremental import group_violations
 from repro.engine.kernels import use_kernel
 from repro.errors import ConstraintError, DimensionError
-from repro.model import PlacementGroup
+from repro.model import PlacementGroup, Request
 from repro.model.placement import UNPLACED
 from repro.types import PlacementRule
+from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
+
+
+def _generated_instances():
+    """Generated instances whose request carries all four rules (one
+    extra three-member group per rule on top of the generated ones)."""
+    for seed in range(4):
+        spec = ScenarioSpec(
+            servers=6 + 2 * seed,
+            datacenters=3,
+            vms=16 + 4 * seed,
+            max_request_size=5,
+            affinity_probability=1.0,
+        )
+        scenario = ScenarioGenerator(spec, seed=seed).generate()
+        request, _ = Request.concatenate(list(scenario.requests))
+        rng = np.random.default_rng(seed)
+        extra = tuple(
+            PlacementGroup(rule, tuple(rng.choice(request.n, size=3, replace=False).tolist()))
+            for rule in PlacementRule
+        )
+        request = Request(
+            demand=request.demand,
+            qos_guarantee=request.qos_guarantee,
+            downtime_cost=request.downtime_cost,
+            migration_cost=request.migration_cost,
+            groups=request.groups + extra,
+        )
+        yield scenario.infrastructure, request
 
 
 class TestCapacity:
@@ -192,18 +222,38 @@ class TestFactoryAndSet:
 
     @pytest.mark.parametrize("kernel", ["reference", "numpy"])
     def test_batch_total_matches_single(self, small_infra, small_request, kernel):
-        constraint_set = ConstraintSet(small_infra, small_request)
-        rng = np.random.default_rng(3)
-        population = rng.integers(0, 8, size=(20, 6))
-        population[10:][rng.random((10, 6)) < 0.3] = UNPLACED
-        with use_kernel(kernel):
-            batch = constraint_set.batch_violations(population)
-            tiled = constraint_set.batch_violations(
-                population, usage=constraint_set.capacity.batch_usage(population)
-            )
-        single = [constraint_set.violations(row) for row in population]
-        assert batch.tolist() == single
-        assert tiled.tolist() == single
+        """Batch totals equal the per-genome counts, and the (rows, G)
+        group matrix is one contract with the walk's per-move count:
+        every cell equals ``group_violations`` of that row's members, on
+        generated instances with all four rules and unplaced genes."""
+        cells = 0
+        instances = [(small_infra, small_request), *_generated_instances()]
+        for index, (infra, request) in enumerate(instances):
+            constraint_set = ConstraintSet(infra, request)
+            rng = np.random.default_rng(3 + index)
+            population = rng.integers(0, infra.m, size=(20, request.n))
+            population[10:][rng.random((10, request.n)) < 0.3] = UNPLACED
+            with use_kernel(kernel):
+                batch = constraint_set.batch_violations(population)
+                tiled = constraint_set.batch_violations(
+                    population, usage=constraint_set.capacity.batch_usage(population)
+                )
+                matrix = constraint_set.batch_group_violations(population)
+            single = [constraint_set.violations(row) for row in population]
+            assert batch.tolist() == single
+            assert tiled.tolist() == single
+            dc_of = infra.server_datacenter.tolist()
+            assert matrix.dtype == np.int64
+            assert matrix.tolist() == [
+                [
+                    group_violations(group.rule, [int(row[k]) for k in group.members], dc_of)
+                    for group in request.groups
+                ]
+                for row in population
+            ]
+            cells += int(np.count_nonzero(matrix))
+        assert {g.rule for g in instances[-1][1].groups} == set(PlacementRule)
+        assert cells > 100  # violated groups, not only zeros
 
     def test_batch_breakdown_sums_to_total(self, small_infra, small_request):
         constraint_set = ConstraintSet(small_infra, small_request)

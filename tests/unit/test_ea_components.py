@@ -17,6 +17,7 @@ from repro.ea import (
 )
 from repro.errors import ValidationError
 from repro.utils.pareto import dominates
+from repro.utils.rng import as_generator
 
 
 def _naive_fronts(objectives):
@@ -131,6 +132,59 @@ class TestDasDennis:
             das_dennis_points(3, 0)
 
 
+class _ReferenceNiching(ReferencePointNiching):
+    """``select`` as it ran with numpy calls per pick, verbatim."""
+
+    def reference_select(
+        self,
+        objectives,
+        confirmed,
+        partial_front,
+        n_select,
+        seed=None,
+    ):
+        confirmed = np.asarray(confirmed, dtype=np.int64)
+        partial_front = np.asarray(partial_front, dtype=np.int64)
+        if n_select < 0 or n_select > partial_front.size:
+            raise ValidationError(
+                f"cannot select {n_select} from front of {partial_front.size}"
+            )
+        if n_select == 0:
+            return np.empty(0, dtype=np.int64)
+        if n_select == partial_front.size:
+            return partial_front.copy()
+
+        rng = as_generator(seed)
+        pool = np.concatenate([confirmed, partial_front])
+        normalized = self.normalize(objectives[pool])
+        nearest, distance = self.associate(normalized)
+
+        n_confirmed = confirmed.size
+        niche_count = np.bincount(nearest[:n_confirmed], minlength=self.n_points)
+        cand_niche = nearest[n_confirmed:]
+        cand_dist = distance[n_confirmed:]
+        available = np.ones(partial_front.size, dtype=bool)
+        chosen: list[int] = []
+
+        while len(chosen) < n_select:
+            # Niches that still have available candidates.
+            live = np.unique(cand_niche[available])
+            counts = niche_count[live]
+            minimal = live[counts == counts.min()]
+            niche = int(rng.choice(minimal))
+            members = np.flatnonzero(available & (cand_niche == niche))
+            if niche_count[niche] == 0:
+                # Empty niche: take the member closest to the direction.
+                pick = members[np.argmin(cand_dist[members])]
+            else:
+                pick = int(rng.choice(members))
+            chosen.append(int(partial_front[pick]))
+            available[pick] = False
+            niche_count[niche] += 1
+
+        return np.asarray(chosen, dtype=np.int64)
+
+
 class TestNiching:
     def test_association_picks_nearest_direction(self):
         niching = ReferencePointNiching(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -161,6 +215,47 @@ class TestNiching:
         objs = np.random.default_rng(1).random((3, 2))
         with pytest.raises(ValidationError):
             niching.select(objs, np.empty(0, dtype=np.int64), np.arange(3), 5)
+
+    def test_select_matches_reference_byte_for_byte(self):
+        """The list-based pick against the numpy-per-pick original: the
+        same survivors and the same generator state after every call."""
+        calls = 0
+        rng = np.random.default_rng(11)
+        for n_objectives, divisions in ((2, 4), (3, 4), (3, 12)):
+            niching = _ReferenceNiching(das_dennis_points(n_objectives, divisions))
+            for _ in range(120):
+                size = int(rng.integers(1, 30))
+                n_confirmed = int(rng.integers(0, 12)) if rng.random() < 0.7 else 0
+                total = n_confirmed + size
+                if rng.random() < 0.5:
+                    # Few distinct values: ties in niche counts and distances.
+                    objs = rng.integers(0, 4, size=(total, n_objectives)).astype(float)
+                else:
+                    objs = rng.random((total, n_objectives))
+                if rng.random() < 0.3:  # duplicate points
+                    objs[rng.integers(0, total, size=total // 2)] = objs[0]
+                if rng.random() < 0.2:  # NaN objective rows
+                    objs[rng.integers(0, total, size=2)] = np.nan
+                elif rng.random() < 0.2:
+                    # Infinite entries: NaN distances beside finite ones.
+                    objs[rng.integers(0, total, size=2), 0] = np.inf
+                order = rng.permutation(total)
+                confirmed, partial = order[:n_confirmed], order[n_confirmed:]
+                for n_select in {0, 1, max(1, size - 1), int(rng.integers(1, size + 1)), size}:
+                    if n_select > size:
+                        continue
+                    draw = int(rng.integers(1 << 30))
+                    want_rng = np.random.default_rng(draw)
+                    got_rng = np.random.default_rng(draw)
+                    with np.errstate(invalid="ignore"):  # inf - inf on purpose
+                        want = niching.reference_select(
+                            objs, confirmed, partial, n_select, want_rng
+                        )
+                        got = niching.select(objs, confirmed, partial, n_select, got_rng)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                    calls += 1
+        assert calls > 1000
 
     def test_zero_reference_point_rejected(self):
         with pytest.raises(ValidationError):

@@ -4,15 +4,17 @@
 before it moved onto a per-genome delta state (:class:`WalkState`):
 ``repair_genome``, ``exceedingDetection`` (``_faulty_vms``), the
 still-faulty re-check, the round score and ``findNeighbor`` each
-recompute their answer from the genome and the usage matrix.  The code
-below is that walk verbatim.  The fuzz drives it and
+recompute their answer from the genome and the usage matrix, and every
+row derives its own stream and sets itself up.  The code below is that
+walk verbatim.  The fuzz drives it and
 :class:`~repro.tabu.repair.TabuRepair` through the same calls and
 asserts the same output bytes, counters and generator states after
-every call: the delta state may change how fast the walk runs, never a
-move it makes or a number it draws.
+every call: the delta state and the per-batch set-up may change how
+fast the walk runs, never a move it makes or a number it draws.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -23,7 +25,13 @@ from repro.model.placement import UNPLACED
 from repro.model.request import PlacementGroup, Request
 from repro.tabu.neighborhood import NeighborFinder, TabuList
 from repro.tabu.repair import TabuRepair
-from repro.telemetry import RepairInvoked, get_bus, get_registry
+from repro.telemetry import (
+    MetricsRegistry,
+    RepairInvoked,
+    get_bus,
+    get_registry,
+    use_registry,
+)
 from repro.types import BoolArray, FloatArray, IntArray, PlacementRule
 from repro.utils.rng import derive_sequence
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
@@ -400,13 +408,15 @@ def _cases():
 def _reference_batch(reference: _ReferenceRepair, population: IntArray) -> IntArray:
     """The batch path before the shared usage tile: a per-row screen, a
     per-genome scatter, each infeasible row walked on the stream derived
-    from (root, batch, row)."""
+    from (root, batch, row) until the deadline passes."""
     batch_index = reference._batch_counter
     reference._batch_counter += 1
     repaired = population.copy()
     for row, genome in enumerate(population):
         if reference.constraints.is_feasible(genome):
             continue
+        if reference._deadline_passed():
+            break
         rng = np.random.default_rng(
             derive_sequence(reference._root_seq, batch_index, row)
         )
@@ -450,13 +460,17 @@ def test_walk_matches_reference_byte_for_byte(order, allow_worsening_moves, max_
             _assert_same(walk(genomes), _reference_batch(reference, genomes), walk, reference)
         assert walk._batch_counter == reference._batch_counter
 
-        # Derived streams one row at a time, the walk starting from tile rows.
+        # The row loop alone, one row at a time from tile rows: every
+        # row is walked (the caller screened), on its derived stream.
         tile = walk.constraints.capacity.batch_usage(genomes)
         for row, genome in enumerate(genomes):
-            walk_rng = np.random.default_rng(derive_sequence(walk._root_seq, 99, row))
             reference_rng = np.random.default_rng(derive_sequence(walk._root_seq, 99, row))
-            got = walk.repair_genome(
-                genome, rng=walk_rng, usage=tile[row], known_infeasible=True
+            got = walk.repair_rows(
+                genomes[[row]],
+                np.array([row]),
+                root=walk._root_seq,
+                batch_index=99,
+                usage=tile[[row]],
             )
             want = reference.repair_genome(
                 genome,
@@ -464,10 +478,58 @@ def test_walk_matches_reference_byte_for_byte(order, allow_worsening_moves, max_
                 usage=reference.constraints.capacity.server_usage(genome),
                 known_infeasible=True,
             )
-            _assert_same(got, want, walk, reference)
-            assert walk_rng.bit_generator.state == reference_rng.bit_generator.state
+            _assert_same(got[0], want, walk, reference)
+            assert walk._stream.bit_generator.state == reference_rng.bit_generator.state
         moves += walk.moves_performed
     assert moves > 0  # the fuzz reached real moves, not only early exits
+
+
+def _deadline_after(repairer: TabuRepair, checks: int) -> None:
+    """Let the repairer's deadline pass at its ``checks``-th check (the
+    walk and the reference check it at the same points: per row, per
+    round and every 32 scanned VMs)."""
+    seen = itertools.count(1)
+    repairer._deadline_passed = lambda: next(seen) >= checks
+
+
+@pytest.mark.parametrize("checks", [1, 2, 3, 5, 8, 13, None])
+def test_batch_walks_match_reference_up_to_a_deadline(checks):
+    """Batches of several infeasible rows, on committed base usage and
+    with unplaced genes, walked from one set-up pass: the same bytes,
+    walk counters and repair-counter totals as the reference's per-row
+    walks, with a deadline that passes mid-batch (only walked rows
+    count) or never."""
+    cut = 0
+    for infra, request, base, genomes, seed in _cases():
+        options = dict(
+            base_usage=base,
+            seed=seed,
+            compiled=CompiledProblem.compile(infra, request) if seed % 2 else None,
+        )
+        walk = TabuRepair(infra, request, **options)
+        reference = _ReferenceRepair(infra, request, **options)
+        if checks is not None:
+            _deadline_after(walk, checks)
+            _deadline_after(reference, checks)
+        infeasible = int((walk.constraints.batch_violations(genomes) > 0).sum())
+        assert infeasible >= 2
+        with use_registry(MetricsRegistry()) as walk_registry:
+            got = walk(genomes)
+        with use_registry(MetricsRegistry()) as reference_registry:
+            want = _reference_batch(reference, genomes)
+        _assert_same(got, want, walk, reference)
+        for name in ("tabu.repair.individuals", "tabu.repair.moves"):
+            assert walk_registry.snapshot().counter_total(
+                name
+            ) == reference_registry.snapshot().counter_total(name)
+        assert walk_registry.snapshot().counter_total(
+            "tabu.repair.individuals"
+        ) == walk.repaired_individuals
+        cut += 0 < walk.repaired_individuals < infeasible
+        if checks is None:
+            assert walk.repaired_individuals == infeasible
+    if checks is not None and checks > 1:
+        assert cut > 0  # the deadline passed mid-batch
 
 
 def test_finder_matches_reference():

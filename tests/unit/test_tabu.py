@@ -200,15 +200,22 @@ class TestTabuRepair:
 
 
 class _CheckedWalkState(WalkState):
-    """Asserts, every round, that the state the walk updates move by move
-    still describes the assignment it has reached: its usage equals
+    """Asserts, when its walk starts and after every round, that the
+    state the batch set-up built and the walk updates move by move still
+    describes the assignment it has reached: its usage equals
     ``server_usage(assignment)`` within 1e-6, its residual is ``limit -
     usage`` bitwise, and its per-server over-counts and per-group counts
     equal a recount over its own usage and assignment by ``constraints``,
-    the constraint set of the instance under repair."""
+    the constraint set of the instance under repair.  ``built`` counts
+    the states :meth:`WalkState.batch` made, ``rounds`` the checks."""
 
     rounds = 0
+    built = 0
     constraints: ConstraintSet
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        type(self).built += 1
 
     @property
     def violations(self) -> int:
@@ -231,6 +238,7 @@ def checked_walk(monkeypatch):
     """Run every repair walk of the test on :class:`_CheckedWalkState`."""
     monkeypatch.setattr(repair_module, "WalkState", _CheckedWalkState)
     monkeypatch.setattr(_CheckedWalkState, "rounds", 0)
+    monkeypatch.setattr(_CheckedWalkState, "built", 0)
     return _CheckedWalkState
 
 
@@ -269,6 +277,29 @@ class TestRepairWithUnplacedGenes:
             cases += 1
         assert cases >= 100  # most generated requests carry groups
         assert checked_walk.rounds > cases  # the state check ran every round
+
+    def test_batch_built_states_stay_consistent(self, checked_walk):
+        """Population repair starts the walks of several infeasible rows,
+        on committed base usage, from one set-up pass: every one of those
+        states must check out when it starts and after every round."""
+        walks = batches = 0
+        for infra, request, genome in _genomes_with_unplaced_members(60):
+            rng = np.random.default_rng(genome.size)
+            base = infra.effective_capacity * rng.uniform(0.0, 0.3, size=(infra.m, infra.h))
+            checked_walk.constraints = ConstraintSet(
+                infra, request, base_usage=base, include_assignment=False
+            )
+            population = np.stack(
+                [genome, rng.permutation(genome), rng.integers(0, infra.m, size=genome.size)]
+            )
+            repair = TabuRepair(infra, request, base_usage=base, seed=0)
+            repaired = repair(population)
+            assert np.all(repaired[population == UNPLACED] == UNPLACED)
+            walks += repair.repaired_individuals
+            batches += repair.repaired_individuals >= 2
+        assert batches >= 30  # most batches walk several rows
+        assert checked_walk.built == walks  # every walk ran on a checked state
+        assert checked_walk.rounds > walks  # checked at the start and every round
 
 
 class TestTabuSearch:

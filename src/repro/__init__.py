@@ -22,59 +22,16 @@ Quickstart::
     outcome = NSGA3TabuAllocator().allocate(infra, [request])
     print(outcome.assignment, outcome.rejection_rate)
 
+Every public name is imported on first use (PEP 562), so ``import
+repro`` loads no subpackage: scipy, networkx and asyncio load only
+with ``repro.lp``, ``repro.topology`` and ``repro.service``.
+
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-versus-measured comparison.
 """
 
-from repro import service, telemetry, verify
-from repro.allocator import Allocator, AnytimeRun, BatchOutcome
-from repro.baselines import (
-    BestFitAllocator,
-    FirstFitAllocator,
-    RandomAllocator,
-    RoundRobinAllocator,
-    WorstFitAllocator,
-)
-from repro.cp import CPAllocator, CPSolver, SearchLimits
-from repro.ea import NSGA2, NSGA3, NSGAConfig
-from repro.engine import (
-    CompiledProblem,
-    IncrementalEvaluator,
-    MoveScore,
-    ParallelEngine,
-    ProblemCache,
-)
-from repro.hybrid import (
-    NSGA2Allocator,
-    NSGA3Allocator,
-    NSGA3CPAllocator,
-    NSGA3TabuAllocator,
-)
-from repro.lp import solve_ilp
-from repro.model import (
-    AttributeSchema,
-    Datacenter,
-    Infrastructure,
-    Placement,
-    PlacementGroup,
-    PlatformState,
-    Request,
-    Server,
-    VirtualResource,
-)
-from repro.objectives import EnergyCost, PopulationEvaluator
-from repro.portfolio import IncumbentPool, PortfolioAllocator
-from repro.runtime import (
-    CheckpointManager,
-    GracefulShutdown,
-    RunCheckpoint,
-    shutdown_requested,
-)
-from repro.scheduler import TimeWindowScheduler
-from repro.tabu import TabuRepair, TabuSearch
-from repro.topology import FabricSpec, SpineLeafFabric
-from repro.types import AlgorithmKind, ConstraintHandling, PlacementRule
-from repro.workloads import Scenario, ScenarioGenerator, ScenarioSpec
+import importlib
+import threading
 
 __version__ = "1.0.0"
 
@@ -147,3 +104,94 @@ __all__ = [
     # the always-on allocation control plane
     "service",
 ]
+
+#: Every public name with the module that defines it, and every
+#: subpackage or module with itself: ``__getattr__`` imports the module
+#: on first access.
+_EXPORTS = {
+    "Allocator": "repro.allocator",
+    "AnytimeRun": "repro.allocator",
+    "BatchOutcome": "repro.allocator",
+    "AttributeSchema": "repro.model.attributes",
+    "Server": "repro.model.resources",
+    "Datacenter": "repro.model.resources",
+    "VirtualResource": "repro.model.resources",
+    "Infrastructure": "repro.model.infrastructure",
+    "Request": "repro.model.request",
+    "PlacementGroup": "repro.model.request",
+    "Placement": "repro.model.placement",
+    "PlatformState": "repro.model.state",
+    "PlacementRule": "repro.types",
+    "AlgorithmKind": "repro.types",
+    "ConstraintHandling": "repro.types",
+    "RoundRobinAllocator": "repro.baselines.round_robin",
+    "FirstFitAllocator": "repro.baselines.fits",
+    "BestFitAllocator": "repro.baselines.fits",
+    "WorstFitAllocator": "repro.baselines.fits",
+    "RandomAllocator": "repro.baselines.fits",
+    "CPAllocator": "repro.cp.allocator",
+    "CPSolver": "repro.cp.solver",
+    "SearchLimits": "repro.cp.search",
+    "NSGA2": "repro.ea.nsga2",
+    "NSGA3": "repro.ea.nsga3",
+    "NSGAConfig": "repro.ea.config",
+    "NSGA2Allocator": "repro.hybrid.nsga_allocators",
+    "NSGA3Allocator": "repro.hybrid.nsga_allocators",
+    "NSGA3TabuAllocator": "repro.hybrid.nsga_allocators",
+    "NSGA3CPAllocator": "repro.hybrid.nsga_allocators",
+    "TabuRepair": "repro.tabu.repair",
+    "TabuSearch": "repro.tabu.search",
+    "solve_ilp": "repro.lp.solve",
+    "PopulationEvaluator": "repro.objectives.evaluator",
+    "EnergyCost": "repro.objectives.energy",
+    "PortfolioAllocator": "repro.portfolio.racer",
+    "IncumbentPool": "repro.portfolio.incumbents",
+    "CompiledProblem": "repro.engine.compiled",
+    "ProblemCache": "repro.engine.cache",
+    "ParallelEngine": "repro.engine.parallel",
+    "IncrementalEvaluator": "repro.engine.incremental",
+    "MoveScore": "repro.engine.incremental",
+    "FabricSpec": "repro.topology.spine_leaf",
+    "SpineLeafFabric": "repro.topology.spine_leaf",
+    "TimeWindowScheduler": "repro.scheduler.window",
+    "Scenario": "repro.workloads.generator",
+    "ScenarioGenerator": "repro.workloads.generator",
+    "ScenarioSpec": "repro.workloads.generator",
+    "CheckpointManager": "repro.runtime.checkpoint",
+    "RunCheckpoint": "repro.runtime.checkpoint",
+    "GracefulShutdown": "repro.runtime.signals",
+    "shutdown_requested": "repro.runtime.signals",
+    **{
+        name: f"repro.{name}"
+        for name in (
+            "allocator", "analysis", "baselines", "cli", "constraints", "cp",
+            "ea", "engine", "errors", "evaluation", "hybrid", "lp", "market",
+            "model", "objectives", "portfolio", "runtime", "scheduler",
+            "serialization", "service", "tabu", "telemetry", "topology",
+            "types", "utils", "verify", "workloads",
+        )
+    },
+}
+
+_RESOLVING = threading.RLock()
+
+
+def __getattr__(name: str):
+    """Import the module behind ``name`` and cache the value here."""
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # One resolution at a time: a thread importing a package while
+    # another imports one of its submodules can each be handed the
+    # other's module half-initialized.
+    with _RESOLVING:
+        module = importlib.import_module(module_name)
+    value = module if module_name == f"{__name__}.{name}" else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    """The names already bound here and every name ``__getattr__`` resolves."""
+    return sorted({*globals(), *_EXPORTS})

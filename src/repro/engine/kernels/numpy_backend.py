@@ -65,9 +65,11 @@ class NumpyKernel(ReferenceKernel):
             population + np.arange(1, pop * (m + 1) + 1, m + 1)[:, None]
         ).ravel()
         usage = np.empty((pop, m, h), dtype=np.float64)
+        weights = np.empty(population.shape, dtype=np.float64)
         for col in range(h):
+            weights[:] = demand[:, col]
             counts = np.bincount(
-                cells, weights=np.tile(demand[:, col], pop), minlength=pop * (m + 1)
+                cells, weights=weights.ravel(), minlength=pop * (m + 1)
             )
             usage[:, :, col] = counts.reshape(pop, m + 1)[:, 1:]
         return usage

@@ -322,8 +322,8 @@ class Allocator(abc.ABC):
     #: instance reuse the compiled facts; standalone use lazily creates
     #: a private cache on first :meth:`compile_problem` call.
     problem_cache: ProblemCache | None = None
-    #: Intra-run parallel execution engine (worker pool + shared-memory
-    #: instances).  ``None`` = serial.  The scheduler can inject one so
+    #: Intra-run parallel execution engine (a worker pool for tabu
+    #: repair).  ``None`` = serial.  The scheduler can inject one so
     #: the pool persists across windows; EA allocators also create one
     #: lazily when their config asks for workers.  Whoever triggered
     #: creation should call :meth:`close` when done.
@@ -413,7 +413,7 @@ class Allocator(abc.ABC):
         return cache.get(infrastructure, request)
 
     def close(self) -> None:
-        """Release the execution engine (pool + shared memory), if any.
+        """Release the execution engine (its worker pool), if any.
 
         Safe to call repeatedly; allocators without an engine are
         unaffected.  Serial operation continues to work afterwards.

@@ -14,9 +14,8 @@ The evaluation core under the allocation stack, in four parts:
   instead of full-genome re-evaluation, whose per-term totals
   :func:`repro.verify.check_parity` holds to the reference evaluator;
 * :class:`~repro.engine.parallel.ParallelEngine` — a persistent
-  worker pool that publishes compilations into shared memory and fans
-  tabu repair out across processes with byte-identical results (see
-  ``docs/PARALLEL.md``);
+  worker pool that fans tabu repair out across processes with
+  byte-identical results (see ``docs/PARALLEL.md``);
 * :mod:`repro.engine.kernels` — the kernel layer behind the
   evaluation/repair hot path: the vectorized numpy kernel every
   allocation runs, held bit-identical to the reference kernel (the
@@ -40,11 +39,6 @@ __all__ = [
     "IncrementalEvaluator",
     "MoveScore",
     "ParallelEngine",
-    "RepairParams",
-    "InstanceSpec",
-    "SharedInstance",
-    "publish_instance",
-    "attach_instance",
 ]
 
 #: Lazy export table: attribute name -> defining submodule.
@@ -54,11 +48,6 @@ _EXPORTS = {
     "IncrementalEvaluator": "repro.engine.incremental",
     "MoveScore": "repro.engine.incremental",
     "ParallelEngine": "repro.engine.parallel",
-    "RepairParams": "repro.engine.parallel",
-    "InstanceSpec": "repro.engine.parallel",
-    "SharedInstance": "repro.engine.parallel",
-    "publish_instance": "repro.engine.parallel",
-    "attach_instance": "repro.engine.parallel",
 }
 
 

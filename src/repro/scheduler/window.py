@@ -87,8 +87,7 @@ class TimeWindowScheduler:
     problem_cache: ProblemCache = field(default_factory=ProblemCache)
     #: Optional intra-run parallel engine threaded through the window
     #: allocator (and any reoptimize override) the same way, so one
-    #: worker pool and one set of shared-memory instances serve every
-    #: window.  The scheduler does not own its lifecycle — call
+    #: worker pool serves every window.  The scheduler does not own its lifecycle — call
     #: :meth:`close` (or the engine's) when the simulation ends.
     execution_engine: ParallelEngine | None = None
     #: Optional checkpoint store.  When set, (a) every window solve's

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.constraints.registry import ConstraintSet
 from repro.engine.incremental import group_violations, over_count
-from repro.engine.parallel import RepairParams
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
@@ -291,11 +290,12 @@ class TabuRepair:
         one compilation then serves every repair call of a run.
     engine:
         Optional :class:`~repro.engine.parallel.ParallelEngine`.  When
-        given (and ``compiled`` is too), population repair fans the
-        infeasible rows out across the engine's worker pool.  Results
-        are byte-identical to the serial path: each individual's RNG
-        stream is derived from ``(seed, batch_index, row)`` whether it
-        is repaired in-process or in a worker.
+        given, population repair fans the infeasible rows out across
+        the engine's worker pool, whose workers rebuild this repairer
+        from its instance, ``base_usage`` and settings.  Results are
+        byte-identical to the serial path: each individual's RNG stream
+        is derived from ``(seed, batch_index, row)`` whether it is
+        repaired in-process or in a worker.
     """
 
     def __init__(
@@ -332,7 +332,7 @@ class TabuRepair:
         self.order = order
         self.allow_worsening_moves = bool(allow_worsening_moves)
         self.engine = engine
-        self._base_usage = base_usage
+        self.base_usage = base_usage
         self._rng = as_generator(seed)
         # Per-individual streams are addressed by (batch, row) under this
         # root — the determinism contract the parallel fan-out relies on.
@@ -629,33 +629,20 @@ class TabuRepair:
         usage = usage[rows]
         repaired = population.copy()
 
-        engine = self.engine
-        if (
-            engine is not None
-            and engine.available
-            and self.compiled is not None
-            and rows.size >= engine.min_dispatch_rows
-            and not self._deadline_passed()
-        ):
-            fanned = engine.repair_rows(
-                self.compiled,
-                RepairParams(
-                    max_rounds=self.max_rounds,
-                    tenure=self.tenure,
-                    order=self.order,
-                    allow_worsening_moves=self.allow_worsening_moves,
-                ),
+        if self.engine is not None and not self._deadline_passed():
+            fanned = self.engine.repair_rows(
+                self,
                 population[rows],
                 rows,
                 root=self._root_seq,
                 batch_index=batch_index,
-                base_usage=self._base_usage,
             )
             if fanned is not None:
                 repaired[rows] = fanned
                 return repaired
-            # Engine degraded: fall through to the serial loop, which
-            # derives the very same per-row streams — same bytes out.
+            # Too few rows, or the engine degraded: fall through to the
+            # serial loop, which derives the very same per-row streams —
+            # same bytes out.
 
         repaired[rows] = self.repair_rows(
             population[rows],

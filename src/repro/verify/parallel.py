@@ -53,9 +53,9 @@ def check_parallel_determinism(
 
     The instance is kept deliberately tight so every generation carries
     infeasible offspring and the repair fan-out actually runs; each
-    worker count gets a fresh :class:`ParallelEngine` (own pool, own
-    shared-memory segments) and both layers are compared against the
-    serial baseline computed once.
+    worker count gets a fresh :class:`ParallelEngine` (its own pool)
+    and both layers are compared against the serial baseline computed
+    once.
     """
     worker_counts = tuple(int(w) for w in worker_counts)
     report = Report(

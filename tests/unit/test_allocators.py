@@ -21,7 +21,7 @@ from repro.hybrid import (
     NSGA3CPAllocator,
     NSGA3TabuAllocator,
 )
-from repro.model import Request
+from repro.model import AttributeSchema, Infrastructure, Request
 from repro.model.placement import UNPLACED
 
 _FAST = NSGAConfig(population_size=20, max_evaluations=400, seed=3)
@@ -140,6 +140,36 @@ class TestGreedyAllocators:
         )
         placed = outcome.assignment[outcome.assignment >= 0]
         assert 0 not in placed.tolist()
+
+    def test_first_fit_is_not_monotone_in_committed_usage(self):
+        """Committed usage can make first-fit accept more.  On the empty
+        estate VM 0 takes server 0 and VM 1 then fits nowhere; with
+        (6, 0) committed on server 0, VM 0 goes to server 1 and VM 1
+        fits on server 0.  No placement group is involved."""
+        schema = AttributeSchema(names=("a0", "a1"))
+        infra = Infrastructure(
+            capacity=np.array([[10.0, 10.0], [6.0, 6.0]]),
+            capacity_factor=np.ones((2, 2)),
+            operating_cost=np.ones(2),
+            usage_cost=np.ones(2),
+            max_load=np.full((2, 2), 0.5),
+            max_qos=np.full((2, 2), 0.9),
+            server_datacenter=np.zeros(2, dtype=np.int64),
+            schema=schema,
+        )
+        request = Request(
+            demand=np.array([[5.0, 6.0], [3.0, 8.0]]),
+            qos_guarantee=np.full(2, 0.9),
+            downtime_cost=np.ones(2),
+            migration_cost=np.ones(2),
+            schema=schema,
+        )
+        empty = FirstFitAllocator().allocate(infra, [request])
+        assert empty.accepted.tolist() == [False]
+        base = np.array([[6.0, 0.0], [0.0, 0.0]])
+        loaded = FirstFitAllocator().allocate(infra, [request], base_usage=base)
+        assert loaded.accepted.tolist() == [True]
+        assert loaded.assignment.tolist() == [1, 0]
 
 
 class TestCPAllocator:

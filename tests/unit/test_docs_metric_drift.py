@@ -132,9 +132,14 @@ _SPANS = emitted_span_names()
 class TestMetricsAreDocumented:
     def test_extractor_finds_the_stack_metrics(self):
         """The walk itself must not silently rot: the stack records
-        well over a hundred distinct metric names."""
-        assert len(_EMITTED) >= 100, sorted(_EMITTED)
-        assert {"cp.solves", "tabu.repair.moves", "engine.cache.hits"} <= set(_EMITTED)
+        about a hundred distinct metric names, across every layer."""
+        assert len(_EMITTED) >= 90, sorted(_EMITTED)
+        assert {
+            "cp.solves",
+            "tabu.repair.moves",
+            "engine.cache.hits",
+            "engine.parallel.batches",
+        } <= set(_EMITTED)
 
     def test_every_emitted_metric_has_a_row(self):
         missing = undocumented(_EMITTED, OBSERVABILITY.read_text())
@@ -163,7 +168,7 @@ class TestDocumentedMetricsAreRecorded:
     def test_table_walk_reads_only_metric_tables(self):
         page = OBSERVABILITY.read_text()
         documented = documented_metric_names(page)
-        assert len(documented) >= 100, documented
+        assert len(documented) >= 90, documented
         assert {"cp.solves", "engine.parallel.fallbacks", "verify.checks"} <= set(documented)
         # The event-type and sink tables are not metric tables.
         assert not {"GenerationCompleted", '"console"'} & set(documented)

@@ -10,21 +10,27 @@ path actually runs.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.engine.parallel as parallel_mod
 from repro.ea.config import NSGAConfig
 from repro.ea.nsga3 import NSGA3
 from repro.ea.reference_points import das_dennis_points, niching_for
 from repro.engine.compiled import CompiledProblem
 from repro.engine.kernels import use_kernel
-from repro.engine.parallel import ParallelEngine, attach_instance, publish_instance
+from repro.engine.parallel import ParallelEngine
 from repro.errors import ValidationError
+from repro.hybrid.nsga_allocators import NSGA3TabuAllocator
+from repro.market import ProviderMarket
 from repro.model.request import Request
 from repro.tabu.repair import TabuRepair
 from repro.telemetry import MetricsRegistry, use_registry
 from repro.verify import check_parallel_determinism
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
+from repro.workloads.scenarios import compile_scenario
 
 
 def _tight_instance(seed: int = 7, servers: int = 6, vms: int = 14):
@@ -42,79 +48,105 @@ def _random_population(compiled: CompiledProblem, rows: int, seed: int = 0):
     return rng.integers(0, n_servers, size=(rows, n_vms), dtype=np.int64)
 
 
-def _repair_population(engine: ParallelEngine | None, seed: int = 3):
+def _repair_population(
+    engine: ParallelEngine | None, seed: int = 3, precompiled: bool = True
+):
     """Run one population repair, serially or through the engine."""
     scenario, merged, compiled = _tight_instance()
     repairer = TabuRepair(
         scenario.infrastructure,
         merged,
         seed=seed,
-        compiled=compiled,
+        compiled=compiled if precompiled else None,
         engine=engine,
     )
     population = _random_population(compiled, rows=10, seed=seed)
     return repairer(population)
 
 
-class TestSharedMemoryRoundtrip:
-    def test_publish_attach_preserves_instance(self):
-        _, _, compiled = _tight_instance()
-        shared = publish_instance(compiled)
-        try:
-            attached = attach_instance(shared.spec)
-            assert attached.compiled.fingerprint == compiled.fingerprint
-            np.testing.assert_array_equal(
-                attached.compiled.request.demand, compiled.request.demand
-            )
-            np.testing.assert_array_equal(
-                attached.compiled.infrastructure.capacity,
-                compiled.infrastructure.capacity,
-            )
-            # Views are zero-copy and read-only: workers cannot corrupt
-            # the published instance.
-            assert not attached.compiled.request.demand.flags.writeable
-            assert attached.compiled.request.groups == compiled.request.groups
-        finally:
-            shared.close()
+def _fail_pool_start(*args, **kwargs):
+    raise OSError("no worker processes for you")
 
-    def test_attach_cache_counts_hits(self):
-        _, _, compiled = _tight_instance(seed=11)
-        shared = publish_instance(compiled)
-        try:
-            with use_registry(MetricsRegistry()) as registry:
-                first = attach_instance(shared.spec)
-                second = attach_instance(shared.spec)
-                assert first is second
-                snapshot = registry.snapshot()
-                assert snapshot.counter_total("engine.parallel.attach.misses") == 1
-                assert snapshot.counter_total("engine.parallel.attach.hits") == 1
-        finally:
-            shared.close()
 
-    def test_close_is_idempotent(self):
-        _, _, compiled = _tight_instance(seed=12)
-        shared = publish_instance(compiled)
-        shared.close()
-        shared.close()  # second close must not raise
+class TestWorkerRepairers:
+    """The worker side, driven in-process: a task carries a key and the
+    inputs that built the parent's repairer; the worker keeps a bounded
+    cache of repairers by key."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "_REPAIRERS", {})
+
+    def test_cache_is_bounded_and_keeps_recent_keys(self):
+        scenario, merged, compiled = _tight_instance()
+        parent = TabuRepair(scenario.infrastructure, merged, seed=3, compiled=compiled)
+        inputs = pickle.dumps(parallel_mod._inputs(parent))
+        genomes = _random_population(compiled, rows=2, seed=3)
+        rows = np.arange(2)
+        bound = parallel_mod.REPAIRER_CACHE_SIZE
+        outputs = set()
+        for key in range(3 * bound):
+            repaired, _, _ = parallel_mod._repair_task(
+                key, inputs, genomes, rows, np.random.SeedSequence(3), 0
+            )
+            outputs.add(repaired.tobytes())
+            assert len(parallel_mod._REPAIRERS) <= bound
+        # A rebuilt repairer repairs exactly like the one it replaced.
+        assert len(outputs) == 1
+        assert list(parallel_mod._REPAIRERS) == list(range(2 * bound, 3 * bound))
+        # A hit reuses the repairer and makes its key the most recent.
+        oldest = 2 * bound
+        cached = parallel_mod._REPAIRERS[oldest]
+        assert parallel_mod._repairer(oldest, inputs) is cached
+        parallel_mod._repairer(3 * bound, inputs)
+        assert oldest in parallel_mod._REPAIRERS
+        assert 2 * bound + 1 not in parallel_mod._REPAIRERS
+
+    def test_worker_repairer_is_the_parents_instance(self):
+        """Every field of the instance crosses to the worker, provider
+        tags included, so the rebuilt compilation has the parent's
+        fingerprint."""
+        spec = ScenarioSpec(servers=12, datacenters=2, vms=24, tightness=0.9)
+        scenario = ScenarioGenerator(spec, seed=1).generate()
+        estate = ProviderMarket.from_infrastructure(
+            scenario.infrastructure, 3
+        ).compile(at=0.0).infrastructure
+        merged, _ = Request.concatenate(scenario.requests)
+        compiled = CompiledProblem(estate, merged)
+        parent = TabuRepair(estate, merged, seed=1, compiled=compiled)
+        shipped = pickle.dumps(parallel_mod._inputs(parent))
+        genomes = _random_population(compiled, rows=2, seed=1)
+        parallel_mod._repair_task(
+            7, shipped, genomes, np.arange(2), np.random.SeedSequence(1), 0
+        )
+        worker = parallel_mod._REPAIRERS[7]
+        assert worker.compiled.fingerprint == compiled.fingerprint
+        assert estate.p == 3
+        np.testing.assert_array_equal(
+            worker.infrastructure.server_provider, estate.server_provider
+        )
 
 
 class TestRepairDeterminism:
     @pytest.mark.parametrize(
-        "n_workers, kernel",
+        "n_workers, kernel, precompiled",
         [
-            *(pytest.param(n, "numpy", id=str(n)) for n in (1, 2, 4)),
-            *(pytest.param(n, "reference", id=f"{n}-reference") for n in (1, 2)),
+            *(pytest.param(n, "numpy", True, id=str(n)) for n in (1, 2, 4)),
+            *(pytest.param(n, "reference", True, id=f"{n}-reference") for n in (1, 2)),
+            pytest.param(2, "numpy", False, id="2-uncompiled"),
         ],
     )
-    def test_parallel_repair_matches_serial_bytes(self, n_workers, kernel):
+    def test_parallel_repair_matches_serial_bytes(self, n_workers, kernel, precompiled):
         """Workers are forked on the numpy kernel before the parent
         switches, so a reference parent fans out to numpy workers; the
-        kernels' conformance keeps the bytes equal to serial."""
+        kernels' conformance keeps the bytes equal to serial.  Workers
+        always compile the instance, also for a parent repairer built
+        without a compilation."""
         with ParallelEngine(n_workers) as engine:
             _repair_population(engine, seed=5)  # forks the workers
             with use_kernel(kernel):
-                serial = _repair_population(None)
-                parallel = _repair_population(engine)
+                serial = _repair_population(None, precompiled=precompiled)
+                parallel = _repair_population(engine, precompiled=precompiled)
             assert engine.available  # no silent fallback happened
         assert serial.tobytes() == parallel.tobytes()
 
@@ -139,22 +171,16 @@ class TestRepairDeterminism:
             snapshot = registry.snapshot()
         assert snapshot.counter_total("engine.parallel.batches") >= 1
         assert snapshot.counter_total("engine.parallel.tasks") >= 1
-        assert snapshot.counter_total("engine.parallel.publishes") == 1
         # Worker-side counters crossed the process boundary via the
-        # snapshot merge: the repair work itself...
+        # snapshot merge.
         assert snapshot.counter_total("tabu.repair.individuals") >= 1
-        # ...and the per-worker attachment cache.
-        assert snapshot.counter_total("engine.parallel.attach.misses") >= 1
 
     def test_fallback_on_publish_failure_is_serial_identical(self, monkeypatch):
-        import repro.engine.parallel as parallel_mod
-
+        """An instance that cannot be shipped to the workers fails the
+        dispatch; the batch is then repaired serially, to the same bytes."""
         serial = _repair_population(None)
-
-        def boom(*args, **kwargs):
-            raise OSError("no shared memory for you")
-
-        monkeypatch.setattr(parallel_mod, "publish_instance", boom)
+        # A lambda does not pickle, so no task reaches a worker.
+        monkeypatch.setattr(parallel_mod, "_inputs", lambda repairer: lambda: None)
         with use_registry(MetricsRegistry()) as registry:
             with ParallelEngine(2) as engine:
                 result = _repair_population(engine)
@@ -164,10 +190,11 @@ class TestRepairDeterminism:
         assert snapshot.counter_total("engine.parallel.fallbacks") == 1
 
     def test_small_batches_stay_serial(self):
-        """Below min_dispatch_rows the engine is never consulted, so a
-        broken pool cannot hurt small windows."""
+        """A batch with fewer than MIN_DISPATCH_ROWS infeasible rows
+        never starts the pool, so a broken pool cannot hurt small
+        windows."""
         scenario, merged, compiled = _tight_instance()
-        with ParallelEngine(2, min_dispatch_rows=10_000) as engine:
+        with ParallelEngine(2) as engine:
             repairer = TabuRepair(
                 scenario.infrastructure,
                 merged,
@@ -176,8 +203,36 @@ class TestRepairDeterminism:
                 engine=engine,
             )
             with use_registry(MetricsRegistry()) as registry:
-                repairer(_random_population(compiled, rows=6, seed=3))
-            assert registry.snapshot().counter_total("engine.parallel.batches") == 0
+                repairer(_random_population(compiled, rows=1, seed=3))
+            snapshot = registry.snapshot()
+            assert snapshot.counter_total("tabu.repair.individuals") == 1
+            assert snapshot.counter_total("engine.parallel.batches") == 0
+            assert engine._pool is None
+
+
+class TestSchedulerWindows:
+    def test_replay_matches_serial_across_windows(self):
+        """Every window builds a new repairer over a new committed
+        usage; the workers must follow it from window to window."""
+        scenario = compile_scenario("failure_storm", seed=1)
+        config = NSGAConfig(population_size=20, max_evaluations=200, seed=1)
+
+        serial = NSGA3TabuAllocator(config)
+        try:
+            expected = scenario.run(serial).ledger_fingerprint
+        finally:
+            serial.close()
+
+        pooled = NSGA3TabuAllocator(config.with_(n_workers=2))
+        with use_registry(MetricsRegistry()) as registry:
+            try:
+                result = scenario.run(pooled)
+                available = pooled.execution_engine.available
+            finally:
+                pooled.close()
+        assert result.ledger_fingerprint == expected
+        assert registry.snapshot().counter_total("engine.parallel.batches") > 0
+        assert available
 
 
 class TestVerifyCheck:
@@ -191,12 +246,7 @@ class TestVerifyCheck:
     def test_check_parallel_fails_when_the_pool_falls_back(self, monkeypatch):
         """Both sides of a fallen-back comparison ran serial, so equal
         bytes prove nothing: each layer's fallback is a mismatch."""
-        import repro.engine.parallel as parallel_mod
-
-        def boom(*args, **kwargs):
-            raise OSError("no shared memory for you")
-
-        monkeypatch.setattr(parallel_mod, "publish_instance", boom)
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _fail_pool_start)
         report = check_parallel_determinism(
             (1,), seed=1, servers=6, vms=10, max_evaluations=60
         )
@@ -209,8 +259,6 @@ class TestVerifyCheck:
     def test_validation(self):
         with pytest.raises(ValidationError):
             ParallelEngine(0)
-        with pytest.raises(ValidationError):
-            ParallelEngine(1, tasks_per_worker=0)
         with pytest.raises(ValidationError):
             NSGAConfig(n_workers=-1)
 

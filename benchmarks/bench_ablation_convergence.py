@@ -25,7 +25,7 @@ from repro.ea import (
     PenaltyHandling,
     RepairHandling,
 )
-from repro.evaluation import convergence_summary, evaluations_to_feasible
+from repro.evaluation import convergence_summary
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
 from repro.tabu import TabuRepair

@@ -17,12 +17,7 @@ import pytest
 
 from benchmarks.conftest import BENCH_EA, scenario_for
 from repro.ea import NSGA3, RepairHandling, hypervolume
-from repro.ea.operators import (
-    polynomial_mutation,
-    random_reset_mutation,
-    sbx_crossover,
-    uniform_crossover,
-)
+from repro.ea.operators import random_reset_mutation, uniform_crossover
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
 from repro.tabu import TabuRepair

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks.conftest import bench_environment, full_sweep_enabled, scenario_for
-from repro.engine import CompiledProblem
+from repro.engine import CompiledProblem, IncrementalEvaluator
 from repro.model.request import Request
 
 #: Candidate moves scored per batch — the old search's neighbourhood.
@@ -83,7 +83,7 @@ def test_incremental_eval_throughput():
     full_elapsed = time.perf_counter() - t0
 
     # Delta path.
-    state = compiled.incremental(current)
+    state = IncrementalEvaluator(compiled, evaluator, current)
     t0 = time.perf_counter()
     delta_scores = [state.score_move(vm, srv) for vm, srv in moves]
     delta_elapsed = time.perf_counter() - t0

@@ -6,8 +6,6 @@ step at the paper's population size, so changes to the engine's inner
 loop show up as regressions here.
 """
 
-import numpy as np
-
 from repro import NSGA3, NSGAConfig, PopulationEvaluator
 from repro.evaluation import format_table
 from benchmarks.conftest import scenario_for
@@ -42,7 +40,6 @@ def test_table3_generation_step_cost(benchmark):
     """One NSGA-III generation at the paper's population size."""
     scenario = scenario_for(40, 80, seed=6)
     merged, _ = Request.concatenate(scenario.requests)
-    evaluator = PopulationEvaluator(scenario.infrastructure, merged)
     # Population 100 (paper), two generations' worth of evaluations.
     config = NSGAConfig(population_size=100, max_evaluations=300, seed=0)
     engine = NSGA3(config)

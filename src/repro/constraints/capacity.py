@@ -73,14 +73,15 @@ class CapacityConstraint(Constraint):
         self.limit: FloatArray = effective
         self.tolerance = float(tolerance)
         self._slack = self.tolerance * np.maximum(1.0, np.abs(self.limit))
-        # Precomputed overflow threshold: the exact floats every
-        # ``limit + _slack`` comparison used to compute per call.
-        self._threshold = self.limit + self._slack
+        #: Overflow threshold per (server, attribute): ``limit`` plus the
+        #: relative slack.  A cell violates when its usage is strictly
+        #: above it; every scorer compares against these exact floats.
+        self.threshold: FloatArray = self.limit + self._slack
 
     def retarget(self, limit: FloatArray) -> None:
         """Swap the limit matrix, keeping slack/threshold consistent.
 
-        The precomputed ``_threshold`` must never go stale relative to
+        The precomputed ``threshold`` must never go stale relative to
         ``limit`` — wrappers that repurpose the capacity machinery with
         a different right-hand side (:class:`LoadCapConstraint`) go
         through here instead of assigning ``limit`` directly.
@@ -92,7 +93,7 @@ class CapacityConstraint(Constraint):
             )
         self.limit = limit
         self._slack = self.tolerance * np.maximum(1.0, np.abs(limit))
-        self._threshold = self.limit + self._slack
+        self.threshold = self.limit + self._slack
 
     # ------------------------------------------------------------------
     @property
@@ -111,7 +112,7 @@ class CapacityConstraint(Constraint):
     def overloaded_cells(self, assignment: IntArray) -> BoolArray:
         """Boolean (m, h) mask of capacity cells exceeded by the genome."""
         usage = self.server_usage(assignment)
-        return usage > self._threshold
+        return usage > self.threshold
 
     def overloaded_servers(self, assignment: IntArray) -> IntArray:
         """Indices of servers with at least one exceeded attribute.
@@ -148,7 +149,7 @@ class CapacityConstraint(Constraint):
     def batch_violations(self, population: IntArray) -> IntArray:
         """Vectorized :meth:`violations` over a population matrix."""
         usage = self.batch_usage(population)
-        return active_kernel().batch_over_counts(usage, self._threshold)
+        return active_kernel().batch_over_counts(usage, self.threshold)
 
     # ------------------------------------------------------------------
     def fits(self, assignment: IntArray, resource: int, server: int) -> bool:
@@ -162,4 +163,4 @@ class CapacityConstraint(Constraint):
         others = (assignment == server)
         others[resource] = False
         load = self.demand[others].sum(axis=0) + self.demand[resource]
-        return bool(np.all(load <= self._threshold[server]))
+        return bool(np.all(load <= self.threshold[server]))

@@ -53,6 +53,12 @@ class LoadCapConstraint(Constraint):
         self._inner = CapacityConstraint(infrastructure, demand)
         self._inner.retarget(knee_limit)
 
+    @property
+    def threshold(self) -> FloatArray:
+        """Overflow threshold per (server, attribute): the knee line
+        plus the capacity constraint's relative slack."""
+        return self._inner.threshold
+
     def violations(self, assignment: IntArray) -> int:
         """Count (server, resource) cells exceeding the strict load cap."""
         return self._inner.violations(assignment)

@@ -169,7 +169,7 @@ class ConstraintSet:
         capacity = self.capacity
         if usage is None:
             usage = capacity.batch_usage(population)
-        total = active_kernel().batch_over_counts(usage, capacity._threshold)
+        total = active_kernel().batch_over_counts(usage, capacity.threshold)
         if self.group_constraints:
             total += self.batch_group_violations(population).sum(axis=1)
         for extra in (self.load_cap, self.assignment):

@@ -26,7 +26,6 @@ from repro.constraints.base import Constraint
 from repro.constraints.registry import ConstraintSet, make_group_constraint
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
-from repro.objectives.energy import power_model
 from repro.objectives.evaluator import PopulationEvaluator
 from repro.types import FloatArray, IntArray, PlacementRule
 from repro.utils.timers import Stopwatch
@@ -85,8 +84,6 @@ class CompiledProblem:
         "operating_cost",
         "usage_cost",
         "per_resource_rate",
-        "idle_power",
-        "dynamic_power",
         "migration_charge",
         "qos_guarantee",
         "downtime_charge",
@@ -118,10 +115,6 @@ class CompiledProblem:
         self.per_resource_rate: FloatArray = (
             infrastructure.operating_cost + infrastructure.usage_cost
         )
-        # Linear-power-model price vectors for the optional energy term.
-        # Derived from the cost vectors already hashed above, so the
-        # fingerprint (and every cache keyed on it) is unchanged.
-        self.idle_power, self.dynamic_power = power_model(infrastructure)
         self.migration_charge: FloatArray = request.migration_cost
         self.qos_guarantee: FloatArray = request.qos_guarantee
         self.downtime_charge: FloatArray = request.downtime_cost
@@ -258,34 +251,6 @@ class CompiledProblem:
             qos_strict=qos_strict,
             energy_weight=energy_weight,
             constraints=constraints,
-        )
-
-    def incremental(
-        self,
-        assignment: IntArray,
-        *,
-        base_usage: FloatArray | None = None,
-        previous_assignment: IntArray | None = None,
-        downtime_mode: str = "shortfall",
-        per_server_operating: bool = False,
-        include_assignment: bool = False,
-        qos_strict: bool = False,
-        energy_weight: float = 0.0,
-    ):
-        """An :class:`~repro.engine.incremental.IncrementalEvaluator`
-        positioned at ``assignment``."""
-        from repro.engine.incremental import IncrementalEvaluator
-
-        return IncrementalEvaluator(
-            self,
-            assignment,
-            base_usage=base_usage,
-            previous_assignment=previous_assignment,
-            downtime_mode=downtime_mode,
-            per_server_operating=per_server_operating,
-            include_assignment=include_assignment,
-            qos_strict=qos_strict,
-            energy_weight=energy_weight,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -10,10 +10,9 @@ for a *current* assignment, and exposes
 * :meth:`score_move` — what (violations, objectives) *would* become if
   ``vm`` moved to ``server``, without mutating anything;
 * :meth:`apply_move` — commit the move and update the state in place;
-* :meth:`component_totals` / :meth:`reference_evaluator` — the tracked
-  per-term totals and a from-scratch
-  :class:`~repro.objectives.evaluator.PopulationEvaluator` configured
-  identically, which :func:`repro.verify.check_parity` compares.
+* :meth:`component_totals` — the tracked per-term totals, which
+  :func:`repro.verify.check_parity` compares with the state's own
+  :class:`~repro.objectives.evaluator.PopulationEvaluator`.
 
 The per-move cost is O(h + groups-containing-vm + residents of the two
 touched servers): the capacity/knee checks are per-attribute on two
@@ -31,6 +30,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.model.placement import UNPLACED
 from repro.objectives.aggregate import aggregate_scalar
+from repro.objectives.evaluator import PopulationEvaluator
 from repro.objectives.qos import loads_from_usage, qos_from_load
 from repro.telemetry import get_registry
 from repro.types import FloatArray, IntArray, PlacementRule
@@ -44,8 +44,6 @@ __all__ = [
     "group_violations",
     "over_count",
 ]
-
-_DOWNTIME_MODES = ("shortfall", "literal")
 
 #: Constraint terms tracked by the incremental state, in report order.
 CONSTRAINT_TERMS = ("capacity", "group", "load_cap", "unplaced")
@@ -134,87 +132,46 @@ class IncrementalEvaluator:
     ----------
     compiled:
         The instance compilation (static facts).
+    evaluator:
+        The :class:`~repro.objectives.evaluator.PopulationEvaluator`
+        whose totals the state tracks.  Every evaluation setting is
+        read from it — committed usage, previous assignment, downtime
+        mode, per-server operating cost, assignment constraint, strict
+        load cap, energy weight — along with its constraint set's
+        overflow thresholds and its energy term's price vectors, so
+        :func:`repro.verify.check_parity` compares the state with
+        ``evaluator`` itself.
     assignment:
         Starting genome; :data:`UNPLACED` genes are allowed.
-    base_usage, previous_assignment:
-        Per-window dynamics, identical in meaning to
-        :class:`~repro.objectives.evaluator.PopulationEvaluator`.
-    downtime_mode, per_server_operating, include_assignment, qos_strict:
-        Evaluation options, mirroring the reference evaluator so
-        :func:`repro.verify.check_parity` can compare them under any
-        configuration.
     """
 
     def __init__(
-        self,
-        compiled,
-        assignment: IntArray,
-        *,
-        base_usage: FloatArray | None = None,
-        previous_assignment: IntArray | None = None,
-        downtime_mode: str = "shortfall",
-        per_server_operating: bool = False,
-        include_assignment: bool = False,
-        qos_strict: bool = False,
-        energy_weight: float = 0.0,
+        self, compiled, evaluator: PopulationEvaluator, assignment: IntArray
     ) -> None:
-        if downtime_mode not in _DOWNTIME_MODES:
-            raise ValidationError(
-                f"downtime_mode must be one of {_DOWNTIME_MODES}, got {downtime_mode!r}"
-            )
         self.compiled = compiled
-        self.downtime_mode = downtime_mode
-        self.per_server_operating = bool(per_server_operating)
-        self.include_assignment = bool(include_assignment)
-        self.qos_strict = bool(qos_strict)
-        self.energy_weight = float(energy_weight)
-
-        infra = compiled.infrastructure
-        m, h = compiled.m, compiled.h
-        if base_usage is None:
-            self._base = np.zeros((m, h))
-        else:
-            self._base = np.ascontiguousarray(base_usage, dtype=np.float64)
-            if self._base.shape != (m, h):
-                raise ValidationError(
-                    f"base_usage shape {self._base.shape}, expected {(m, h)}"
-                )
-        # Capacity limits/slack mirror CapacityConstraint (tolerance 1e-9).
-        self._limit = compiled.effective_capacity - (
-            self._base if base_usage is not None else 0.0
+        self.evaluator = evaluator
+        constraints = evaluator.constraints
+        self._literal = evaluator.downtime.mode == "literal"
+        self._per_server = evaluator.usage_cost.per_server_operating
+        self._count_unplaced = constraints.assignment is not None
+        self._strict = constraints.load_cap is not None
+        self._energy = evaluator.energy
+        self._energy_weight = evaluator.energy_weight
+        self._base = evaluator.downtime.base_usage
+        self._previous = evaluator.migration.previous_assignment
+        self._threshold = constraints.capacity.threshold
+        self._knee_threshold = (
+            constraints.load_cap.threshold if self._strict else None
         )
-        self._slack = 1e-9 * np.maximum(1.0, np.abs(self._limit))
-        if qos_strict:
-            knee = infra.max_load * infra.capacity
-            if base_usage is not None:
-                knee = knee - self._base
-            self._knee_limit = knee
-            self._knee_slack = 1e-9 * np.maximum(1.0, np.abs(knee))
-        else:
-            self._knee_limit = None
-            self._knee_slack = None
-
-        if previous_assignment is not None:
-            previous_assignment = np.ascontiguousarray(
-                previous_assignment, dtype=np.int64
-            )
-            if previous_assignment.shape != (compiled.n,):
-                raise ValidationError(
-                    f"previous assignment shape {previous_assignment.shape}, "
-                    f"expected ({compiled.n},)"
-                )
-        self._previous = previous_assignment
 
         # Scalar fast-path tables: per-move work touches length-h rows,
         # where Python float arithmetic beats numpy's per-call dispatch
-        # by an order of magnitude.  Thresholds are precomputed with the
-        # same float ops the vectorized path uses, so the comparisons —
-        # and therefore the violation counts — stay bit-exact.
-        self._lps_list = (self._limit + self._slack).tolist()
-        if qos_strict:
-            self._kps_list = (self._knee_limit + self._knee_slack).tolist()
-        else:
-            self._kps_list = None
+        # by an order of magnitude.  The thresholds are the constraint
+        # set's own floats, so the comparisons — and therefore the
+        # violation counts — stay bit-exact.
+        infra = compiled.infrastructure
+        self._lps_list = self._threshold.tolist()
+        self._kps_list = self._knee_threshold.tolist() if self._strict else None
         self._cap_list = np.asarray(infra.capacity, dtype=np.float64).tolist()
         self._ml_list = np.asarray(infra.max_load, dtype=np.float64).tolist()
         self._mq_list = np.asarray(infra.max_qos, dtype=np.float64).tolist()
@@ -226,27 +183,10 @@ class IncrementalEvaluator:
         self._cu_list = np.asarray(
             compiled.downtime_charge, dtype=np.float64
         ).tolist()
-
-        # Optional energy term (weight 0 keeps every path untouched).
-        if self.energy_weight > 0.0:
-            capacity = np.asarray(compiled.effective_capacity, dtype=np.float64)
-            # Same degenerate-cell handling as EnergyCost: zero-capacity
-            # attributes contribute load 0.
-            self._energy_invcap = np.where(
-                capacity > 0, 1.0 / np.where(capacity > 0, capacity, 1.0), 0.0
-            )
-            self._invcap_list = self._energy_invcap.tolist()
-            self._idle_list = np.asarray(
-                compiled.idle_power, dtype=np.float64
-            ).tolist()
-            self._dyn_list = np.asarray(
-                compiled.dynamic_power, dtype=np.float64
-            ).tolist()
-        else:
-            self._energy_invcap = None
-            self._invcap_list = None
-            self._idle_list = None
-            self._dyn_list = None
+        if self._energy is not None:
+            self._invcap_list = self._energy.inv_capacity.tolist()
+            self._idle_list = self._energy.idle_power.tolist()
+            self._dyn_list = self._energy.dynamic_power.tolist()
 
         # Move-scoring telemetry is batched locally (the registry lock
         # would dominate the µs-scale hot path) — see flush_telemetry().
@@ -273,12 +213,12 @@ class IncrementalEvaluator:
 
         self._usage = scatter_rows(placed, compiled.demand[mask], m)
         self._over = np.count_nonzero(
-            self._usage > self._limit + self._slack, axis=1
+            self._usage > self._threshold, axis=1
         ).astype(np.int64)
         self._cap_total = int(self._over.sum())
-        if self.qos_strict:
+        if self._strict:
             self._knee_over = np.count_nonzero(
-                self._usage > self._knee_limit + self._knee_slack, axis=1
+                self._usage > self._knee_threshold, axis=1
             ).astype(np.int64)
             self._knee_total = int(self._knee_over.sum())
         else:
@@ -309,7 +249,7 @@ class IncrementalEvaluator:
         self._downtime_total = float(self._server_penalty.sum())
 
         # Usage/operating cost.
-        if self.per_server_operating:
+        if self._per_server:
             usage_part = float(compiled.usage_cost[placed].sum())
             active = np.unique(placed)
             operating = float(compiled.operating_cost[active].sum())
@@ -328,13 +268,14 @@ class IncrementalEvaluator:
             self._migration_total = float(compiled.migration_charge[moved].sum())
 
         # Energy (optional): price every active server once, vectorized.
-        if self.energy_weight > 0.0:
+        energy = self._energy
+        if energy is not None:
             active = np.zeros(m, dtype=bool)
             active[placed] = True
-            load = ((self._usage + self._base) * self._energy_invcap).mean(axis=1)
+            load = ((self._usage + self._base) * energy.inv_capacity).mean(axis=1)
             self._server_energy = np.where(
                 active,
-                compiled.idle_power + compiled.dynamic_power * load,
+                energy.idle_power + energy.dynamic_power * load,
                 0.0,
             )
             self._energy_total = float(self._server_energy.sum())
@@ -349,7 +290,7 @@ class IncrementalEvaluator:
     def violations(self) -> int:
         """Total constraint violations of the current assignment."""
         total = self._cap_total + self._group_total + self._knee_total
-        if self.include_assignment:
+        if self._count_unplaced:
             total += self._unplaced
         return int(total)
 
@@ -357,8 +298,8 @@ class IncrementalEvaluator:
     def objectives(self) -> FloatArray:
         """(3,) objective vector of the current assignment."""
         provider = self._usage_cost_total
-        if self.energy_weight > 0.0:
-            provider += self.energy_weight * self._energy_total
+        if self._energy is not None:
+            provider += self._energy_weight * self._energy_total
         return np.array(
             [provider, self._downtime_total, self._migration_total]
         )
@@ -408,7 +349,7 @@ class IncrementalEvaluator:
         """Eq. 23 penalties for ``resources`` hosted at QoS ``qos``."""
         cq = self.compiled.qos_guarantee[resources]
         cu = self.compiled.downtime_charge[resources]
-        if self.downtime_mode == "literal":
+        if self._literal:
             return cu * (qos / cq)
         return cu * np.maximum(0.0, (cq - qos) / cq)
 
@@ -421,7 +362,7 @@ class IncrementalEvaluator:
         cq = self._cq_list
         cu = self._cu_list
         total = 0.0
-        if self.downtime_mode == "literal":
+        if self._literal:
             for k in sorted(residents):  # deterministic summation order
                 total += cu[k] * (qos / cq[k])
         else:
@@ -496,14 +437,13 @@ class IncrementalEvaluator:
         row_lists = {s: row.tolist() for s, row in d.rows.items()}
 
         # Capacity (and the strict-QoS knee, when enabled): recount the
-        # over-limit cells of the two touched server rows only.  The
-        # thresholds were precomputed with the vectorized path's exact
-        # float ops, so these scalar comparisons are bit-identical.
+        # over-limit cells of the two touched server rows only, against
+        # the constraint set's own thresholds.
         for s, row_list in row_lists.items():
             over = over_count(row_list, self._lps_list[s])
             d.over[s] = over
             d.cap_total += over - int(self._over[s])
-            if self.qos_strict:
+            if self._strict:
                 knee = over_count(row_list, self._kps_list[s])
                 d.knee[s] = knee
                 d.knee_total += knee - int(self._knee_over[s])
@@ -520,7 +460,7 @@ class IncrementalEvaluator:
         d.unplaced += int(new == UNPLACED) - int(old == UNPLACED)
 
         # Usage/operating cost.
-        if self.per_server_operating:
+        if self._per_server:
             if old != UNPLACED:
                 d.usage_cost -= float(compiled.usage_cost[old])
                 if len(self._residents[old]) == 1:
@@ -546,7 +486,7 @@ class IncrementalEvaluator:
             penalty = self._server_penalty_value(s, row_list, residents)
             d.server_penalty[s] = penalty
             d.downtime_total += penalty - float(self._server_penalty[s])
-            if self.energy_weight > 0.0:
+            if self._energy is not None:
                 energy = self._server_energy_value(s, row_list, residents)
                 d.server_energy[s] = energy
                 d.energy_total += energy - float(self._server_energy[s])
@@ -559,11 +499,11 @@ class IncrementalEvaluator:
 
     def _score_of(self, d: _Delta, vm: int) -> MoveScore:
         violations = d.cap_total + d.group_total + d.knee_total
-        if self.include_assignment:
+        if self._count_unplaced:
             violations += d.unplaced
         provider = d.usage_cost
-        if self.energy_weight > 0.0:
-            provider += self.energy_weight * d.energy_total
+        if self._energy is not None:
+            provider += self._energy_weight * d.energy_total
         return MoveScore(
             vm=int(vm),
             server=d.new,
@@ -591,10 +531,10 @@ class IncrementalEvaluator:
         for s, row in d.rows.items():
             self._usage[s] = row
             self._over[s] = d.over[s]
-            if self.qos_strict:
+            if self._strict:
                 self._knee_over[s] = d.knee[s]
             self._server_penalty[s] = d.server_penalty[s]
-            if self.energy_weight > 0.0:
+            if self._energy is not None:
                 self._server_energy[s] = d.server_energy[s]
         for gi, viol in d.group_viol.items():
             self._group_viol[gi] = viol
@@ -616,20 +556,6 @@ class IncrementalEvaluator:
     # ------------------------------------------------------------------
     # Parity surface (compared by repro.verify.check_parity)
     # ------------------------------------------------------------------
-    def reference_evaluator(self):
-        """A from-scratch evaluator configured identically."""
-        return self.compiled.evaluator(
-            base_usage=(
-                None if not self._base.any() else self._base
-            ),
-            previous_assignment=self._previous,
-            downtime_mode=self.downtime_mode,
-            per_server_operating=self.per_server_operating,
-            include_assignment_constraint=self.include_assignment,
-            qos_strict=self.qos_strict,
-            energy_weight=self.energy_weight,
-        )
-
     def component_totals(self) -> dict[str, float]:
         """The tracked per-term state: the four constraint components
         (:data:`CONSTRAINT_TERMS`) and three objective terms
@@ -644,7 +570,7 @@ class IncrementalEvaluator:
             "downtime": float(self._downtime_total),
             "migration": float(self._migration_total),
         }
-        if self.energy_weight > 0.0:
+        if self._energy is not None:
             totals["energy"] = float(self._energy_total)
         return totals
 

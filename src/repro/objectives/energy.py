@@ -100,8 +100,9 @@ class EnergyCost:
             np.zeros_like(capacity) if base_usage is None
             else np.asarray(base_usage, dtype=np.float64)
         )
-        # Load fraction is 0 on degenerate zero-capacity cells.
-        self._inv_capacity: FloatArray = np.where(
+        #: 1 / (P * F) per (server, attribute): usage times this is the
+        #: load fraction, 0 on degenerate zero-capacity cells.
+        self.inv_capacity: FloatArray = np.where(
             capacity > 0, 1.0 / np.where(capacity > 0, capacity, 1.0), 0.0
         )
 
@@ -127,7 +128,7 @@ class EnergyCost:
             )
         active = np.zeros(self.infrastructure.m, dtype=bool)
         active[placed] = True
-        load = ((usage + self._base) * self._inv_capacity).mean(axis=1)
+        load = ((usage + self._base) * self.inv_capacity).mean(axis=1)
         return float(
             (self.idle_power[active]
              + self.dynamic_power[active] * load[active]).sum()
@@ -149,6 +150,6 @@ class EnergyCost:
         if usage is None:
             usage = kernel.batch_usage(population, self._demand, m)
         load = ((usage + self._base[None, :, :])
-                * self._inv_capacity[None, :, :]).mean(axis=2)
+                * self.inv_capacity[None, :, :]).mean(axis=2)
         per_server = self.idle_power[None, :] + self.dynamic_power[None, :] * load
         return np.where(active, per_server, 0.0).sum(axis=1)

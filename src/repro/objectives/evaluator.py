@@ -166,7 +166,7 @@ class PopulationEvaluator:
         self._evaluations += 1
         capacity = self.constraints.capacity
         usage = capacity.server_usage(assignment)
-        violations = int(np.count_nonzero(usage > capacity._threshold))
+        violations = int(np.count_nonzero(usage > capacity.threshold))
         for constraint in self.constraints.group_constraints:
             violations += constraint.violations(assignment)
         if self.constraints.load_cap is not None:

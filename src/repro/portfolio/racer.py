@@ -167,14 +167,10 @@ class PortfolioRun(AnytimeRun):
     def _build_member(self, index: int, name: str) -> _Member:
         allocator: PortfolioAllocator = self.allocator
         if name == "tabu":
-            evaluator = self.compiled.evaluator(
-                base_usage=self.base_usage,
-                previous_assignment=self.previous_assignment,
-                include_assignment_constraint=True,
-                energy_weight=allocator.energy_weight,
-            )
+            # The walk scores under the judge's semantics, so its
+            # incumbents rank exactly as the final pick ranks them.
             search = TabuSearch(
-                evaluator,
+                self._judge,
                 max_iterations=allocator.tabu_max_iterations,
                 seed=allocator.member_seed(index),
                 compiled=self.compiled,

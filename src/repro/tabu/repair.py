@@ -350,7 +350,7 @@ class TabuRepair:
         # committed usage, so they are built once.
         self._tables = _WalkTables(
             self.finder.limit,
-            self.constraints.capacity._threshold,
+            self.constraints.capacity.threshold,
             request,
             self.finder.groups_of_vm,
             self.finder.dc_of,

@@ -53,8 +53,9 @@ class TabuSearch:
     ----------
     evaluator:
         Problem instance wrapper providing objectives and violations;
-        its configuration (base usage, previous assignment, downtime
-        mode, strict-QoS cap) carries over to the delta scorer.
+        the delta scorer tracks its totals, so every evaluation setting
+        (base usage, previous assignment, downtime mode, strict-QoS
+        cap, ...) carries over.
     max_iterations:
         Outer iterations (one accepted move each).
     neighborhood_size:
@@ -107,21 +108,6 @@ class TabuSearch:
             best_aggregate=float(best_score[1]),
         )
 
-    def _incremental(self, assignment: IntArray) -> IncrementalEvaluator:
-        """Delta scorer configured identically to ``self.evaluator``."""
-        constraints = self.evaluator.constraints
-        return IncrementalEvaluator(
-            self.compiled,
-            assignment,
-            base_usage=constraints.base_usage,
-            previous_assignment=self.evaluator.migration.previous_assignment,
-            downtime_mode=self.evaluator.downtime.mode,
-            per_server_operating=self.evaluator.usage_cost.per_server_operating,
-            include_assignment=constraints.assignment is not None,
-            qos_strict=constraints.load_cap is not None,
-            energy_weight=self.evaluator.energy_weight,
-        )
-
     def start(self, initial: IntArray) -> "TabuRun":
         """Begin a stepwise search from ``initial``; see :class:`TabuRun`."""
         return TabuRun(self, initial)
@@ -156,7 +142,7 @@ class TabuRun:
         self.stopwatch = Stopwatch().start()
         self.tabu = TabuList(tenure=search.tenure)
         self._bus = get_bus()
-        self.state = search._incremental(current)
+        self.state = IncrementalEvaluator(search.compiled, search.evaluator, current)
         self.current_score = (self.state.violations, self.state.aggregate())
         self.evaluations = 1
         self.best = current.copy()

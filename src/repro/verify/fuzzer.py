@@ -6,8 +6,10 @@ drawn per scenario), then drives the three conformance layers:
 
 1. **differential oracle** — a random walk of moves over the merged
    instance, replayed through the incremental evaluator and
-   cross-checked against the reference evaluator (plus LP/CP backends
-   when the instance qualifies);
+   cross-checked against the reference evaluator, whose settings
+   (previous assignment, downtime mode, per-server operating cost,
+   strict load cap, energy weight) are drawn per scenario (plus LP/CP
+   backends when the instance qualifies);
 2. **allocator invariants** — a real allocator (round robin by
    default: deterministic and fast) places the window and its
    :class:`~repro.allocator.BatchOutcome` must satisfy every invariant
@@ -139,14 +141,16 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
             if with_previous
             else None
         )
-        oracle = DifferentialOracle(
-            scenario.infrastructure,
-            merged,
+        evaluator = compiled.evaluator(
             previous_assignment=previous,
             downtime_mode="literal" if rng.random() < 0.3 else "shortfall",
             per_server_operating=bool(rng.random() < 0.3),
-            compiled=compiled,
-            perturb=config.perturb,
+            include_assignment_constraint=True,
+            qos_strict=bool(rng.random() < 0.3),
+            energy_weight=0.5 if rng.random() < 0.3 else 0.0,
+        )
+        oracle = DifferentialOracle(
+            evaluator, compiled=compiled, perturb=config.perturb
         )
         report.merge(
             oracle.replay(
@@ -184,8 +188,7 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
         # CP optimum cross-checks apply.
         if np.all(outcome.assignment != UNPLACED):
             outcome_oracle = DifferentialOracle(
-                scenario.infrastructure,
-                merged,
+                compiled.evaluator(include_assignment_constraint=True),
                 compiled=compiled,
                 perturb=config.perturb,
             )

@@ -187,7 +187,7 @@ def _snapshot(
     out = {
         "batch_usage": usage,
         "batch_over_counts": kern.batch_over_counts(
-            usage, capacity._threshold
+            usage, capacity.threshold
         ),
         "batch_active": kern.batch_active(population64, infra.m),
         "server_min_qos": kern.server_min_qos(

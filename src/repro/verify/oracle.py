@@ -45,9 +45,8 @@ from repro.engine.incremental import (
     OBJECTIVE_TERMS,
     IncrementalEvaluator,
 )
-from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
-from repro.model.request import Request
+from repro.objectives.evaluator import PopulationEvaluator
 from repro.types import FloatArray, IntArray
 from repro.verify.checks import Report
 
@@ -98,8 +97,8 @@ def check_parity(
 ) -> Report:
     """Compare ``state``'s tracked totals with a from-scratch evaluation.
 
-    The reference is ``state.reference_evaluator()``, configured like the
-    state, so ``energy`` is compared whenever the state prices it.
+    The reference is ``state.evaluator``, the evaluator whose settings
+    the state reads, so ``energy`` is compared whenever it prices it.
     Constraint components must match exactly, objective terms to float
     re-association noise; each term is one comparison, and a drifted
     term's mismatch names it with both values.  Comparisons land in
@@ -114,7 +113,7 @@ def check_parity(
     if perturb is not None:
         term, delta = perturb
         candidate[term] += delta
-    reference = _reference_terms(state.reference_evaluator(), state.assignment)
+    reference = _reference_terms(state.evaluator, state.assignment)
     for term, expected in reference.items():
         actual = candidate[term]
         if term in CONSTRAINT_TERMS:
@@ -136,13 +135,11 @@ class DifferentialOracle:
 
     Parameters
     ----------
-    infrastructure, request:
-        The (merged) instance.
-    base_usage, previous_assignment, downtime_mode,
-    per_server_operating, qos_strict:
-        Evaluation options, forwarded to every backend identically.
+    evaluator:
+        The reference :class:`PopulationEvaluator`; its instance and
+        evaluation settings configure every backend.
     compiled:
-        Optional shared compilation.
+        Optional shared compilation of the evaluator's instance.
     perturb:
         Optional ``(term, delta)`` fault injection into the incremental
         candidate — the oracle must then report a mismatch on ``term``.
@@ -150,25 +147,15 @@ class DifferentialOracle:
 
     def __init__(
         self,
-        infrastructure: Infrastructure,
-        request: Request,
+        evaluator: PopulationEvaluator,
         *,
-        base_usage: FloatArray | None = None,
-        previous_assignment: IntArray | None = None,
-        downtime_mode: str = "shortfall",
-        per_server_operating: bool = False,
-        qos_strict: bool = False,
         compiled: CompiledProblem | None = None,
         perturb: tuple[str, float] | None = None,
     ) -> None:
-        self.infrastructure = infrastructure
-        self.request = request
-        self.base_usage = base_usage
-        self.previous_assignment = previous_assignment
-        self.downtime_mode = downtime_mode
-        self.per_server_operating = bool(per_server_operating)
-        self.qos_strict = bool(qos_strict)
-        self.compiled = compiled or CompiledProblem.compile(infrastructure, request)
+        self.evaluator = evaluator
+        self.compiled = compiled or CompiledProblem.compile(
+            evaluator.infrastructure, evaluator.request
+        )
         if perturb is not None:
             term = perturb[0]
             if term not in CONSTRAINT_TERMS + OBJECTIVE_TERMS:
@@ -177,28 +164,6 @@ class DifferentialOracle:
                     f"{CONSTRAINT_TERMS + OBJECTIVE_TERMS}"
                 )
         self.perturb = perturb
-
-    # ------------------------------------------------------------------
-    def _evaluator(self):
-        return self.compiled.evaluator(
-            base_usage=self.base_usage,
-            previous_assignment=self.previous_assignment,
-            downtime_mode=self.downtime_mode,
-            per_server_operating=self.per_server_operating,
-            include_assignment_constraint=True,
-            qos_strict=self.qos_strict,
-        )
-
-    def _incremental(self, assignment: IntArray) -> IncrementalEvaluator:
-        return self.compiled.incremental(
-            assignment,
-            base_usage=self.base_usage,
-            previous_assignment=self.previous_assignment,
-            downtime_mode=self.downtime_mode,
-            per_server_operating=self.per_server_operating,
-            include_assignment=True,
-            qos_strict=self.qos_strict,
-        )
 
     # ------------------------------------------------------------------
     # Incremental backend
@@ -213,7 +178,7 @@ class DifferentialOracle:
     ) -> None:
         n, m = self.compiled.n, self.compiled.m
         start = np.full(n, UNPLACED, dtype=np.int64)
-        state = self._incremental(start)
+        state = IncrementalEvaluator(self.compiled, self.evaluator, start)
 
         moves: list[tuple[int, int]] = []
         for vm in rng.permutation(n):
@@ -261,8 +226,11 @@ class DifferentialOracle:
         from repro.lp.model import ILPModel
         from scipy.optimize import linprog
 
+        evaluator = self.evaluator
         model = ILPModel.build(
-            self.infrastructure, self.request, base_usage=self.base_usage
+            evaluator.infrastructure,
+            evaluator.request,
+            base_usage=evaluator.constraints.base_usage,
         )
         x = self._encode(assignment, model.n, model.m)
         report.note(
@@ -308,17 +276,16 @@ class DifferentialOracle:
         from repro.cp.search import SearchLimits
         from repro.cp.solver import CPSolver
 
+        evaluator = self.evaluator
         solver = CPSolver(
-            self.infrastructure,
-            self.request,
-            base_usage=self.base_usage,
+            evaluator.infrastructure,
+            evaluator.request,
+            base_usage=evaluator.constraints.base_usage,
             limits=SearchLimits(max_nodes=20_000, time_limit=5.0),
         )
         solution = solver.optimize()
         if solution.found:
-            cp_terms = _reference_terms(
-                self._evaluator(), np.asarray(solution.assignment)
-            )
+            cp_terms = _reference_terms(evaluator, np.asarray(solution.assignment))
             non_assignment = (
                 cp_terms["capacity"] + cp_terms["group"] + cp_terms["load_cap"]
             )
@@ -328,7 +295,7 @@ class DifferentialOracle:
                 if cp_terms[t]
             )
             report.note(
-                not (cp_terms["unplaced"] or (non_assignment and not self.qos_strict)),
+                not (cp_terms["unplaced"] or non_assignment),
                 "cp",
                 "feasibility",
                 f"CP returned a placement the reference constraint set rejects ({broken})",
@@ -381,12 +348,16 @@ class DifferentialOracle:
             target, rng, report, detours=detours, checkpoint_every=checkpoint_every
         )
 
-        reference = _reference_terms(self._evaluator(), target)
+        evaluator = self.evaluator
+        reference = _reference_terms(evaluator, target)
         complete = reference["unplaced"] == 0
         feasible = complete and (
             reference["capacity"] + reference["group"] + reference["load_cap"] == 0
         )
-        scalar_cost_mode = not self.per_server_operating and not self.qos_strict
+        scalar_cost_mode = (
+            not evaluator.usage_cost.per_server_operating
+            and evaluator.constraints.load_cap is None
+        )
 
         if lp and complete and scalar_cost_mode:
             try:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import CompiledProblem
+from repro.engine import CompiledProblem, IncrementalEvaluator
 from repro.model import AttributeSchema, Infrastructure, PlacementGroup, Request
 from repro.model.placement import UNPLACED
 from repro.types import PlacementRule
@@ -88,14 +88,6 @@ def test_random_walk_tracks_reference(
     )
 
     compiled = CompiledProblem.compile(infra, request)
-    state = compiled.incremental(
-        genome,
-        previous_assignment=previous,
-        downtime_mode=downtime_mode,
-        per_server_operating=per_server,
-        include_assignment=True,
-        qos_strict=qos_strict,
-    )
     evaluator = compiled.evaluator(
         previous_assignment=previous,
         downtime_mode=downtime_mode,
@@ -103,6 +95,7 @@ def test_random_walk_tracks_reference(
         include_assignment_constraint=True,
         qos_strict=qos_strict,
     )
+    state = IncrementalEvaluator(compiled, evaluator, genome)
 
     for step in range(25):
         vm = int(rng.integers(0, request.n))
@@ -137,8 +130,8 @@ def test_score_move_equals_full_rescore(instance, seed):
     rng = np.random.default_rng(seed)
     genome = rng.integers(0, infra.m, size=request.n)
     compiled = CompiledProblem.compile(infra, request)
-    state = compiled.incremental(genome.copy(), include_assignment=True)
     evaluator = compiled.evaluator(include_assignment_constraint=True)
+    state = IncrementalEvaluator(compiled, evaluator, genome.copy())
 
     for _ in range(10):
         vm = int(rng.integers(0, request.n))
@@ -174,8 +167,12 @@ def test_differential_oracle_long_walks(servers, vms):
     target[rng.random(merged.n) < 0.1] = UNPLACED
     previous = rng.integers(0, servers, size=merged.n)
 
+    compiled = CompiledProblem.compile(scenario.infrastructure, merged)
     oracle = DifferentialOracle(
-        scenario.infrastructure, merged, previous_assignment=previous
+        compiled.evaluator(
+            previous_assignment=previous, include_assignment_constraint=True
+        ),
+        compiled=compiled,
     )
     detours = max(2, -(-200 // merged.n))  # ceil: walk length >= 200 moves
     assert (detours + 1) * merged.n >= 200

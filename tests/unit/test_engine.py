@@ -5,7 +5,7 @@ handling) and the incremental evaluator's contract."""
 import numpy as np
 import pytest
 
-from repro.engine import CompiledProblem, ProblemCache
+from repro.engine import CompiledProblem, IncrementalEvaluator, ProblemCache
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
 from repro.verify import check_parity
@@ -173,15 +173,16 @@ class TestIncrementalEvaluator:
         compiled = CompiledProblem.compile(small_infra, small_request)
         rng = np.random.default_rng(1)
         genome = rng.integers(0, small_infra.m, size=small_request.n)
-        state = compiled.incremental(genome)
-        objectives, violations = compiled.evaluator().assess(genome)
+        evaluator = compiled.evaluator()
+        state = IncrementalEvaluator(compiled, evaluator, genome)
+        objectives, violations = evaluator.assess(genome)
         assert state.violations == violations
         assert np.allclose(state.objectives, objectives.as_array())
 
     def test_score_move_does_not_mutate(self, small_infra, small_request):
         compiled = CompiledProblem.compile(small_infra, small_request)
         genome = np.array([0, 0, 2, 3, 4, 5])
-        state = compiled.incremental(genome)
+        state = IncrementalEvaluator(compiled, compiled.evaluator(), genome)
         before = state.assignment.copy()
         before_obj = state.objectives.copy()
         state.score_move(4, 7)
@@ -195,7 +196,7 @@ class TestIncrementalEvaluator:
         evaluator = compiled.evaluator()
         rng = np.random.default_rng(2)
         genome = rng.integers(0, small_infra.m, size=small_request.n)
-        state = compiled.incremental(genome)
+        state = IncrementalEvaluator(compiled, evaluator, genome)
         for _ in range(30):
             vm = int(rng.integers(0, small_request.n))
             srv = int(rng.integers(0, small_infra.m))
@@ -212,7 +213,7 @@ class TestIncrementalEvaluator:
     def test_verify_passes_and_detects_drift(self, small_infra, small_request):
         compiled = CompiledProblem.compile(small_infra, small_request)
         genome = np.array([0, 0, 2, 3, 4, 5])
-        state = compiled.incremental(genome)
+        state = IncrementalEvaluator(compiled, compiled.evaluator(), genome)
         assert check_parity(state).ok  # healthy state
         state._cap_total += 3  # corrupt the tracked violation total
         report = check_parity(state)
@@ -225,7 +226,8 @@ class TestIncrementalEvaluator:
 
         compiled = CompiledProblem.compile(small_infra, small_request)
         genome = np.array([0, 0, 2, 3, 4, 5])
-        state = compiled.incremental(genome, include_assignment=True)
+        evaluator = compiled.evaluator(include_assignment_constraint=True)
+        state = IncrementalEvaluator(compiled, evaluator, genome)
         base = state.violations
         state.apply_move(5, UNPLACED)
         assert state.violations == base + 1
@@ -237,9 +239,8 @@ class TestIncrementalEvaluator:
     def test_migration_objective_delta(self, small_infra, small_request):
         compiled = CompiledProblem.compile(small_infra, small_request)
         previous = np.array([0, 0, 2, 3, 4, 5])
-        state = compiled.incremental(
-            previous.copy(), previous_assignment=previous
-        )
+        evaluator = compiled.evaluator(previous_assignment=previous)
+        state = IncrementalEvaluator(compiled, evaluator, previous.copy())
         assert state.objectives[2] == 0.0
         state.apply_move(4, 6)
         assert state.objectives[2] == pytest.approx(

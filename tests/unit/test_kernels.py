@@ -164,7 +164,7 @@ class TestCapacityRetarget:
         assert np.array_equal(constraint.limit, new_limit)
         assert np.array_equal(constraint._slack, expected_slack)
         assert np.array_equal(
-            constraint._threshold, new_limit + expected_slack
+            constraint.threshold, new_limit + expected_slack
         )
 
     def test_retarget_rejects_wrong_shape(self, small_infra, small_request):
@@ -176,8 +176,9 @@ class TestCapacityRetarget:
         cap = LoadCapConstraint(small_infra, small_request.demand)
         inner = cap._inner
         assert np.array_equal(
-            inner._threshold, inner.limit + inner._slack
+            inner.threshold, inner.limit + inner._slack
         )
+        assert cap.threshold is inner.threshold
 
 
 class TestGroupLayout:

@@ -176,7 +176,7 @@ class _ReferenceRepair(TabuRepair):
 
     def _overloaded_servers(self, usage: FloatArray) -> IntArray:
         capacity = self.constraints.capacity
-        over = usage > capacity._threshold
+        over = usage > capacity.threshold
         return np.flatnonzero(over.any(axis=1)).astype(np.int64)
 
     def _faulty_vms(self, assignment: IntArray, usage: FloatArray) -> IntArray:
@@ -203,7 +203,7 @@ class _ReferenceRepair(TabuRepair):
         now fits, or split a group that just converged)."""
         server = int(assignment[vm])
         capacity = self.constraints.capacity
-        if np.any(usage[server] > capacity._threshold[server]):
+        if np.any(usage[server] > capacity.threshold[server]):
             return True
         for gi in self.finder.groups_of_vm[vm]:
             if self._group_violations(assignment, self.request.groups[gi]) > 0:
@@ -215,7 +215,7 @@ class _ReferenceRepair(TabuRepair):
     ) -> tuple[int, float]:
         """(violations, usage cost) — the lexicographic ideal-point key."""
         capacity = self.constraints.capacity
-        violations = int(np.count_nonzero(usage > capacity._threshold))
+        violations = int(np.count_nonzero(usage > capacity.threshold))
         for group in self.request.groups:
             violations += self._group_violations(assignment, group)
         cost = float(self._cost_rate[assignment[assignment >= 0]].sum())

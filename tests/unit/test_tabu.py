@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.constraints import ConstraintSet
+from repro.engine.incremental import CONSTRAINT_TERMS, OBJECTIVE_TERMS
 from repro.errors import ValidationError
 from repro.model import Request
 from repro.model.placement import UNPLACED
@@ -12,6 +13,7 @@ from repro.objectives import PopulationEvaluator
 from repro.tabu import NeighborFinder, TabuList, TabuRepair, TabuSearch
 from repro.tabu import repair as repair_module
 from repro.tabu.repair import WalkState
+from repro.verify import check_parity
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
 
@@ -225,7 +227,7 @@ class _CheckedWalkState(WalkState):
         np.testing.assert_allclose(usage, fresh, rtol=0, atol=1e-6)
         assert self.genes == self.assignment.tolist()
         assert self.residual.tobytes() == (capacity.limit - usage).tobytes()
-        over = np.count_nonzero(usage > capacity._threshold, axis=1)
+        over = np.count_nonzero(usage > capacity.threshold, axis=1)
         assert self.over == over.tolist() and self.cap_total == int(over.sum())
         groups = [c.violations(self.assignment) for c in self.constraints.group_constraints]
         assert self.group_viol == groups and self.group_total == sum(groups)
@@ -329,6 +331,43 @@ class TestTabuSearch:
         search = TabuSearch(evaluator, max_iterations=5)
         with pytest.raises(ValidationError):
             search.run(np.zeros(3, dtype=np.int64))
+
+    def test_every_evaluator_setting_reaches_the_walk(
+        self, small_infra, small_request
+    ):
+        """The delta scorer tracks the search's own evaluator: with every
+        setting away from its default, the walk's state keeps parity
+        with it, and the best score the walk recorded is the evaluator's
+        score of the best placement."""
+        base = np.zeros((small_infra.m, small_infra.h))
+        base[:4] = 0.5 * small_infra.effective_capacity[:4]
+        evaluator = PopulationEvaluator(
+            small_infra,
+            small_request,
+            base_usage=base,
+            previous_assignment=np.array([0, 0, 2, 3, 4, 5]),
+            downtime_mode="literal",
+            per_server_operating=True,
+            include_assignment_constraint=True,
+            qos_strict=True,
+            energy_weight=0.5,
+        )
+        run = TabuSearch(evaluator, max_iterations=40, seed=3).start(
+            np.zeros(small_request.n, dtype=np.int64)
+        )
+        while run.step():
+            pass
+        result = run.result()
+
+        report = check_parity(run.state)
+        assert report.ok, report.format()
+        # Energy is priced, so its total is compared too.
+        assert report.comparisons == len(CONSTRAINT_TERMS + OBJECTIVE_TERMS) + 1
+        objectives, violations = evaluator.assess(run.best_assignment())
+        assert result.violations == violations
+        assert np.array_equal(result.objectives, objectives.as_array())
+        assert run.best_score[0] == violations
+        assert run.best_score[1] == pytest.approx(objectives.aggregate(), rel=1e-9)
 
 
 class TestTabuMemoryRegression:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines import RoundRobinAllocator
 from repro.cli import build_parser, main
-from repro.engine import CompiledProblem
+from repro.engine import CompiledProblem, IncrementalEvaluator
 from repro.engine.incremental import CONSTRAINT_TERMS, OBJECTIVE_TERMS
 from repro.model import Request
 from repro.verify import (
@@ -44,6 +44,13 @@ def merged(scenario):
     return request
 
 
+@pytest.fixture()
+def reference(scenario, merged):
+    """The oracle's reference evaluator, assignment constraint on."""
+    compiled = CompiledProblem.compile(scenario.infrastructure, merged)
+    return compiled.evaluator(include_assignment_constraint=True)
+
+
 # ----------------------------------------------------------------------
 # check_parity: the one incremental-vs-reference comparison
 # ----------------------------------------------------------------------
@@ -51,15 +58,18 @@ def test_verify_returns_clean_structured_report(scenario, merged):
     compiled = CompiledProblem.compile(scenario.infrastructure, merged)
     rng = np.random.default_rng(0)
     genome = rng.integers(0, scenario.infrastructure.m, size=merged.n)
-    state = compiled.incremental(genome, include_assignment=True)
+    evaluator = compiled.evaluator(include_assignment_constraint=True)
+    state = IncrementalEvaluator(compiled, evaluator, genome)
 
     report = check_parity(state)
     assert report.ok, report.format()
     assert report.check == "parity"
     assert report.comparisons == len(CONSTRAINT_TERMS + OBJECTIVE_TERMS)
     # A state that prices energy has its energy total compared too.
-    priced = compiled.incremental(
-        genome, include_assignment=True, energy_weight=0.5
+    priced = IncrementalEvaluator(
+        compiled,
+        compiled.evaluator(include_assignment_constraint=True, energy_weight=0.5),
+        genome,
     )
     report = check_parity(priced)
     assert report.ok, report.format()
@@ -78,7 +88,8 @@ def test_verify_flags_corrupted_compilation(scenario, merged):
 
     rng = np.random.default_rng(1)
     genome = rng.integers(0, scenario.infrastructure.m, size=merged.n)
-    state = compiled.incremental(genome, include_assignment=True)
+    evaluator = compiled.evaluator(include_assignment_constraint=True)
+    state = IncrementalEvaluator(compiled, evaluator, genome)
 
     report = check_parity(state)
     assert not report.ok
@@ -103,9 +114,10 @@ def test_verify_flags_one_drifted_total(
     compiled = CompiledProblem.compile(scenario.infrastructure, merged)
     rng = np.random.default_rng(2)
     genome = rng.integers(0, scenario.infrastructure.m, size=merged.n)
-    state = compiled.incremental(
-        genome, include_assignment=True, energy_weight=energy_weight
+    evaluator = compiled.evaluator(
+        include_assignment_constraint=True, energy_weight=energy_weight
     )
+    state = IncrementalEvaluator(compiled, evaluator, genome)
     assert check_parity(state).ok
     setattr(state, attribute, getattr(state, attribute) + 1)
 
@@ -254,10 +266,10 @@ def test_invariants_flag_non_finite_objectives(scenario):
 # ----------------------------------------------------------------------
 # Differential oracle: clean replay + fault injection self-test
 # ----------------------------------------------------------------------
-def test_oracle_clean_replay(scenario, merged):
+def test_oracle_clean_replay(scenario, merged, reference):
     rng = np.random.default_rng(3)
     target = rng.integers(0, scenario.infrastructure.m, size=merged.n)
-    oracle = DifferentialOracle(scenario.infrastructure, merged)
+    oracle = DifferentialOracle(reference)
     report = oracle.replay(target, seed=rng, detours=2, cp=False)
     assert report.ok, report.format()
     assert report.check == "oracle"
@@ -266,14 +278,12 @@ def test_oracle_clean_replay(scenario, merged):
 
 
 @pytest.mark.parametrize("term", CONSTRAINT_TERMS + OBJECTIVE_TERMS)
-def test_oracle_detects_injected_fault_per_term(scenario, merged, term):
+def test_oracle_detects_injected_fault_per_term(scenario, merged, reference, term):
     """Fault injection on any single term must surface as a mismatch
     naming that term — the oracle's own false-negative self-test."""
     rng = np.random.default_rng(4)
     target = rng.integers(0, scenario.infrastructure.m, size=merged.n)
-    oracle = DifferentialOracle(
-        scenario.infrastructure, merged, perturb=(term, 0.5)
-    )
+    oracle = DifferentialOracle(reference, perturb=(term, 0.5))
     report = oracle.replay(target, seed=rng, detours=1, lp=False, cp=False)
     assert not report.ok
     assert [(m.where, m.field) for m in report.mismatches] == [
@@ -282,11 +292,9 @@ def test_oracle_detects_injected_fault_per_term(scenario, merged, term):
     assert term in report.format()
 
 
-def test_oracle_rejects_unknown_perturb_term(scenario, merged):
+def test_oracle_rejects_unknown_perturb_term(reference):
     with pytest.raises(Exception):
-        DifferentialOracle(
-            scenario.infrastructure, merged, perturb=("no_such_term", 1.0)
-        )
+        DifferentialOracle(reference, perturb=("no_such_term", 1.0))
 
 
 # ----------------------------------------------------------------------

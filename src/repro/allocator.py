@@ -69,23 +69,18 @@ def per_request_rejections(
     n_requests = int(owner.max()) + 1 if owner.size else 0
     rejected = np.zeros(n_requests, dtype=bool)
 
-    # Unplaced resources reject their request.
-    unplaced = assignment == UNPLACED
-    if unplaced.any():
-        rejected[np.unique(owner[unplaced])] = True
-
-    # Resources on overloaded servers reject their request.
-    offenders = constraints.capacity.overloaded_servers(assignment)
-    if offenders.size:
-        affected = np.isin(assignment, offenders)
-        if affected.any():
-            rejected[np.unique(owner[affected])] = True
-
-    # Violated groups reject the request owning the group.
-    for gi, group in enumerate(merged.groups):
-        constraint = constraints.group_constraints[gi]
-        if constraint.violations(assignment) > 0:
-            rejected[owner[group.members[0]]] = True
+    # A request is rejected by its unplaced resources, its resources on
+    # overloaded servers and its violated groups: one usage row and one
+    # row of group counts.
+    population = assignment[None, :]
+    capacity = constraints.capacity
+    overloaded = (capacity.batch_usage(population)[0] > capacity.threshold).any(axis=1)
+    # An UNPLACED gene reads the last server here; it rejects anyway.
+    rejected[owner[(assignment == UNPLACED) | overloaded[assignment]]] = True
+    if merged.groups:
+        violated = constraints.batch_group_violations(population)[0] > 0
+        leaders = np.array([group.members[0] for group in merged.groups])
+        rejected[owner[leaders[violated]]] = True
     return rejected
 
 

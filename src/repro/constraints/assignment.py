@@ -27,16 +27,11 @@ class AssignmentConstraint(Constraint):
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = int(n)
 
-    def violations(self, assignment: IntArray) -> int:
-        """Count unassigned VMs (Eq. 5/17) in one assignment."""
-        assignment = np.asarray(assignment)
-        if assignment.shape != (self.n,):
-            raise ValueError(
-                f"genome shape {assignment.shape}, expected ({self.n},)"
-            )
-        return int(np.count_nonzero(assignment == UNPLACED))
-
     def batch_violations(self, population: IntArray) -> IntArray:
-        """Vectorized :meth:`violations` over a population matrix."""
+        """Unassigned VMs (Eq. 5/17) per row of a population matrix."""
         population = np.asarray(population)
+        if population.ndim != 2 or population.shape[1] != self.n:
+            raise ValueError(
+                f"population shape {population.shape}, expected (pop, {self.n})"
+            )
         return np.count_nonzero(population == UNPLACED, axis=1).astype(np.int64)

@@ -3,8 +3,8 @@
 Genomes are integer vectors of length n with values in ``[0, m)`` or
 :data:`~repro.model.placement.UNPLACED`.  Violation counts are integers
 (>= 0); a genome is feasible for a constraint iff its count is zero.
-The default :meth:`Constraint.batch_violations` falls back to a Python
-loop; concrete constraints override it with vectorized NumPy code.
+Each constraint has one body, :meth:`Constraint.batch_violations` over
+a population matrix; one genome is scored as row 0 of a batch of one.
 """
 
 from __future__ import annotations
@@ -25,28 +25,12 @@ class Constraint(abc.ABC):
     name: str = "constraint"
 
     @abc.abstractmethod
+    def batch_violations(self, population: IntArray) -> IntArray:
+        """Violation count per row of ``population`` (shape (pop, n))."""
+
     def violations(self, assignment: IntArray) -> int:
         """Number of violations in one genome (0 means satisfied)."""
-
-    def batch_violations(self, population: IntArray) -> IntArray:
-        """Violation count per row of ``population`` (shape (pop, n)).
-
-        Subclasses override with vectorized implementations; this
-        generic fallback exists so new constraint types are correct
-        before they are fast.
-        """
-        population = np.asarray(population)
-        if population.ndim != 2:
-            raise ValueError(
-                f"population must be 2-D (pop, n), got shape {population.shape}"
-            )
-        return np.array(
-            [self.violations(row) for row in population], dtype=np.int64
-        )
-
-    def is_satisfied(self, assignment: IntArray) -> bool:
-        """Convenience: True iff ``violations(assignment) == 0``."""
-        return self.violations(assignment) == 0
+        return int(self.batch_violations(np.asarray(assignment)[None, :])[0])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

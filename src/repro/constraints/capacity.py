@@ -22,8 +22,7 @@ from repro.constraints.base import Constraint
 from repro.engine.kernels import active_kernel
 from repro.errors import DimensionError
 from repro.model.infrastructure import Infrastructure
-from repro.model.placement import UNPLACED
-from repro.types import BoolArray, FloatArray, IntArray
+from repro.types import FloatArray, IntArray
 
 __all__ = ["CapacityConstraint"]
 
@@ -101,33 +100,6 @@ class CapacityConstraint(Constraint):
         """Number of resources in the request."""
         return self.demand.shape[0]
 
-    def server_usage(self, assignment: IntArray) -> FloatArray:
-        """Usage matrix (m, h) induced by one genome (unplaced genes skipped)."""
-        assignment = np.asarray(assignment, dtype=np.int64)
-        mask = assignment != UNPLACED
-        return active_kernel().scatter_usage(
-            assignment[mask], self.demand[mask], self.limit.shape[0]
-        )
-
-    def overloaded_cells(self, assignment: IntArray) -> BoolArray:
-        """Boolean (m, h) mask of capacity cells exceeded by the genome."""
-        usage = self.server_usage(assignment)
-        return usage > self.threshold
-
-    def overloaded_servers(self, assignment: IntArray) -> IntArray:
-        """Indices of servers with at least one exceeded attribute.
-
-        This is ``exceedingDetection`` from the paper's repair
-        procedure (Fig. 5, line 2).
-        """
-        return np.flatnonzero(self.overloaded_cells(assignment).any(axis=1)).astype(
-            np.int64
-        )
-
-    def violations(self, assignment: IntArray) -> int:
-        """Count overloaded (server, resource) cells (Eq. 4/16)."""
-        return int(self.overloaded_cells(assignment).sum())
-
     # ------------------------------------------------------------------
     def batch_usage(self, population: IntArray) -> FloatArray:
         """Usage tensor (pop, m, h) for a whole population.
@@ -147,20 +119,6 @@ class CapacityConstraint(Constraint):
         )
 
     def batch_violations(self, population: IntArray) -> IntArray:
-        """Vectorized :meth:`violations` over a population matrix."""
+        """Overloaded (server, attribute) cells per row (Eq. 4/16)."""
         usage = self.batch_usage(population)
         return active_kernel().batch_over_counts(usage, self.threshold)
-
-    # ------------------------------------------------------------------
-    def fits(self, assignment: IntArray, resource: int, server: int) -> bool:
-        """Would moving ``resource`` to ``server`` keep that server legal?
-
-        This is the ``isValidAllocation`` predicate from the paper's
-        neighbour search (Fig. 6, line 3): server capacity only, the
-        affinity rules are checked by their own constraints.
-        """
-        assignment = np.asarray(assignment, dtype=np.int64)
-        others = (assignment == server)
-        others[resource] = False
-        load = self.demand[others].sum(axis=0) + self.demand[resource]
-        return bool(np.all(load <= self.threshold[server]))

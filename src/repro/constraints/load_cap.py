@@ -59,14 +59,6 @@ class LoadCapConstraint(Constraint):
         plus the capacity constraint's relative slack."""
         return self._inner.threshold
 
-    def violations(self, assignment: IntArray) -> int:
-        """Count (server, resource) cells exceeding the strict load cap."""
-        return self._inner.violations(assignment)
-
     def batch_violations(self, population: IntArray) -> IntArray:
-        """Vectorized :meth:`violations` over a population matrix."""
+        """(server, attribute) cells past the knee line, per row."""
         return self._inner.batch_violations(population)
-
-    def overloaded_servers(self, assignment: IntArray) -> IntArray:
-        """Servers past their knee (for repair integration)."""
-        return self._inner.overloaded_servers(assignment)

@@ -1,25 +1,17 @@
-"""Provider-scoped constraints for multi-cloud brokered placements.
+"""Provider-scoped capacity for multi-cloud brokered placements.
 
-Three market-layer rules on top of the paper's four placement rules
-(which are provider-blind):
+:class:`ProviderQuotaConstraint` caps the resources (VM count) a
+brokered plan may consume per provider — the contractual commitment a
+broker holds with each provider, distinct from physical server
+capacity.  The broker's other market rule, QoS co-location (each
+request inside one provider), is counted by
+:class:`~repro.market.broker.BrokeredAllocator` itself: distinct
+providers beyond the first are violations.
 
-* :class:`SameProviderConstraint` — QoS co-location: every placed
-  member of a group must land inside one provider's estate.  Chatty
-  tiers (the MORPHOSYS-style latency contract) cannot straddle a
-  cross-provider WAN link.
-* :class:`ProviderSpreadConstraint` — availability separation: no two
-  members of a group may share a provider, so a whole-provider outage
-  cannot take the group down.
-* :class:`ProviderQuotaConstraint` — provider-scoped capacity: a cap on
-  the resources (VM count) a brokered plan may consume per provider —
-  the contractual commitment a broker holds with each provider,
-  distinct from physical server capacity.
-
-These are plain :class:`~repro.constraints.base.Constraint` objects the
-:class:`~repro.market.broker.BrokeredAllocator` (and anyone else)
-scores alongside an instance's
-:class:`~repro.constraints.registry.ConstraintSet`; they deliberately
-do **not** extend :class:`~repro.types.PlacementRule`, so the paper's
+The quota is a plain :class:`~repro.constraints.base.Constraint` the
+broker (and anyone else) scores alongside an instance's
+:class:`~repro.constraints.registry.ConstraintSet`; it deliberately
+does **not** extend :class:`~repro.types.PlacementRule`, so the paper's
 four-rule kernel/CP/tabu dispatch paths stay untouched and the
 single-provider pipeline remains byte-identical.
 """
@@ -28,70 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.constraints.affinity import _GroupConstraint, _distinct_per_row
 from repro.constraints.base import Constraint
 from repro.errors import ConstraintError
 from repro.model.placement import UNPLACED
 from repro.types import IntArray
 
-__all__ = [
-    "SameProviderConstraint",
-    "ProviderSpreadConstraint",
-    "ProviderQuotaConstraint",
-]
-
-
-class SameProviderConstraint(_GroupConstraint):
-    """QoS co-location: all placed group members inside one provider."""
-
-    name = "same_provider"
-
-    def __init__(self, members: tuple[int, ...], server_provider: IntArray) -> None:
-        super().__init__(members)
-        self._provider = np.asarray(server_provider, dtype=np.int64)
-
-    def violations(self, assignment: IntArray) -> int:
-        """Distinct providers hosting the placed members, minus one."""
-        genes = self._member_genes(assignment)
-        placed = genes[genes != UNPLACED]
-        if placed.size <= 1:
-            return 0
-        return int(np.unique(self._provider[placed]).size - 1)
-
-    def batch_violations(self, population: IntArray) -> IntArray:
-        """:meth:`violations` of every row; one pass when all are placed."""
-        population = np.asarray(population, dtype=np.int64)
-        genes = population[:, self._idx]
-        if np.any(genes == UNPLACED):
-            return super().batch_violations(population)
-        return (_distinct_per_row(self._provider[genes]) - 1).astype(np.int64)
-
-
-class ProviderSpreadConstraint(_GroupConstraint):
-    """Availability separation: no two group members share a provider."""
-
-    name = "different_providers"
-
-    def __init__(self, members: tuple[int, ...], server_provider: IntArray) -> None:
-        super().__init__(members)
-        self._provider = np.asarray(server_provider, dtype=np.int64)
-
-    def violations(self, assignment: IntArray) -> int:
-        """Placed members beyond the first on each provider."""
-        genes = self._member_genes(assignment)
-        placed = genes[genes != UNPLACED]
-        if placed.size <= 1:
-            return 0
-        return int(placed.size - np.unique(self._provider[placed]).size)
-
-    def batch_violations(self, population: IntArray) -> IntArray:
-        """:meth:`violations` of every row; one pass when all are placed."""
-        population = np.asarray(population, dtype=np.int64)
-        genes = population[:, self._idx]
-        if np.any(genes == UNPLACED):
-            return super().batch_violations(population)
-        distinct = _distinct_per_row(self._provider[genes])
-        return (genes.shape[1] - distinct).astype(np.int64)
+__all__ = ["ProviderQuotaConstraint"]
 
 
 class ProviderQuotaConstraint(Constraint):
@@ -113,24 +47,15 @@ class ProviderQuotaConstraint(Constraint):
                 f"quota vector has shape {self._quotas.shape}, expected ({p},)"
             )
 
-    def violations(self, assignment: IntArray) -> int:
-        """VMs placed beyond each capped provider's quota."""
-        assignment = np.asarray(assignment, dtype=np.int64)
-        placed = assignment[assignment != UNPLACED]
-        if placed.size == 0:
-            return 0
-        counts = np.bincount(
-            self._provider[placed], minlength=self._quotas.shape[0]
-        )
-        capped = self._quotas >= 0
-        excess = np.maximum(counts[capped] - self._quotas[capped], 0)
-        return int(excess.sum())
-
     def batch_violations(self, population: IntArray) -> IntArray:
-        """:meth:`violations` of every row, one row at a time."""
+        """VMs placed beyond each capped provider's quota, per row."""
         population = np.asarray(population, dtype=np.int64)
-        pop, _ = population.shape
-        out = np.empty(pop, dtype=np.int64)
-        for i in range(pop):
-            out[i] = self.violations(population[i])
-        return out
+        pop = population.shape[0]
+        p = self._quotas.shape[0]
+        placed = population != UNPLACED
+        providers = self._provider[np.where(placed, population, 0)]
+        cells = (np.arange(pop)[:, None] * p + providers)[placed]
+        counts = np.bincount(cells, minlength=pop * p).reshape(pop, p)
+        capped = self._quotas >= 0
+        excess = np.maximum(counts[:, capped] - self._quotas[capped], 0)
+        return excess.sum(axis=1).astype(np.int64)

@@ -15,40 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constraints.affinity import (
-    SameDatacenterConstraint,
-    SameServerConstraint,
-)
-from repro.constraints.anti_affinity import (
-    DifferentDatacentersConstraint,
-    DifferentServersConstraint,
-)
 from repro.constraints.assignment import AssignmentConstraint
 from repro.constraints.base import Constraint
 from repro.constraints.capacity import CapacityConstraint
-from repro.engine.kernels import active_kernel
-from repro.errors import UnknownRuleError
+from repro.constraints.groups import GroupConstraint
+from repro.engine.kernels import GroupLayout, active_kernel
 from repro.model.infrastructure import Infrastructure
-from repro.model.request import PlacementGroup, Request
-from repro.types import FloatArray, IntArray, PlacementRule
+from repro.model.request import Request
+from repro.types import FloatArray, IntArray
 
-__all__ = ["ConstraintSet", "make_group_constraint"]
-
-
-def make_group_constraint(
-    group: PlacementGroup, infrastructure: Infrastructure
-) -> Constraint:
-    """Instantiate the concrete constraint for one placement rule."""
-    rule = group.rule
-    if rule is PlacementRule.SAME_SERVER:
-        return SameServerConstraint(group.members)
-    if rule is PlacementRule.SAME_DATACENTER:
-        return SameDatacenterConstraint(group.members, infrastructure)
-    if rule is PlacementRule.DIFFERENT_SERVERS:
-        return DifferentServersConstraint(group.members)
-    if rule is PlacementRule.DIFFERENT_DATACENTERS:
-        return DifferentDatacentersConstraint(group.members, infrastructure)
-    raise UnknownRuleError(f"unhandled placement rule: {rule!r}")
+__all__ = ["ConstraintSet"]
 
 
 @dataclass
@@ -72,21 +48,23 @@ class ConstraintSet:
     base_usage: FloatArray | None = None
     include_assignment: bool = True
     qos_strict: bool = False
-    #: Group constraint objects compiled once per instance (see
+    #: Group constraints compiled once per instance (see
     #: :class:`repro.engine.CompiledProblem`); groups are stateless
     #: w.r.t. per-window dynamics, so sharing them is safe.
-    prebuilt_groups: tuple[Constraint, ...] | None = None
+    prebuilt_groups: tuple[GroupConstraint, ...] | None = None
 
     def __post_init__(self) -> None:
         self.capacity = CapacityConstraint(
             self.infrastructure, self.request.demand, base_usage=self.base_usage
         )
         if self.prebuilt_groups is not None:
-            self.group_constraints: tuple[Constraint, ...] = self.prebuilt_groups
+            self.group_constraints: tuple[GroupConstraint, ...] = self.prebuilt_groups
         else:
             self.group_constraints = tuple(
-                make_group_constraint(gr, self.infrastructure)
-                for gr in self.request.groups
+                GroupConstraint(
+                    group.rule, group.members, self.infrastructure.server_datacenter
+                )
+                for group in self.request.groups
             )
         self.assignment: AssignmentConstraint | None = (
             AssignmentConstraint(self.request.n) if self.include_assignment else None
@@ -98,27 +76,21 @@ class ConstraintSet:
             self.load_cap = LoadCapConstraint(
                 self.infrastructure, self.request.demand, base_usage=self.base_usage
             )
-        self._group_layout = None
-        self._group_layout_built = False
+        self._group_layout: GroupLayout | None = None
 
     # ------------------------------------------------------------------
-    def group_layout(self):
-        """Flattened group-index layout for the vectorized numpy kernel.
+    def group_layout(self) -> GroupLayout | None:
+        """Flattened group-index layout the kernels score groups over.
 
-        Built lazily and cached (the groups are immutable per instance).
-        ``None`` when any group constraint is not one of the four
-        built-in rules — those score through their own
-        ``batch_violations`` instead.
+        Built lazily and cached (the groups are immutable per
+        instance); ``None`` when the request has no groups.
         """
-        if not self._group_layout_built:
-            from repro.engine.kernels import GroupLayout
-
+        if self._group_layout is None and self.group_constraints:
             self._group_layout = GroupLayout.build(
                 self.group_constraints,
                 self.infrastructure.server_datacenter,
                 self.infrastructure.m,
             )
-            self._group_layout_built = True
         return self._group_layout
 
     # ------------------------------------------------------------------
@@ -136,23 +108,20 @@ class ConstraintSet:
         return len(self.all_constraints)
 
     # ------------------------------------------------------------------
+    # One genome: row 0 of a batch of one.
+    # ------------------------------------------------------------------
     def violations(self, assignment: IntArray) -> int:
-        """Total violation count across all constraints for one genome."""
-        return sum(c.violations(assignment) for c in self.all_constraints)
+        """Total constraint violations of one genome."""
+        return int(self.batch_violations(np.asarray(assignment)[None, :])[0])
 
     def breakdown(self, assignment: IntArray) -> dict[str, int]:
-        """Violations keyed by constraint name (names may repeat → summed)."""
-        out: dict[str, int] = {}
-        for c in self.all_constraints:
-            out[c.name] = out.get(c.name, 0) + c.violations(assignment)
-        return out
+        """Violations of one genome keyed by constraint name."""
+        breakdown = self.batch_breakdown(np.asarray(assignment)[None, :])
+        return {name: int(counts[0]) for name, counts in breakdown.items()}
 
     def is_feasible(self, assignment: IntArray) -> bool:
         """True iff every constraint is satisfied."""
-        for c in self.all_constraints:
-            if c.violations(assignment) > 0:
-                return False
-        return True
+        return self.violations(assignment) == 0
 
     # ------------------------------------------------------------------
     def batch_violations(
@@ -181,38 +150,34 @@ class ConstraintSet:
         """Violations per individual and placement group, shape (pop, G).
 
         Column ``g`` counts group ``g`` of :attr:`group_constraints` (the
-        request's group order).  The active kernel scores every group in
-        one pass when it vectorizes them, else each constraint scores its
-        own column — integer counts, identical either way.
+        request's group order), scored by the active kernel over
+        :meth:`group_layout` — integer counts, identical on either
+        kernel.
         """
         population = np.asarray(population, dtype=np.int64)
-        kernel = active_kernel()
-        layout = (
-            self.group_layout()
-            if kernel.vectorized_groups and self.group_constraints
-            else None
-        )
-        if layout is not None:
-            return kernel.batch_group_violations(population, layout)
-        columns = np.zeros(
-            (population.shape[0], len(self.group_constraints)), dtype=np.int64
-        )
-        for column, constraint in enumerate(self.group_constraints):
-            columns[:, column] = constraint.batch_violations(population)
-        return columns
+        layout = self.group_layout()
+        if layout is None:
+            return np.zeros((population.shape[0], 0), dtype=np.int64)
+        return active_kernel().batch_group_violations(population, layout)
 
     def batch_feasible(self, population: IntArray) -> np.ndarray:
         """Boolean feasibility mask per individual."""
         return self.batch_violations(population) == 0
 
     def batch_breakdown(self, population: IntArray) -> dict[str, IntArray]:
-        """Per-constraint-name violation vectors for a population."""
+        """Per-constraint-name violation vectors for a population.
+
+        Keys follow :attr:`all_constraints` (groups of one rule share
+        their rule's key and are summed).
+        """
         population = np.asarray(population, dtype=np.int64)
-        out: dict[str, IntArray] = {}
-        for c in self.all_constraints:
-            counts = c.batch_violations(population)
-            if c.name in out:
-                out[c.name] = out[c.name] + counts
-            else:
-                out[c.name] = counts
+        out: dict[str, IntArray] = {
+            "capacity": self.capacity.batch_violations(population)
+        }
+        groups = self.batch_group_violations(population)
+        for column, constraint in enumerate(self.group_constraints):
+            out[constraint.name] = out.get(constraint.name, 0) + groups[:, column]
+        for extra in (self.load_cap, self.assignment):
+            if extra is not None:
+                out[extra.name] = extra.batch_violations(population)
         return out

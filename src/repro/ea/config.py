@@ -46,11 +46,6 @@ class NSGAConfig:
     reference_point_divisions:
         Das-Dennis divisions per objective for NSGA-III (3 objectives
         with 12 divisions → 91 points, matching a population of ~100).
-    penalty_coefficient:
-        Violation penalty weight for the PENALTY handling strategy.
-    repair_parents:
-        Repair infeasible parents before variation (the paper's Fig. 4
-        flow) in addition to repairing offspring before evaluation.
     time_limit:
         Optional wall-clock cap in seconds (the paper targets responses
         "in a very short timeframe (<2mn)").
@@ -98,8 +93,6 @@ class NSGAConfig:
     pm_rate: float = 0.20
     pm_distribution_index: float = 15.0
     reference_point_divisions: int = 12
-    penalty_coefficient: float = 1_000.0
-    repair_parents: bool = True
     time_limit: float | None = None
     stall_generations: int | None = None
     seed: int | None = None
@@ -132,8 +125,6 @@ class NSGAConfig:
                 raise ValidationError(f"{name} must be > 0")
         if self.reference_point_divisions < 1:
             raise ValidationError("reference_point_divisions must be >= 1")
-        if self.penalty_coefficient < 0:
-            raise ValidationError("penalty_coefficient must be >= 0")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValidationError("time_limit must be > 0 when set")
         if self.stall_generations is not None and self.stall_generations < 1:

@@ -226,10 +226,9 @@ class EngineRun:
             parent_idx = engine._select_parents(self.population, eff, self.rng)
             parents = self.population.genomes[parent_idx]
 
-            if cfg.repair_parents:
-                # Fig. 4: parents violating user constraints are
-                # treated by the repair before they reproduce.
-                parents = engine.handler.prepare(parents)
+            # Fig. 4: parents violating user constraints are treated
+            # by the repair before they reproduce.
+            parents = engine.handler.prepare(parents)
 
             offspring = engine._variation(parents, self.m, self.rng)
             # "The repair process is launched whenever invalid

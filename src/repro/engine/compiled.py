@@ -22,8 +22,8 @@ import hashlib
 
 import numpy as np
 
-from repro.constraints.base import Constraint
-from repro.constraints.registry import ConstraintSet, make_group_constraint
+from repro.constraints.groups import GroupConstraint
+from repro.constraints.registry import ConstraintSet
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
 from repro.objectives.evaluator import PopulationEvaluator
@@ -61,7 +61,7 @@ class CompiledProblem:
         inside each of its groups' member arrays — the O(groups-of-vm)
         hook the incremental evaluator updates through.
     group_constraints:
-        Prebuilt :class:`Constraint` objects, shared by every
+        Prebuilt :class:`GroupConstraint` objects, shared by every
         :class:`ConstraintSet` bound from this compilation.
     fingerprint:
         Stable content hash of the instance; the cache key.
@@ -137,8 +137,9 @@ class CompiledProblem:
         self.vm_group_slots: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(slots) for slots in vm_slots
         )
-        self.group_constraints: tuple[Constraint, ...] = tuple(
-            make_group_constraint(gr, infrastructure) for gr in request.groups
+        self.group_constraints: tuple[GroupConstraint, ...] = tuple(
+            GroupConstraint(gr.rule, gr.members, self.server_datacenter)
+            for gr in request.groups
         )
         self.fingerprint = self.fingerprint_of(infrastructure, request)
         stopwatch.stop()

@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.constraints.groups import group_violations
 from repro.errors import ValidationError
 from repro.model.placement import UNPLACED
 from repro.objectives.aggregate import aggregate_scalar
 from repro.objectives.evaluator import PopulationEvaluator
 from repro.objectives.qos import loads_from_usage, qos_from_load
 from repro.telemetry import get_registry
-from repro.types import FloatArray, IntArray, PlacementRule
+from repro.types import FloatArray, IntArray
 from repro.utils.scatter import scatter_rows, scatter_values
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "OBJECTIVE_TERMS",
     "IncrementalEvaluator",
     "MoveScore",
-    "group_violations",
     "over_count",
 ]
 
@@ -49,30 +49,6 @@ __all__ = [
 CONSTRAINT_TERMS = ("capacity", "group", "load_cap", "unplaced")
 #: Objective terms in canonical OBJECTIVE_ORDER naming.
 OBJECTIVE_TERMS = ("usage_cost", "downtime", "migration")
-
-
-def group_violations(rule: PlacementRule, genes: list[int], server_datacenter) -> int:
-    """Violation count of one placement group given its member genes.
-
-    ``genes`` are plain ints (:data:`UNPLACED` allowed, and ignored) and
-    ``server_datacenter`` maps a server id to its datacenter.  The
-    counts are the constraint classes': distinct locations minus one
-    for the co-location rules, collisions for the separation rules.
-    Groups have a handful of members, so a Python set beats any numpy
-    call here; this is the count every single-genome delta path
-    (:class:`IncrementalEvaluator`, the tabu repair walk) shares.
-    """
-    placed = [gene for gene in genes if gene != UNPLACED]
-    if len(placed) <= 1:
-        return 0
-    if rule is PlacementRule.SAME_SERVER:
-        return len(set(placed)) - 1
-    if rule is PlacementRule.DIFFERENT_SERVERS:
-        return len(placed) - len(set(placed))
-    datacenters = {server_datacenter[gene] for gene in placed}
-    if rule is PlacementRule.SAME_DATACENTER:
-        return len(datacenters) - 1
-    return len(placed) - len(datacenters)
 
 
 def over_count(row: list[float], thresholds: list[float]) -> int:

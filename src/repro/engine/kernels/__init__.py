@@ -1,6 +1,6 @@
 """repro.engine.kernels — the array primitives under the evaluation hot path.
 
-Every scatter, violation count and QoS tile on the evaluation/repair
+Every usage tile, violation count and QoS tile on the evaluation/repair
 hot path dispatches through :func:`active_kernel`, one of two
 bit-identical kernels:
 
@@ -9,8 +9,9 @@ bit-identical kernels:
     group scoring, an in-place one-tile QoS — no per-row or per-group
     Python loop anywhere.  Every allocation runs it.
 ``reference``
-    The original code paths (``np.add.at`` scatters, per-attribute
-    bincount tiles, one Python iteration per placement group).  Slow,
+    The original code paths (per-attribute bincount tiles, one
+    :func:`~repro.constraints.groups.group_violations` call per
+    placement group and row).  Slow,
     obviously correct, and the anchor the differential checker
     (``python -m repro verify --check kernels``) compares against.
 

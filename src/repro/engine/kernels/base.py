@@ -1,9 +1,9 @@
 """The reference kernel: the conformance anchor and the base class.
 
 A *kernel* is the set of array primitives under the evaluation/repair
-hot path: scatter demand onto servers, build the population usage
-tensor, count over-capacity cells, count group-rule violations, price
-the QoS curve.  The numpy kernel must produce results **identical** to
+hot path: build the population usage tensor, count over-capacity
+cells, count group-rule violations, price the QoS curve.  The numpy
+kernel must produce results **identical** to
 :class:`ReferenceKernel` — bitwise for integers and usage tiles, and
 bitwise for the float objective math too, because it is required to
 perform the same per-element float operations in the same
@@ -11,9 +11,10 @@ accumulation order (the property ``verify --check kernels`` enforces
 on fuzzed instances; see ``docs/PERFORMANCE.md``).
 
 :class:`ReferenceKernel` *is* the original code path of each call site
-(``np.add.at`` scatters, per-attribute ``bincount`` tiles, one Python
-iteration per placement group).  It stays the conformance anchor: the
-numpy kernel is correct exactly when it matches it.
+(per-attribute ``bincount`` tiles, one
+:func:`~repro.constraints.groups.group_violations` call per placement
+group and row).  It stays the conformance anchor: the numpy kernel is
+correct exactly when it matches it.
 """
 
 from __future__ import annotations
@@ -23,19 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.model.placement import UNPLACED
-from repro.types import BoolArray, FloatArray, IntArray
+from repro.types import BoolArray, FloatArray, IntArray, PlacementRule
 
 __all__ = ["GroupLayout", "ReferenceKernel"]
 
 
-#: Rule name -> (counts_distinct, uses_datacenter).  ``counts_distinct``
+#: Rule -> (counts_distinct, uses_datacenter).  ``counts_distinct``
 #: rules charge ``max(distinct - 1, 0)``; the others charge
 #: ``placed - distinct`` (collision count).
 _RULE_TABLE = {
-    "same_server": (True, False),
-    "same_datacenter": (True, True),
-    "different_servers": (False, False),
-    "different_datacenters": (False, True),
+    PlacementRule.SAME_SERVER: (True, False),
+    PlacementRule.SAME_DATACENTER: (True, True),
+    PlacementRule.DIFFERENT_SERVERS: (False, False),
+    PlacementRule.DIFFERENT_DATACENTERS: (False, True),
 }
 
 
@@ -55,6 +56,8 @@ class GroupLayout:
     segments: IntArray
     #: (G + 1,) start offset of each group inside :attr:`members`.
     offsets: IntArray
+    #: (G,) the rule of each group.
+    rules: tuple[PlacementRule, ...]
     #: (G,) True where the rule charges ``max(distinct - 1, 0)``.
     counts_distinct: BoolArray
     #: (G,) True where keys are datacenters instead of servers.
@@ -71,26 +74,12 @@ class GroupLayout:
         return int(self.offsets.shape[0] - 1)
 
     @staticmethod
-    def build(constraints, server_datacenter: IntArray, m: int) -> "GroupLayout | None":
-        """Layout for a sequence of built-in group constraints.
-
-        Returns ``None`` when any constraint is not one of the four
-        built-in rules (third-party extensions keep their own
-        ``batch_violations``) or when there are no groups.
-        """
-        if not constraints:
-            return None
-        members_parts: list[np.ndarray] = []
-        counts_distinct: list[bool] = []
-        uses_datacenter: list[bool] = []
-        for constraint in constraints:
-            entry = _RULE_TABLE.get(getattr(constraint, "name", None))
-            idx = getattr(constraint, "_idx", None)
-            if entry is None or idx is None:
-                return None
-            members_parts.append(np.asarray(idx, dtype=np.int64))
-            counts_distinct.append(entry[0])
-            uses_datacenter.append(entry[1])
+    def build(groups, server_datacenter: IntArray, m: int) -> "GroupLayout":
+        """Layout for a non-empty sequence of placement groups — anything
+        with a ``rule`` and ``members``, such as
+        :class:`~repro.constraints.groups.GroupConstraint`."""
+        members_parts = [np.asarray(group.members, dtype=np.int64) for group in groups]
+        rules = tuple(group.rule for group in groups)
         sizes = np.array([part.shape[0] for part in members_parts], dtype=np.int64)
         offsets = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
@@ -104,8 +93,9 @@ class GroupLayout:
             members=np.concatenate(members_parts),
             segments=segments,
             offsets=offsets,
-            counts_distinct=np.asarray(counts_distinct, dtype=bool),
-            uses_datacenter=np.asarray(uses_datacenter, dtype=bool),
+            rules=rules,
+            counts_distinct=np.array([_RULE_TABLE[rule][0] for rule in rules], dtype=bool),
+            uses_datacenter=np.array([_RULE_TABLE[rule][1] for rule in rules], dtype=bool),
             server_datacenter=server_datacenter,
             radix=radix,
         )
@@ -122,22 +112,6 @@ class ReferenceKernel:
     """
 
     name = "reference"
-    #: Whether :meth:`batch_group_violations` is implemented (the
-    #: reference kernel scores groups through the constraint objects
-    #: instead, preserving the original per-group code path).
-    vectorized_groups = False
-
-    def scatter_usage(
-        self, servers: IntArray, demand_rows: FloatArray, m: int
-    ) -> FloatArray:
-        """Accumulate ``demand_rows`` (k, h) onto ``servers`` (k,) -> (m, h).
-
-        Callers pass only *placed* genes; duplicate servers accumulate
-        in input order (the bit-identity contract).
-        """
-        usage = np.zeros((m, demand_rows.shape[1]), dtype=np.float64)
-        np.add.at(usage, servers, demand_rows)
-        return usage
 
     def batch_usage(
         self, population: IntArray, demand: FloatArray, m: int
@@ -175,10 +149,20 @@ class ReferenceKernel:
     def batch_group_violations(
         self, population: IntArray, layout: GroupLayout
     ) -> IntArray:
-        """Group-rule violations per row and group -> (pop, G) int64."""
-        raise NotImplementedError(
-            f"{self.name} kernel does not vectorize group scoring"
-        )
+        """Group-rule violations per row and group -> (pop, G) int64:
+        one :func:`~repro.constraints.groups.group_violations` call each."""
+        # Late import: repro.constraints sits above the kernel layer
+        # (its modules import this package).
+        from repro.constraints.groups import group_violations
+
+        rows = population.tolist()
+        datacenter = layout.server_datacenter.tolist()
+        out = np.zeros((len(rows), layout.n_groups), dtype=np.int64)
+        for g, rule in enumerate(layout.rules):
+            members = layout.members[layout.offsets[g] : layout.offsets[g + 1]].tolist()
+            for r, row in enumerate(rows):
+                out[r, g] = group_violations(rule, [row[k] for k in members], datacenter)
+        return out
 
     def server_min_qos(
         self,

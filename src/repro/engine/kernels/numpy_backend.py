@@ -3,16 +3,14 @@
 Same results as :class:`~repro.engine.kernels.base.ReferenceKernel`
 bit for bit, reached by different routes:
 
-* scatters run through ``np.bincount`` instead of ``np.add.at`` (the
-  single-genome scatter is :func:`repro.utils.scatter.scatter_rows`) — both
-  accumulate duplicate indices in input order, so the float64 sums are
-  identical.  A population tile takes one bincount per attribute over
-  a ``(row, server)`` cell index and writes each plane into a
-  C-ordered ``(pop, m, h)`` result, so no temporary outgrows the
-  ``(pop, n)`` genome matrix;
+* a population tile takes one bincount per attribute over a
+  ``(row, server)`` cell index and writes each plane into a C-ordered
+  ``(pop, m, h)`` result, so no temporary outgrows the ``(pop, n)``
+  genome matrix; bincount accumulates duplicate indices in input
+  order, so the float64 sums are identical;
 * all placement groups of an instance are scored in **one** pass over
   a composite-key sort (integer arithmetic — exact) instead of one
-  Python iteration per group;
+  Python call per group and row;
 * the QoS primitive computes Eq. 25 loads and the Eq. 24 decay in
   place in one float tile, with the reference's operations on every
   cell.  The reference selects ``max_qos`` below the knee; there the
@@ -31,7 +29,6 @@ import numpy as np
 from repro.engine.kernels.base import GroupLayout, ReferenceKernel
 from repro.model.placement import UNPLACED
 from repro.types import FloatArray, IntArray
-from repro.utils.scatter import scatter_rows
 
 __all__ = ["NumpyKernel"]
 
@@ -44,13 +41,6 @@ class NumpyKernel(ReferenceKernel):
     """
 
     name = "numpy"
-    vectorized_groups = True
-
-    def scatter_usage(
-        self, servers: IntArray, demand_rows: FloatArray, m: int
-    ) -> FloatArray:
-        """One ``np.bincount`` per attribute (:func:`scatter_rows`)."""
-        return scatter_rows(servers, demand_rows, m)
 
     def batch_usage(
         self, population: IntArray, demand: FloatArray, m: int
@@ -86,9 +76,6 @@ class NumpyKernel(ReferenceKernel):
         self, population: IntArray, layout: GroupLayout
     ) -> IntArray:
         """Every group of every row in one composite-key sort."""
-        pop = population.shape[0]
-        if layout.n_groups == 0:
-            return np.zeros((pop, 0), dtype=np.int64)
         genes = population[:, layout.members]  # (pop, T)
         placed = genes != UNPLACED
         keys = genes

@@ -34,8 +34,6 @@ from __future__ import annotations
 import itertools
 import pickle
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_all_start_methods, get_context
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,6 +44,8 @@ from repro.types import IntArray
 from repro.utils.timers import Stopwatch
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.tabu.repair import TabuRepair
 
 __all__ = ["ParallelEngine"]
@@ -61,9 +61,6 @@ MIN_DISPATCH_ROWS = 2
 #: Repairers one worker keeps.  Two portfolio lanes can alternate on
 #: one engine; an evicted repairer costs one rebuild.
 REPAIRER_CACHE_SIZE = 4
-#: ``fork`` where the platform has it: cheap worker start-up.
-START_METHOD = "fork" if "fork" in get_all_start_methods() else None
-
 #: Repairer keys, unique within the parent process.
 _KEYS = itertools.count()
 
@@ -182,8 +179,16 @@ class ParallelEngine:
         if not self.available:
             return None
         if self._pool is None:
+            # Imported here, where the pool is built: a serial run never
+            # loads the process-pool machinery.
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_all_start_methods, get_context
+
             try:
-                context = get_context(START_METHOD) if START_METHOD else None
+                # ``fork`` where the platform has it: cheap worker start-up.
+                context = (
+                    get_context("fork") if "fork" in get_all_start_methods() else None
+                )
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.n_workers, mp_context=context
                 )

@@ -17,7 +17,6 @@ __all__ = [
     "ValidationError",
     "TopologyError",
     "ConstraintError",
-    "UnknownRuleError",
     "SolverError",
     "InfeasibleError",
     "SolverTimeoutError",
@@ -49,10 +48,6 @@ class TopologyError(ReproError):
 
 class ConstraintError(ReproError):
     """A constraint definition is inconsistent with the model."""
-
-
-class UnknownRuleError(ConstraintError):
-    """An affinity/anti-affinity rule name is not one of the four paper rules."""
 
 
 class SolverError(ReproError):

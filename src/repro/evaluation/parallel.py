@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Sequence
 
 from repro.allocator import Allocator
@@ -149,6 +148,10 @@ class ParallelExperimentRunner:
     def run_sweep(self, specs: Sequence[ScenarioSpec]) -> SweepResult:
         """Execute the grid in parallel; record order matches the
         serial runner (sweep point, run, factory insertion order)."""
+        # Imported here, where the pool is built: importing the harness
+        # does not load the process-pool machinery.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         cells = []
         for point_index, spec in enumerate(specs):
             for run_index, scenario in enumerate(

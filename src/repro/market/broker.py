@@ -39,10 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.allocator import Allocator, BatchOutcome
-from repro.constraints.provider import (
-    ProviderQuotaConstraint,
-    SameProviderConstraint,
-)
+from repro.constraints.provider import ProviderQuotaConstraint
 from repro.errors import ValidationError
 from repro.market.preferences import (
     PreferenceOrder,
@@ -268,13 +265,8 @@ class BrokeredAllocator:
             if providers.size == 1:
                 provider_of_request[r] = int(providers[0])
             elif self.qos_colocation:
-                # Same counting rule as SameProviderConstraint: extra
-                # distinct providers beyond the first are violations.
-                members = tuple(np.flatnonzero(owner == r))
-                if len(members) >= 2:
-                    market_violations += SameProviderConstraint(
-                        members, provider_of_server
-                    ).violations(assignment)
+                # Distinct providers beyond the first are violations.
+                market_violations += int(providers.size) - 1
 
         if self.quotas is not None:
             market_violations += ProviderQuotaConstraint(

@@ -100,28 +100,6 @@ class DowntimeCost:
         return np.multiply(cu, out, out=out)
 
     # ------------------------------------------------------------------
-    def value(self, assignment: IntArray) -> float:
-        """Downtime cost of one genome."""
-        assignment = np.asarray(assignment, dtype=np.int64)
-        infra = self.infrastructure
-        mask = assignment != UNPLACED
-        usage = active_kernel().scatter_usage(
-            assignment[mask], self.request.demand[mask], infra.m
-        )
-        return self.value_from_usage(assignment, usage)
-
-    def value_from_usage(self, assignment: IntArray, usage: FloatArray) -> float:
-        """Downtime cost of one genome whose (m, h) usage matrix is
-        already known — shares the scatter-add with the capacity check
-        (the single-genome analogue of :meth:`batch`)."""
-        assignment = np.asarray(assignment, dtype=np.int64)
-        mask = assignment != UNPLACED
-        server_qos = self._server_min_qos(usage)
-        per_resource = np.zeros(self.request.n)
-        per_resource[mask] = server_qos[assignment[mask]]
-        penalties = self._penalties(per_resource)
-        return float(penalties[mask].sum())
-
     def batch(self, population: IntArray, usage: FloatArray) -> FloatArray:
         """Downtime cost per individual.
 

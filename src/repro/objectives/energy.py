@@ -28,7 +28,6 @@ import numpy as np
 from repro.engine.kernels import active_kernel
 from repro.errors import DimensionError
 from repro.model.infrastructure import Infrastructure
-from repro.model.placement import UNPLACED
 from repro.types import FloatArray, IntArray
 
 __all__ = ["ENERGY_IDLE_FRACTION", "EnergyCost", "power_model"]
@@ -114,25 +113,6 @@ class EnergyCost:
         ones (what the invariant catalog checks) stay under this.
         """
         return float((self.idle_power + self.dynamic_power).sum())
-
-    def value(
-        self, assignment: IntArray, usage: FloatArray | None = None
-    ) -> float:
-        """Energy of one genome; pass ``usage`` (m, h) to skip a scatter."""
-        assignment = np.asarray(assignment, dtype=np.int64)
-        mask = assignment != UNPLACED
-        placed = assignment[mask]
-        if usage is None:
-            usage = active_kernel().scatter_usage(
-                placed, self._demand[mask], self._base.shape[0]
-            )
-        active = np.zeros(self.infrastructure.m, dtype=bool)
-        active[placed] = True
-        load = ((usage + self._base) * self.inv_capacity).mean(axis=1)
-        return float(
-            (self.idle_power[active]
-             + self.dynamic_power[active] * load[active]).sum()
-        )
 
     def batch(
         self, population: IntArray, usage: FloatArray | None = None

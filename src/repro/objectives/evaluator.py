@@ -5,7 +5,8 @@ problem instance it computes, for each candidate placement, the three
 objective values (Eq. 22/23/26) and the total constraint violations.
 The batch path shares a single usage-tensor scatter-add between the
 capacity constraint and the downtime objective, which keeps the 10 000
-evaluations of Table III tractable in pure Python.
+evaluations of Table III tractable in pure Python.  It is the only
+path: one genome is scored as row 0 of a batch of one.
 """
 
 from __future__ import annotations
@@ -135,53 +136,17 @@ class PopulationEvaluator:
 
     # ------------------------------------------------------------------
     def evaluate(self, assignment: IntArray) -> ObjectiveVector:
-        """Objective vector of one genome."""
-        self._evaluations += 1
-        provider = self.usage_cost.value(assignment)
-        if self.energy is not None:
-            provider += self.energy_weight * self.energy.value(assignment)
-        return ObjectiveVector(
-            usage_and_operating_cost=provider,
-            downtime_cost=self.downtime.value(assignment),
-            migration_cost=self.migration.value(assignment),
-        )
-
-    def violations(self, assignment: IntArray) -> int:
-        """Total constraint violations of one genome."""
-        return self.constraints.violations(assignment)
-
-    def scalar(self, assignment: IntArray, weights: FloatArray | None = None) -> float:
-        """The aggregate Z of one genome (Eq. 15)."""
-        return self.evaluate(assignment).aggregate(weights)
+        """Objective vector of one genome (row 0 of a batch of one)."""
+        return self.assess(assignment)[0]
 
     def assess(self, assignment: IntArray) -> tuple[ObjectiveVector, int]:
-        """Objectives *and* violations of one genome in a single pass.
-
-        The usage matrix is scattered once and shared between the
-        capacity check and the downtime objective — callers that need
-        both (tabu scoring, parity verification) pay one evaluation
-        instead of two.
-        """
-        assignment = np.ascontiguousarray(assignment, dtype=np.int64)
-        self._evaluations += 1
-        capacity = self.constraints.capacity
-        usage = capacity.server_usage(assignment)
-        violations = int(np.count_nonzero(usage > capacity.threshold))
-        for constraint in self.constraints.group_constraints:
-            violations += constraint.violations(assignment)
-        if self.constraints.load_cap is not None:
-            violations += self.constraints.load_cap.violations(assignment)
-        if self.constraints.assignment is not None:
-            violations += self.constraints.assignment.violations(assignment)
-        provider = self.usage_cost.value(assignment)
-        if self.energy is not None:
-            provider += self.energy_weight * self.energy.value(assignment, usage)
-        objectives = ObjectiveVector(
-            usage_and_operating_cost=provider,
-            downtime_cost=self.downtime.value_from_usage(assignment, usage),
-            migration_cost=self.migration.value(assignment),
+        """Objectives *and* violations of one genome: row 0 of
+        :meth:`evaluate_population` on a batch of one."""
+        result = self.evaluate_population(np.asarray(assignment)[None, :])
+        return (
+            ObjectiveVector.from_array(result.objectives[0]),
+            int(result.violations[0]),
         )
-        return objectives, violations
 
     # ------------------------------------------------------------------
     def evaluate_population(self, population: IntArray) -> EvaluationResult:

@@ -59,15 +59,6 @@ class MigrationCost:
         """False for first placements (objective identically zero)."""
         return self.previous_assignment is not None
 
-    def value(self, assignment: IntArray) -> float:
-        """Migration cost of one genome."""
-        if self.previous_assignment is None:
-            return 0.0
-        assignment = np.asarray(assignment, dtype=np.int64)
-        prev = self.previous_assignment
-        moved = (assignment != prev) & (prev != UNPLACED)
-        return float(self.request.migration_cost[moved].sum())
-
     def batch(self, population: IntArray) -> FloatArray:
         """Migration cost per individual (pop,)."""
         population = np.asarray(population, dtype=np.int64)

@@ -95,21 +95,8 @@ class CommunicationCost:
 
     # ------------------------------------------------------------------
     def value(self, assignment: IntArray) -> float:
-        """Communication cost of one genome (unplaced pairs are free)."""
-        assignment = np.asarray(assignment, dtype=np.int64)
-        if assignment.shape != (self.n,):
-            raise DimensionError(
-                f"assignment shape {assignment.shape}, expected ({self.n},)"
-            )
-        if self._pair_w.size == 0:
-            return 0.0
-        a = assignment[self._pair_i]
-        b = assignment[self._pair_j]
-        live = (a != UNPLACED) & (b != UNPLACED)
-        if not live.any():
-            return 0.0
-        hops = self.hop_matrix[a[live], b[live]]
-        return float((self._pair_w[live] * hops).sum())
+        """Cost of one genome: row 0 of :meth:`batch` on a batch of one."""
+        return float(self.batch(np.asarray(assignment)[None, :])[0])
 
     def batch(self, population: IntArray) -> FloatArray:
         """Cost per individual for a population matrix (pop, n)."""

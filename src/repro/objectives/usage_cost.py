@@ -49,16 +49,8 @@ class UsageOperatingCost:
         )
 
     def value(self, assignment: IntArray) -> float:
-        """Cost of one genome."""
-        assignment = np.asarray(assignment, dtype=np.int64)
-        mask = assignment != UNPLACED
-        placed = assignment[mask]
-        if self.per_server_operating:
-            usage = float(self.infrastructure.usage_cost[placed].sum())
-            active = np.unique(placed)
-            operating = float(self.infrastructure.operating_cost[active].sum())
-            return usage + operating
-        return float(self._per_resource_rate[placed].sum())
+        """Cost of one genome: row 0 of :meth:`batch` on a batch of one."""
+        return float(self.batch(np.asarray(assignment)[None, :])[0])
 
     def batch(self, population: IntArray) -> FloatArray:
         """Cost per individual for a population matrix (pop, n)."""

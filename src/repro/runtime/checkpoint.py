@@ -74,8 +74,6 @@ _TRAJECTORY_FIELDS = (
     "pm_rate",
     "pm_distribution_index",
     "reference_point_divisions",
-    "penalty_coefficient",
-    "repair_parents",
     "seed",
     # The optional energy term reshapes the objective landscape, so two
     # runs differing in weight are distinct trajectories.

@@ -29,8 +29,9 @@ import time
 
 import numpy as np
 
+from repro.constraints.groups import group_violations
 from repro.constraints.registry import ConstraintSet
-from repro.engine.incremental import group_violations, over_count
+from repro.engine.incremental import over_count
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED

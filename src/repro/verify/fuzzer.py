@@ -7,9 +7,9 @@ drawn per scenario), then drives the three conformance layers:
 1. **differential oracle** — a random walk of moves over the merged
    instance, replayed through the incremental evaluator and
    cross-checked against the reference evaluator, whose settings
-   (previous assignment, downtime mode, per-server operating cost,
-   strict load cap, energy weight) are drawn per scenario (plus LP/CP
-   backends when the instance qualifies);
+   (committed usage, previous assignment, downtime mode, per-server
+   operating cost, strict load cap, energy weight) are drawn per
+   scenario (plus LP/CP backends when the instance qualifies);
 2. **allocator invariants** — a real allocator (round robin by
    default: deterministic and fast) places the window and its
    :class:`~repro.allocator.BatchOutcome` must satisfy every invariant
@@ -141,7 +141,16 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
             if with_previous
             else None
         )
+        # Committed usage from earlier windows in half the scenarios: a
+        # uniform 0-40% of each cell's effective capacity.
+        capacity = scenario.infrastructure.effective_capacity
+        base_usage = (
+            rng.uniform(0.0, 0.4, size=capacity.shape) * capacity
+            if rng.random() < 0.5
+            else None
+        )
         evaluator = compiled.evaluator(
+            base_usage=base_usage,
             previous_assignment=previous,
             downtime_mode="literal" if rng.random() < 0.3 else "shortfall",
             per_server_operating=bool(rng.random() < 0.3),
@@ -184,11 +193,13 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
         )
 
         # 2b. Fully placed outcomes also go through the oracle with the
-        # default scoring modes, where the LP relaxation bound and the
-        # CP optimum cross-checks apply.
+        # default scoring modes and the same committed usage, where the
+        # LP relaxation bound and the CP optimum cross-checks apply.
         if np.all(outcome.assignment != UNPLACED):
             outcome_oracle = DifferentialOracle(
-                compiled.evaluator(include_assignment_constraint=True),
+                compiled.evaluator(
+                    base_usage=base_usage, include_assignment_constraint=True
+                ),
                 compiled=compiled,
                 perturb=config.perturb,
             )

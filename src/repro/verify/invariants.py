@@ -266,16 +266,19 @@ def _group_closure(ctx: CheckContext) -> list[InvariantViolation] | None:
         return None
     if ctx.owner is None or ctx.accepted is None:
         return None
-    from repro.constraints.registry import make_group_constraint
+    from repro.constraints.groups import group_violations
 
     out: list[InvariantViolation] = []
     accepted = ctx.accepted
+    genes = np.asarray(ctx.assignment, np.int64).tolist()
+    datacenter = ctx.infrastructure.server_datacenter.tolist()
     for gi, group in enumerate(ctx.merged.groups):
         owner = int(ctx.owner[group.members[0]])
         if not accepted[owner]:
             continue
-        constraint = make_group_constraint(group, ctx.infrastructure)
-        violations = constraint.violations(np.asarray(ctx.assignment, np.int64))
+        violations = group_violations(
+            group.rule, [genes[k] for k in group.members], datacenter
+        )
         if violations > 0:
             out.append(
                 InvariantViolation(
@@ -354,7 +357,7 @@ def _energy_bound(ctx: CheckContext) -> list[InvariantViolation] | None:
     accepted = ctx.accepted_resources
     if accepted is not None:
         assignment = np.where(accepted, assignment, UNPLACED)
-    value = cost.value(assignment)
+    value = float(cost.batch(assignment[None, :])[0])
     if not np.isfinite(value) or value < 0:
         return [
             InvariantViolation(

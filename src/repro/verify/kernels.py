@@ -4,9 +4,9 @@ The kernel layer's contract (``docs/PERFORMANCE.md``) is *bitwise*
 equality: the ``numpy`` kernel every allocation runs must produce
 byte-identical usage tensors, violation counts and objective vectors
 to the ``reference`` kernel — the pre-kernel code paths kept verbatim.
-``np.bincount`` and ``np.add.at`` both accumulate duplicate indices in
-input order, so exactness is achievable and therefore demanded: any
-drift is a bug, not a tolerance question.
+``np.bincount`` accumulates duplicate indices in input order and the
+group counts are integers, so exactness is achievable and therefore
+demanded: any drift is a bug, not a tolerance question.
 
 The checker drives fuzzed scenario instances plus the structural edge
 cases vectorized code most often gets wrong — the empty population,
@@ -17,12 +17,14 @@ two tiles at the paper's widest size (800 servers x 1600 VMs), one of
 them fully placed like every EA genome — through both kernels,
 comparing raw bytes against the reference at two levels:
 
-1. **primitive level** — ``scatter_usage`` / ``batch_usage`` /
-   ``batch_active`` / ``batch_over_counts`` / ``server_min_qos`` on the
-   same inputs;
+1. **primitive level** — ``batch_usage`` / ``batch_active`` /
+   ``batch_over_counts`` / ``batch_group_violations`` /
+   ``server_min_qos`` on the same inputs (the group counts compare the
+   numpy kernel's one vectorized pass with the reference kernel's one
+   :func:`~repro.constraints.groups.group_violations` call per group
+   and row);
 2. **evaluator level** — full ``evaluate_population`` objectives and
-   violations (which also exercises the vectorized group scoring
-   against the reference kernel's per-constraint loop).
+   violations.
 
 ``python -m repro verify --check kernels`` runs this from the CLI.
 """
@@ -190,6 +192,9 @@ def _snapshot(
             usage, capacity.threshold
         ),
         "batch_active": kern.batch_active(population64, infra.m),
+        "batch_group_violations": evaluator.constraints.batch_group_violations(
+            population64
+        ),
         "server_min_qos": kern.server_min_qos(
             usage,
             evaluator.downtime.base_usage,
@@ -198,12 +203,6 @@ def _snapshot(
             infra.max_qos,
         ),
     }
-    if population64.shape[0]:
-        row = population64[0]
-        mask = row != UNPLACED
-        out["scatter_usage"] = kern.scatter_usage(
-            row[mask], compiled.demand[mask], infra.m
-        )
     result = evaluator.evaluate_population(population)
     out["objectives"] = result.objectives
     out["violations"] = result.violations

@@ -12,8 +12,9 @@ any disagreement is a bug in one of them, and the per-term mismatches
 say which term drifted.
 
 :func:`check_parity` is the one incremental-vs-reference comparison:
-it recomputes an :class:`IncrementalEvaluator`'s tracked totals from
-scratch and compares them term by term.
+it compares an :class:`IncrementalEvaluator`'s tracked totals, priced
+by the state's own scalar code, term by term with row 0 of the
+population path on a batch of one.
 
 :class:`DifferentialOracle` runs the comparisons for one instance:
 
@@ -45,6 +46,7 @@ from repro.engine.incremental import (
     OBJECTIVE_TERMS,
     IncrementalEvaluator,
 )
+from repro.engine.kernels import active_kernel
 from repro.model.placement import UNPLACED
 from repro.objectives.evaluator import PopulationEvaluator
 from repro.types import FloatArray, IntArray
@@ -65,27 +67,29 @@ _CP_MAX_VARIABLES = 400
 
 def _reference_terms(evaluator, assignment: IntArray) -> dict[str, float]:
     """Every term the incremental state tracks, recomputed from scratch
-    by ``evaluator`` (``energy`` only when it prices energy)."""
+    as row 0 of ``evaluator``'s population path on a batch of one
+    (``energy`` only when it prices energy)."""
+    population = np.asarray(assignment, dtype=np.int64)[None, :]
     constraints = evaluator.constraints
-    load_cap = (
-        float(constraints.load_cap.violations(assignment))
-        if constraints.load_cap is not None
-        else 0.0
-    )
+    usage = constraints.capacity.batch_usage(population)
     terms = {
-        "capacity": float(constraints.capacity.violations(assignment)),
-        "group": float(
-            sum(c.violations(assignment) for c in constraints.group_constraints)
+        "capacity": active_kernel().batch_over_counts(
+            usage, constraints.capacity.threshold
+        )[0],
+        "group": constraints.batch_group_violations(population).sum(),
+        "load_cap": (
+            constraints.load_cap.batch_violations(population)[0]
+            if constraints.load_cap is not None
+            else 0
         ),
-        "load_cap": load_cap,
-        "unplaced": float(np.count_nonzero(assignment == UNPLACED)),
-        "usage_cost": float(evaluator.usage_cost.value(assignment)),
-        "downtime": float(evaluator.downtime.value(assignment)),
-        "migration": float(evaluator.migration.value(assignment)),
+        "unplaced": np.count_nonzero(population == UNPLACED),
+        "usage_cost": evaluator.usage_cost.batch(population)[0],
+        "downtime": evaluator.downtime.batch(population, usage)[0],
+        "migration": evaluator.migration.batch(population)[0],
     }
-    if evaluator.energy_weight > 0.0:
-        terms["energy"] = float(evaluator.energy.value(assignment))
-    return terms
+    if evaluator.energy is not None:
+        terms["energy"] = evaluator.energy.batch(population, usage)[0]
+    return {term: float(value) for term, value in terms.items()}
 
 
 def check_parity(
@@ -95,10 +99,11 @@ def check_parity(
     where: str = "incremental",
     perturb: tuple[str, float] | None = None,
 ) -> Report:
-    """Compare ``state``'s tracked totals with a from-scratch evaluation.
+    """Compare ``state``'s tracked totals with the population path.
 
-    The reference is ``state.evaluator``, the evaluator whose settings
-    the state reads, so ``energy`` is compared whenever it prices it.
+    The reference is row 0 of ``state.evaluator``'s population path on
+    a batch of one — the evaluator whose settings the state reads, so
+    ``energy`` is compared whenever it prices it.
     Constraint components must match exactly, objective terms to float
     re-association noise; each term is one comparison, and a drifted
     term's mismatch names it with both values.  Comparisons land in

@@ -1,11 +1,13 @@
-"""Property tests: batch evaluation must equal per-genome evaluation,
-and model invariants must hold on arbitrary instances."""
+"""Property tests: batch evaluation must equal the incremental state's
+independent per-genome pricing, and model invariants must hold on
+arbitrary instances."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import ConstraintSet
+from repro.engine import CompiledProblem, IncrementalEvaluator
 from repro.model import AttributeSchema, Infrastructure, PlacementGroup, Request
 from repro.model.placement import UNPLACED, Placement
 from repro.objectives import PopulationEvaluator, qos_from_load
@@ -70,10 +72,11 @@ def test_batch_evaluation_equals_single(instance, seed, with_unplaced):
         infra, request, include_assignment_constraint=True
     )
     result = evaluator.evaluate_population(population)
+    compiled = CompiledProblem(infra, request)
     for i in range(population.shape[0]):
-        vector = evaluator.evaluate(population[i]).as_array()
-        assert np.allclose(vector, result.objectives[i], rtol=1e-9, atol=1e-9)
-        assert evaluator.violations(population[i]) == result.violations[i]
+        state = IncrementalEvaluator(compiled, evaluator, population[i])
+        assert np.allclose(state.objectives, result.objectives[i], rtol=1e-9, atol=1e-9)
+        assert state.violations == result.violations[i]
 
 
 @given(instances(), st.integers(0, 2**31 - 1))
@@ -84,7 +87,11 @@ def test_constraint_batch_equals_single(instance, seed):
     population = rng.integers(0, infra.m, size=(10, request.n))
     constraint_set = ConstraintSet(infra, request)
     batch = constraint_set.batch_violations(population)
-    single = [constraint_set.violations(row) for row in population]
+    evaluator = PopulationEvaluator(infra, request, constraints=constraint_set)
+    compiled = CompiledProblem(infra, request)
+    single = [
+        IncrementalEvaluator(compiled, evaluator, row).violations for row in population
+    ]
     assert batch.tolist() == single
 
 

@@ -7,19 +7,26 @@ from repro.constraints import (
     AssignmentConstraint,
     CapacityConstraint,
     ConstraintSet,
-    DifferentDatacentersConstraint,
-    DifferentServersConstraint,
-    SameDatacenterConstraint,
-    SameServerConstraint,
-    make_group_constraint,
+    GroupConstraint,
+    group_violations,
 )
-from repro.engine.incremental import group_violations
+from repro.engine import CompiledProblem, IncrementalEvaluator
 from repro.engine.kernels import use_kernel
 from repro.errors import ConstraintError, DimensionError
 from repro.model import PlacementGroup, Request
 from repro.model.placement import UNPLACED
+from repro.objectives import PopulationEvaluator
 from repro.types import PlacementRule
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
+
+
+def _scattered_usage(assignment, demand, m):
+    """(m, h) usage of one genome by ``np.add.at`` — an independent
+    scatter, not the kernels' bincount tiles."""
+    usage = np.zeros((m, demand.shape[1]))
+    placed = assignment != UNPLACED
+    np.add.at(usage, assignment[placed], demand[placed])
+    return usage
 
 
 def _generated_instances():
@@ -59,11 +66,9 @@ class TestCapacity:
     def test_overload_counts_cells(self, small_infra, small_request):
         constraint = CapacityConstraint(small_infra, small_request.demand)
         all_on_zero = np.zeros(6, dtype=np.int64)
-        # Server 0: 16*0.95=15.2 cpu vs 14 demanded -> fits cpu, but
-        # 64*0.95=60.8 ram vs 56 fits, disk 475 vs 350 fits: actually ok;
-        # verify via the mask rather than guessing.
+        usage = _scattered_usage(all_on_zero, small_request.demand, small_infra.m)
         assert constraint.violations(all_on_zero) == int(
-            constraint.overloaded_cells(all_on_zero).sum()
+            (usage > constraint.threshold).sum()
         )
 
     def test_base_usage_shrinks_limit(self, small_infra, small_request):
@@ -78,14 +83,17 @@ class TestCapacity:
     def test_overloaded_servers_detection(self, small_infra):
         demand = np.tile(small_infra.effective_capacity[0], (2, 1))
         constraint = CapacityConstraint(small_infra, demand)
-        both_on_zero = np.array([0, 0])
-        assert 0 in constraint.overloaded_servers(both_on_zero)
+        both_on_zero = np.array([[0, 0]])
+        usage = constraint.batch_usage(both_on_zero)[0]
+        overloaded = np.flatnonzero((usage > constraint.threshold).any(axis=1))
+        assert overloaded.tolist() == [0]
+        assert constraint.violations(both_on_zero[0]) == small_infra.h
 
     def test_unplaced_genes_add_nothing(self, small_infra, small_request):
         constraint = CapacityConstraint(small_infra, small_request.demand)
         genome = np.full(6, UNPLACED, dtype=np.int64)
         assert constraint.violations(genome) == 0
-        assert np.allclose(constraint.server_usage(genome), 0.0)
+        assert np.all(constraint.batch_usage(genome[None, :]) == 0.0)
 
     def test_batch_matches_single(self, small_infra, small_request):
         constraint = CapacityConstraint(small_infra, small_request.demand)
@@ -93,7 +101,10 @@ class TestCapacity:
         population = rng.integers(0, 8, size=(25, 6))
         population[3, 2] = UNPLACED
         batch = constraint.batch_violations(population)
-        single = [constraint.violations(row) for row in population]
+        single = [
+            int((_scattered_usage(row, small_request.demand, 8) > constraint.threshold).sum())
+            for row in population
+        ]
         assert batch.tolist() == single
 
     def test_batch_usage_matches_single(self, small_infra, small_request):
@@ -102,14 +113,19 @@ class TestCapacity:
         population = rng.integers(0, 8, size=(10, 6))
         usage = constraint.batch_usage(population)
         for i in range(10):
-            assert np.allclose(usage[i], constraint.server_usage(population[i]))
+            assert np.allclose(
+                usage[i], _scattered_usage(population[i], small_request.demand, 8)
+            )
 
     def test_fits_predicate(self, small_infra, small_request):
         constraint = CapacityConstraint(small_infra, small_request.demand)
         genome = np.array([0, 0, 2, 3, 4, 5])
         # Moving VM 5 onto server 0 alongside 0 and 1: demand sums
         # (2+2+1, 8+8+4, 50+50+25) = (5, 20, 125) well within limits.
-        assert constraint.fits(genome, 5, 0)
+        genome[5] = 0
+        usage = constraint.batch_usage(genome[None, :])[0]
+        assert np.all(usage[0] <= constraint.threshold[0])
+        assert constraint.violations(genome) == 0
 
     def test_demand_shape_checked(self, small_infra):
         with pytest.raises(DimensionError):
@@ -132,69 +148,97 @@ class TestAssignment:
             AssignmentConstraint(3).violations(np.array([0, 1]))
 
 
+#: One three-member group on ``small_infra`` (servers 0-3 in datacenter
+#: 0, 4-7 in datacenter 1): each placement's genes and its hand count
+#: under each rule.
+_PLACEMENTS = {
+    "co-located": ([0, 0, 0], {"same_server": 0, "same_datacenter": 0,
+                               "different_servers": 2, "different_datacenters": 2}),
+    "split": ([0, 1, 4], {"same_server": 2, "same_datacenter": 1,
+                          "different_servers": 0, "different_datacenters": 1}),
+    "some-unplaced": ([0, UNPLACED, 1], {"same_server": 1, "same_datacenter": 0,
+                                         "different_servers": 0, "different_datacenters": 1}),
+    "all-unplaced": ([UNPLACED] * 3, {"same_server": 0, "same_datacenter": 0,
+                                      "different_servers": 0, "different_datacenters": 0}),
+    "one-placed": ([UNPLACED, 4, UNPLACED], {"same_server": 0, "same_datacenter": 0,
+                                             "different_servers": 0, "different_datacenters": 0}),
+}
+
+
 class TestAffinityRules:
-    def test_same_server_counts_extra_locations(self):
-        constraint = SameServerConstraint((0, 1, 2))
-        assert constraint.violations(np.array([3, 3, 3])) == 0
-        assert constraint.violations(np.array([3, 3, 4])) == 1
-        assert constraint.violations(np.array([3, 4, 5])) == 2
-
-    def test_same_server_ignores_unplaced(self):
-        constraint = SameServerConstraint((0, 1))
-        assert constraint.violations(np.array([UNPLACED, 3])) == 0
-
-    def test_same_datacenter(self, small_infra):
-        constraint = SameDatacenterConstraint((0, 1), small_infra)
-        assert constraint.violations(np.array([0, 3])) == 0  # both dc0
-        assert constraint.violations(np.array([0, 4])) == 1  # dc0 vs dc1
-
-    def test_different_servers_counts_collisions(self):
-        constraint = DifferentServersConstraint((0, 1, 2))
-        assert constraint.violations(np.array([1, 2, 3])) == 0
-        assert constraint.violations(np.array([1, 1, 3])) == 1
-        assert constraint.violations(np.array([1, 1, 1])) == 2
-
-    def test_different_datacenters(self, small_infra):
-        constraint = DifferentDatacentersConstraint((0, 1), small_infra)
-        assert constraint.violations(np.array([0, 4])) == 0
-        assert constraint.violations(np.array([0, 3])) == 1  # both dc0
+    @pytest.mark.parametrize("kernel", ["reference", "numpy"])
+    @pytest.mark.parametrize("placement", list(_PLACEMENTS))
+    @pytest.mark.parametrize("rule", list(PlacementRule), ids=lambda rule: rule.value)
+    def test_hand_counts(self, small_infra, rule, placement, kernel):
+        """Every rule against every placement shape, counted by the
+        constraint, by the active kernel's group matrix and in the
+        breakdown — each equal to the hand count."""
+        genes, counts = _PLACEMENTS[placement]
+        expected = counts[rule.value]
+        request = Request(
+            demand=np.ones((3, small_infra.h)),
+            qos_guarantee=np.full(3, 0.9),
+            downtime_cost=np.ones(3),
+            migration_cost=np.ones(3),
+            groups=(PlacementGroup(rule, (0, 1, 2)),),
+        )
+        constraint_set = ConstraintSet(small_infra, request)
+        [constraint] = constraint_set.group_constraints
+        genome = np.array(genes, dtype=np.int64)
+        with use_kernel(kernel):
+            matrix = constraint_set.batch_group_violations(genome[None, :])
+            breakdown = constraint_set.breakdown(genome)
+        assert matrix.tolist() == [[expected]]
+        assert breakdown[rule.value] == expected
+        assert constraint.violations(genome) == expected
 
     def test_batch_matches_single_for_all_rules(self, small_infra):
+        """A group's own per-row count equals its column of the
+        vectorized group matrix, unplaced genes included."""
         rng = np.random.default_rng(2)
         population = rng.integers(0, 8, size=(30, 5))
-        constraints = [
-            SameServerConstraint((0, 2, 4)),
-            SameDatacenterConstraint((1, 3), small_infra),
-            DifferentServersConstraint((0, 1, 2, 3)),
-            DifferentDatacentersConstraint((2, 4), small_infra),
-        ]
-        for constraint in constraints:
-            batch = constraint.batch_violations(population)
-            single = [constraint.violations(row) for row in population]
-            assert batch.tolist() == single, constraint.name
+        population[rng.random(population.shape) < 0.2] = UNPLACED
+        groups = (
+            PlacementGroup(PlacementRule.SAME_SERVER, (0, 2, 4)),
+            PlacementGroup(PlacementRule.SAME_DATACENTER, (1, 3)),
+            PlacementGroup(PlacementRule.DIFFERENT_SERVERS, (0, 1, 2, 3)),
+            PlacementGroup(PlacementRule.DIFFERENT_DATACENTERS, (2, 4)),
+        )
+        request = Request(
+            demand=np.ones((5, small_infra.h)),
+            qos_guarantee=np.full(5, 0.9),
+            downtime_cost=np.ones(5),
+            migration_cost=np.ones(5),
+            groups=groups,
+        )
+        constraint_set = ConstraintSet(small_infra, request)
+        matrix = constraint_set.batch_group_violations(population)
+        for column, constraint in enumerate(constraint_set.group_constraints):
+            single = constraint.batch_violations(population)
+            assert single.tolist() == matrix[:, column].tolist(), constraint.name
+        assert np.count_nonzero(matrix) > 10
 
-    def test_batch_with_unplaced_falls_back(self, small_infra):
-        constraint = SameServerConstraint((0, 1))
-        population = np.array([[UNPLACED, 3], [2, 2]])
-        assert constraint.batch_violations(population).tolist() == [0, 0]
-
-    def test_member_outside_genome_raises(self):
-        constraint = SameServerConstraint((0, 9))
+    def test_member_outside_genome_raises(self, small_infra):
+        constraint = GroupConstraint(
+            PlacementRule.SAME_SERVER, (0, 9), small_infra.server_datacenter
+        )
         with pytest.raises(ConstraintError):
             constraint.violations(np.array([0, 1]))
 
 
 class TestFactoryAndSet:
-    def test_factory_maps_all_rules(self, small_infra):
-        mapping = {
-            PlacementRule.SAME_SERVER: SameServerConstraint,
-            PlacementRule.SAME_DATACENTER: SameDatacenterConstraint,
-            PlacementRule.DIFFERENT_SERVERS: DifferentServersConstraint,
-            PlacementRule.DIFFERENT_DATACENTERS: DifferentDatacentersConstraint,
-        }
-        for rule, cls in mapping.items():
-            group = PlacementGroup(rule, (0, 1))
-            assert isinstance(make_group_constraint(group, small_infra), cls)
+    def test_factory_maps_all_rules(self, small_infra, small_request):
+        request = Request(
+            demand=small_request.demand,
+            qos_guarantee=small_request.qos_guarantee,
+            downtime_cost=small_request.downtime_cost,
+            migration_cost=small_request.migration_cost,
+            groups=tuple(PlacementGroup(rule, (0, 1)) for rule in PlacementRule),
+        )
+        constraints = ConstraintSet(small_infra, request).group_constraints
+        assert [c.rule for c in constraints] == list(PlacementRule)
+        assert [c.name for c in constraints] == [rule.value for rule in PlacementRule]
+        assert all(type(c) is GroupConstraint for c in constraints)
 
     def test_set_composition(self, small_infra, small_request):
         constraint_set = ConstraintSet(small_infra, small_request)
@@ -222,8 +266,8 @@ class TestFactoryAndSet:
 
     @pytest.mark.parametrize("kernel", ["reference", "numpy"])
     def test_batch_total_matches_single(self, small_infra, small_request, kernel):
-        """Batch totals equal the per-genome counts, and the (rows, G)
-        group matrix is one contract with the walk's per-move count:
+        """Batch totals equal the incremental state's totals, and the
+        (rows, G) group matrix is one contract with the walk's per-move count:
         every cell equals ``group_violations`` of that row's members, on
         generated instances with all four rules and unplaced genes."""
         cells = 0
@@ -239,7 +283,13 @@ class TestFactoryAndSet:
                     population, usage=constraint_set.capacity.batch_usage(population)
                 )
                 matrix = constraint_set.batch_group_violations(population)
-            single = [constraint_set.violations(row) for row in population]
+            # Each row's total from the incremental state's own scalar code.
+            evaluator = PopulationEvaluator(infra, request, constraints=constraint_set)
+            compiled = CompiledProblem(infra, request)
+            single = [
+                IncrementalEvaluator(compiled, evaluator, row).violations
+                for row in population
+            ]
             assert batch.tolist() == single
             assert tiled.tolist() == single
             dc_of = infra.server_datacenter.tolist()

@@ -14,6 +14,7 @@ from repro.ea import (
     NSGAConfig,
     PenaltyHandling,
 )
+from repro.engine import CompiledProblem, IncrementalEvaluator
 from repro.hybrid import NSGA3TabuAllocator
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
@@ -142,8 +143,11 @@ class TestStrictQosEvaluator:
         population = rng.integers(0, small_infra.m, size=(10, small_request.n))
         strict = PopulationEvaluator(small_infra, small_request, qos_strict=True)
         result = strict.evaluate_population(population)
+        compiled = CompiledProblem(small_infra, small_request)
         for i in range(10):
-            assert strict.violations(population[i]) == result.violations[i]
+            # The incremental state's own scalar count of each row.
+            state = IncrementalEvaluator(compiled, strict, population[i])
+            assert state.violations == result.violations[i]
 
 
 class TestEnums:

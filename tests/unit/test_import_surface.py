@@ -23,6 +23,7 @@ HEAVY = (
     "scipy",
     "networkx",
     "asyncio",
+    "concurrent.futures.process",
     "repro.lp",
     "repro.topology",
     "repro.service",

@@ -6,7 +6,7 @@ scoped override, that the sweep catches drift, the structural edge
 cases vectorized code most often gets wrong — empty populations,
 all-UNPLACED rows, single-server estates, int32 genomes — and the
 satellite contracts around them (capacity retargeting, the repair usage
-tile, batch_violations overrides).
+tile, each constraint's batch body).
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.constraints import group_violations
 from repro.constraints.base import Constraint
 from repro.constraints.capacity import CapacityConstraint
 from repro.constraints.load_cap import LoadCapConstraint
@@ -24,6 +25,7 @@ from repro.errors import DimensionError
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
+from repro.utils.scatter import scatter_rows
 from repro.verify import check_kernel_conformance
 from repro.verify.kernels import _cases as _conformance_cases
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
@@ -123,7 +125,8 @@ class TestEdgeCases:
 
 
 class TestBatchViolationOverrides:
-    """Satellite: no built-in constraint rides the Python-loop fallback."""
+    """Satellite: every built-in constraint has its own batch body, and
+    it agrees row by row with an independent per-genome count."""
 
     def test_every_builtin_constraint_overrides_the_fallback(self):
         compiled = _compiled(servers=8, vms=20, seed=9)
@@ -139,7 +142,7 @@ class TestBatchViolationOverrides:
             assert (
                 type(constraint).batch_violations
                 is not Constraint.batch_violations
-            ), f"{type(constraint).__name__} uses the generic fallback"
+            ), f"{type(constraint).__name__} has no batch body"
 
     def test_overrides_match_the_fallback_rowwise(self):
         compiled = _compiled(servers=8, vms=20, seed=9)
@@ -147,10 +150,20 @@ class TestBatchViolationOverrides:
         rng = np.random.default_rng(3)
         population = rng.integers(0, compiled.m, size=(12, compiled.request.n))
         population[rng.random(population.shape) < 0.05] = UNPLACED
-        for constraint in (constraints.capacity, *constraints.group_constraints):
-            vectorized = constraint.batch_violations(population)
-            fallback = Constraint.batch_violations(constraint, population)
-            assert vectorized.tolist() == fallback.tolist(), constraint.name
+        capacity = constraints.capacity
+        per_row = []
+        for genome in population:
+            placed = genome != UNPLACED
+            usage = scatter_rows(genome[placed], compiled.demand[placed], compiled.m)
+            per_row.append(int((usage > capacity.threshold).sum()))
+        assert capacity.batch_violations(population).tolist() == per_row
+        datacenter = compiled.server_datacenter.tolist()
+        for constraint in constraints.group_constraints:
+            per_row = [
+                group_violations(constraint.rule, genome[list(constraint.members)].tolist(), datacenter)
+                for genome in population
+            ]
+            assert constraint.batch_violations(population).tolist() == per_row
 
 
 class TestCapacityRetarget:
@@ -223,7 +236,9 @@ class TestRepairUsageTile:
         capacity = repairer.constraints.capacity
         tile = capacity.batch_usage(population)
         for row, genome in enumerate(population):
-            assert tile[row].tobytes() == capacity.server_usage(genome).tobytes()
+            placed = genome != UNPLACED
+            usage = scatter_rows(genome[placed], compiled.demand[placed], compiled.m)
+            assert tile[row].tobytes() == usage.tobytes()
 
 
 class TestConformanceCaseCoverage:

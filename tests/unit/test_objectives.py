@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.engine import CompiledProblem, IncrementalEvaluator
+from repro.engine.kernels import active_kernel
 from repro.errors import DimensionError, ValidationError
 from repro.model.placement import UNPLACED
 from repro.objectives import (
@@ -24,6 +26,20 @@ from tests.unit.test_kernels import (
     parity_cases,
     subset_exp_server_min_qos,
 )
+
+
+def downtime_of(cost, genome):
+    """Row 0 of ``cost.batch`` on a batch of one."""
+    population = np.asarray(genome, dtype=np.int64)[None, :]
+    usage = active_kernel().batch_usage(
+        population, cost.request.demand, cost.infrastructure.m
+    )
+    return cost.batch(population, usage)[0]
+
+
+def migration_of(cost, genome):
+    """Row 0 of ``cost.batch`` on a batch of one."""
+    return cost.batch(np.asarray(genome)[None, :])[0]
 
 
 class TestQosModel:
@@ -83,14 +99,22 @@ class TestUsageCost:
         # Split: E_0 + E_1 + 2 * 0.5 = 4.0.
         assert cost.value(np.array([0, 1])) == pytest.approx(4.0)
 
-    def test_batch_matches_single_both_modes(self, small_infra):
+    def test_batch_matches_single_both_modes(self, small_infra, small_request):
         rng = np.random.default_rng(5)
         population = rng.integers(0, 8, size=(20, 6))
         population[4, 1] = UNPLACED
+        compiled = CompiledProblem(small_infra, small_request)
         for mode in (False, True):
             cost = UsageOperatingCost(small_infra, per_server_operating=mode)
             batch = cost.batch(population)
-            single = [cost.value(row) for row in population]
+            # The incremental state's own scalar pricing of each row.
+            evaluator = compiled.evaluator(per_server_operating=mode)
+            single = [
+                IncrementalEvaluator(compiled, evaluator, row).component_totals()[
+                    "usage_cost"
+                ]
+                for row in population
+            ]
             assert np.allclose(batch, single), f"mode={mode}"
 
 
@@ -98,12 +122,12 @@ class TestDowntime:
     def test_zero_when_guarantee_met(self, tiny_infra, tiny_request):
         downtime = DowntimeCost(tiny_infra, tiny_request)
         # One VM per server: load 0.4 < knee 0.5 -> QoS 0.9 >= 0.8.
-        assert downtime.value(np.array([0, 1])) == pytest.approx(0.0)
+        assert downtime_of(downtime, [0, 1]) == pytest.approx(0.0)
 
     def test_positive_when_overloaded(self, tiny_infra, tiny_request):
         downtime = DowntimeCost(tiny_infra, tiny_request)
         # Both on server 0: load 0.8 > knee 0.5 -> QoS decays below 0.8.
-        value = downtime.value(np.array([0, 0]))
+        value = downtime_of(downtime, [0, 0])
         assert value > 0.0
 
     def test_shortfall_formula(self, tiny_infra, tiny_request):
@@ -112,12 +136,12 @@ class TestDowntime:
         qos = 0.9 * np.exp((0.5 - load) / 0.5)
         shortfall = max(0.0, (0.8 - qos) / 0.8)
         expect = 2 * 10.0 * shortfall  # two VMs, C^U = 10 each
-        assert downtime.value(np.array([0, 0])) == pytest.approx(expect)
+        assert downtime_of(downtime, [0, 0]) == pytest.approx(expect)
 
     def test_literal_mode_rewards_qos(self, tiny_infra, tiny_request):
         literal = DowntimeCost(tiny_infra, tiny_request, mode="literal")
         # Literal Eq. 23: cost = C^U * Q / C^Q, positive even when met.
-        value = literal.value(np.array([0, 1]))
+        value = downtime_of(literal, [0, 1])
         assert value == pytest.approx(2 * 10.0 * 0.9 / 0.8)
 
     def test_unknown_mode_rejected(self, tiny_infra, tiny_request):
@@ -129,33 +153,33 @@ class TestDowntime:
         with_base = DowntimeCost(tiny_infra, tiny_request, base_usage=base)
         without = DowntimeCost(tiny_infra, tiny_request)
         genome = np.array([0, 1])
-        assert with_base.value(genome) >= without.value(genome)
+        assert downtime_of(with_base, genome) >= downtime_of(without, genome)
 
 
 class TestMigration:
     def test_inactive_for_first_placement(self, tiny_request):
         migration = MigrationCost(tiny_request)
         assert not migration.is_active
-        assert migration.value(np.array([0, 1])) == 0.0
+        assert migration_of(migration, [0, 1]) == 0.0
 
     def test_charges_moved_resources(self, tiny_request):
         migration = MigrationCost(tiny_request, np.array([0, 0]))
         # M = [1, 3].
-        assert migration.value(np.array([0, 1])) == pytest.approx(3.0)
-        assert migration.value(np.array([1, 0])) == pytest.approx(1.0)
-        assert migration.value(np.array([1, 1])) == pytest.approx(4.0)
-        assert migration.value(np.array([0, 0])) == 0.0
+        assert migration_of(migration, [0, 1]) == pytest.approx(3.0)
+        assert migration_of(migration, [1, 0]) == pytest.approx(1.0)
+        assert migration_of(migration, [1, 1]) == pytest.approx(4.0)
+        assert migration_of(migration, [0, 0]) == 0.0
 
     def test_boot_from_unplaced_is_free(self, tiny_request):
         migration = MigrationCost(tiny_request, np.array([UNPLACED, 0]))
-        assert migration.value(np.array([1, 0])) == 0.0
+        assert migration_of(migration, [1, 0]) == 0.0
 
     def test_batch_matches_single(self, tiny_request):
         migration = MigrationCost(tiny_request, np.array([0, 1]))
         population = np.array([[0, 1], [1, 0], [0, 0], [1, 1]])
         batch = migration.batch(population)
-        single = [migration.value(row) for row in population]
-        assert np.allclose(batch, single)
+        # By hand, M = [1, 3]: nothing moved, both, VM 1, VM 0.
+        assert np.allclose(batch, [0.0, 4.0, 3.0, 1.0])
 
 
 class TestAggregate:
@@ -185,10 +209,12 @@ class TestPopulationEvaluator:
         rng = np.random.default_rng(6)
         population = rng.integers(0, 8, size=(15, 6))
         result = evaluator.evaluate_population(population)
+        compiled = CompiledProblem(small_infra, small_request)
         for i in range(15):
-            vector = evaluator.evaluate(population[i]).as_array()
-            assert np.allclose(vector, result.objectives[i])
-            assert evaluator.violations(population[i]) == result.violations[i]
+            # The incremental state's own scalar pricing of each row.
+            state = IncrementalEvaluator(compiled, evaluator, population[i])
+            assert np.allclose(state.objectives, result.objectives[i])
+            assert state.violations == result.violations[i]
 
     def test_counts_evaluations(self, small_infra, small_request):
         evaluator = PopulationEvaluator(small_infra, small_request)
@@ -260,17 +286,6 @@ def take_along_axis_downtime_batch(self, population, usage):
     return penalties.sum(axis=1)
 
 
-def allocating_downtime_value_from_usage(self, assignment, usage):
-    """``DowntimeCost.value_from_usage`` on the allocating penalties."""
-    assignment = np.asarray(assignment, dtype=np.int64)
-    mask = assignment != UNPLACED
-    server_qos = _oracle_server_min_qos(self, usage)
-    per_resource = np.zeros(self.request.n)
-    per_resource[mask] = server_qos[assignment[mask]]
-    penalties = allocating_penalties(self, per_resource)
-    return float(penalties[mask].sum())
-
-
 def masked_usage_cost_batch(self, population):
     """``UsageOperatingCost.batch`` masking UNPLACED genes twice."""
     population = np.asarray(population, dtype=np.int64)
@@ -316,19 +331,6 @@ class TestBatchObjectiveParity:
             want = take_along_axis_downtime_batch(cost, case.population, usage)
             got = cost.batch(case.population, usage)
             assert same_bytes(got, want), f"{case.name}, {mode}"
-
-    def test_downtime_value_from_usage(self, cases):
-        for case, mode in itertools.product(cases[:-1], ("shortfall", "literal")):
-            cost = DowntimeCost(
-                case.infrastructure, case.request, base_usage=case.base_usage, mode=mode
-            )
-            usage = flat_key_batch_usage(
-                case.population, case.request.demand, case.infrastructure.m
-            )
-            for genome, tile in zip(case.population, usage):
-                want = allocating_downtime_value_from_usage(cost, genome, tile)
-                got = cost.value_from_usage(genome, tile)
-                assert same_bytes(got, want), f"{case.name}, {mode}"
 
     def test_usage_cost_batch(self, cases):
         for case, per_server in itertools.product(cases, (False, True)):

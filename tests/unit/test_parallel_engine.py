@@ -10,6 +10,7 @@ path actually runs.
 
 from __future__ import annotations
 
+import concurrent.futures
 import pickle
 
 import numpy as np
@@ -246,7 +247,10 @@ class TestVerifyCheck:
     def test_check_parallel_fails_when_the_pool_falls_back(self, monkeypatch):
         """Both sides of a fallen-back comparison ran serial, so equal
         bytes prove nothing: each layer's fallback is a mismatch."""
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _fail_pool_start)
+        # The engine imports the pool class where it builds the pool.
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _fail_pool_start
+        )
         report = check_parallel_determinism(
             (1,), seed=1, servers=6, vms=10, max_evaluations=60
         )

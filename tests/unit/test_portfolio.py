@@ -280,9 +280,9 @@ class TestPortfolioAllocator:
         weighted = (
             compiled.evaluator(energy_weight=0.5).evaluate(assignment).as_array()
         )
-        energy = EnergyCost(scenario.infrastructure, merged.demand).value(
-            assignment
-        )
+        energy = EnergyCost(scenario.infrastructure, merged.demand).batch(
+            assignment[None, :]
+        )[0]
         assert energy > 0.0
         assert weighted[0] == pytest.approx(plain[0] + 0.5 * energy)
         np.testing.assert_array_equal(weighted[1:], plain[1:])

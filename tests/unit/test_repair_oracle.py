@@ -34,7 +34,17 @@ from repro.telemetry import (
 )
 from repro.types import BoolArray, FloatArray, IntArray, PlacementRule
 from repro.utils.rng import derive_sequence
+from repro.utils.scatter import scatter_rows
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
+
+
+def _server_usage(capacity, assignment: IntArray) -> FloatArray:
+    """The (m, h) usage of one genome, scattered on its own (the
+    per-genome scatter the walk used before the batch usage tile)."""
+    placed = assignment != UNPLACED
+    return scatter_rows(
+        assignment[placed], capacity.demand[placed], capacity.limit.shape[0]
+    )
 
 
 class _ReferenceFinder(NeighborFinder):
@@ -269,7 +279,7 @@ class _ReferenceRepair(TabuRepair):
 
         ``usage`` optionally supplies this genome's (m, h) usage matrix
         (one row of the batch tile population repair scores up front);
-        it must equal ``capacity.server_usage(assignment)`` bitwise,
+        it must equal the genome's own scatter bitwise,
         which rows of :meth:`CapacityConstraint.batch_usage` do by the
         kernel conformance contract.  ``known_infeasible`` skips the
         redundant feasibility pre-check for callers that already
@@ -285,7 +295,7 @@ class _ReferenceRepair(TabuRepair):
         moves_before = self.moves_performed
         tabu = TabuList(tenure=self.tenure)
         if usage is None:
-            usage = self.constraints.capacity.server_usage(assignment)
+            usage = _server_usage(self.constraints.capacity, assignment)
         else:
             usage = np.array(usage, dtype=np.float64)  # owned, mutated below
         best = assignment.copy()
@@ -475,7 +485,7 @@ def test_walk_matches_reference_byte_for_byte(order, allow_worsening_moves, max_
             want = reference.repair_genome(
                 genome,
                 rng=reference_rng,
-                usage=reference.constraints.capacity.server_usage(genome),
+                usage=_server_usage(reference.constraints.capacity, genome),
                 known_infeasible=True,
             )
             _assert_same(got[0], want, walk, reference)
@@ -542,7 +552,7 @@ def test_finder_matches_reference():
         capacity = TabuRepair(infra, request, base_usage=base).constraints.capacity
         rng = np.random.default_rng(seed)
         for genome in genomes:
-            usage = capacity.server_usage(genome)
+            usage = _server_usage(capacity, genome)
             residual = finder.limit - usage
             tabu = TabuList(tenure=8)
             for vm in np.flatnonzero(genome != UNPLACED)[:10].tolist():

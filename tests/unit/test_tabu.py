@@ -69,7 +69,7 @@ class TestNeighborFinder:
         assignment = np.array([0, 0, 2, 3, 4, 5])
         usage = ConstraintSet(
             small_infra, small_request, include_assignment=False
-        ).capacity.server_usage(assignment)
+        ).capacity.batch_usage(assignment[None, :])[0]
         mask = finder.capacity_mask(usage, assignment, 0)
         assert mask[0]  # its own host must still be "valid capacity-wise"
 
@@ -97,7 +97,7 @@ class TestNeighborFinder:
         assignment = np.array([0, 0, 2, 3, 4, 5])
         usage = ConstraintSet(
             small_infra, small_request, include_assignment=False
-        ).capacity.server_usage(assignment)
+        ).capacity.batch_usage(assignment[None, :])[0]
         target = finder.find(finder.limit - usage, assignment, 5, order="first")
         assert target == 0  # server 0 has room and the lowest id
 
@@ -106,7 +106,7 @@ class TestNeighborFinder:
         assignment = np.array([0, 0, 2, 3, 4, 5])
         usage = ConstraintSet(
             small_infra, small_request, include_assignment=False
-        ).capacity.server_usage(assignment)
+        ).capacity.batch_usage(assignment[None, :])[0]
         tabu = TabuList(tenure=8)
         tabu.add(5, 0)
         target = finder.find(finder.limit - usage, assignment, 5, tabu=tabu, order="first")
@@ -117,7 +117,7 @@ class TestNeighborFinder:
         assignment = np.array([0, 0, 2, 3, 4, 5])
         usage = ConstraintSet(
             small_infra, small_request, include_assignment=False
-        ).capacity.server_usage(assignment)
+        ).capacity.batch_usage(assignment[None, :])[0]
         rng = np.random.default_rng(0)
         for order in ("first", "best_fit", "random"):
             target = finder.find(finder.limit - usage, assignment, 5, order=order, rng=rng)
@@ -205,7 +205,7 @@ class _CheckedWalkState(WalkState):
     """Asserts, when its walk starts and after every round, that the
     state the batch set-up built and the walk updates move by move still
     describes the assignment it has reached: its usage equals
-    ``server_usage(assignment)`` within 1e-6, its residual is ``limit -
+    the assignment's fresh usage within 1e-6, its residual is ``limit -
     usage`` bitwise, and its per-server over-counts and per-group counts
     equal a recount over its own usage and assignment by ``constraints``,
     the constraint set of the instance under repair.  ``built`` counts
@@ -223,7 +223,7 @@ class _CheckedWalkState(WalkState):
     def violations(self) -> int:
         capacity = self.constraints.capacity
         usage = self.usage
-        fresh = capacity.server_usage(self.assignment)
+        fresh = capacity.batch_usage(self.assignment[None, :])[0]
         np.testing.assert_allclose(usage, fresh, rtol=0, atol=1e-6)
         assert self.genes == self.assignment.tolist()
         assert self.residual.tobytes() == (capacity.limit - usage).tobytes()
@@ -310,10 +310,8 @@ class TestTabuSearch:
         search = TabuSearch(evaluator, max_iterations=60, seed=0)
         rng = np.random.default_rng(1)
         start = rng.integers(0, small_infra.m, size=small_request.n)
-        start_score = (
-            evaluator.violations(start),
-            float(evaluator.evaluate(start).aggregate()),
-        )
+        objectives, violations = evaluator.assess(start)
+        start_score = (violations, float(objectives.aggregate()))
         result = search.run(start)
         end_score = (result.violations, float(result.objectives.sum()))
         assert end_score <= start_score

@@ -17,7 +17,7 @@ from repro.baselines import (
     RoundRobinAllocator,
 )
 from repro.hybrid import NSGA3TabuAllocator
-from repro.scheduler import TimeWindowScheduler, summarize_reports
+from repro.scheduler import TimeWindowScheduler, scenario_metrics
 from repro.workloads import (
     ScenarioGenerator,
     ScenarioSpec,
@@ -55,14 +55,14 @@ def test_scheduler_stream(benchmark, name):
         trace.apply_to(scheduler)
         reports = scheduler.run(max_windows=64)
         scheduler.state.verify_consistency()
-        return summarize_reports(reports)
+        return scenario_metrics(reports)
 
     summary = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info["accepted"] = summary.accepted
     benchmark.extra_info["rejected"] = summary.rejected
     benchmark.extra_info["displaced"] = summary.displaced
     benchmark.extra_info["allocation_time"] = round(
-        summary.total_allocation_time, 3
+        summary.execution_time, 3
     )
     assert summary.arrivals == len(trace.arrivals)
     assert summary.failures == len(trace.failures)

@@ -22,7 +22,7 @@ from repro import (
     TimeWindowScheduler,
 )
 from repro.baselines import FilterSchedulerAllocator
-from repro.scheduler import summarize_reports
+from repro.scheduler import scenario_metrics
 from repro.workloads import ScenarioSpec, TraceGenerator, TraceSpec
 
 
@@ -58,7 +58,7 @@ def main() -> None:
     reports = scheduler.run(max_windows=64)
     scheduler.state.verify_consistency()
 
-    summary = summarize_reports(reports)
+    summary = scenario_metrics(reports)
     print(
         f"trace: {summary.arrivals} arrivals, {summary.failures} server "
         f"failures, {summary.recoveries} recoveries over {summary.windows} windows"

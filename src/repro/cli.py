@@ -27,6 +27,9 @@ Every figure command prints the corresponding series as a text table
 bench defaults — reduced from the paper's Table III so a figure
 regenerates in seconds-to-minutes; pass ``--population/--evaluations``
 to raise them.
+
+Each command imports what it runs inside its own function, so parsing
+the command line (``--help``, a rejected flag) loads no solver.
 """
 
 from __future__ import annotations
@@ -34,28 +37,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import Callable
-
-from repro import telemetry
-from repro import (
-    CPAllocator,
-    NSGA2Allocator,
-    NSGA3Allocator,
-    NSGA3CPAllocator,
-    NSGA3TabuAllocator,
-    NSGAConfig,
-    RoundRobinAllocator,
-    ScenarioGenerator,
-    ScenarioSpec,
-    SearchLimits,
-)
-from repro.evaluation import (
-    ExperimentRunner,
-    TABLE2_CRITERIA,
-    capability_matrix,
-    format_series_table,
-    format_table,
-)
-from repro.verify import CHECKS
 
 __all__ = ["main", "build_parser"]
 
@@ -70,6 +51,17 @@ def _factories(
     include_cp_hybrid: bool = False,
     include_portfolio: bool = False,
 ) -> dict[str, Callable]:
+    from repro.baselines.round_robin import RoundRobinAllocator
+    from repro.cp.allocator import CPAllocator
+    from repro.cp.search import SearchLimits
+    from repro.ea.config import NSGAConfig
+    from repro.hybrid.nsga_allocators import (
+        NSGA2Allocator,
+        NSGA3Allocator,
+        NSGA3CPAllocator,
+        NSGA3TabuAllocator,
+    )
+
     config = NSGAConfig(
         population_size=args.population,
         max_evaluations=args.evaluations,
@@ -103,7 +95,9 @@ def _factories(
     return factories
 
 
-def _sweep_specs(sizes: list[tuple[int, int]], tightness: float) -> list[ScenarioSpec]:
+def _sweep_specs(sizes: list[tuple[int, int]], tightness: float) -> list:
+    from repro.workloads.generator import ScenarioSpec
+
     return [
         ScenarioSpec(
             servers=servers,
@@ -116,6 +110,8 @@ def _sweep_specs(sizes: list[tuple[int, int]], tightness: float) -> list[Scenari
 
 
 def _run_figure(args, sizes, metric: str, title: str) -> int:
+    from repro.evaluation import ExperimentRunner, format_series_table
+
     runner = ExperimentRunner(
         _factories(args, include_cp_hybrid=args.include_cp_hybrid),
         runs=args.runs,
@@ -177,6 +173,8 @@ def cmd_fig10(args) -> int:
 
 def cmd_fig11(args) -> int:
     """Run ``python -m repro fig11``."""
+    from repro.evaluation import ExperimentRunner, format_series_table
+
     runner = ExperimentRunner(
         _factories(args, include_cp_hybrid=args.include_cp_hybrid),
         runs=args.runs,
@@ -207,6 +205,8 @@ def cmd_fig11(args) -> int:
 
 def cmd_table2(args) -> int:
     """Run ``python -m repro table2``."""
+    from repro.evaluation import TABLE2_CRITERIA, capability_matrix, format_table
+
     rows = capability_matrix(
         _factories(args, include_cp_hybrid=True), seed=args.seed, runs=args.runs
     )
@@ -221,6 +221,9 @@ def cmd_table2(args) -> int:
 
 def cmd_table3(args) -> int:
     """Run ``python -m repro table3``."""
+    from repro.ea.config import NSGAConfig
+    from repro.evaluation import format_table
+
     config = NSGAConfig()
     rows = [
         ["populationSize", config.population_size],
@@ -236,6 +239,9 @@ def cmd_table3(args) -> int:
 
 def cmd_compare(args) -> int:
     """Run ``python -m repro compare``."""
+    from repro.evaluation import format_table
+    from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
+
     spec = ScenarioSpec(
         servers=args.servers,
         datacenters=2 if args.servers < 100 else 4,
@@ -302,7 +308,8 @@ def cmd_compare(args) -> int:
 def cmd_diagnose(args) -> int:
     """Run ``python -m repro diagnose``."""
     from repro.model import Request, diagnose_instance
-    from repro.serialization import load_json, scenario_from_dict
+    from repro.serialization import load_json
+    from repro.workloads.generator import scenario_from_dict
 
     scenario = scenario_from_dict(load_json(args.scenario))
     merged, _owner = Request.concatenate(scenario.requests)
@@ -359,6 +366,8 @@ _CHECK_ARGS = {"parallel": _parse_workers, "service": str}
 
 def _parse_check(text: str) -> tuple[str, object]:
     """``"parallel=1,2"`` → ``("parallel", (1, 2))``; ``"market"`` → ``("market", None)``."""
+    from repro.verify import CHECKS
+
     name, has_arg, arg = text.partition("=")
     if name != "all" and name not in CHECKS:
         raise argparse.ArgumentTypeError(
@@ -376,7 +385,7 @@ def _parse_check(text: str) -> tuple[str, object]:
 def _parse_prefer(text: str):
     """Validate a ``crit>crit>...`` preference spec at parse time."""
     from repro.errors import ValidationError
-    from repro.market.preferences import parse_preference
+    from repro.objectives.preference import parse_preference
 
     try:
         return parse_preference(text)
@@ -395,6 +404,7 @@ def _providers_count(text: str) -> int:
 
 def cmd_scenario(args) -> int:
     """Run ``python -m repro scenario list|run``."""
+    from repro.evaluation import format_table
     from repro.workloads.scenarios import (
         compile_scenario,
         get_scenario,
@@ -493,7 +503,7 @@ def cmd_scenario(args) -> int:
 def cmd_verify(args) -> int:
     """Run ``python -m repro verify``."""
     from repro.telemetry import get_registry
-    from repro.verify import FuzzConfig, run_fuzz
+    from repro.verify import CHECKS, FuzzConfig, run_fuzz
 
     fuzz_kwargs = {}
     if args.scenario:
@@ -614,7 +624,8 @@ def cmd_serve(args) -> int:
 
 def cmd_generate(args) -> int:
     """Run ``python -m repro generate``."""
-    from repro.serialization import save_json, scenario_to_dict
+    from repro.serialization import save_json
+    from repro.workloads.generator import ScenarioGenerator, ScenarioSpec, scenario_to_dict
 
     spec = ScenarioSpec(
         servers=args.servers,
@@ -802,10 +813,10 @@ def build_parser() -> argparse.ArgumentParser:
                 type=_parse_check,
                 default=None,
                 metavar="NAME[=ARG]",
-                help="also run a registered conformance check (repeatable): "
-                f"{', '.join(CHECKS)}, or 'all'; parallel=W1,W2 picks the "
-                "worker counts and service=DIR replays a `repro serve` "
-                "checkpoint directory (docs/VERIFY.md)",
+                help="also run a registered conformance check (repeatable; "
+                "the names are listed in docs/VERIFY.md), or 'all'; "
+                "parallel=W1,W2 picks the worker counts and service=DIR "
+                "replays a `repro serve` checkpoint directory",
             )
             p.add_argument(
                 "--allocator",
@@ -913,6 +924,8 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point (``python -m repro ...``)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
+    from repro import telemetry
+
     if getattr(args, "checkpoint_dir", None):
         # Record the invocation so `python -m repro resume DIR` can
         # re-issue it; reruns overwrite atomically with the same argv.
@@ -928,7 +941,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "prefer", None) is not None:
         # Installed process-wide: every site that commits a single plan
         # consults it (docs/MARKET.md).
-        from repro.market.preferences import set_preference
+        from repro.objectives.preference import set_preference
 
         set_preference(args.prefer)
     sink = telemetry.configure(getattr(args, "telemetry", None))

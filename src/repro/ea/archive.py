@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.objectives.preference import active_preference, select_index
 from repro.types import FloatArray, IntArray
-from repro.utils.pareto import ideal_point
 
 __all__ = ["ParetoArchive"]
 
@@ -113,34 +113,11 @@ class ParetoArchive:
         del self._objectives[victim]
 
     # ------------------------------------------------------------------
-    def best_by_ideal_point(self) -> tuple[IntArray, FloatArray] | None:
-        """The paper's final pick, applied to the archive: the solution
-        with minimum normalized Euclidean distance to the ideal point."""
+    def best(self) -> tuple[IntArray, FloatArray] | None:
+        """The deployed-solution pick over the archive
+        (:func:`~repro.objectives.preference.select_index` under the
+        active order), or None when the archive is empty."""
         if not self._genomes:
             return None
-        objs = self.objectives
-        ideal = ideal_point(objs)
-        span = objs.max(axis=0) - ideal
-        span = np.where(span > 0, span, 1.0)
-        distance = np.sqrt((((objs - ideal) / span) ** 2).sum(axis=1))
-        index = int(np.argmin(distance))
-        return self._genomes[index].copy(), self._objectives[index].copy()
-
-    def best(self, preference=None) -> tuple[IntArray, FloatArray] | None:
-        """The deployed-solution pick under the preference layer.
-
-        With a :class:`~repro.market.preferences.PreferenceOrder` (or,
-        when ``preference`` is ``None``, the process-wide active one),
-        the ceteris-paribus selection; otherwise exactly
-        :meth:`best_by_ideal_point` — the historical byte-identical
-        default.
-        """
-        if not self._genomes:
-            return None
-        from repro.market.preferences import active_preference
-
-        preference = preference if preference is not None else active_preference()
-        if preference is None:
-            return self.best_by_ideal_point()
-        index = preference.select(self.objectives)
+        index = select_index(self.objectives, active_preference())
         return self._genomes[index].copy(), self._objectives[index].copy()

@@ -76,14 +76,6 @@ class NSGAConfig:
         default — reproduces the paper's three-objective formulation
         byte for byte.  Non-zero weights change the search trajectory,
         so the value participates in checkpoint trajectory keys.
-    preference:
-        Optional ceteris-paribus preference spec (e.g.
-        ``"provider_cost>qos>energy"``, see
-        :mod:`repro.market.preferences`) deciding which front member a
-        run commits as its deployed solution.  ``None`` — the default —
-        keeps the paper's ideal-point pick byte for byte.  The spec is
-        validated at construction and participates in checkpoint
-        trajectory keys (a resumed run must deploy the same pick).
     """
 
     population_size: int = 100
@@ -100,7 +92,6 @@ class NSGAConfig:
     checkpoint_dir: str | None = None
     checkpoint_every: int | None = None
     energy_weight: float = 0.0
-    preference: str | None = None
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
@@ -139,10 +130,6 @@ class NSGAConfig:
             raise ValidationError(
                 f"energy_weight must be >= 0, got {self.energy_weight}"
             )
-        if self.preference is not None:
-            from repro.market.preferences import parse_preference
-
-            parse_preference(self.preference)  # raises on malformed specs
 
     def with_(self, **changes) -> "NSGAConfig":
         """Functional update (frozen dataclass convenience)."""

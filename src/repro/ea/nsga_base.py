@@ -26,6 +26,7 @@ from repro.ea.result import EvolutionResult, GenerationStats
 from repro.ea.sorting import fast_non_dominated_sort
 from repro.errors import CheckpointError
 from repro.objectives.evaluator import PopulationEvaluator
+from repro.objectives.preference import active_preference
 from repro.runtime.checkpoint import CheckpointManager, RunCheckpoint, trajectory_key
 from repro.runtime.signals import shutdown_requested
 from repro.telemetry import GenerationCompleted, get_bus, get_registry, span
@@ -80,8 +81,11 @@ class EngineRun:
         # The handler tag keeps algorithms sharing an engine (plain
         # NSGA-III vs the tabu/CP hybrids) from colliding in a shared
         # campaign directory.
+        order = active_preference()
         self.config_key = trajectory_key(
-            cfg, f"{engine.algorithm_name}/{engine.handler.trajectory_tag()}"
+            cfg,
+            f"{engine.algorithm_name}/{engine.handler.trajectory_tag()}",
+            preference=None if order is None else order.spec,
         )
         if resume_from is None and manager is not None:
             resume_from = manager.latest(fingerprint, self.config_key)
@@ -299,13 +303,12 @@ class EngineRun:
     def best_genome(self) -> IntArray:
         """Current single-solution pick — valid between any two steps.
 
-        Routed through the preference layer: the config's (or the
-        process-wide active) ceteris-paribus order when one is set,
-        else feasible-nearest-ideal; least violating as the infeasible
-        fallback either way.
+        The deployed pick among feasible individuals
+        (:meth:`Population.best_feasible_index`), least violating as
+        the infeasible fallback.
         """
         pop = self.population
-        idx = pop.best_feasible_index(self.engine.preference_order())
+        idx = pop.best_feasible_index()
         if idx is None:
             idx = pop.least_violating_index()
         return pop.genomes[idx].copy()
@@ -461,19 +464,6 @@ class NSGABase(abc.ABC):
         self.config = config or NSGAConfig()
         self.handler = handler or NoHandling()
         self.track_history = bool(track_history)
-
-    def preference_order(self):
-        """Parsed ``config.preference``, or ``None``.
-
-        ``None`` lets the selection sites fall through to the process-
-        wide active preference and, absent one, the paper's ideal-point
-        pick (see :mod:`repro.market.preferences`).
-        """
-        if self.config.preference:
-            from repro.market.preferences import parse_preference
-
-            return parse_preference(self.config.preference)
-        return None
 
     # ------------------------------------------------------------------
     # Subclass responsibilities

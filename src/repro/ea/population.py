@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.objectives.preference import active_preference, select_index
 from repro.types import FloatArray, IntArray
 
 __all__ = ["Population"]
@@ -86,34 +87,14 @@ class Population:
             violations=np.concatenate([a.violations, b.violations]),
         )
 
-    def best_feasible_index(self, preference=None) -> int | None:
-        """Index of the deployed-solution pick among feasible individuals.
-
-        Routed through the preference layer: with a
-        :class:`~repro.market.preferences.PreferenceOrder` (explicit,
-        or the process-wide active one when ``preference`` is ``None``),
-        the ceteris-paribus selection; otherwise the paper's
-        final-solution pick — normalize each objective over the
-        feasible set, then take the minimum Euclidean distance to the
-        component-wise minimum ("the ideal point where cost and
-        rejection rate are the next to naught").  Returns None when no
-        individual is feasible.
-        """
+    def best_feasible_index(self) -> int | None:
+        """Index of the deployed-solution pick among feasible individuals
+        (:func:`~repro.objectives.preference.select_index` under the
+        active order), or None when no individual is feasible."""
         feasible = np.flatnonzero(self.feasible_mask)
         if feasible.size == 0:
             return None
-        from repro.market.preferences import active_preference
-
-        preference = preference if preference is not None else active_preference()
-        objs = self.objectives[feasible]
-        if preference is not None:
-            return int(feasible[preference.select(objs)])
-        lo = objs.min(axis=0)
-        span = objs.max(axis=0) - lo
-        span = np.where(span > 0, span, 1.0)
-        normalized = (objs - lo) / span
-        distances = np.sqrt((normalized**2).sum(axis=1))
-        return int(feasible[np.argmin(distances)])
+        return int(feasible[select_index(self.objectives[feasible], active_preference())])
 
     def least_violating_index(self) -> int:
         """Index with the fewest violations (ties → better aggregate cost)."""

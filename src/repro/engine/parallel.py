@@ -6,16 +6,15 @@ individuals: every genome is repaired independently.  This module fans
 that work out over a persistent pool of worker processes without
 changing a single byte of the result:
 
-* :meth:`ParallelEngine.repair_rows` takes the parent's
-  :class:`~repro.tabu.repair.TabuRepair` and one batch's infeasible
-  rows, and cuts the rows into contiguous tasks.  Each task carries a
-  key and the pickled inputs that built the repairer — the instance,
-  the committed usage and the four repair settings — so the model's
-  dataclasses are the only definition of an instance.
+* :meth:`ParallelEngine.repair_rows` takes the parent's repairer and
+  one batch's infeasible rows, and cuts the rows into contiguous
+  tasks.  Each task carries a key and the pickled repairer, which
+  pickles as its own recipe (the instance, the committed usage and
+  the repair settings), so the repairer is the only code that knows
+  how to rebuild itself.
 * :func:`_repair_task` runs in a worker.  The worker keeps its last
-  :data:`REPAIRER_CACHE_SIZE` repairers by key, unpickles the inputs
-  and rebuilds one only on a miss, and calls the same ``repair_rows``
-  the serial path calls.
+  :data:`REPAIRER_CACHE_SIZE` repairers by key, unpickles one only on
+  a miss, and calls the same ``repair_rows`` the serial path calls.
 
 Every failure (the pool will not start, a dispatch breaks) marks the
 engine unavailable, counts an ``engine.parallel.fallbacks`` and returns
@@ -34,7 +33,7 @@ from __future__ import annotations
 import itertools
 import pickle
 import weakref
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -45,8 +44,6 @@ from repro.utils.timers import Stopwatch
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
-
-    from repro.tabu.repair import TabuRepair
 
 __all__ = ["ParallelEngine"]
 
@@ -65,45 +62,19 @@ REPAIRER_CACHE_SIZE = 4
 _KEYS = itertools.count()
 
 
-def _inputs(repairer: TabuRepair) -> tuple:
-    """What rebuilds ``repairer`` in a worker: the instance, the
-    committed usage and the four repair settings."""
-    return (
-        repairer.infrastructure,
-        repairer.request,
-        repairer.base_usage,
-        {
-            "max_rounds": repairer.max_rounds,
-            "tenure": repairer.tenure,
-            "order": repairer.order,
-            "allow_worsening_moves": repairer.allow_worsening_moves,
-        },
-    )
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 #: This worker's repairers by key, least recently used first.
-_REPAIRERS: dict[int, TabuRepair] = {}
+_REPAIRERS: dict[int, Any] = {}
 
 
-def _repairer(key: int, inputs: bytes) -> TabuRepair:
-    """The worker's repairer for ``key``, rebuilt from ``inputs`` (the
-    pickled :func:`_inputs`) on a miss."""
+def _repairer(key: int, payload: bytes):
+    """The worker's repairer for ``key``, unpickled from ``payload`` on
+    a miss."""
     repairer = _REPAIRERS.pop(key, None)
     if repairer is None:
-        from repro.engine.compiled import CompiledProblem
-        from repro.tabu.repair import TabuRepair
-
-        infrastructure, request, base_usage, settings = pickle.loads(inputs)
-        repairer = TabuRepair(
-            infrastructure,
-            request,
-            base_usage=base_usage,
-            compiled=CompiledProblem(infrastructure, request),
-            **settings,
-        )
+        repairer = pickle.loads(payload)
         if len(_REPAIRERS) >= REPAIRER_CACHE_SIZE:
             del _REPAIRERS[next(iter(_REPAIRERS))]
     _REPAIRERS[key] = repairer
@@ -112,7 +83,7 @@ def _repairer(key: int, inputs: bytes) -> TabuRepair:
 
 def _repair_task(
     key: int,
-    inputs: bytes,
+    payload: bytes,
     genomes: IntArray,
     rows: IntArray,
     root: np.random.SeedSequence,
@@ -124,7 +95,7 @@ def _repair_task(
     the parent registry) and the busy seconds spent (utilization)."""
     stopwatch = Stopwatch().start()
     with use_registry(MetricsRegistry()) as registry:
-        repaired = _repairer(key, inputs).repair_rows(
+        repaired = _repairer(key, payload).repair_rows(
             genomes, rows, root=root, batch_index=batch_index
         )
         snapshot = registry.snapshot()
@@ -160,7 +131,7 @@ class ParallelEngine:
         self._pool: ProcessPoolExecutor | None = None
         self._broken = False
         self._closed = False
-        #: Each repairer handed in -> (its key, its pickled inputs).
+        #: Each repairer handed in -> (its key, its pickle).
         #: Weak, so no finished window's repairer outlives its window.
         self._recipes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         get_registry().gauge("engine.parallel.workers", self.n_workers)
@@ -206,7 +177,7 @@ class ParallelEngine:
 
     def repair_rows(
         self,
-        repairer: TabuRepair,
+        repairer,
         genomes: IntArray,
         rows: IntArray,
         *,
@@ -215,6 +186,8 @@ class ParallelEngine:
     ) -> IntArray | None:
         """Fan one batch's infeasible rows out over the pool.
 
+        ``repairer`` is picklable and has the serial path's
+        ``repair_rows(genomes, rows, root=, batch_index=)``.
         ``genomes`` holds the infeasible genomes (one per entry of
         ``rows``, which carries their population indices — the
         coordinate the per-individual RNG stream is derived from).
@@ -239,12 +212,12 @@ class ParallelEngine:
             # only a worker that misses the key unpickles them.
             recipe = self._recipes.get(repairer)
             if recipe is None:
-                recipe = (next(_KEYS), pickle.dumps(_inputs(repairer)))
+                recipe = (next(_KEYS), pickle.dumps(repairer))
                 self._recipes[repairer] = recipe
-            key, inputs = recipe
+            key, payload = recipe
             futures = [
                 pool.submit(
-                    _repair_task, key, inputs, genomes[chunk], rows[chunk], root, batch_index
+                    _repair_task, key, payload, genomes[chunk], rows[chunk], root, batch_index
                 )
                 for chunk in chunks
             ]

@@ -2,9 +2,7 @@
 
 * :mod:`metrics` — per-run records and multi-run aggregation of the
   four criteria (execution time, rejection rate, violated constraints,
-  provider cost), plus the dynamic-scenario extension
-  (:class:`~repro.evaluation.metrics.ScenarioMetrics`: SLA-violation
-  rate and migration churn over a windowed run);
+  provider cost);
 * :mod:`runner` — run a set of algorithms over a size sweep of random
   scenarios, averaging over repetitions (the paper uses 100 runs);
 * :mod:`comparison` — the computed capability matrix behind Table II;
@@ -14,9 +12,7 @@
 from repro.evaluation.metrics import (
     AggregateMetrics,
     RunRecord,
-    ScenarioMetrics,
     aggregate_records,
-    scenario_metrics,
 )
 from repro.evaluation.parallel import ParallelExperimentRunner
 from repro.evaluation.runner import AllocatorFactory, ExperimentRunner, SweepResult
@@ -33,9 +29,7 @@ from repro.evaluation.stats import Comparison, bootstrap_ci, compare_algorithms,
 __all__ = [
     "RunRecord",
     "AggregateMetrics",
-    "ScenarioMetrics",
     "aggregate_records",
-    "scenario_metrics",
     "AllocatorFactory",
     "ExperimentRunner",
     "ParallelExperimentRunner",

@@ -3,12 +3,8 @@
 The paper optimizes consumer and provider criteria inside a single
 datacenter estate.  This package extends the model to *N providers with
 distinct price books* and brokers each request bundle across them (the
-López-Pires multi-cloud brokering direction), in three layers:
+López-Pires multi-cloud brokering direction), in two layers:
 
-* :mod:`repro.market.preferences` — ceteris-paribus preference orders
-  (``provider_cost>qos>migration``-style specs) that deterministically
-  select the deployed solution from any Pareto front, replacing the
-  implicit ideal-point pick wherever a single plan is committed;
 * :mod:`repro.market.providers` — :class:`PriceBook` (static multiplier
   plus a deterministic dynamic price curve), :class:`Provider` and
   :class:`ProviderMarket`, which compiles N provider estates into one
@@ -17,7 +13,9 @@ López-Pires multi-cloud brokering direction), in three layers:
 * :mod:`repro.market.broker` — :class:`BrokeredAllocator`, which solves
   the bundle per provider *and* as a brokered cross-provider split,
   merges the per-provider fronts into one brokered Pareto front, and
-  deploys the preference-selected plan.
+  deploys the plan :func:`repro.objectives.preference.select_index`
+  picks (the ceteris-paribus order ``--prefer`` installs, or the
+  paper's ideal-point pick).
 
 The single-provider path is byte-identical to the pre-market code:
 one default provider compiles to today's matrices and fingerprints
@@ -31,14 +29,6 @@ from repro.market.broker import (
     BrokeredOutcome,
     BrokeredPlan,
 )
-from repro.market.preferences import (
-    PREFERENCE_CRITERIA,
-    PreferenceOrder,
-    active_preference,
-    parse_preference,
-    select_index,
-    set_preference,
-)
 from repro.market.providers import (
     MarketInstance,
     PriceBook,
@@ -51,13 +41,7 @@ __all__ = [
     "BrokeredOutcome",
     "BrokeredPlan",
     "MarketInstance",
-    "PREFERENCE_CRITERIA",
-    "PreferenceOrder",
     "PriceBook",
     "Provider",
     "ProviderMarket",
-    "active_preference",
-    "parse_preference",
-    "select_index",
-    "set_preference",
 ]

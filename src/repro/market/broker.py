@@ -21,8 +21,8 @@ broker's atomic unit) and optional per-provider quotas.  Plans that
 violate market constraints are excluded from the brokered front unless
 no clean plan exists.  The surviving plans' objective vectors are
 filtered to mutual non-domination — the **brokered Pareto front** — and
-the deployed plan is chosen by the preference layer
-(:func:`repro.market.preferences.select_index`): the active
+the deployed plan is chosen by
+:func:`repro.objectives.preference.select_index`: the active
 ceteris-paribus order when one is set, the paper's ideal-point pick
 otherwise.
 
@@ -41,14 +41,10 @@ import numpy as np
 from repro.allocator import Allocator, BatchOutcome
 from repro.constraints.provider import ProviderQuotaConstraint
 from repro.errors import ValidationError
-from repro.market.preferences import (
-    PreferenceOrder,
-    active_preference,
-    select_index,
-)
 from repro.market.providers import MarketInstance, ProviderMarket
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
+from repro.objectives.preference import active_preference, select_index
 from repro.telemetry import get_registry, span
 from repro.types import FloatArray, IntArray
 from repro.utils.pareto import non_dominated_mask
@@ -123,10 +119,6 @@ class BrokeredAllocator:
         Zero-argument callable building a fresh inner
         :class:`~repro.allocator.Allocator` per route (fresh state
         keeps routes independent and seed-deterministic).
-    preference:
-        Explicit :class:`~repro.market.preferences.PreferenceOrder` for
-        the deployed pick; ``None`` defers to the process-wide active
-        preference, then to the ideal-point default.
     quotas:
         Optional per-provider VM caps for the split route (negative =
         unlimited); see
@@ -141,13 +133,11 @@ class BrokeredAllocator:
         self,
         market: ProviderMarket,
         allocator_factory: Callable[[], Allocator],
-        preference: PreferenceOrder | None = None,
         quotas: Sequence[int] | None = None,
         qos_colocation: bool = True,
     ) -> None:
         self.market = market
         self.allocator_factory = allocator_factory
-        self.preference = preference
         self.quotas = None if quotas is None else tuple(int(q) for q in quotas)
         if self.quotas is not None and len(self.quotas) != len(market):
             raise ValidationError(
@@ -191,9 +181,7 @@ class BrokeredAllocator:
         mask = non_dominated_mask(objectives)
         front = tuple(plan for plan, keep in zip(pool, mask) if keep)
 
-        preference = (
-            self.preference if self.preference is not None else active_preference()
-        )
+        preference = active_preference()
         deployed = front[
             select_index(
                 np.stack([plan.objectives for plan in front]), preference

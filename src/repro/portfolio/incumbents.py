@@ -93,15 +93,10 @@ class IncumbentPool:
         """(genomes, objectives) of the pooled nondominated set."""
         return self.archive.genomes, self.archive.objectives
 
-    def best(self, preference=None) -> tuple[IntArray, FloatArray] | None:
-        """The single-solution pick over the pool, or ``None``.
-
-        Routed through the preference layer: an explicit (or process-
-        wide active) ceteris-paribus order decides; with none, the
-        paper's ideal-point pick — byte-identical to the pre-market
-        behavior (see :mod:`repro.market.preferences`).
-        """
-        return self.archive.best(preference)
+    def best(self) -> tuple[IntArray, FloatArray] | None:
+        """The single-solution pick over the pool, or ``None`` (see
+        :meth:`~repro.ea.archive.ParetoArchive.best`)."""
+        return self.archive.best()
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:

@@ -46,6 +46,7 @@ from repro.hybrid.nsga_allocators import (
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
+from repro.objectives.preference import active_preference
 from repro.portfolio.incumbents import IncumbentPool
 from repro.runtime.checkpoint import (
     CheckpointManager,
@@ -294,8 +295,6 @@ class PortfolioRun(AnytimeRun):
         lexicographic key; with none active, the historical aggregate
         objective sum — byte-identical to the pre-market behavior.
         """
-        from repro.market.preferences import active_preference
-
         preference = active_preference()
         candidates: list[IntArray] = []
         pooled = self.pool.best()
@@ -489,9 +488,12 @@ class PortfolioAllocator(Allocator):
 
     @property
     def config_key(self) -> str:
-        """Trajectory identity of the whole race: members, cadence and
+        """Trajectory identity of the whole race: members, cadence,
         every per-lane work-unit weight (a checkpoint written under one
-        slicing must not seed a race stepped under another)."""
+        slicing must not seed a race stepped under another) and the
+        active preference order, which picks the pooled incumbent the
+        tabu lane is reseeded from."""
+        order = active_preference()
         return trajectory_key(
             self.config,
             "portfolio/{}/x{}/g{}/t{}-{}/cp{}".format(
@@ -502,6 +504,7 @@ class PortfolioAllocator(Allocator):
                 self.tabu_max_iterations,
                 self.cp_node_budget,
             ),
+            preference=None if order is None else order.spec,
         )
 
     # ------------------------------------------------------------------

@@ -78,23 +78,24 @@ _TRAJECTORY_FIELDS = (
     # The optional energy term reshapes the objective landscape, so two
     # runs differing in weight are distinct trajectories.
     "energy_weight",
-    # The preference order decides which front member a resumed run
-    # deploys; two runs differing in spec commit different solutions.
-    "preference",
 )
 
 
-def trajectory_key(config: Any, algorithm: str) -> str:
+def trajectory_key(config: Any, algorithm: str, preference: str | None = None) -> str:
     """Digest of the (algorithm, config) pair that defines a trajectory.
 
     Two runs share a trajectory key exactly when, generation for
     generation, they draw the same random numbers and apply the same
     operators — the precondition for resuming one from the other's
-    checkpoint.
+    checkpoint.  ``preference`` is the spec of the active preference
+    order (``None`` = the ideal-point pick): the order picks the
+    incumbent that the stall detector watches and that a portfolio
+    reseeds from, so two runs differing in it are distinct trajectories.
     """
     parts = [f"algorithm={algorithm}"]
     for name in _TRAJECTORY_FIELDS:
         parts.append(f"{name}={getattr(config, name)!r}")
+    parts.append(f"preference={preference!r}")
     digest = hashlib.blake2b("|".join(parts).encode(), digest_size=16)
     return digest.hexdigest()
 

@@ -12,7 +12,9 @@ This package implements that loop:
   :class:`~repro.model.state.PlatformState` and reports per-window
   metrics;
 * :mod:`reconfiguration` — migration plans between successive
-  allocations X^t → X^{t+1} with their Eq. 26 costs.
+  allocations X^t → X^{t+1} with their Eq. 26 costs;
+* :func:`scenario_metrics` — the roll-up of a run's window reports
+  into :class:`ScenarioMetrics`.
 """
 
 from repro.scheduler.events import (
@@ -23,7 +25,7 @@ from repro.scheduler.events import (
     ServerRecoveryEvent,
 )
 from repro.scheduler.reconfiguration import MigrationPlan, plan_migration
-from repro.scheduler.summary import SchedulerSummary, summarize_reports
+from repro.scheduler.summary import ScenarioMetrics, scenario_metrics
 from repro.scheduler.window import TimeWindowScheduler, WindowReport
 
 __all__ = [
@@ -35,7 +37,7 @@ __all__ = [
     "MigrationPlan",
     "plan_migration",
     "TimeWindowScheduler",
-    "SchedulerSummary",
-    "summarize_reports",
+    "ScenarioMetrics",
+    "scenario_metrics",
     "WindowReport",
 ]

@@ -1,10 +1,11 @@
-"""JSON (de)serialization of model objects and results.
+"""JSON (de)serialization of the model: infrastructures and requests.
 
-Reproducibility tooling: scenarios, outcomes and run records can be
-written to disk, shared, and re-loaded bit-exactly — the artifact
-trail behind EXPERIMENTS.md.  Formats are plain JSON dictionaries with
-a ``"kind"`` tag and explicit array fields (lists of lists), so they
-are diffable and language-neutral.
+Reproducibility tooling: instances can be written to disk, shared, and
+re-loaded bit-exactly — the artifact trail behind EXPERIMENTS.md.
+Formats are plain JSON dictionaries with a ``"kind"`` tag and explicit
+array fields (lists of lists), so they are diffable and
+language-neutral.  A generated scenario's codec, built from these two,
+lives next to :class:`~repro.workloads.generator.Scenario`.
 """
 
 from __future__ import annotations
@@ -15,31 +16,26 @@ from typing import Any
 
 import numpy as np
 
-from repro.allocator import BatchOutcome
 from repro.errors import ValidationError
-from repro.evaluation.metrics import RunRecord
 from repro.model.attributes import AttributeSchema
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import PlacementGroup, Request
 from repro.types import PlacementRule
-from repro.workloads.generator import Scenario, ScenarioSpec
 
 __all__ = [
     "infrastructure_to_dict",
     "infrastructure_from_dict",
     "request_to_dict",
     "request_from_dict",
-    "scenario_to_dict",
-    "scenario_from_dict",
-    "outcome_to_dict",
-    "run_record_to_dict",
-    "run_record_from_dict",
+    "check_kind",
     "save_json",
     "load_json",
 ]
 
 
-def _check_kind(data: dict, expected: str) -> None:
+def check_kind(data: dict, expected: str) -> None:
+    """Raise :class:`~repro.errors.ValidationError` unless ``data`` is
+    tagged ``kind=expected``."""
     kind = data.get("kind")
     if kind != expected:
         raise ValidationError(f"expected kind={expected!r}, got {kind!r}")
@@ -75,7 +71,7 @@ def infrastructure_to_dict(infra: Infrastructure) -> dict[str, Any]:
 
 def infrastructure_from_dict(data: dict[str, Any]) -> Infrastructure:
     """Inverse of :func:`infrastructure_to_dict`."""
-    _check_kind(data, "infrastructure")
+    check_kind(data, "infrastructure")
     schema = AttributeSchema(
         names=tuple(data["schema"]["names"]),
         units=tuple(data["schema"].get("units", ())),
@@ -125,7 +121,7 @@ def request_to_dict(request: Request) -> dict[str, Any]:
 
 def request_from_dict(data: dict[str, Any]) -> Request:
     """Inverse of :func:`request_to_dict`."""
-    _check_kind(data, "request")
+    check_kind(data, "request")
     schema = AttributeSchema(
         names=tuple(data["schema"]["names"]),
         units=tuple(data["schema"].get("units", ())),
@@ -146,74 +142,6 @@ def request_from_dict(data: dict[str, Any]) -> Request:
         schema=schema,
         name=data.get("name", ""),
     )
-
-
-# ----------------------------------------------------------------------
-# Scenario
-# ----------------------------------------------------------------------
-def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    """Serialize a whole generated scenario (estate + window + spec)."""
-    spec = scenario.spec
-    return {
-        "kind": "scenario",
-        "spec": {
-            "servers": spec.servers,
-            "datacenters": spec.datacenters,
-            "vms": spec.vms,
-            "max_request_size": spec.max_request_size,
-            "tightness": spec.tightness,
-            "heterogeneity": spec.heterogeneity,
-            "affinity_probability": spec.affinity_probability,
-            "max_vm_fraction": spec.max_vm_fraction,
-        },
-        "infrastructure": infrastructure_to_dict(scenario.infrastructure),
-        "requests": [request_to_dict(r) for r in scenario.requests],
-    }
-
-
-def scenario_from_dict(data: dict[str, Any]) -> Scenario:
-    """Inverse of :func:`scenario_to_dict`."""
-    _check_kind(data, "scenario")
-    infrastructure = infrastructure_from_dict(data["infrastructure"])
-    spec = ScenarioSpec(schema=infrastructure.schema, **data["spec"])
-    return Scenario(
-        infrastructure=infrastructure,
-        requests=[request_from_dict(r) for r in data["requests"]],
-        spec=spec,
-    )
-
-
-# ----------------------------------------------------------------------
-# Results
-# ----------------------------------------------------------------------
-def outcome_to_dict(outcome: BatchOutcome) -> dict[str, Any]:
-    """Serialize an allocation outcome (one-way: outcomes reference no
-    infrastructure, so they reload as plain dictionaries)."""
-    return {
-        "kind": "outcome",
-        "algorithm": outcome.algorithm,
-        "assignment": outcome.assignment.tolist(),
-        "accepted": outcome.accepted.tolist(),
-        "violations": outcome.violations,
-        "violation_breakdown": dict(outcome.violation_breakdown),
-        "objectives": outcome.objectives.tolist(),
-        "elapsed": outcome.elapsed,
-        "evaluations": outcome.evaluations,
-        "rejection_rate": outcome.rejection_rate,
-        "provider_cost": outcome.provider_cost,
-    }
-
-
-def run_record_to_dict(record: RunRecord) -> dict[str, Any]:
-    """Serialize one evaluation-run record."""
-    return {"kind": "run_record", **record.__dict__}
-
-
-def run_record_from_dict(data: dict[str, Any]) -> RunRecord:
-    """Inverse of :func:`run_record_to_dict`."""
-    _check_kind(data, "run_record")
-    fields = {k: v for k, v in data.items() if k != "kind"}
-    return RunRecord(**fields)
 
 
 # ----------------------------------------------------------------------

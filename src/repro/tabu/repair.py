@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.constraints.groups import group_violations
 from repro.constraints.registry import ConstraintSet
+from repro.engine.compiled import CompiledProblem
 from repro.engine.incremental import over_count
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
@@ -292,11 +293,14 @@ class TabuRepair:
     engine:
         Optional :class:`~repro.engine.parallel.ParallelEngine`.  When
         given, population repair fans the infeasible rows out across
-        the engine's worker pool, whose workers rebuild this repairer
-        from its instance, ``base_usage`` and settings.  Results are
-        byte-identical to the serial path: each individual's RNG stream
-        is derived from ``(seed, batch_index, row)`` whether it is
-        repaired in-process or in a worker.
+        the engine's worker pool, which receives this repairer pickled
+        (:meth:`__reduce__`).  Results are byte-identical to the serial
+        path: each individual's RNG stream is derived from ``(seed,
+        batch_index, row)`` whether it is repaired in-process or in a
+        worker.
+
+    A walk that finds no strictly valid server for a faulty VM falls
+    back to the least-overflow move (:meth:`_least_overflow_move`).
     """
 
     def __init__(
@@ -307,7 +311,6 @@ class TabuRepair:
         max_rounds: int = 4,
         tenure: int = 64,
         order: str = "first",
-        allow_worsening_moves: bool = True,
         seed=None,
         compiled=None,
         engine=None,
@@ -331,7 +334,6 @@ class TabuRepair:
         self.max_rounds = int(max_rounds)
         self.tenure = int(tenure)
         self.order = order
-        self.allow_worsening_moves = bool(allow_worsening_moves)
         self.engine = engine
         self.base_usage = base_usage
         self._rng = as_generator(seed)
@@ -366,6 +368,20 @@ class TabuRepair:
         #: dependent — runs relying on byte-identical determinism
         #: (parallel/resume verification) leave ``time_limit`` unset.
         self.deadline: float | None = None
+
+    def __reduce__(self):
+        """Pickle as the recipe of a fresh copy: the instance, the
+        committed usage and the three repair settings — no compilation,
+        engine, stream or counters.  The copy compiles the instance
+        itself; the parallel engine's workers repair with it."""
+        return _rebuild, (
+            self.infrastructure,
+            self.request,
+            self.base_usage,
+            self.max_rounds,
+            self.tenure,
+            self.order,
+        )
 
     # ------------------------------------------------------------------
     # Runtime hooks used by the EA loop (deadline propagation) and the
@@ -528,7 +544,7 @@ class TabuRepair:
                     order=self.order,
                     rng=rng,
                 )
-                if target is None and self.allow_worsening_moves:
+                if target is None:
                     target = self._least_overflow_move(state.usage, assignment, vm, tabu)
                 if target is None:
                     continue  # findNeighbor fell through: leave the gene
@@ -653,3 +669,23 @@ class TabuRepair:
             usage=usage,
         )
         return repaired
+
+
+def _rebuild(
+    infrastructure: Infrastructure,
+    request: Request,
+    base_usage: FloatArray | None,
+    max_rounds: int,
+    tenure: int,
+    order: str,
+) -> TabuRepair:
+    """Unpickle a :class:`TabuRepair` (see :meth:`TabuRepair.__reduce__`)."""
+    return TabuRepair(
+        infrastructure,
+        request,
+        base_usage=base_usage,
+        max_rounds=max_rounds,
+        tenure=tenure,
+        order=order,
+        compiled=CompiledProblem(infrastructure, request),
+    )

@@ -461,7 +461,7 @@ def _preference_selection_consistency(
     front = np.asarray(ctx.front_objectives, dtype=np.float64)
     if front.ndim != 2 or front.shape[0] == 0:
         return None
-    from repro.market.preferences import active_preference, select_index
+    from repro.objectives.preference import active_preference, select_index
 
     preference = active_preference()
     out: list[InvariantViolation] = []

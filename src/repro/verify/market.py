@@ -31,10 +31,10 @@ import numpy as np
 from repro.baselines.round_robin import RoundRobinAllocator
 from repro.engine.compiled import CompiledProblem
 from repro.market.broker import BrokeredAllocator
-from repro.market.preferences import parse_preference, select_index
 from repro.market.providers import ProviderMarket
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
+from repro.objectives.preference import parse_preference, select_index
 from repro.serialization import infrastructure_to_dict
 from repro.utils.pareto import dominance_matrix
 from repro.verify.checks import Report

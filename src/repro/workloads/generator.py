@@ -23,6 +23,7 @@ instances per run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -30,10 +31,23 @@ from repro.errors import ValidationError
 from repro.model.attributes import DEFAULT_ATTRIBUTES, AttributeSchema
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import PlacementGroup, Request
+from repro.serialization import (
+    check_kind,
+    infrastructure_from_dict,
+    infrastructure_to_dict,
+    request_from_dict,
+    request_to_dict,
+)
 from repro.types import PlacementRule, SeedLike
 from repro.utils.rng import derive_sequence, root_sequence
 
-__all__ = ["ScenarioSpec", "Scenario", "ScenarioGenerator"]
+__all__ = [
+    "ScenarioSpec",
+    "Scenario",
+    "ScenarioGenerator",
+    "scenario_to_dict",
+    "scenario_from_dict",
+]
 
 #: VM flavour mix: (cpu, ram GiB, disk GiB) and sampling weight —
 #: loosely the small/medium/large/xlarge split of public IaaS catalogs.
@@ -102,6 +116,38 @@ class Scenario:
     def n_requests(self) -> int:
         """Number of consumer requests in the window."""
         return len(self.requests)
+
+
+def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
+    """Serialize a whole generated scenario (estate + window + spec)."""
+    spec = scenario.spec
+    return {
+        "kind": "scenario",
+        "spec": {
+            "servers": spec.servers,
+            "datacenters": spec.datacenters,
+            "vms": spec.vms,
+            "max_request_size": spec.max_request_size,
+            "tightness": spec.tightness,
+            "heterogeneity": spec.heterogeneity,
+            "affinity_probability": spec.affinity_probability,
+            "max_vm_fraction": spec.max_vm_fraction,
+        },
+        "infrastructure": infrastructure_to_dict(scenario.infrastructure),
+        "requests": [request_to_dict(r) for r in scenario.requests],
+    }
+
+
+def scenario_from_dict(data: dict[str, Any]) -> Scenario:
+    """Inverse of :func:`scenario_to_dict`."""
+    check_kind(data, "scenario")
+    infrastructure = infrastructure_from_dict(data["infrastructure"])
+    spec = ScenarioSpec(schema=infrastructure.schema, **data["spec"])
+    return Scenario(
+        infrastructure=infrastructure,
+        requests=[request_from_dict(r) for r in data["requests"]],
+        spec=spec,
+    )
 
 
 #: Stream coordinates below each instance's sub-root.  Every stochastic

@@ -20,7 +20,7 @@ module is the registry of such trajectories:
 * :meth:`CompiledScenario.run` — replay the stream through a
   :class:`~repro.scheduler.window.TimeWindowScheduler` and fold the
   per-window reports into
-  :class:`~repro.evaluation.metrics.ScenarioMetrics` (the paper's four
+  :class:`~repro.scheduler.summary.ScenarioMetrics` (the paper's four
   criteria plus SLA violations and migration churn);
 * :func:`register_scenario` / :func:`get_scenario` /
   :func:`scenario_names` — the named registry behind
@@ -40,13 +40,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.allocator import Allocator
 from repro.errors import ValidationError
-from repro.evaluation.metrics import ScenarioMetrics, scenario_metrics
 from repro.model.infrastructure import Infrastructure
 from repro.scheduler.events import (
     ArrivalEvent,
@@ -54,11 +52,9 @@ from repro.scheduler.events import (
     ServerFailureEvent,
     ServerRecoveryEvent,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - cycle guard (window → serialization
-    # → evaluation → runner → workloads); the scheduler is imported
-    # lazily where instantiated.
-    from repro.scheduler.window import TimeWindowScheduler, WindowReport
+from repro.scheduler.summary import ScenarioMetrics, scenario_metrics
+from repro.scheduler.window import TimeWindowScheduler, WindowReport
+from repro.serialization import infrastructure_to_dict, request_to_dict
 from repro.telemetry import get_registry
 from repro.utils.rng import derive_sequence, root_sequence
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
@@ -252,8 +248,6 @@ class CompiledScenario:
         Request bodies are serialized in full, so two payloads are equal
         exactly when the streams would drive a scheduler identically.
         """
-        from repro.serialization import request_to_dict
-
         records: list[tuple[float, int, dict]] = []
         for event in self.arrivals:
             records.append(
@@ -318,8 +312,6 @@ class CompiledScenario:
 
     def fingerprint(self) -> str:
         """blake2b digest of estate + event stream (full instance identity)."""
-        from repro.serialization import infrastructure_to_dict
-
         payload = json.dumps(
             {
                 "infrastructure": infrastructure_to_dict(self.infrastructure),
@@ -350,8 +342,6 @@ class CompiledScenario:
         self, allocator: Allocator, **kwargs
     ) -> TimeWindowScheduler:
         """A scheduler over this estate with the stream already enqueued."""
-        from repro.scheduler.window import TimeWindowScheduler
-
         scheduler = TimeWindowScheduler(
             infrastructure=self.infrastructure,
             allocator=allocator,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.market.preferences import (
+from repro.objectives.preference import (
     PREFERENCE_CRITERIA,
     parse_preference,
     select_index,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import BestFitAllocator, FirstFitAllocator
-from repro.scheduler import TimeWindowScheduler, summarize_reports
+from repro.scheduler import TimeWindowScheduler, scenario_metrics
 from repro.workloads import (
     ScenarioGenerator,
     ScenarioSpec,
@@ -66,7 +66,7 @@ def test_ledger_exact_and_capacity_respected(setup, allocator_cls):
     assert np.all(usage[healthy] <= effective[healthy] + 1e-6)
 
     # Decision accounting.
-    summary = summarize_reports(reports) if reports else None
+    summary = scenario_metrics(reports) if reports else None
     if summary is not None:
         assert summary.arrivals == len(trace.arrivals)
         # One decision per arrival plus one per displacement.

@@ -62,11 +62,11 @@ class TestParetoArchive:
         archive.add(np.array([0]), np.array([0.0, 10.0]))
         archive.add(np.array([1]), np.array([10.0, 0.0]))
         archive.add(np.array([2]), np.array([2.0, 2.0]))
-        genome, objectives = archive.best_by_ideal_point()
+        genome, objectives = archive.best()
         assert genome.tolist() == [2]
 
     def test_empty_best_is_none(self):
-        assert ParetoArchive().best_by_ideal_point() is None
+        assert ParetoArchive().best() is None
 
     def test_genome_copied_on_entry(self):
         archive = ParetoArchive()

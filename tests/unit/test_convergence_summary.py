@@ -19,7 +19,7 @@ from repro.evaluation import (
 )
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
-from repro.scheduler import TimeWindowScheduler, summarize_reports
+from repro.scheduler import TimeWindowScheduler, scenario_metrics
 from repro.tabu import TabuRepair
 
 
@@ -157,7 +157,7 @@ class TestSchedulerSummary:
             scheduler.submit(f"r{i}", request, at=float(i))
         scheduler.schedule_departure("r0", at=2.5)
         reports = scheduler.run()
-        summary = summarize_reports(reports)
+        summary = scenario_metrics(reports)
         assert summary.arrivals == 4
         assert summary.accepted == 4
         assert summary.departures == 1
@@ -166,4 +166,4 @@ class TestSchedulerSummary:
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            summarize_reports([])
+            scenario_metrics([])

@@ -28,6 +28,8 @@ HEAVY = (
     "repro.topology",
     "repro.service",
     "repro.portfolio",
+    "repro.evaluation",
+    "repro.market",
 )
 
 #: A toy `failure_storm` replay through nsga3_tabu (the churn path) and
@@ -109,6 +111,38 @@ print(json.dumps({"error": error, "bound": "solve_ilp" in vars(repro)}))
 """)
     assert result["error"] is not None and "scipy" in result["error"]
     assert not result["bound"]
+
+
+def test_serialization_imports_first():
+    """The model codecs import no layer above the model, so they load
+    in a fresh interpreter before anything else."""
+    loaded = _run("""
+        import repro.serialization
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
+    """)
+    below = ("errors", "model", "serialization", "types", "utils")
+    assert "repro.serialization" in loaded
+    assert [name for name in loaded if name.split(".")[1] not in below] == []
+
+
+def test_cli_help_loads_no_solver():
+    """Parsing the command line loads no solver and no harness: each
+    command imports what it runs."""
+    loaded = _run("""
+        import contextlib
+        import io
+
+        from repro.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                main(["--help"])
+            except SystemExit:
+                pass
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    solvers = ("repro.hybrid", "repro.cp", "repro.evaluation", "repro.verify", *HEAVY)
+    assert [name for name in solvers if name in loaded] == []
 
 
 def test_public_names_subpackages_and_unknown_names():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import RoundRobinAllocator
-from repro.ea import NSGAConfig
 from repro.errors import ValidationError
 from repro.market import (
     BrokeredAllocator,
@@ -14,14 +13,14 @@ from repro.market import (
     Provider,
     ProviderMarket,
 )
-from repro.market.preferences import (
+from repro.model.placement import UNPLACED
+from repro.objectives.preference import (
     PREFERENCE_CRITERIA,
     active_preference,
     parse_preference,
     select_index,
     set_preference,
 )
-from repro.model.placement import UNPLACED
 from repro.utils.pareto import dominance_matrix
 from repro.verify import (
     CheckContext,
@@ -83,10 +82,11 @@ class TestParsePreference:
         with pytest.raises(ValidationError):
             parse_preference(None)
 
-    def test_nsga_config_validates_preference_eagerly(self):
+    def test_set_preference_validates_eagerly(self):
         with pytest.raises(ValidationError):
-            NSGAConfig(preference="qos>bogus")
-        assert NSGAConfig(preference="qos>cost").preference == "qos>cost"
+            set_preference("qos>bogus")
+        assert active_preference() is None
+        assert set_preference("qos>cost").spec == "qos>cost"
 
 
 # ----------------------------------------------------------------------
@@ -318,12 +318,10 @@ class TestBrokeredAllocator:
 
     def test_explicit_preference_is_recorded(self, scenario):
         market = ProviderMarket.from_infrastructure(scenario.infrastructure, 3)
-        broker = BrokeredAllocator(
-            market,
-            RoundRobinAllocator,
-            preference=parse_preference("qos>cost"),
+        set_preference("qos>cost")
+        outcome = BrokeredAllocator(market, RoundRobinAllocator).allocate(
+            scenario.requests, at=0.0
         )
-        outcome = broker.allocate(scenario.requests, at=0.0)
         assert outcome.preference_spec == "qos>cost"
         # The qos-first pick minimizes column 1 over the front.
         qos = outcome.front_objectives[:, 1]

@@ -71,8 +71,8 @@ def _fail_pool_start(*args, **kwargs):
 
 class TestWorkerRepairers:
     """The worker side, driven in-process: a task carries a key and the
-    inputs that built the parent's repairer; the worker keeps a bounded
-    cache of repairers by key."""
+    pickled parent repairer; the worker keeps a bounded cache of
+    repairers by key."""
 
     @pytest.fixture(autouse=True)
     def _fresh_cache(self, monkeypatch):
@@ -81,14 +81,14 @@ class TestWorkerRepairers:
     def test_cache_is_bounded_and_keeps_recent_keys(self):
         scenario, merged, compiled = _tight_instance()
         parent = TabuRepair(scenario.infrastructure, merged, seed=3, compiled=compiled)
-        inputs = pickle.dumps(parallel_mod._inputs(parent))
+        payload = pickle.dumps(parent)
         genomes = _random_population(compiled, rows=2, seed=3)
         rows = np.arange(2)
         bound = parallel_mod.REPAIRER_CACHE_SIZE
         outputs = set()
         for key in range(3 * bound):
             repaired, _, _ = parallel_mod._repair_task(
-                key, inputs, genomes, rows, np.random.SeedSequence(3), 0
+                key, payload, genomes, rows, np.random.SeedSequence(3), 0
             )
             outputs.add(repaired.tobytes())
             assert len(parallel_mod._REPAIRERS) <= bound
@@ -98,10 +98,33 @@ class TestWorkerRepairers:
         # A hit reuses the repairer and makes its key the most recent.
         oldest = 2 * bound
         cached = parallel_mod._REPAIRERS[oldest]
-        assert parallel_mod._repairer(oldest, inputs) is cached
-        parallel_mod._repairer(3 * bound, inputs)
+        assert parallel_mod._repairer(oldest, payload) is cached
+        parallel_mod._repairer(3 * bound, payload)
         assert oldest in parallel_mod._REPAIRERS
         assert 2 * bound + 1 not in parallel_mod._REPAIRERS
+
+    def test_pickle_is_the_rebuild_recipe(self):
+        """A pickled repairer carries its instance, committed usage and
+        three settings — never its compilation, engine or counters — and
+        unpickles to a fresh repairer over its own compilation."""
+        scenario, merged, compiled = _tight_instance()
+        base = np.full((scenario.infrastructure.m, 3), 0.5)
+        with ParallelEngine(1) as engine:
+            parent = TabuRepair(
+                scenario.infrastructure, merged, base_usage=base, max_rounds=5,
+                tenure=7, order="best_fit", seed=3, compiled=compiled, engine=engine,
+            )
+            parent.repair_genome(_random_population(compiled, rows=1, seed=3)[0])
+            payload = pickle.dumps(parent)
+        assert parent.moves_performed > 0
+        assert b"CompiledProblem" not in payload and b"ParallelEngine" not in payload
+        copy = pickle.loads(payload)
+        assert (copy.max_rounds, copy.tenure, copy.order) == (5, 7, "best_fit")
+        assert copy.base_usage.tobytes() == base.tobytes()
+        assert copy.compiled is not compiled
+        assert copy.compiled.fingerprint == compiled.fingerprint
+        assert copy.engine is None
+        assert (copy.moves_performed, copy.repaired_individuals) == (0, 0)
 
     def test_worker_repairer_is_the_parents_instance(self):
         """Every field of the instance crosses to the worker, provider
@@ -115,7 +138,7 @@ class TestWorkerRepairers:
         merged, _ = Request.concatenate(scenario.requests)
         compiled = CompiledProblem(estate, merged)
         parent = TabuRepair(estate, merged, seed=1, compiled=compiled)
-        shipped = pickle.dumps(parallel_mod._inputs(parent))
+        shipped = pickle.dumps(parent)
         genomes = _random_population(compiled, rows=2, seed=1)
         parallel_mod._repair_task(
             7, shipped, genomes, np.arange(2), np.random.SeedSequence(1), 0
@@ -181,7 +204,7 @@ class TestRepairDeterminism:
         dispatch; the batch is then repaired serially, to the same bytes."""
         serial = _repair_population(None)
         # A lambda does not pickle, so no task reaches a worker.
-        monkeypatch.setattr(parallel_mod, "_inputs", lambda repairer: lambda: None)
+        monkeypatch.setattr(TabuRepair, "__reduce__", lambda repairer: (lambda: None, ()))
         with use_registry(MetricsRegistry()) as registry:
             with ParallelEngine(2) as engine:
                 result = _repair_population(engine)

@@ -333,7 +333,7 @@ class _ReferenceRepair(TabuRepair):
                     order=self.order,
                     rng=rng,
                 )
-                if target is None and self.allow_worsening_moves:
+                if target is None:
                     target = self._least_overflow_move(
                         usage, assignment, int(vm), tabu
                     )
@@ -441,16 +441,14 @@ def _assert_same(got, want, walk: TabuRepair, reference: _ReferenceRepair) -> No
 
 
 @pytest.mark.parametrize("max_rounds", [1, 4, 32])
-@pytest.mark.parametrize("allow_worsening_moves", [True, False])
 @pytest.mark.parametrize("order", ["first", "best_fit", "random"])
-def test_walk_matches_reference_byte_for_byte(order, allow_worsening_moves, max_rounds):
+def test_walk_matches_reference_byte_for_byte(order, max_rounds):
     moves = 0
     for infra, request, base, genomes, seed in _cases():
         options = dict(
             base_usage=base,
             max_rounds=max_rounds,
             order=order,
-            allow_worsening_moves=allow_worsening_moves,
             seed=seed,
             # The allocators hand the repairer their compilation.
             compiled=CompiledProblem.compile(infra, request) if seed >= 2 else None,

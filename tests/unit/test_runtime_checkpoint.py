@@ -14,6 +14,9 @@ from repro.ea.nsga3 import NSGA3
 from repro.engine.compiled import CompiledProblem
 from repro.errors import CheckpointError, ValidationError
 from repro.model.request import Request
+from repro.objectives import PopulationEvaluator
+from repro.objectives.preference import set_preference
+from repro.portfolio import PortfolioAllocator
 from repro.runtime.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointManager,
@@ -124,6 +127,35 @@ class TestTrajectoryKey:
         assert trajectory_key(base.with_(population_size=10), "nsga3") != key
         assert trajectory_key(base.with_(sbx_rate=0.5), "nsga3") != key
         assert trajectory_key(base, "nsga2") != key
+
+    def test_default_key_is_unchanged(self):
+        """With no active preference order the key is the one earlier
+        releases wrote, so their checkpoints still resume."""
+        base = NSGAConfig(population_size=8, max_evaluations=100, seed=3)
+        assert trajectory_key(base, "nsga3") == "652bf678b64034b8a3e103a1adc031ec"
+
+    def test_active_preference_separates_trajectories(self, small_infra, small_request):
+        """The active order picks the incumbent the EA's stall detector
+        watches and the pooled pick the portfolio reseeds from, so both
+        keys hold it; clearing it restores the default key."""
+        config = NSGAConfig(population_size=8, max_evaluations=16, seed=3)
+        evaluator = PopulationEvaluator(small_infra, small_request)
+
+        def keys():
+            run = NSGA3(config).start_run(evaluator)
+            return run.config_key, PortfolioAllocator(config=config).config_key
+
+        default = keys()
+        try:
+            set_preference("qos>cost")
+            ordered = keys()
+            set_preference("migration")
+            other = keys()
+        finally:
+            set_preference(None)
+        assert keys() == default
+        for index in (0, 1):
+            assert len({default[index], ordered[index], other[index]}) == 3
 
     def test_handler_separates_trajectories(self):
         spec = ScenarioSpec(servers=4, datacenters=1, vms=6, tightness=0.5)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.allocator import BatchOutcome
 from repro.errors import ValidationError
-from repro.evaluation.metrics import ScenarioMetrics, scenario_metrics
+from repro.scheduler.summary import ScenarioMetrics, scenario_metrics
 from repro.scheduler.window import WindowReport
 from repro.verify.dynamic import DYNAMIC_LAWS, check_dynamic_laws
 
@@ -51,7 +51,8 @@ class TestScenarioMetricsFixtures:
         # Window 1: server 3 fails; tenant "a" is displaced and
         #   re-accepted (1 SLA event), one fresh arrival rejected.
         # Window 2: server 5 drained; "b" is displaced AND its
-        #   re-placement rejected (2 SLA events), "a" departs.
+        #   re-placement rejected (2 SLA events), "a" departs, server 3
+        #   recovers.
         reports = [
             _window(
                 0,
@@ -73,6 +74,7 @@ class TestScenarioMetricsFixtures:
                 departures=("a",),
                 rejected=("b",),
                 drains=(5,),
+                recoveries=(3,),
                 displaced=("b",),
                 outcome=_outcome(elapsed=0.25, violations=0, cost=3.0),
             ),
@@ -86,6 +88,7 @@ class TestScenarioMetricsFixtures:
             departures=1,
             displaced=2,
             failures=1,
+            recoveries=1,
             drains=1,
             execution_time=1.0,
             violations=2,
@@ -116,7 +119,7 @@ class TestScenarioMetricsFixtures:
         assert metrics.sla_violation_rate == 0.0
         assert ScenarioMetrics(
             windows=0, arrivals=0, accepted=0, rejected=0, departures=0,
-            displaced=0, failures=0, drains=0, execution_time=0.0,
+            displaced=0, failures=0, recoveries=0, drains=0, execution_time=0.0,
             violations=0, provider_cost=0.0, sla_violations=0,
             migration_moves=0,
         ).migration_churn == 0.0

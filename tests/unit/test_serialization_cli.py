@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import NSGAConfig, ScenarioGenerator, ScenarioSpec
-from repro.baselines import FirstFitAllocator
 from repro.cli import build_parser, main
 from repro.ea import UNSGA3, NSGA3, RepairHandling
 from repro.errors import ValidationError
@@ -14,16 +13,12 @@ from repro.serialization import (
     infrastructure_from_dict,
     infrastructure_to_dict,
     load_json,
-    outcome_to_dict,
     request_from_dict,
     request_to_dict,
-    run_record_from_dict,
-    run_record_to_dict,
     save_json,
-    scenario_from_dict,
-    scenario_to_dict,
 )
 from repro.tabu import TabuRepair
+from repro.workloads.generator import scenario_from_dict, scenario_to_dict
 
 
 class TestSerialization:
@@ -63,28 +58,6 @@ class TestSerialization:
         data = infrastructure_to_dict(small_infra)
         with pytest.raises(ValidationError):
             request_from_dict(data)
-
-    def test_outcome_serializes(self, small_infra, small_request):
-        outcome = FirstFitAllocator().allocate(small_infra, [small_request])
-        data = outcome_to_dict(outcome)
-        assert data["kind"] == "outcome"
-        assert data["assignment"] == outcome.assignment.tolist()
-        assert data["rejection_rate"] == outcome.rejection_rate
-
-    def test_run_record_roundtrip(self):
-        record = RunRecord(
-            algorithm="x",
-            servers=10,
-            vms=20,
-            requests=4,
-            elapsed=0.5,
-            rejection_rate=0.25,
-            violations=1,
-            provider_cost=10.0,
-            downtime_cost=0.0,
-            migration_cost=0.0,
-        )
-        assert run_record_from_dict(run_record_to_dict(record)) == record
 
 
 class TestCostPerRequestMetric:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import FirstFitAllocator
 from repro.errors import ValidationError
-from repro.scheduler import TimeWindowScheduler, summarize_reports
+from repro.scheduler import TimeWindowScheduler, scenario_metrics
 from repro.workloads import ScenarioSpec, TraceGenerator, TraceSpec
 
 
@@ -96,7 +96,7 @@ class TestTraceThroughScheduler:
         trace.apply_to(scheduler)
         reports = scheduler.run(max_windows=64)
         scheduler.state.verify_consistency()
-        summary = summarize_reports(reports)
+        summary = scenario_metrics(reports)
         assert summary.arrivals == len(trace.arrivals)
         # Every arrival was decided (possibly repeatedly, via failures).
         assert summary.accepted + summary.rejected >= summary.arrivals

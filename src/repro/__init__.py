@@ -82,8 +82,6 @@ __all__ = [
     "CompiledProblem",
     "ProblemCache",
     "ParallelEngine",
-    "IncrementalEvaluator",
-    "MoveScore",
     # substrates
     "FabricSpec",
     "SpineLeafFabric",
@@ -149,8 +147,6 @@ _EXPORTS = {
     "CompiledProblem": "repro.engine.compiled",
     "ProblemCache": "repro.engine.cache",
     "ParallelEngine": "repro.engine.parallel",
-    "IncrementalEvaluator": "repro.engine.incremental",
-    "MoveScore": "repro.engine.incremental",
     "FabricSpec": "repro.topology.spine_leaf",
     "SpineLeafFabric": "repro.topology.spine_leaf",
     "TimeWindowScheduler": "repro.scheduler.window",

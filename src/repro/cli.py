@@ -205,7 +205,8 @@ def cmd_fig11(args) -> int:
 
 def cmd_table2(args) -> int:
     """Run ``python -m repro table2``."""
-    from repro.evaluation import TABLE2_CRITERIA, capability_matrix, format_table
+    from repro.evaluation import TABLE2_CRITERIA, capability_matrix
+    from repro.utils.tables import format_table
 
     rows = capability_matrix(
         _factories(args, include_cp_hybrid=True), seed=args.seed, runs=args.runs
@@ -222,7 +223,7 @@ def cmd_table2(args) -> int:
 def cmd_table3(args) -> int:
     """Run ``python -m repro table3``."""
     from repro.ea.config import NSGAConfig
-    from repro.evaluation import format_table
+    from repro.utils.tables import format_table
 
     config = NSGAConfig()
     rows = [
@@ -239,7 +240,7 @@ def cmd_table3(args) -> int:
 
 def cmd_compare(args) -> int:
     """Run ``python -m repro compare``."""
-    from repro.evaluation import format_table
+    from repro.utils.tables import format_table
     from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
     spec = ScenarioSpec(
@@ -339,12 +340,6 @@ def _parse_sizes(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(sizes)
 
 
-def _parse_perturb(text: str) -> tuple[str, float]:
-    """``"usage_cost:0.5"`` → ``("usage_cost", 0.5)`` (delta defaults 1)."""
-    term, _, delta = text.partition(":")
-    return term, float(delta) if delta else 1.0
-
-
 def _parse_workers(text: str) -> tuple[int, ...]:
     """``"1,2,4"`` → ``(1, 2, 4)``."""
     try:
@@ -404,7 +399,7 @@ def _providers_count(text: str) -> int:
 
 def cmd_scenario(args) -> int:
     """Run ``python -m repro scenario list|run``."""
-    from repro.evaluation import format_table
+    from repro.utils.tables import format_table
     from repro.workloads.scenarios import (
         compile_scenario,
         get_scenario,
@@ -540,8 +535,6 @@ def cmd_verify(args) -> int:
         scenarios=args.fuzz,
         seed=args.seed,
         sizes=args.sizes,
-        walk_detours=args.walk_detours,
-        perturb=args.perturb,
         **fuzz_kwargs,
     )
     report = run_fuzz(config)
@@ -792,20 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="SxV,...",
                 help="(servers)x(vms) pairs cycled across scenarios "
                 "(default 4x8,8x16,16x32)",
-            )
-            p.add_argument(
-                "--walk-detours",
-                type=int,
-                default=2,
-                help="random intermediate moves per VM in oracle walks",
-            )
-            p.add_argument(
-                "--perturb",
-                type=_parse_perturb,
-                default=None,
-                metavar="TERM[:DELTA]",
-                help="fault-inject an objective/constraint term into the "
-                "incremental path (self-test: the run must then fail)",
             )
             p.add_argument(
                 "--check",

@@ -7,8 +7,8 @@ which is what the EA layer calls every generation — and scores one
 genome as row 0 of a batch of one (``violations(assignment)``).  The
 four placement rules are one class, :class:`GroupConstraint`, keyed by
 :class:`~repro.types.PlacementRule`; :func:`group_violations` is the
-per-group count it, the tabu repair walk, the incremental evaluator and
-the reference kernel share.
+per-group count it, the tabu repair walk and the reference kernel
+share.
 
 :class:`ConstraintSet` bundles the constraints implied by an
 (infrastructure, request) pair and exposes feasibility tests, total

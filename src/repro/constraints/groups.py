@@ -12,9 +12,8 @@ search.  Unplaced members are the assignment constraint's concern and
 count nothing here.
 
 :func:`group_violations` is that count for one group of one genome —
-the body the tabu repair walk, :class:`~repro.engine.IncrementalEvaluator`
-and the reference kernel share.  The numpy kernel counts every group
-of a population in one vectorized pass
+the body the tabu repair walk and the reference kernel share.  The
+numpy kernel counts every group of a population in one vectorized pass
 (:meth:`~repro.engine.kernels.NumpyKernel.batch_group_violations`),
 held equal to it by ``python -m repro verify --check kernels``.
 """

@@ -1,18 +1,14 @@
-"""repro.engine — compiled problem instances and incremental evaluation.
+"""repro.engine — compiled problem instances, their cache and the pool.
 
 The evaluation core under the allocation stack, in four parts:
 
 * :class:`~repro.engine.compiled.CompiledProblem` — an immutable,
   once-per-(infrastructure, request) compilation of the instance facts
-  every layer needs (demand/capacity matrices, group index arrays,
-  server→datacenter map, cost coefficient vectors, fingerprint);
+  every layer needs (effective capacity, group indexes and constraint
+  objects, the Eq. 22 cost rate, fingerprint);
 * :class:`~repro.engine.cache.ProblemCache` — LRU reuse of
   compilations across windows and reoptimize passes, keyed by the
   instance fingerprint;
-* :class:`~repro.engine.incremental.IncrementalEvaluator` — delta
-  scoring of single-VM relocations in O(attributes + groups-of-vm)
-  instead of full-genome re-evaluation, whose per-term totals
-  :func:`repro.verify.check_parity` holds to the reference evaluator;
 * :class:`~repro.engine.parallel.ParallelEngine` — a persistent
   worker pool that fans tabu repair out across processes with
   byte-identical results (see ``docs/PARALLEL.md``);
@@ -22,8 +18,7 @@ The evaluation core under the allocation stack, in four parts:
   original numpy code paths) by ``verify --check kernels``
   (see ``docs/PERFORMANCE.md``).
 
-See ``docs/ENGINE.md`` for the compile/evaluate split and the
-delta-scoring contract.
+See ``docs/ENGINE.md`` for the compile/evaluate split.
 
 Exports resolve lazily (PEP 562): constraint and objective modules
 import :mod:`repro.engine.kernels` at module load, so an eager
@@ -36,8 +31,6 @@ from typing import Any
 __all__ = [
     "CompiledProblem",
     "ProblemCache",
-    "IncrementalEvaluator",
-    "MoveScore",
     "ParallelEngine",
 ]
 
@@ -45,8 +38,6 @@ __all__ = [
 _EXPORTS = {
     "CompiledProblem": "repro.engine.compiled",
     "ProblemCache": "repro.engine.cache",
-    "IncrementalEvaluator": "repro.engine.incremental",
-    "MoveScore": "repro.engine.incremental",
     "ParallelEngine": "repro.engine.parallel",
 }
 

@@ -3,8 +3,8 @@
 The hybrid spends its whole budget re-evaluating placements, yet every
 layer of the stack used to recompile the same instance facts from
 scratch — the effective-capacity matrix, one constraint object per
-placement group, the per-VM group membership index, the cost
-coefficient vectors.  :class:`CompiledProblem` hoists all of that into
+placement group, the per-VM group membership index, the Eq. 22 cost
+rate.  :class:`CompiledProblem` hoists all of that into
 one immutable object built exactly once per instance and shared by the
 tabu repair, the NSGA allocators, the CP search and the scheduler
 (via :class:`~repro.engine.cache.ProblemCache`).
@@ -43,8 +43,6 @@ class CompiledProblem:
 
     Attributes
     ----------
-    demand:
-        The request's C matrix (n, h), C-contiguous.
     effective_capacity:
         ``P * F`` (m, h) — computed once instead of per consumer.
     per_resource_rate:
@@ -56,10 +54,6 @@ class CompiledProblem:
     member_groups:
         Per-VM tuple of group ids the VM belongs to (the CP search's
         ``groups_by_member`` index, compiled once).
-    vm_group_slots:
-        Per-VM tuple of ``(group_id, position)`` pairs locating the VM
-        inside each of its groups' member arrays — the O(groups-of-vm)
-        hook the incremental evaluator updates through.
     group_constraints:
         Prebuilt :class:`GroupConstraint` objects, shared by every
         :class:`ConstraintSet` bound from this compilation.
@@ -77,20 +71,11 @@ class CompiledProblem:
         "h",
         "g",
         "p",
-        "demand",
         "effective_capacity",
-        "server_datacenter",
-        "server_provider",
-        "operating_cost",
-        "usage_cost",
         "per_resource_rate",
-        "migration_charge",
-        "qos_guarantee",
-        "downtime_charge",
         "group_members",
         "group_rules",
         "member_groups",
-        "vm_group_slots",
         "group_constraints",
         "fingerprint",
         "compile_seconds",
@@ -106,18 +91,10 @@ class CompiledProblem:
         self.g = infrastructure.g
 
         self.p = infrastructure.p
-        self.demand: FloatArray = request.demand
         self.effective_capacity: FloatArray = infrastructure.effective_capacity
-        self.server_datacenter: IntArray = infrastructure.server_datacenter
-        self.server_provider: IntArray = infrastructure.provider_of_server
-        self.operating_cost: FloatArray = infrastructure.operating_cost
-        self.usage_cost: FloatArray = infrastructure.usage_cost
         self.per_resource_rate: FloatArray = (
             infrastructure.operating_cost + infrastructure.usage_cost
         )
-        self.migration_charge: FloatArray = request.migration_cost
-        self.qos_guarantee: FloatArray = request.qos_guarantee
-        self.downtime_charge: FloatArray = request.downtime_cost
 
         self.group_members: tuple[IntArray, ...] = tuple(
             np.asarray(gr.members, dtype=np.int64) for gr in request.groups
@@ -126,19 +103,14 @@ class CompiledProblem:
             gr.rule for gr in request.groups
         )
         member_groups: list[list[int]] = [[] for _ in range(request.n)]
-        vm_slots: list[list[tuple[int, int]]] = [[] for _ in range(request.n)]
         for gi, gr in enumerate(request.groups):
-            for pos, member in enumerate(gr.members):
+            for member in gr.members:
                 member_groups[member].append(gi)
-                vm_slots[member].append((gi, pos))
         self.member_groups: tuple[tuple[int, ...], ...] = tuple(
             tuple(ids) for ids in member_groups
         )
-        self.vm_group_slots: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(slots) for slots in vm_slots
-        )
         self.group_constraints: tuple[GroupConstraint, ...] = tuple(
-            GroupConstraint(gr.rule, gr.members, self.server_datacenter)
+            GroupConstraint(gr.rule, gr.members, infrastructure.server_datacenter)
             for gr in request.groups
         )
         self.fingerprint = self.fingerprint_of(infrastructure, request)

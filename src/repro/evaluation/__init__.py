@@ -6,7 +6,8 @@
 * :mod:`runner` — run a set of algorithms over a size sweep of random
   scenarios, averaging over repetitions (the paper uses 100 runs);
 * :mod:`comparison` — the computed capability matrix behind Table II;
-* :mod:`reporting` — plain-text rendering of figure series and tables.
+* :mod:`reporting` — plain-text rendering of figure series (tables
+  print through :func:`repro.utils.tables.format_table`).
 """
 
 from repro.evaluation.metrics import (
@@ -23,8 +24,9 @@ from repro.evaluation.convergence import (
     evaluations_to_within,
     sparkline,
 )
-from repro.evaluation.reporting import format_series_table, format_table
+from repro.evaluation.reporting import format_series_table
 from repro.evaluation.stats import Comparison, bootstrap_ci, compare_algorithms, paired_differences
+from repro.utils.tables import format_table
 
 __all__ = [
     "RunRecord",

@@ -1,60 +1,18 @@
-"""Plain-text rendering of tables and figure series.
+"""Plain-text rendering of figure series.
 
 The benches regenerate the paper's figures as text tables (size sweep
 down the rows, algorithms across the columns) so the trends — who wins,
 by roughly what factor, where the crossovers fall — are readable in a
-terminal and diffable in EXPERIMENTS.md.
+terminal and diffable in EXPERIMENTS.md.  The table printer itself is
+:func:`repro.utils.tables.format_table`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.errors import ValidationError
 from repro.evaluation.runner import SweepResult
+from repro.utils.tables import format_table
 
-__all__ = ["format_table", "format_series_table"]
-
-
-def format_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    title: str | None = None,
-) -> str:
-    """Fixed-width text table with a header rule."""
-    headers = [str(h) for h in headers]
-    str_rows = [[_fmt(cell) for cell in row] for row in rows]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValidationError(
-                f"row width {len(row)} != header width {len(headers)}"
-            )
-    widths = [
-        max(len(headers[c]), *(len(r[c]) for r in str_rows)) if str_rows else len(headers[c])
-        for c in range(len(headers))
-    ]
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in str_rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def _fmt(cell: object) -> str:
-    if isinstance(cell, bool):
-        return "yes" if cell else "no"
-    if isinstance(cell, float):
-        if cell == 0:
-            return "0"
-        if abs(cell) >= 1000:
-            return f"{cell:,.0f}"
-        if abs(cell) >= 1:
-            return f"{cell:.2f}"
-        return f"{cell:.4f}"
-    return str(cell)
+__all__ = ["format_series_table"]
 
 
 def format_series_table(

@@ -174,7 +174,6 @@ class PortfolioRun(AnytimeRun):
                 self._judge,
                 max_iterations=allocator.tabu_max_iterations,
                 seed=allocator.member_seed(index),
-                compiled=self.compiled,
             )
             # Deterministic fully-placed start: round-robin over hosts.
             initial = (

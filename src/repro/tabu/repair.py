@@ -32,7 +32,6 @@ import numpy as np
 from repro.constraints.groups import group_violations
 from repro.constraints.registry import ConstraintSet
 from repro.engine.compiled import CompiledProblem
-from repro.engine.incremental import over_count
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
@@ -43,6 +42,16 @@ from repro.types import FloatArray, IntArray
 from repro.utils.rng import as_generator, install_stream, root_sequence
 
 __all__ = ["TabuRepair"]
+
+
+def over_count(row: list[float], thresholds: list[float]) -> int:
+    """Cells of one server row above their thresholds.
+
+    The scalar twin of ``np.count_nonzero(usage > threshold, axis=1)``
+    for one row: the same float comparisons, minus numpy's per-call
+    dispatch, which dominates on length-h rows.
+    """
+    return sum(value > limit for value, limit in zip(row, thresholds))
 
 
 class _WalkTables:

@@ -7,12 +7,13 @@ its own?".  The move neighbourhood is single-VM relocation (the same
 moves the repair performs); the aspiration criterion admits tabu moves
 that improve the best score found so far.
 
-Candidate moves are scored through the
-:class:`~repro.engine.IncrementalEvaluator` delta path — O(attributes +
-groups-of-vm) per move instead of tiling and re-evaluating whole
-genomes — and the tabu memory forbids the *candidate* move (vm, srv):
-re-entering a freshly vacated server is blocked for ``tenure``
-insertions unless the move beats the global best (aspiration).
+Each iteration's candidate relocations are scored as one ``(k, n)``
+tile — the current genome with one gene changed per row — through
+:meth:`~repro.objectives.evaluator.PopulationEvaluator.evaluate_population`,
+the body every other layer scores with.  The tabu memory forbids the
+*candidate* move (vm, srv): re-entering a freshly vacated server is
+blocked for ``tenure`` insertions unless the move beats the global best
+(aspiration).
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.compiled import CompiledProblem
-from repro.engine.incremental import IncrementalEvaluator
 from repro.errors import ValidationError
 from repro.objectives.evaluator import PopulationEvaluator
 from repro.tabu.neighborhood import TabuList
@@ -53,9 +52,9 @@ class TabuSearch:
     ----------
     evaluator:
         Problem instance wrapper providing objectives and violations;
-        the delta scorer tracks its totals, so every evaluation setting
-        (base usage, previous assignment, downtime mode, strict-QoS
-        cap, ...) carries over.
+        every candidate is scored through it, so every evaluation
+        setting (base usage, previous assignment, downtime mode,
+        strict-QoS cap, ...) carries over.
     max_iterations:
         Outer iterations (one accepted move each).
     neighborhood_size:
@@ -64,10 +63,6 @@ class TabuSearch:
         Tabu memory length.
     seed:
         RNG seed.
-    compiled:
-        Optional pre-compiled instance (compiled on demand otherwise);
-        pass it when the caller already holds one so the compilation is
-        shared.
     """
 
     def __init__(
@@ -77,16 +72,12 @@ class TabuSearch:
         neighborhood_size: int = 32,
         tenure: int = 32,
         seed=None,
-        compiled: CompiledProblem | None = None,
     ) -> None:
         if max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
         if neighborhood_size < 1:
             raise ValidationError("neighborhood_size must be >= 1")
         self.evaluator = evaluator
-        self.compiled = compiled or CompiledProblem.compile(
-            evaluator.infrastructure, evaluator.request
-        )
         self.max_iterations = int(max_iterations)
         self.neighborhood_size = int(neighborhood_size)
         self.tenure = int(tenure)
@@ -124,7 +115,7 @@ class TabuRun:
     """One in-progress tabu search, advanced iteration by iteration.
 
     Obtained from :meth:`TabuSearch.start`.  Holds the walk state —
-    delta scorer, tabu memory, current/best scores, the search's RNG —
+    current genome, tabu memory, current/best scores, the search's RNG —
     so :meth:`step` can run bounded slices of the classic loop and
     :meth:`best_assignment` is valid between any two slices.  Driving
     ``while run.step(): pass`` then :meth:`result` is byte-identical to
@@ -142,8 +133,8 @@ class TabuRun:
         self.stopwatch = Stopwatch().start()
         self.tabu = TabuList(tenure=search.tenure)
         self._bus = get_bus()
-        self.state = IncrementalEvaluator(search.compiled, search.evaluator, current)
-        self.current_score = (self.state.violations, self.state.aggregate())
+        self.current = current
+        self.current_score = self._assess(current)
         self.evaluations = 1
         self.best = current.copy()
         self.best_score = self.current_score
@@ -151,10 +142,15 @@ class TabuRun:
         self._result: TabuSearchResult | None = None
 
     # ------------------------------------------------------------------
+    def _assess(self, assignment: IntArray) -> tuple[int, float]:
+        """(violations, aggregate) of one genome through the evaluator."""
+        objectives, violations = self.search.evaluator.assess(assignment)
+        return int(violations), objectives.aggregate()
+
     def _advance(self) -> None:
         """Exactly one iteration — the body of the classic loop."""
         search = self.search
-        state = self.state
+        current = self.current
         n = search.evaluator.request.n
         m = search.evaluator.infrastructure.m
         self.iteration += 1
@@ -163,45 +159,52 @@ class TabuRun:
         vms = search._rng.integers(0, n, size=search.neighborhood_size)
         servers = search._rng.integers(0, m, size=search.neighborhood_size)
         # Candidate relocations, skipping no-op moves.
-        moves = [
-            (int(vm), int(srv))
-            for vm, srv in zip(vms, servers)
-            if srv != state.assignment[vm]
-        ]
+        keep = servers != current[vms]
+        vms, servers = vms[keep], servers[keep]
+        moves = int(vms.size)
         best_move = None
         best_move_score = None
-        for vm, srv in moves:
-            candidate = state.score_move(vm, srv)
-            self.evaluations += 1
-            score = (candidate.violations, candidate.aggregate())
-            # Short-term memory forbids the candidate move itself;
-            # aspiration admits it anyway when it would beat the
-            # global best.
-            if (vm, srv) in self.tabu and score >= self.best_score:
-                continue
-            if best_move_score is None or score < best_move_score:
-                best_move = (vm, srv)
-                best_move_score = score
+        if moves:
+            # One row per candidate: the current genome, one gene moved.
+            tile = np.repeat(current[None, :], moves, axis=0)
+            tile[np.arange(moves), vms] = servers
+            scored = search.evaluator.evaluate_population(tile)
+            self.evaluations += moves
+            candidates = zip(
+                vms.tolist(),
+                servers.tolist(),
+                scored.violations.tolist(),
+                scored.aggregate().tolist(),
+            )
+            for vm, srv, violations, aggregate in candidates:
+                score = (violations, aggregate)
+                # Short-term memory forbids the candidate move itself;
+                # aspiration admits it anyway when it would beat the
+                # global best.
+                if (vm, srv) in self.tabu and score >= self.best_score:
+                    continue
+                if best_move_score is None or score < best_move_score:
+                    best_move = (vm, srv)
+                    best_move_score = score
         if best_move is None:
             if self._bus.enabled:
                 self._bus.emit(
                     search._iteration_event(
-                        iterations, len(moves), False, self.best_score
+                        iterations, moves, False, self.best_score
                     )
                 )
             return
         vm, srv = best_move
-        old = int(state.assignment[vm])
-        state.apply_move(vm, srv)
-        self.tabu.add(vm, old)
+        self.tabu.add(vm, int(current[vm]))
+        current[vm] = srv
         self.current_score = best_move_score
         if self.current_score < self.best_score:
             self.best_score = self.current_score
-            self.best = state.assignment.copy()
+            self.best = current.copy()
         if self._bus.enabled:
             self._bus.emit(
                 search._iteration_event(
-                    iterations, len(moves), True, self.best_score
+                    iterations, moves, True, self.best_score
                 )
             )
 
@@ -230,11 +233,11 @@ class TabuRun:
         score = (int(score[0]), float(score[1]))
         if score >= self.current_score:
             return False
-        self.state.reset(np.asarray(assignment, dtype=np.int64))
-        self.current_score = (self.state.violations, self.state.aggregate())
+        self.current = np.array(assignment, dtype=np.int64)
+        self.current_score = self._assess(self.current)
         if self.current_score < self.best_score:
             self.best_score = self.current_score
-            self.best = self.state.assignment.copy()
+            self.best = self.current.copy()
         return True
 
     def result(self) -> TabuSearchResult:
@@ -243,7 +246,6 @@ class TabuRun:
             return self._result
         search = self.search
         self.stopwatch.stop()
-        self.state.flush_telemetry()
         registry = get_registry()
         registry.count("tabu.search.iterations", self.iteration)
         registry.count("tabu.search.evaluations", self.evaluations)
@@ -268,7 +270,7 @@ class TabuRun:
     def state_dict(self) -> dict:
         """JSON-able snapshot of the walk (for composite checkpoints)."""
         return {
-            "assignment": self.state.assignment.tolist(),
+            "assignment": self.current.tolist(),
             "best": self.best.tolist(),
             "current_score": [self.current_score[0], self.current_score[1]],
             "best_score": [self.best_score[0], self.best_score[1]],
@@ -280,8 +282,9 @@ class TabuRun:
         }
 
     def load_state_dict(self, payload: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot byte-identically."""
-        self.state.reset(np.asarray(payload["assignment"], dtype=np.int64))
+        """Restore a :meth:`state_dict` snapshot byte-identically: the
+        recorded scores are taken as saved, not rescored."""
+        self.current = np.array(payload["assignment"], dtype=np.int64)
         self.best = np.asarray(payload["best"], dtype=np.int64)
         self.current_score = (
             int(payload["current_score"][0]),

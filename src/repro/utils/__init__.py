@@ -1,4 +1,5 @@
-"""Small shared utilities: RNG handling, validation, timers, Pareto math."""
+"""Small shared utilities: RNG handling, validation, timers, Pareto math,
+scatter-adds and text tables."""
 
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.timers import Stopwatch, format_duration

@@ -17,8 +17,6 @@ __all__ = [
     "dominance_matrix",
     "non_dominated_mask",
     "pareto_front_indices",
-    "ideal_point",
-    "nadir_point",
 ]
 
 
@@ -64,22 +62,3 @@ def pareto_front_indices(objectives: FloatArray) -> IntArray:
     """Indices of the (first) Pareto front, in ascending index order."""
     return np.flatnonzero(non_dominated_mask(objectives)).astype(np.int64)
 
-
-def ideal_point(objectives: FloatArray) -> FloatArray:
-    """Component-wise minimum — the ideal point used by the tabu selection.
-
-    The paper picks, among repaired candidates, "the solution that is
-    found closer to the ideal point where cost and rejection rate are
-    the next to naught" (Section III).
-    """
-    obj = np.asarray(objectives, dtype=np.float64)
-    if obj.ndim != 2 or obj.shape[0] == 0:
-        raise ValueError("objectives must be a non-empty 2-D array")
-    return obj.min(axis=0)
-
-
-def nadir_point(objectives: FloatArray) -> FloatArray:
-    """Component-wise maximum over the first Pareto front."""
-    obj = np.asarray(objectives, dtype=np.float64)
-    front = pareto_front_indices(obj)
-    return obj[front].max(axis=0)

@@ -1,18 +1,18 @@
-"""Bincount-based scatter-add helpers.
+"""Bincount-based scatter-add helper.
 
 ``np.add.at`` is the textbook way to accumulate duplicate-index
 updates, but it dispatches through the generalized ufunc machinery and
 is an order of magnitude slower than ``np.bincount`` for the dense
 integer-index scatters this codebase performs (demand rows onto
-servers, penalties onto hosts, usage onto datacenters).
+servers, usage onto datacenters).
 
 Both primitives accumulate duplicate indices **in input order**, so for
 float64 weights the sums are bit-identical — the property every
 replacement in this repo relies on and the parity tests in
 ``tests/unit/test_scatter_helpers.py`` pin down.
 
-These helpers live in ``repro.utils`` (below the model layer) so model,
-analysis and scheduler code can use them without importing the engine's
+This helper lives in ``repro.utils`` (below the model layer) so model,
+analysis and scheduler code can use it without importing the engine's
 kernel registry.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.types import FloatArray, IntArray
 
-__all__ = ["scatter_rows", "scatter_values"]
+__all__ = ["scatter_rows"]
 
 
 def scatter_rows(index: IntArray, rows: FloatArray, length: int) -> FloatArray:
@@ -46,14 +46,3 @@ def scatter_rows(index: IntArray, rows: FloatArray, length: int) -> FloatArray:
         )[:length]
     return out
 
-
-def scatter_values(index: IntArray, values: FloatArray, length: int) -> FloatArray:
-    """Sum 1-D ``values`` into a fresh ``(length,)`` accumulator.
-
-    The bincount equivalent of::
-
-        out = np.zeros(length); np.add.at(out, index, values)
-    """
-    index = np.asarray(index, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    return np.bincount(index, weights=values, minlength=length)[:length]

@@ -9,11 +9,9 @@ way.  This package is that guarantee, in three layers:
   hosting, affinity closure, objective finiteness, Pareto-front mutual
   non-domination);
 * :mod:`repro.verify.oracle` — a differential oracle replaying any
-  placement through the reference evaluator, the incremental move
-  path, the sparse ILP encoding + LP relaxation bound and (on small
-  instances) the complete CP search, with per-term mismatch diagnoses;
-  its :func:`check_parity` is the one incremental-vs-reference
-  comparison;
+  placement's population-path score through the sparse ILP encoding +
+  LP relaxation bound and (on small instances) the complete CP search,
+  with named mismatch diagnoses;
 * :mod:`repro.verify.metamorphic` + :mod:`repro.verify.fuzzer` —
   transformation laws with provable consequences, driven over seeded
   random scenarios (``python -m repro verify --fuzz N``);
@@ -82,7 +80,7 @@ from repro.verify.metamorphic import (
     ServerPermutationLaw,
     run_laws,
 )
-from repro.verify.oracle import DifferentialOracle, check_parity
+from repro.verify.oracle import DifferentialOracle
 from repro.verify.parallel import check_parallel_determinism
 from repro.verify.resume import check_resume_determinism
 from repro.verify.service import check_service_conformance
@@ -107,7 +105,6 @@ __all__ = [
     "run_invariants",
     # oracle
     "DifferentialOracle",
-    "check_parity",
     # metamorphic
     "ALL_LAWS",
     "MetamorphicLaw",

@@ -7,7 +7,7 @@ real thing twice and compare what came out.  They all report through
 :class:`Report`, so a mismatch reads the same whichever contract broke,
 and they all count into three telemetry series labelled by check name:
 ``verify.checks``, ``verify.comparisons`` and ``verify.mismatches``.
-The differential oracle (``oracle``, ``parity``), the metamorphic laws
+The differential oracle (``oracle``), the metamorphic laws
 (``metamorphic``, ``dynamic``) and the fuzz campaign (``fuzz``) report
 and count the same way; only the invariant catalog keeps its own
 report type.

@@ -4,12 +4,12 @@ One fuzz iteration generates a random scenario (sizes cycle through
 ``FuzzConfig.sizes``; tightness, heterogeneity and affinity density are
 drawn per scenario), then drives the three conformance layers:
 
-1. **differential oracle** — a random walk of moves over the merged
-   instance, replayed through the incremental evaluator and
-   cross-checked against the reference evaluator, whose settings
-   (committed usage, previous assignment, downtime mode, per-server
-   operating cost, strict load cap, energy weight) are drawn per
-   scenario (plus LP/CP backends when the instance qualifies);
+1. **differential oracle** — a random target assignment over the
+   merged instance, scored by the reference evaluator under settings
+   drawn per scenario (committed usage, previous assignment, downtime
+   mode, per-server operating cost, strict load cap, energy weight)
+   and cross-checked against the LP/CP backends when the instance and
+   settings qualify;
 2. **allocator invariants** — a real allocator (round robin by
    default: deterministic and fast) places the window and its
    :class:`~repro.allocator.BatchOutcome` must satisfy every invariant
@@ -44,9 +44,6 @@ from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
 
 __all__ = ["FuzzConfig", "run_fuzz"]
 
-#: Oracle parity checkpoint cadence along each replay walk.
-_CHECKPOINT_EVERY = 40
-
 
 def _default_allocator() -> Allocator:
     from repro.baselines.round_robin import RoundRobinAllocator
@@ -66,14 +63,9 @@ class FuzzConfig:
         Master seed; every iteration derives its own stream from it.
     sizes:
         (servers, vms) pairs cycled across iterations.
-    walk_detours:
-        Random intermediate moves per VM in the oracle's replay walk.
     allocator_factory:
         Builds the allocator whose outcomes feed the invariant and
         metamorphic layers.
-    perturb:
-        Fault-injection ``(term, delta)`` forwarded to the oracle
-        (self-test: the campaign must then fail).
     dynamic_scenarios:
         Registered dynamic scenario names (``--scenario NAME``, see
         :mod:`repro.workloads.scenarios`).  When non-empty, each fuzz
@@ -85,11 +77,9 @@ class FuzzConfig:
     scenarios: int = 20
     seed: int = 0
     sizes: tuple[tuple[int, int], ...] = ((4, 8), (8, 16), (16, 32))
-    walk_detours: int = 2
     allocator_factory: Callable[[], Allocator] = field(
         default=_default_allocator
     )
-    perturb: tuple[str, float] | None = None
     dynamic_scenarios: tuple[str, ...] = ()
 
 
@@ -132,7 +122,7 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
         compiled = CompiledProblem.compile(scenario.infrastructure, merged)
 
         # 1. Differential oracle over a random target assignment (some
-        # genes deliberately unplaced) reached through a move walk.
+        # genes deliberately unplaced).
         target = rng.integers(0, scenario.infrastructure.m, size=merged.n)
         target[rng.random(merged.n) < 0.1] = UNPLACED
         with_previous = bool(rng.random() < 0.5)
@@ -158,17 +148,8 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
             qos_strict=bool(rng.random() < 0.3),
             energy_weight=0.5 if rng.random() < 0.3 else 0.0,
         )
-        oracle = DifferentialOracle(
-            evaluator, compiled=compiled, perturb=config.perturb
-        )
         report.merge(
-            oracle.replay(
-                target,
-                seed=rng,
-                detours=config.walk_detours,
-                checkpoint_every=_CHECKPOINT_EVERY,
-            ),
-            f"{where} oracle",
+            DifferentialOracle(evaluator).replay(target), f"{where} oracle"
         )
 
         # 2. A real allocator's outcome must satisfy every invariant.
@@ -199,18 +180,10 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
             outcome_oracle = DifferentialOracle(
                 compiled.evaluator(
                     base_usage=base_usage, include_assignment_constraint=True
-                ),
-                compiled=compiled,
-                perturb=config.perturb,
+                )
             )
             report.merge(
-                outcome_oracle.replay(
-                    outcome.assignment,
-                    seed=rng,
-                    detours=config.walk_detours,
-                    checkpoint_every=_CHECKPOINT_EVERY,
-                ),
-                f"{where} oracle",
+                outcome_oracle.replay(outcome.assignment), f"{where} oracle"
             )
 
         # 3. Metamorphic laws over that same placement.

@@ -1,17 +1,17 @@
-"""Property tests: batch evaluation must equal the incremental state's
-independent per-genome pricing, and model invariants must hold on
-arbitrary instances."""
+"""Property tests: batch evaluation must equal an independent plain
+per-genome pricing (:mod:`tests.naive_pricing`) in every scoring mode,
+and model invariants must hold on arbitrary instances."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import ConstraintSet
-from repro.engine import CompiledProblem, IncrementalEvaluator
 from repro.model import AttributeSchema, Infrastructure, PlacementGroup, Request
 from repro.model.placement import UNPLACED, Placement
 from repro.objectives import PopulationEvaluator, qos_from_load
 from repro.types import PlacementRule
+from tests.naive_pricing import price, total_violations
 
 
 @st.composite
@@ -59,24 +59,52 @@ def instances(draw):
     return infra, request
 
 
-@given(instances(), st.integers(0, 2**31 - 1), st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_batch_evaluation_equals_single(instance, seed, with_unplaced):
+@st.composite
+def settings_drawn(draw):
+    """Every evaluation setting the fuzz campaign draws for its oracle:
+    committed usage, a previous assignment, literal downtime, per-server
+    operating cost, the strict load cap and energy weight 0.5."""
+    return {
+        "with_base_usage": draw(st.booleans()),
+        "with_previous": draw(st.booleans()),
+        "downtime_mode": draw(st.sampled_from(["shortfall", "literal"])),
+        "per_server_operating": draw(st.booleans()),
+        "qos_strict": draw(st.booleans()),
+        "energy_weight": draw(st.sampled_from([0.0, 0.5])),
+    }
+
+
+@given(instances(), settings_drawn(), st.integers(0, 2**31 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_batch_evaluation_equals_single(instance, drawn, seed, with_unplaced):
     infra, request = instance
     rng = np.random.default_rng(seed)
     population = rng.integers(0, infra.m, size=(8, request.n))
     if with_unplaced:
         mask = rng.random(population.shape) < 0.15
         population[mask] = UNPLACED
-    evaluator = PopulationEvaluator(
-        infra, request, include_assignment_constraint=True
-    )
+    capacity = infra.effective_capacity
+    options = {
+        "base_usage": (
+            rng.uniform(0.0, 0.4, size=capacity.shape) * capacity
+            if drawn["with_base_usage"]
+            else None
+        ),
+        "previous_assignment": (
+            rng.integers(-1, infra.m, size=request.n) if drawn["with_previous"] else None
+        ),
+        "downtime_mode": drawn["downtime_mode"],
+        "per_server_operating": drawn["per_server_operating"],
+        "include_assignment_constraint": True,
+        "qos_strict": drawn["qos_strict"],
+        "energy_weight": drawn["energy_weight"],
+    }
+    evaluator = PopulationEvaluator(infra, request, **options)
     result = evaluator.evaluate_population(population)
-    compiled = CompiledProblem(infra, request)
     for i in range(population.shape[0]):
-        state = IncrementalEvaluator(compiled, evaluator, population[i])
-        assert np.allclose(state.objectives, result.objectives[i], rtol=1e-9, atol=1e-9)
-        assert state.violations == result.violations[i]
+        violations, objectives = price(infra, request, population[i], **options)
+        assert np.allclose(objectives, result.objectives[i], rtol=1e-9, atol=1e-9)
+        assert total_violations(violations) == result.violations[i]
 
 
 @given(instances(), st.integers(0, 2**31 - 1))
@@ -87,10 +115,8 @@ def test_constraint_batch_equals_single(instance, seed):
     population = rng.integers(0, infra.m, size=(10, request.n))
     constraint_set = ConstraintSet(infra, request)
     batch = constraint_set.batch_violations(population)
-    evaluator = PopulationEvaluator(infra, request, constraints=constraint_set)
-    compiled = CompiledProblem(infra, request)
     single = [
-        IncrementalEvaluator(compiled, evaluator, row).violations for row in population
+        total_violations(price(infra, request, row)[0]) for row in population
     ]
     assert batch.tolist() == single
 

@@ -10,14 +10,13 @@ from repro.constraints import (
     GroupConstraint,
     group_violations,
 )
-from repro.engine import CompiledProblem, IncrementalEvaluator
 from repro.engine.kernels import use_kernel
 from repro.errors import ConstraintError, DimensionError
 from repro.model import PlacementGroup, Request
 from repro.model.placement import UNPLACED
-from repro.objectives import PopulationEvaluator
 from repro.types import PlacementRule
 from repro.workloads.generator import ScenarioGenerator, ScenarioSpec
+from tests.naive_pricing import price, total_violations
 
 
 def _scattered_usage(assignment, demand, m):
@@ -266,7 +265,7 @@ class TestFactoryAndSet:
 
     @pytest.mark.parametrize("kernel", ["reference", "numpy"])
     def test_batch_total_matches_single(self, small_infra, small_request, kernel):
-        """Batch totals equal the incremental state's totals, and the
+        """Batch totals equal the plain per-genome pricing's totals, and the
         (rows, G) group matrix is one contract with the walk's per-move count:
         every cell equals ``group_violations`` of that row's members, on
         generated instances with all four rules and unplaced genes."""
@@ -283,11 +282,11 @@ class TestFactoryAndSet:
                     population, usage=constraint_set.capacity.batch_usage(population)
                 )
                 matrix = constraint_set.batch_group_violations(population)
-            # Each row's total from the incremental state's own scalar code.
-            evaluator = PopulationEvaluator(infra, request, constraints=constraint_set)
-            compiled = CompiledProblem(infra, request)
+            # Each row's total from the plain per-genome pricing.
             single = [
-                IncrementalEvaluator(compiled, evaluator, row).violations
+                total_violations(
+                    price(infra, request, row, include_assignment_constraint=True)[0]
+                )
                 for row in population
             ]
             assert batch.tolist() == single

@@ -1,14 +1,13 @@
-"""Unit tests for the repro.engine package: compiled instances, the
+"""Unit tests for the repro.engine package: compiled instances and the
 LRU problem cache (including eviction and fingerprint-collision
-handling) and the incremental evaluator's contract."""
+handling)."""
 
 import numpy as np
 import pytest
 
-from repro.engine import CompiledProblem, IncrementalEvaluator, ProblemCache
+from repro.engine import CompiledProblem, ProblemCache
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
-from repro.verify import check_parity
 
 
 def _scaled_request(request: Request, factor: float) -> Request:
@@ -43,8 +42,6 @@ class TestCompiledProblem:
         assert compiled.member_groups[0] == (0,)
         assert compiled.member_groups[2] == (1,)
         assert compiled.member_groups[4] == ()
-        assert compiled.vm_group_slots[1] == ((0, 1),)
-        assert compiled.vm_group_slots[3] == ((1, 1),)
 
     def test_fingerprint_stable_and_content_sensitive(
         self, small_infra, small_request
@@ -165,87 +162,3 @@ class TestProblemCache:
         assert len(cache) == 0
         assert cache.misses == 1
 
-
-class TestIncrementalEvaluator:
-    def test_initial_state_matches_full_evaluation(
-        self, small_infra, small_request
-    ):
-        compiled = CompiledProblem.compile(small_infra, small_request)
-        rng = np.random.default_rng(1)
-        genome = rng.integers(0, small_infra.m, size=small_request.n)
-        evaluator = compiled.evaluator()
-        state = IncrementalEvaluator(compiled, evaluator, genome)
-        objectives, violations = evaluator.assess(genome)
-        assert state.violations == violations
-        assert np.allclose(state.objectives, objectives.as_array())
-
-    def test_score_move_does_not_mutate(self, small_infra, small_request):
-        compiled = CompiledProblem.compile(small_infra, small_request)
-        genome = np.array([0, 0, 2, 3, 4, 5])
-        state = IncrementalEvaluator(compiled, compiled.evaluator(), genome)
-        before = state.assignment.copy()
-        before_obj = state.objectives.copy()
-        state.score_move(4, 7)
-        assert np.array_equal(state.assignment, before)
-        assert np.array_equal(state.objectives, before_obj)
-
-    def test_apply_move_tracks_full_evaluation(
-        self, small_infra, small_request
-    ):
-        compiled = CompiledProblem.compile(small_infra, small_request)
-        evaluator = compiled.evaluator()
-        rng = np.random.default_rng(2)
-        genome = rng.integers(0, small_infra.m, size=small_request.n)
-        state = IncrementalEvaluator(compiled, evaluator, genome)
-        for _ in range(30):
-            vm = int(rng.integers(0, small_request.n))
-            srv = int(rng.integers(0, small_infra.m))
-            score = state.score_move(vm, srv)
-            applied = state.apply_move(vm, srv)
-            assert applied.violations == score.violations
-            assert np.allclose(applied.objectives, score.objectives)
-            objectives, violations = evaluator.assess(state.assignment)
-            assert state.violations == violations
-            assert np.allclose(
-                state.objectives, objectives.as_array(), rtol=1e-9, atol=1e-9
-            )
-
-    def test_verify_passes_and_detects_drift(self, small_infra, small_request):
-        compiled = CompiledProblem.compile(small_infra, small_request)
-        genome = np.array([0, 0, 2, 3, 4, 5])
-        state = IncrementalEvaluator(compiled, compiled.evaluator(), genome)
-        assert check_parity(state).ok  # healthy state
-        state._cap_total += 3  # corrupt the tracked violation total
-        report = check_parity(state)
-        assert [m.field for m in report.mismatches] == ["capacity"]
-
-    def test_unplaced_moves_and_assignment_constraint(
-        self, small_infra, small_request
-    ):
-        from repro.model.placement import UNPLACED
-
-        compiled = CompiledProblem.compile(small_infra, small_request)
-        genome = np.array([0, 0, 2, 3, 4, 5])
-        evaluator = compiled.evaluator(include_assignment_constraint=True)
-        state = IncrementalEvaluator(compiled, evaluator, genome)
-        base = state.violations
-        state.apply_move(5, UNPLACED)
-        assert state.violations == base + 1
-        assert check_parity(state).ok
-        state.apply_move(5, 5)
-        assert state.violations == base
-        assert check_parity(state).ok
-
-    def test_migration_objective_delta(self, small_infra, small_request):
-        compiled = CompiledProblem.compile(small_infra, small_request)
-        previous = np.array([0, 0, 2, 3, 4, 5])
-        evaluator = compiled.evaluator(previous_assignment=previous)
-        state = IncrementalEvaluator(compiled, evaluator, previous.copy())
-        assert state.objectives[2] == 0.0
-        state.apply_move(4, 6)
-        assert state.objectives[2] == pytest.approx(
-            float(small_request.migration_cost[4])
-        )
-        assert check_parity(state).ok
-        state.apply_move(4, 4)  # moving back cancels the charge
-        assert state.objectives[2] == 0.0

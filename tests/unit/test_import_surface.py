@@ -145,6 +145,23 @@ def test_cli_help_loads_no_solver():
     assert [name for name in solvers if name in loaded] == []
 
 
+def test_table_printing_loads_no_harness():
+    """``scenario list`` prints its table with the printer in
+    ``repro.utils``: no module of the measurement harness loads."""
+    loaded = _run("""
+        import contextlib
+        import io
+
+        from repro.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["scenario", "list"])
+        assert code == 0 and "failure_storm" in out.getvalue()
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    assert [name for name in loaded if name.startswith("repro.evaluation")] == []
+
+
 def test_public_names_subpackages_and_unknown_names():
     result = _run("""
         import importlib
@@ -196,7 +213,7 @@ def test_public_names_subpackages_and_unknown_names():
         }))
     """)
     names = result["names"]
-    assert len(names) == len(set(names)) == 56
+    assert len(names) == len(set(names)) == 54
     assert result["elsewhere"] == []
     assert result["unlisted"] == []
     assert result["unbound"] == []

@@ -154,10 +154,10 @@ class TestBatchViolationOverrides:
         per_row = []
         for genome in population:
             placed = genome != UNPLACED
-            usage = scatter_rows(genome[placed], compiled.demand[placed], compiled.m)
+            usage = scatter_rows(genome[placed], compiled.request.demand[placed], compiled.m)
             per_row.append(int((usage > capacity.threshold).sum()))
         assert capacity.batch_violations(population).tolist() == per_row
-        datacenter = compiled.server_datacenter.tolist()
+        datacenter = compiled.infrastructure.server_datacenter.tolist()
         for constraint in constraints.group_constraints:
             per_row = [
                 group_violations(constraint.rule, genome[list(constraint.members)].tolist(), datacenter)
@@ -237,7 +237,7 @@ class TestRepairUsageTile:
         tile = capacity.batch_usage(population)
         for row, genome in enumerate(population):
             placed = genome != UNPLACED
-            usage = scatter_rows(genome[placed], compiled.demand[placed], compiled.m)
+            usage = scatter_rows(genome[placed], compiled.request.demand[placed], compiled.m)
             assert tile[row].tobytes() == usage.tobytes()
 
 

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.engine import CompiledProblem, IncrementalEvaluator
 from repro.engine.kernels import active_kernel
 from repro.errors import DimensionError, ValidationError
 from repro.model.placement import UNPLACED
@@ -19,6 +18,7 @@ from repro.objectives import (
     loads_from_usage,
     qos_from_load,
 )
+from tests.naive_pricing import price, total_violations
 from tests.unit.test_kernels import (
     same_bytes,
     flat_key_batch_usage,
@@ -103,16 +103,12 @@ class TestUsageCost:
         rng = np.random.default_rng(5)
         population = rng.integers(0, 8, size=(20, 6))
         population[4, 1] = UNPLACED
-        compiled = CompiledProblem(small_infra, small_request)
         for mode in (False, True):
             cost = UsageOperatingCost(small_infra, per_server_operating=mode)
             batch = cost.batch(population)
-            # The incremental state's own scalar pricing of each row.
-            evaluator = compiled.evaluator(per_server_operating=mode)
+            # The plain per-genome pricing of each row (Eq. 22).
             single = [
-                IncrementalEvaluator(compiled, evaluator, row).component_totals()[
-                    "usage_cost"
-                ]
+                price(small_infra, small_request, row, per_server_operating=mode)[1][0]
                 for row in population
             ]
             assert np.allclose(batch, single), f"mode={mode}"
@@ -209,12 +205,11 @@ class TestPopulationEvaluator:
         rng = np.random.default_rng(6)
         population = rng.integers(0, 8, size=(15, 6))
         result = evaluator.evaluate_population(population)
-        compiled = CompiledProblem(small_infra, small_request)
         for i in range(15):
-            # The incremental state's own scalar pricing of each row.
-            state = IncrementalEvaluator(compiled, evaluator, population[i])
-            assert np.allclose(state.objectives, result.objectives[i])
-            assert state.violations == result.violations[i]
+            # The plain per-genome pricing of each row.
+            violations, objectives = price(small_infra, small_request, population[i])
+            assert np.allclose(objectives, result.objectives[i])
+            assert total_violations(violations) == result.violations[i]
 
     def test_counts_evaluations(self, small_infra, small_request):
         evaluator = PopulationEvaluator(small_infra, small_request)

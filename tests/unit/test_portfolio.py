@@ -125,9 +125,7 @@ class TestAnytimeContract:
 
         def search():
             evaluator = compiled.evaluator(include_assignment_constraint=True)
-            return TabuSearch(
-                evaluator, max_iterations=60, seed=9, compiled=compiled
-            )
+            return TabuSearch(evaluator, max_iterations=60, seed=9)
 
         blocking = search().run(initial)
         run = search().start(initial)

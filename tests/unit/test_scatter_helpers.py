@@ -1,28 +1,22 @@
 """Bitwise parity of repro.utils.scatter vs the np.add.at idiom.
 
-Every ``np.add.at`` scatter outside the verify layer was replaced by
-:func:`~repro.utils.scatter.scatter_rows` /
-:func:`~repro.utils.scatter.scatter_values` (PR 10).  The replacement
-is only sound because bincount and add.at both accumulate duplicate
-indices in input order, so float64 sums come out bit-identical — these
-tests pin that contract down on adversarial index patterns.
+The row scatters outside the verify layer go through
+:func:`~repro.utils.scatter.scatter_rows` instead of ``np.add.at``.
+The replacement is only sound because bincount and add.at both
+accumulate duplicate indices in input order, so float64 sums come out
+bit-identical — these tests pin that contract down on adversarial index
+patterns.
 """
 
 import numpy as np
 import pytest
 
-from repro.utils.scatter import scatter_rows, scatter_values
+from repro.utils.scatter import scatter_rows
 
 
 def _add_at_rows(index, rows, length):
     out = np.zeros((length, rows.shape[1]), dtype=np.float64)
     np.add.at(out, index, rows)
-    return out
-
-
-def _add_at_values(index, values, length):
-    out = np.zeros(length, dtype=np.float64)
-    np.add.at(out, index, values)
     return out
 
 
@@ -36,16 +30,6 @@ def test_scatter_rows_bitwise_parity(seed):
     rows = rng.standard_normal((n, h)) * 10.0 ** rng.integers(-8, 8, size=(n, h))
     expected = _add_at_rows(index, rows, length)
     assert scatter_rows(index, rows, length).tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_scatter_values_bitwise_parity(seed):
-    rng = np.random.default_rng(seed)
-    n, length = 300, 11
-    index = rng.integers(0, length, size=n)
-    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
-    expected = _add_at_values(index, values, length)
-    assert scatter_values(index, values, length).tobytes() == expected.tobytes()
 
 
 def test_scatter_all_duplicates_single_bucket():
@@ -63,9 +47,6 @@ def test_scatter_empty_inputs():
     assert scatter_rows(
         np.empty(0, dtype=np.int64), np.empty((0, 3)), 7
     ).tobytes() == np.zeros((7, 3)).tobytes()
-    assert scatter_values(
-        np.empty(0, dtype=np.int64), np.empty(0), 7
-    ).tobytes() == np.zeros(7).tobytes()
 
 
 def test_scatter_rows_rejects_1d_rows():
@@ -81,4 +62,3 @@ def test_scatter_truncates_to_length():
     rows = np.ones((3, 2))
     out = scatter_rows(index, rows, 2)
     assert out.shape == (2, 2)
-    assert scatter_values(index, np.ones(3), 2).shape == (2,)

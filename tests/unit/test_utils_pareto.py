@@ -6,8 +6,6 @@ import pytest
 from repro.utils.pareto import (
     dominance_matrix,
     dominates,
-    ideal_point,
-    nadir_point,
     non_dominated_mask,
     pareto_front_indices,
 )
@@ -71,20 +69,6 @@ class TestFront:
     def test_duplicates_are_both_nondominated(self):
         objs = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
         assert pareto_front_indices(objs).tolist() == [0, 1]
-
-
-class TestIdealNadir:
-    def test_ideal_is_componentwise_min(self):
-        objs = np.array([[1.0, 5.0], [4.0, 2.0]])
-        assert ideal_point(objs).tolist() == [1.0, 2.0]
-
-    def test_nadir_over_front_only(self):
-        objs = np.array([[1.0, 4.0], [4.0, 1.0], [10.0, 10.0]])
-        assert nadir_point(objs).tolist() == [4.0, 4.0]
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            ideal_point(np.empty((0, 2)))
 
 
 def _dominance_oracle(objectives):

@@ -1,7 +1,7 @@
-"""Unit tests for the conformance subsystem: the incremental parity
-comparison (including the corrupted-compilation failure branch), the
-invariant catalog, the differential oracle's fault injection, the
-shared report and the ``repro verify`` CLI entry point."""
+"""Unit tests for the conformance subsystem: the invariant catalog, the
+differential oracle (a clean replay and faults injected into its LP and
+CP backends), the shared report and the ``repro verify`` CLI entry
+point."""
 
 import dataclasses
 from pathlib import Path
@@ -11,16 +11,16 @@ import pytest
 
 from repro.baselines import RoundRobinAllocator
 from repro.cli import build_parser, main
-from repro.engine import CompiledProblem, IncrementalEvaluator
-from repro.engine.incremental import CONSTRAINT_TERMS, OBJECTIVE_TERMS
+from repro.engine import CompiledProblem
 from repro.model import Request
+from repro.model.placement import UNPLACED
+from repro.types import PlacementRule
 from repro.verify import (
     CHECKS,
     CheckContext,
     DifferentialOracle,
     FuzzConfig,
     Report,
-    check_parity,
     check_service_conformance,
     invariant_names,
     run_fuzz,
@@ -49,81 +49,6 @@ def reference(scenario, merged):
     """The oracle's reference evaluator, assignment constraint on."""
     compiled = CompiledProblem.compile(scenario.infrastructure, merged)
     return compiled.evaluator(include_assignment_constraint=True)
-
-
-# ----------------------------------------------------------------------
-# check_parity: the one incremental-vs-reference comparison
-# ----------------------------------------------------------------------
-def test_verify_returns_clean_structured_report(scenario, merged):
-    compiled = CompiledProblem.compile(scenario.infrastructure, merged)
-    rng = np.random.default_rng(0)
-    genome = rng.integers(0, scenario.infrastructure.m, size=merged.n)
-    evaluator = compiled.evaluator(include_assignment_constraint=True)
-    state = IncrementalEvaluator(compiled, evaluator, genome)
-
-    report = check_parity(state)
-    assert report.ok, report.format()
-    assert report.check == "parity"
-    assert report.comparisons == len(CONSTRAINT_TERMS + OBJECTIVE_TERMS)
-    # A state that prices energy has its energy total compared too.
-    priced = IncrementalEvaluator(
-        compiled,
-        compiled.evaluator(include_assignment_constraint=True, energy_weight=0.5),
-        genome,
-    )
-    report = check_parity(priced)
-    assert report.ok, report.format()
-    assert report.comparisons == len(CONSTRAINT_TERMS + OBJECTIVE_TERMS) + 1
-
-
-def test_verify_flags_corrupted_compilation(scenario, merged):
-    """A compilation whose cost table was tampered with must produce a
-    per-term mismatch on exactly the affected objective, naming both
-    values and their drift."""
-    compiled = CompiledProblem.compile(scenario.infrastructure, merged)
-    # Corrupt the compiled per-resource cost rate: the incremental
-    # totals are accumulated from this array, while the reference
-    # evaluator recomputes the term from the infrastructure itself.
-    compiled.per_resource_rate = compiled.per_resource_rate + 0.25
-
-    rng = np.random.default_rng(1)
-    genome = rng.integers(0, scenario.infrastructure.m, size=merged.n)
-    evaluator = compiled.evaluator(include_assignment_constraint=True)
-    state = IncrementalEvaluator(compiled, evaluator, genome)
-
-    report = check_parity(state)
-    assert not report.ok
-    assert [m.field for m in report.mismatches] == ["usage_cost"]
-    message = report.mismatches[0].message
-    assert "reference=" in message and "candidate=" in message
-    assert f"delta={0.25 * merged.n:+.3g}" in message
-    assert "FAILED" in report.format()
-
-
-@pytest.mark.parametrize(
-    "term,attribute,energy_weight",
-    [("capacity", "_cap_total", 0.0), ("energy", "_energy_total", 0.5)],
-    ids=["capacity", "energy"],
-)
-def test_verify_flags_one_drifted_total(
-    scenario, merged, term, attribute, energy_weight
-):
-    """A one-off drift in one tracked total (a delta-bookkeeping bug)
-    gives exactly one mismatch, on its own term: capacity compares
-    exactly, and energy is compared whenever the state prices it."""
-    compiled = CompiledProblem.compile(scenario.infrastructure, merged)
-    rng = np.random.default_rng(2)
-    genome = rng.integers(0, scenario.infrastructure.m, size=merged.n)
-    evaluator = compiled.evaluator(
-        include_assignment_constraint=True, energy_weight=energy_weight
-    )
-    state = IncrementalEvaluator(compiled, evaluator, genome)
-    assert check_parity(state).ok
-    setattr(state, attribute, getattr(state, attribute) + 1)
-
-    report = check_parity(state)
-    assert [m.field for m in report.mismatches] == [term]
-    assert report.mismatches[0].where == "incremental"
 
 
 # ----------------------------------------------------------------------
@@ -266,35 +191,147 @@ def test_invariants_flag_non_finite_objectives(scenario):
 # ----------------------------------------------------------------------
 # Differential oracle: clean replay + fault injection self-test
 # ----------------------------------------------------------------------
+@pytest.fixture()
+def feasible(scenario, merged):
+    """The CP optimum: a complete placement the constraint set accepts."""
+    from repro.cp import CPSolver
+
+    solution = CPSolver(scenario.infrastructure, merged).optimize()
+    assert solution.found and solution.proved
+    return np.asarray(solution.assignment, dtype=np.int64)
+
+
+def _corrupt_ilp(monkeypatch, **changes):
+    """Make every ILP the oracle builds differ by ``changes``."""
+    from repro.lp.model import ILPModel
+
+    build = ILPModel.build.__func__
+
+    def corrupted(cls, *args, **kwargs):
+        model = build(cls, *args, **kwargs)
+        return dataclasses.replace(
+            model, **{name: change(getattr(model, name)) for name, change in changes.items()}
+        )
+
+    monkeypatch.setattr(ILPModel, "build", classmethod(corrupted))
+
+
+def _corrupt_cp(monkeypatch, **changes):
+    """Make every CP optimum the oracle asks for differ by ``changes``."""
+    from repro.cp.solver import CPSolver
+
+    optimize = CPSolver.optimize
+
+    def corrupted(self):
+        solution = optimize(self)
+        return dataclasses.replace(
+            solution,
+            **{name: change(getattr(solution, name)) for name, change in changes.items()},
+        )
+
+    monkeypatch.setattr(CPSolver, "optimize", corrupted)
+
+
+def test_verify_returns_clean_structured_report(scenario, merged, reference, feasible):
+    """A feasible complete placement replayed through both backends: a
+    clean ``oracle`` report naming the instance size and the backends
+    consulted, with the LP's three comparisons (encoding rows, ILP
+    objective, relaxation bound) and the CP's feasibility check (its
+    cost bound joins only when the budgeted search proves its optimum)."""
+    report = DifferentialOracle(reference).replay(feasible)
+    assert report.ok, report.format()
+    assert report.check == "oracle"
+    assert report.subject == f"{scenario.infrastructure.m}x{merged.n}"
+    assert report.stats["backends"] == "lp,cp"
+    assert report.comparisons >= 4
+    assert report.format().startswith(f"oracle [5x10]: ok — {report.comparisons} comparisons")
+
+
 def test_oracle_clean_replay(scenario, merged, reference):
     rng = np.random.default_rng(3)
     target = rng.integers(0, scenario.infrastructure.m, size=merged.n)
-    oracle = DifferentialOracle(reference)
-    report = oracle.replay(target, seed=rng, detours=2, cp=False)
+    report = DifferentialOracle(reference).replay(target, cp=False)
     assert report.ok, report.format()
     assert report.check == "oracle"
-    assert "incremental" in report.stats["backends"].split(",")
+    assert report.stats["backends"] == "lp"
     assert report.comparisons > 0
 
 
-@pytest.mark.parametrize("term", CONSTRAINT_TERMS + OBJECTIVE_TERMS)
-def test_oracle_detects_injected_fault_per_term(scenario, merged, reference, term):
-    """Fault injection on any single term must surface as a mismatch
-    naming that term — the oracle's own false-negative self-test."""
-    rng = np.random.default_rng(4)
-    target = rng.integers(0, scenario.infrastructure.m, size=merged.n)
-    oracle = DifferentialOracle(reference, perturb=(term, 0.5))
-    report = oracle.replay(target, seed=rng, detours=1, lp=False, cp=False)
-    assert not report.ok
-    assert [(m.where, m.field) for m in report.mismatches] == [
-        ("incremental at walk end", term)
-    ]
-    assert term in report.format()
+def _broken(term, infrastructure, request):
+    """A corruption of a feasible placement that breaks ``term``."""
+
+    def corrupt(assignment):
+        broken = np.array(assignment)
+        if term == "capacity":
+            broken[:] = 0  # every VM on one server
+        elif term == "unplaced":
+            broken[0] = UNPLACED
+        else:  # the request's first placement group
+            group = request.groups[0]
+            first, second = group.members[:2]
+            datacenter = infrastructure.server_datacenter
+            if group.rule is PlacementRule.SAME_SERVER:
+                broken[first] = (broken[first] + 1) % infrastructure.m
+            elif group.rule is PlacementRule.SAME_DATACENTER:
+                elsewhere = datacenter != datacenter[broken[first]]
+                broken[first] = np.flatnonzero(elsewhere)[0]
+            else:
+                broken[second] = broken[first]
+        return broken
+
+    return corrupt
 
 
-def test_oracle_rejects_unknown_perturb_term(reference):
-    with pytest.raises(Exception):
-        DifferentialOracle(reference, perturb=("no_such_term", 1.0))
+@pytest.mark.parametrize("term", ["capacity", "group", "unplaced", "usage_cost"])
+def test_oracle_detects_injected_fault_per_term(
+    scenario, merged, reference, feasible, term, monkeypatch
+):
+    """A fault injected into one backend's side must surface as a
+    mismatch naming that backend and the broken term — the oracle's own
+    false-negative self-test.  The CP backend is handed an optimum that
+    breaks capacity, a placement group or the assignment constraint;
+    the LP backend an ILP objective 0.25 off Eq. 22 per variable."""
+    if term == "usage_cost":
+        _corrupt_ilp(monkeypatch, objective=lambda objective: objective + 0.25)
+        report = DifferentialOracle(reference).replay(feasible, cp=False)
+        assert report.mismatches
+        assert {(m.where, m.field) for m in report.mismatches} == {("lp", "usage_cost")}
+        message = report.mismatches[0].message
+        assert "ILP objective disagrees with Eq. 22" in message
+        shifted = reference.usage_cost.value(feasible) + 0.25 * merged.n
+        assert f"candidate={shifted:.12g}" in message
+    else:
+        corrupt = _broken(term, scenario.infrastructure, merged)
+        _corrupt_cp(monkeypatch, assignment=corrupt)
+        report = DifferentialOracle(reference).replay(feasible, lp=False)
+        assert [(m.where, m.field) for m in report.mismatches] == [("cp", "feasibility")]
+        assert f"{term}=" in report.mismatches[0].message
+    assert "FAILED" in report.format()
+
+
+def test_oracle_flags_an_encoding_row_a_feasible_placement_breaks(
+    reference, feasible, monkeypatch
+):
+    """An ILP whose inequality right-hand sides all dropped to zero
+    rejects the feasible placement: the LP backend names its encoding."""
+    _corrupt_ilp(monkeypatch, b_ub=lambda rhs: np.minimum(rhs, 0.0))
+    report = DifferentialOracle(reference).replay(feasible, cp=False)
+    assert ("lp", "feasibility") in [(m.where, m.field) for m in report.mismatches]
+
+
+def test_oracle_flags_a_proved_cp_optimum_above_a_feasible_cost(
+    reference, feasible, monkeypatch
+):
+    """A proved CP optimum costlier than a placement we hold breaks the
+    bound: the CP backend names the cost."""
+    _corrupt_cp(
+        monkeypatch,
+        cost=lambda cost: cost + 1.0,
+        stats=lambda stats: dataclasses.replace(stats, exhausted=True),
+    )
+    report = DifferentialOracle(reference).replay(feasible, lp=False)
+    assert [(m.where, m.field) for m in report.mismatches] == [("cp", "usage_cost")]
+    assert "costlier than a feasible placement" in report.mismatches[0].message
 
 
 # ----------------------------------------------------------------------
@@ -416,24 +453,15 @@ def test_cli_verify_exits_zero_on_clean_run(capsys):
     assert "verify.comparisons{check=oracle}" in out
 
 
-def test_cli_verify_exits_nonzero_on_injected_fault(capsys):
-    code = main(
-        [
-            "verify",
-            "--fuzz",
-            "1",
-            "--seed",
-            "7",
-            "--sizes",
-            "4x8",
-            "--perturb",
-            "downtime:0.25",
-        ]
-    )
+def test_cli_verify_exits_nonzero_on_injected_fault(capsys, monkeypatch):
+    """A fault in the oracle's LP side fails the campaign: exit 1, a
+    FAILED report line and the mismatch prefixed with its scenario."""
+    _corrupt_ilp(monkeypatch, objective=lambda objective: objective + 0.25)
+    code = main(["verify", "--fuzz", "1", "--seed", "7", "--sizes", "4x8"])
     assert code == 1
     out = capsys.readouterr().out
     assert "fuzz [seed=7]: FAILED" in out
-    assert "(seed=7, 4x8) oracle, incremental at walk end] downtime:" in out
+    assert "(seed=7, 4x8) oracle, lp] usage_cost:" in out
 
 
 def test_cli_verify_runs_a_registered_check(capsys):

@@ -18,6 +18,7 @@ from repro.ea import (
     PenaltyHandling,
     RepairHandling,
 )
+from repro.engine import CompiledProblem
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
 from repro.tabu import TabuRepair
@@ -32,7 +33,7 @@ def _make_handler(name, scenario, merged):
         return ExclusionHandling()
     if name == "penalty":
         return PenaltyHandling(coefficient=1_000.0)
-    repair = TabuRepair(scenario.infrastructure, merged, seed=0)
+    repair = TabuRepair(CompiledProblem(scenario.infrastructure, merged), seed=0)
     return RepairHandling(repair)
 
 

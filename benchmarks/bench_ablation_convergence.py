@@ -25,6 +25,7 @@ from repro.ea import (
     PenaltyHandling,
     RepairHandling,
 )
+from repro.engine import CompiledProblem
 from repro.evaluation import convergence_summary
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
@@ -37,7 +38,7 @@ _STRATEGIES = ["repair_tabu", "penalty", "exclude", "none"]
 def _handler(name, scenario, merged):
     if name == "repair_tabu":
         return RepairHandling(
-            TabuRepair(scenario.infrastructure, merged, seed=0)
+            TabuRepair(CompiledProblem(scenario.infrastructure, merged), seed=0)
         )
     if name == "penalty":
         return PenaltyHandling(coefficient=1_000.0)

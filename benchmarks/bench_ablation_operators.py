@@ -18,6 +18,7 @@ import pytest
 from benchmarks.conftest import BENCH_EA, scenario_for
 from repro.ea import NSGA3, RepairHandling, hypervolume
 from repro.ea.operators import random_reset_mutation, uniform_crossover
+from repro.engine import CompiledProblem
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
 from repro.tabu import TabuRepair
@@ -44,7 +45,7 @@ def test_ablation_variation_operators(benchmark, operators):
     merged, _ = Request.concatenate(scenario.requests)
 
     def run():
-        repair = TabuRepair(scenario.infrastructure, merged, seed=0)
+        repair = TabuRepair(CompiledProblem(scenario.infrastructure, merged), seed=0)
         handler = RepairHandling(repair)
         cls = NSGA3 if operators == "sbx_pm" else _DiscreteNSGA3
         engine = cls(BENCH_EA, handler=handler)
@@ -71,7 +72,7 @@ def test_ablation_repair_neighbour_order(benchmark, order):
 
     def run():
         repair = TabuRepair(
-            scenario.infrastructure, merged, order=order, seed=1
+            CompiledProblem(scenario.infrastructure, merged), order=order, seed=1
         )
         return repair(population), repair
 

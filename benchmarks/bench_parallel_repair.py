@@ -37,15 +37,9 @@ SPEEDUP_FLOOR_AT_4 = 2.5
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel_repair.json"
 
 
-def _repair_once(scenario, merged, compiled, population, engine, seed=0):
+def _repair_once(compiled, population, engine, seed=0):
     """One timed population repair; fresh repairer = fresh batch counter."""
-    repairer = TabuRepair(
-        scenario.infrastructure,
-        merged,
-        seed=seed,
-        compiled=compiled,
-        engine=engine,
-    )
+    repairer = TabuRepair(compiled, seed=seed, engine=engine)
     t0 = time.perf_counter()
     repaired = repairer(population)
     return repaired, time.perf_counter() - t0
@@ -66,17 +60,13 @@ def test_parallel_repair_scaling():
         0, scenario.infrastructure.m, size=(rows, merged.n), dtype=np.int64
     )
 
-    serial, serial_elapsed = _repair_once(
-        scenario, merged, compiled, population, engine=None
-    )
+    serial, serial_elapsed = _repair_once(compiled, population, engine=None)
 
     curve = []
     mismatches = 0
     for n_workers in worker_counts:
         with ParallelEngine(n_workers) as engine:
-            repaired, elapsed = _repair_once(
-                scenario, merged, compiled, population, engine
-            )
+            repaired, elapsed = _repair_once(compiled, population, engine)
             degraded = not engine.available
         identical = serial.tobytes() == repaired.tobytes()
         if not identical:

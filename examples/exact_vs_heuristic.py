@@ -20,6 +20,7 @@ from repro import (
 )
 from repro.baselines import BestFitAllocator, FirstFitAllocator
 from repro.cp import CPSolver, SearchLimits
+from repro.engine import CompiledProblem
 from repro.evaluation import format_table
 from repro.model import Request
 
@@ -42,8 +43,7 @@ def main() -> None:
     ilp = solve_ilp(scenario.infrastructure, merged, time_limit=60)
     assert ilp.optimal, "instance too hard for the example"
     cp = CPSolver(
-        scenario.infrastructure,
-        merged,
+        CompiledProblem(scenario.infrastructure, merged),
         limits=SearchLimits(max_nodes=100_000, time_limit=10),
     ).optimize()
     print(f"optimal whole-window cost (ILP, proved): {ilp.cost:.2f}")

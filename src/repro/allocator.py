@@ -161,7 +161,6 @@ class AnytimeRun(abc.ABC):
         owner: IntArray,
         base_usage: FloatArray | None = None,
         previous_assignment: IntArray | None = None,
-        compiled: CompiledProblem | None = None,
     ) -> None:
         self.allocator = allocator
         self.infrastructure = infrastructure
@@ -169,9 +168,7 @@ class AnytimeRun(abc.ABC):
         self.owner = owner
         self.base_usage = base_usage
         self.previous_assignment = previous_assignment
-        if compiled is None:
-            compiled = allocator.compile_problem(infrastructure, merged)
-        self.compiled = compiled
+        self.compiled = allocator.compile_problem(infrastructure, merged)
         #: Objective evaluations consumed so far; implementations keep
         #: this current so :meth:`finish` reports honestly.
         self.evaluations = 0
@@ -237,8 +234,7 @@ class AnytimeRun(abc.ABC):
     def _finalize(self) -> BatchOutcome:
         """Build the outcome; runs once, from :meth:`finish`."""
         return self.allocator.finalize(
-            self.infrastructure,
-            self.merged,
+            self.compiled,
             self.owner,
             self.best_solution(),
             self.stopwatch.stop(),
@@ -246,7 +242,6 @@ class AnytimeRun(abc.ABC):
             previous_assignment=self.previous_assignment,
             evaluations=self.evaluations,
             extra=self._extra(),
-            compiled=self.compiled,
         )
 
     def _extra(self) -> dict | None:
@@ -420,8 +415,7 @@ class Allocator(abc.ABC):
 
     def finalize(
         self,
-        infrastructure: Infrastructure,
-        merged: Request,
+        compiled: CompiledProblem,
         owner: IntArray,
         assignment: IntArray,
         elapsed: float,
@@ -429,11 +423,12 @@ class Allocator(abc.ABC):
         previous_assignment: IntArray | None = None,
         evaluations: int = 0,
         extra: dict | None = None,
-        compiled: CompiledProblem | None = None,
     ) -> BatchOutcome:
-        """Uniform post-processing: violations, objectives, rejections."""
-        if compiled is None:
-            compiled = self.compile_problem(infrastructure, merged)
+        """Uniform post-processing: violations, objectives, rejections.
+
+        ``compiled`` is the compilation of the merged window and
+        ``owner`` maps its resources to the window's requests.
+        """
         evaluator = compiled.evaluator(
             base_usage=base_usage,
             previous_assignment=previous_assignment,
@@ -450,7 +445,7 @@ class Allocator(abc.ABC):
         breakdown["unplaced"] = unplaced
         violations = int(sum(v for k, v in breakdown.items() if k != "unplaced"))
         accepted = ~per_request_rejections(
-            assignment, merged, owner, evaluator.constraints
+            assignment, compiled.request, owner, evaluator.constraints
         )
         return BatchOutcome(
             algorithm=self.name,

@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.greedy_base import GreedyAllocator
+from repro.engine.compiled import CompiledProblem
 from repro.errors import ValidationError
-from repro.model.infrastructure import Infrastructure
 from repro.types import FloatArray, IntArray
 
 __all__ = ["FilterSchedulerAllocator"]
@@ -60,8 +60,8 @@ class FilterSchedulerAllocator(GreedyAllocator):
 
     def _candidate_order(
         self,
-        infrastructure: Infrastructure,
-        usage: FloatArray,
+        compiled: CompiledProblem,
+        residual: FloatArray,
         demand: FloatArray,
         valid: np.ndarray,
     ) -> IntArray:
@@ -70,21 +70,14 @@ class FilterSchedulerAllocator(GreedyAllocator):
             return candidates.astype(np.int64)
 
         # Weigher 1: normalized free capacity after hosting the demand.
-        free = (
-            infrastructure.effective_capacity[candidates]
-            - usage[candidates]
-            - demand
-        ).sum(axis=1)
+        free = (residual[candidates] - demand).sum(axis=1)
         free_span = free.max() - free.min()
         free_score = (
             (free - free.min()) / free_span if free_span > 0 else np.ones_like(free)
         )
 
         # Weigher 2: normalized cheapness (lower E+U rate = higher score).
-        rate = (
-            infrastructure.operating_cost[candidates]
-            + infrastructure.usage_cost[candidates]
-        )
+        rate = compiled.per_resource_rate[candidates]
         rate_span = rate.max() - rate.min()
         cheap_score = (
             (rate.max() - rate) / rate_span if rate_span > 0 else np.ones_like(rate)

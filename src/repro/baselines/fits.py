@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.greedy_base import GreedyAllocator
-from repro.model.infrastructure import Infrastructure
+from repro.engine.compiled import CompiledProblem
 from repro.types import FloatArray, IntArray
 
 __all__ = [
@@ -32,8 +32,8 @@ class FirstFitAllocator(GreedyAllocator):
 
     def _candidate_order(
         self,
-        infrastructure: Infrastructure,
-        usage: FloatArray,
+        compiled: CompiledProblem,
+        residual: FloatArray,
         demand: FloatArray,
         valid: np.ndarray,
     ) -> IntArray:
@@ -48,17 +48,13 @@ class BestFitAllocator(GreedyAllocator):
 
     def _candidate_order(
         self,
-        infrastructure: Infrastructure,
-        usage: FloatArray,
+        compiled: CompiledProblem,
+        residual: FloatArray,
         demand: FloatArray,
         valid: np.ndarray,
     ) -> IntArray:
         candidates = np.flatnonzero(valid)
-        headroom = (
-            infrastructure.effective_capacity[candidates]
-            - usage[candidates]
-            - demand
-        ).sum(axis=1)
+        headroom = (residual[candidates] - demand).sum(axis=1)
         return candidates[np.argsort(headroom, kind="stable")].astype(np.int64)
 
 
@@ -70,17 +66,13 @@ class WorstFitAllocator(GreedyAllocator):
 
     def _candidate_order(
         self,
-        infrastructure: Infrastructure,
-        usage: FloatArray,
+        compiled: CompiledProblem,
+        residual: FloatArray,
         demand: FloatArray,
         valid: np.ndarray,
     ) -> IntArray:
         candidates = np.flatnonzero(valid)
-        headroom = (
-            infrastructure.effective_capacity[candidates]
-            - usage[candidates]
-            - demand
-        ).sum(axis=1)
+        headroom = (residual[candidates] - demand).sum(axis=1)
         return candidates[np.argsort(-headroom, kind="stable")].astype(np.int64)
 
 
@@ -91,8 +83,8 @@ class RandomAllocator(GreedyAllocator):
 
     def _candidate_order(
         self,
-        infrastructure: Infrastructure,
-        usage: FloatArray,
+        compiled: CompiledProblem,
+        residual: FloatArray,
         demand: FloatArray,
         valid: np.ndarray,
     ) -> IntArray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.greedy_base import GreedyAllocator
-from repro.model.infrastructure import Infrastructure
+from repro.engine.compiled import CompiledProblem
 from repro.types import AlgorithmKind, FloatArray, IntArray
 
 __all__ = ["RoundRobinAllocator"]
@@ -49,12 +49,12 @@ class RoundRobinAllocator(GreedyAllocator):
 
     def _candidate_order(
         self,
-        infrastructure: Infrastructure,
-        usage: FloatArray,
+        compiled: CompiledProblem,
+        residual: FloatArray,
         demand: FloatArray,
         valid: np.ndarray,
     ) -> IntArray:
-        m = infrastructure.m
+        m = compiled.m
         rotation = (np.arange(m) + self._pointer) % m
         ordered = rotation[valid[rotation]]
         # Advance the pointer past the server about to be used.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.greedy_base import GreedyAllocator
-from repro.model.infrastructure import Infrastructure
+from repro.engine.compiled import CompiledProblem
 from repro.model.request import Request
 from repro.types import FloatArray, IntArray
 
@@ -51,8 +51,8 @@ class FirstFitDecreasingAllocator(GreedyAllocator):
 
     def _candidate_order(
         self,
-        infrastructure: Infrastructure,
-        usage: FloatArray,
+        compiled: CompiledProblem,
+        residual: FloatArray,
         demand: FloatArray,
         valid: np.ndarray,
     ) -> IntArray:
@@ -66,16 +66,16 @@ class DotProductAllocator(GreedyAllocator):
 
     def _candidate_order(
         self,
-        infrastructure: Infrastructure,
-        usage: FloatArray,
+        compiled: CompiledProblem,
+        residual: FloatArray,
         demand: FloatArray,
         valid: np.ndarray,
     ) -> IntArray:
         candidates = np.flatnonzero(valid)
-        residual = infrastructure.effective_capacity[candidates] - usage[candidates]
+        residual = residual[candidates]
         # Normalize both vectors so the score is pure alignment; a tiny
         # epsilon guards fully drained servers that still "fit" due to
-        # the capacity mask's tolerance.
+        # the capacity test's tolerance.
         res_norm = np.linalg.norm(residual, axis=1)
         dem_norm = np.linalg.norm(demand)
         score = residual @ demand / (res_norm * dem_norm + 1e-12)

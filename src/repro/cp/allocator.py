@@ -92,12 +92,10 @@ class _CPAnytimeRun(AnytimeRun):
         # re-submitted or re-optimized request skips the group-index
         # and capacity precomputation entirely.
         solver = CPSolver(
-            self.infrastructure,
-            request,
+            allocator.compile_problem(self.infrastructure, request),
             base_usage=self._usage,
             limits=limits,
             value_order=allocator.value_order,
-            compiled=allocator.compile_problem(self.infrastructure, request),
         )
         solution = solver.optimize() if allocator.optimize else solver.find_feasible()
         self._nodes += solution.stats.nodes

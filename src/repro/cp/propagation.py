@@ -23,16 +23,7 @@ from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
 from repro.types import FloatArray, PlacementRule
 
-__all__ = ["initial_prune", "propagate_assignment", "groups_by_member"]
-
-
-def groups_by_member(request: Request) -> list[list[int]]:
-    """Index: for each VM, the group ids it belongs to."""
-    index: list[list[int]] = [[] for _ in range(request.n)]
-    for gi, group in enumerate(request.groups):
-        for member in group.members:
-            index[member].append(gi)
-    return index
+__all__ = ["initial_prune", "propagate_assignment"]
 
 
 def initial_prune(

@@ -16,14 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cp.domains import DomainStore
-from repro.cp.propagation import (
-    groups_by_member,
-    initial_prune,
-    propagate_assignment,
-)
+from repro.cp.propagation import initial_prune, propagate_assignment
+from repro.engine.compiled import CompiledProblem
 from repro.errors import ValidationError
-from repro.model.infrastructure import Infrastructure
-from repro.model.request import Request
 from repro.telemetry import get_registry
 from repro.types import FloatArray, IntArray
 
@@ -61,8 +56,10 @@ class CPSearch:
 
     Parameters
     ----------
-    infrastructure, request:
-        The instance.
+    compiled:
+        The :class:`~repro.engine.CompiledProblem` of the instance: its
+        effective-capacity matrix, E+U rate vector and per-VM group
+        index.
     base_usage:
         Committed usage (shrinks the free capacity).
     value_order:
@@ -70,45 +67,30 @@ class CPSearch:
         ``"spread"`` (most residual room first).
     limits:
         Node/time budget.
-    compiled:
-        Optional :class:`~repro.engine.CompiledProblem` of the same
-        instance; supplies the effective-capacity matrix, the E+U rate
-        vector and the per-VM group index without recomputation.
     """
 
     def __init__(
         self,
-        infrastructure: Infrastructure,
-        request: Request,
+        compiled: CompiledProblem,
         base_usage: FloatArray | None = None,
         value_order: str = "cheapest",
         limits: SearchLimits | None = None,
-        compiled=None,
     ) -> None:
         if value_order not in ("index", "cheapest", "spread"):
             raise ValidationError(
                 f"value_order must be index/cheapest/spread, got {value_order!r}"
             )
-        self.infrastructure = infrastructure
-        self.request = request
+        self.compiled = compiled
         self.value_order = value_order
         self.limits = limits or SearchLimits()
-        effective = (
-            compiled.effective_capacity
-            if compiled is not None
-            else infrastructure.effective_capacity
-        )
+        effective = compiled.effective_capacity
         if base_usage is not None:
             free = effective - np.asarray(base_usage, dtype=np.float64)
         else:
             free = effective.copy()
         self.free_capacity = free
-        if compiled is not None:
-            self._rate = compiled.per_resource_rate
-            self._member_groups = [list(ids) for ids in compiled.member_groups]
-        else:
-            self._rate = infrastructure.operating_cost + infrastructure.usage_cost
-            self._member_groups = groups_by_member(request)
+        self._rate = compiled.per_resource_rate
+        self._member_groups = [list(ids) for ids in compiled.member_groups]
         self.stats = SearchStats()
 
     # ------------------------------------------------------------------
@@ -154,14 +136,14 @@ class CPSearch:
         none); check ``stats.aborted`` to distinguish *proved
         infeasible* from *ran out of budget*.
         """
-        n, m = self.request.n, self.infrastructure.m
+        infrastructure = self.compiled.infrastructure
+        request = self.compiled.request
+        n, m = request.n, infrastructure.m
         domains = DomainStore(n, m)
         start = time.perf_counter()
         self.stats = SearchStats()
 
-        if not initial_prune(
-            domains, self.infrastructure, self.request, self.free_capacity
-        ):
+        if not initial_prune(domains, infrastructure, request, self.free_capacity):
             self.stats.exhausted = True
             self.stats.elapsed = time.perf_counter() - start
             registry = get_registry()
@@ -214,7 +196,7 @@ class CPSearch:
 
             vm = self._select_vm(domains, assignment)
             candidates = self._ordered_candidates(domains, residual, vm)
-            demand = self.request.demand[vm]
+            demand = request.demand[vm]
             for server in candidates:
                 server = int(server)
                 if np.any(demand > residual[server] + 1e-9):
@@ -227,8 +209,8 @@ class CPSearch:
                 residual[server] -= demand
                 ok = domains.assign(vm, server) and propagate_assignment(
                     domains,
-                    self.infrastructure,
-                    self.request,
+                    infrastructure,
+                    request,
                     self._member_groups,
                     assignment,
                     residual,

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cp.search import CPSearch, SearchLimits, SearchStats
+from repro.engine.compiled import CompiledProblem
 from repro.errors import ValidationError
-from repro.model.infrastructure import Infrastructure
-from repro.model.request import Request
 from repro.telemetry import RepairInvoked, get_bus, get_registry
 from repro.types import FloatArray, IntArray
 
@@ -49,48 +48,39 @@ class CPSolution:
 
 
 class CPSolver:
-    """Complete solver for one (infrastructure, request) instance.
+    """Complete solver for one compiled instance.
 
     Parameters
     ----------
-    infrastructure, request:
-        The instance.
+    compiled:
+        The :class:`~repro.engine.CompiledProblem` of the instance,
+        shared with every :class:`CPSearch` this solver spawns.
     base_usage:
         Committed usage from earlier windows.
     limits:
         Node/time budget per solve call.
     value_order:
         Candidate ordering heuristic (see :class:`CPSearch`).
-    compiled:
-        Optional :class:`~repro.engine.CompiledProblem` of the same
-        instance, shared with every :class:`CPSearch` this solver
-        spawns (each repair call otherwise recompiles the group index).
     """
 
     def __init__(
         self,
-        infrastructure: Infrastructure,
-        request: Request,
+        compiled: CompiledProblem,
         base_usage: FloatArray | None = None,
         limits: SearchLimits | None = None,
         value_order: str = "cheapest",
-        compiled=None,
     ) -> None:
-        self.infrastructure = infrastructure
-        self.request = request
+        self.compiled = compiled
         self.base_usage = base_usage
         self.limits = limits or SearchLimits()
         self.value_order = value_order
-        self.compiled = compiled
 
     def _search(self) -> CPSearch:
         return CPSearch(
-            self.infrastructure,
-            self.request,
+            self.compiled,
             base_usage=self.base_usage,
             value_order=self.value_order,
             limits=self.limits,
-            compiled=self.compiled,
         )
 
     # ------------------------------------------------------------------
@@ -118,10 +108,9 @@ class CPSolver:
         variant "remains too weak to repair genes".
         """
         assignment = np.asarray(assignment, dtype=np.int64)
-        if assignment.shape != (self.request.n,):
-            raise ValidationError(
-                f"genome shape {assignment.shape}, expected ({self.request.n},)"
-            )
+        n = self.compiled.n
+        if assignment.shape != (n,):
+            raise ValidationError(f"genome shape {assignment.shape}, expected ({n},)")
 
         search = self._search()
 
@@ -157,19 +146,9 @@ class CPSolver:
         population = np.asarray(population, dtype=np.int64)
         if population.ndim == 1:
             return self.repair_genome(population)
-        if self.compiled is not None:
-            constraints = self.compiled.constraint_set(
-                base_usage=self.base_usage, include_assignment=False
-            )
-        else:
-            from repro.constraints.registry import ConstraintSet
-
-            constraints = ConstraintSet(
-                self.infrastructure,
-                self.request,
-                base_usage=self.base_usage,
-                include_assignment=False,
-            )
+        constraints = self.compiled.constraint_set(
+            base_usage=self.base_usage, include_assignment=False
+        )
         feasible = constraints.batch_feasible(population)
         if feasible.all():
             return population

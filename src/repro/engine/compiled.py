@@ -6,8 +6,9 @@ scratch — the effective-capacity matrix, one constraint object per
 placement group, the per-VM group membership index, the Eq. 22 cost
 rate.  :class:`CompiledProblem` hoists all of that into
 one immutable object built exactly once per instance and shared by the
-tabu repair, the NSGA allocators, the CP search and the scheduler
-(via :class:`~repro.engine.cache.ProblemCache`).
+tabu repair, the NSGA allocators, the CP search, the greedy baselines
+and the scheduler (via :class:`~repro.engine.cache.ProblemCache`).
+Every placer takes the compilation as its instance argument.
 
 Only *static* facts live here: anything that changes between windows
 (committed base usage, the previous assignment X^t) is a cheap binding
@@ -52,8 +53,8 @@ class CompiledProblem:
     group_rules:
         The matching :class:`PlacementRule` per group.
     member_groups:
-        Per-VM tuple of group ids the VM belongs to (the CP search's
-        ``groups_by_member`` index, compiled once).
+        Per-VM tuple of group ids the VM belongs to (the index the tabu
+        walk, its neighbour finder and the CP propagation read).
     group_constraints:
         Prebuilt :class:`GroupConstraint` objects, shared by every
         :class:`ConstraintSet` bound from this compilation.

@@ -21,6 +21,7 @@ from repro.ea.constraint_handling import (
 )
 from repro.ea.nsga2 import NSGA2
 from repro.ea.nsga3 import NSGA3
+from repro.engine.compiled import CompiledProblem
 from repro.engine.parallel import ParallelEngine
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import Request
@@ -71,9 +72,7 @@ class _NSGAAnytimeRun(AnytimeRun):
             include_assignment_constraint=False,
             energy_weight=allocator.config.energy_weight,
         )
-        self.engine = allocator._build_engine(
-            infrastructure, merged, base_usage, self.compiled
-        )
+        self.engine = allocator._build_engine(self.compiled, base_usage)
         self.run = self.engine.start_run(
             evaluator,
             checkpoint_manager=allocator.checkpoint_manager,
@@ -114,11 +113,7 @@ class _NSGAAnytimeRun(AnytimeRun):
         result = self.run.result()
         allocator: _NSGAAllocatorBase = self.allocator
         assignment = allocator._post_process(
-            result.best_genome(),
-            self.infrastructure,
-            self.merged,
-            self.base_usage,
-            self.compiled,
+            result.best_genome(), self.compiled, self.base_usage
         )
         extra = {"generations": len(result.history)}
         handler = getattr(self.engine, "handler", None)
@@ -129,8 +124,7 @@ class _NSGAAnytimeRun(AnytimeRun):
         if result.interrupted:
             extra["interrupted"] = True
         return allocator.finalize(
-            self.infrastructure,
-            self.merged,
+            self.compiled,
             self.owner,
             assignment,
             elapsed=self.stopwatch.stop(),
@@ -138,7 +132,6 @@ class _NSGAAnytimeRun(AnytimeRun):
             previous_assignment=self.previous_assignment,
             evaluations=result.evaluations,
             extra=extra,
-            compiled=self.compiled,
         )
 
 
@@ -163,26 +156,20 @@ class _NSGAAllocatorBase(Allocator):
         return engine
 
     # Subclasses build the engine (and its handler) per instance,
-    # because repair handlers need the concrete (infrastructure,
-    # request, base_usage) triple.  ``compiled`` is the cached
-    # compilation of the merged instance; repair engines share it so a
-    # whole run compiles the instance exactly once.
+    # because repair handlers need the instance and its committed
+    # usage.  ``compiled`` is the cached compilation of the merged
+    # instance; repair engines share it so a whole run compiles the
+    # instance exactly once.
     def _build_engine(
-        self,
-        infrastructure: Infrastructure,
-        merged: Request,
-        base_usage: FloatArray | None,
-        compiled=None,
+        self, compiled: CompiledProblem, base_usage: FloatArray | None
     ):
         raise NotImplementedError
 
     def _post_process(
         self,
         assignment: IntArray,
-        infrastructure: Infrastructure,
-        merged: Request,
+        compiled: CompiledProblem,
         base_usage: FloatArray | None,
-        compiled=None,
     ) -> IntArray:
         """Hook over the chosen solution before reporting (identity by
         default; the tabu hybrid applies one final repair pass here)."""
@@ -230,7 +217,7 @@ class NSGA2Allocator(_NSGAAllocatorBase):
     name = "nsga2"
     kind = AlgorithmKind.NSGA2
 
-    def _build_engine(self, infrastructure, merged, base_usage, compiled=None):
+    def _build_engine(self, compiled, base_usage):
         return NSGA2(config=self.config, handler=NoHandling())
 
 
@@ -240,7 +227,7 @@ class NSGA3Allocator(_NSGAAllocatorBase):
     name = "nsga3"
     kind = AlgorithmKind.NSGA3
 
-    def _build_engine(self, infrastructure, merged, base_usage, compiled=None):
+    def _build_engine(self, compiled, base_usage):
         return NSGA3(config=self.config, handler=NoHandling())
 
 
@@ -270,33 +257,29 @@ class NSGA3TabuAllocator(_NSGAAllocatorBase):
         self.tenure = tenure
         self.order = order
 
-    def _build_engine(self, infrastructure, merged, base_usage, compiled=None):
+    def _build_engine(self, compiled, base_usage):
         repair = TabuRepair(
-            infrastructure,
-            merged,
+            compiled,
             base_usage=base_usage,
             max_rounds=self.repair_rounds,
             tenure=self.tenure,
             order=self.order,
             seed=self.config.seed,
-            compiled=compiled,
             engine=self._ensure_execution_engine(),
         )
         return NSGA3(config=self.config, handler=RepairHandling(repair))
 
-    def _post_process(self, assignment, infrastructure, merged, base_usage, compiled=None):
+    def _post_process(self, assignment, compiled, base_usage):
         # One deeper repair pass on the selected solution: under
         # reduced evaluation budgets large instances can end with a few
         # residual violations that a longer tabu walk removes cheaply.
         repair = TabuRepair(
-            infrastructure,
-            merged,
+            compiled,
             base_usage=base_usage,
             max_rounds=max(32, 4 * self.repair_rounds),
             tenure=self.tenure,
             order=self.order,
             seed=self.config.seed,
-            compiled=compiled,
         )
         return repair.repair_genome(assignment)
 
@@ -324,12 +307,6 @@ class NSGA3CPAllocator(_NSGAAllocatorBase):
             max_nodes=2_000, time_limit=0.25
         )
 
-    def _build_engine(self, infrastructure, merged, base_usage, compiled=None):
-        solver = CPSolver(
-            infrastructure,
-            merged,
-            base_usage=base_usage,
-            limits=self.repair_limits,
-            compiled=compiled,
-        )
+    def _build_engine(self, compiled, base_usage):
+        solver = CPSolver(compiled, base_usage=base_usage, limits=self.repair_limits)
         return NSGA3(config=self.config, handler=RepairHandling(solver.repair_population))

@@ -164,10 +164,11 @@ class BrokeredAllocator:
         plans: list[BrokeredPlan] = []
         with span("market.broker", providers=instance.p, requests=len(requests)):
             for k in range(instance.p):
-                blocked = self._blocked_outside(instance, k, base_usage)
-                outcome = self._solve(
-                    infrastructure, requests, blocked
+                # Every server outside provider k is full for this route.
+                blocked = infrastructure.blocked_usage(
+                    base_usage, infrastructure.provider_of_server != k
                 )
+                outcome = self._solve(infrastructure, requests, blocked)
                 plans.append(
                     self._plan(f"provider:{self.market.names[k]}", outcome, instance, owner, merged)
                 )
@@ -215,19 +216,6 @@ class BrokeredAllocator:
             )
         finally:
             allocator.close()
-
-    @staticmethod
-    def _blocked_outside(
-        instance: MarketInstance, provider: int, base_usage: FloatArray | None
-    ) -> FloatArray:
-        """Usage matrix pre-loading every server *outside* ``provider``."""
-        effective = instance.infrastructure.effective_capacity
-        blocked = (
-            np.zeros_like(effective) if base_usage is None else base_usage.copy()
-        )
-        outside = instance.infrastructure.provider_of_server != provider
-        blocked[outside] = np.maximum(blocked[outside], effective[outside])
-        return blocked
 
     def _plan(
         self,

@@ -206,6 +206,26 @@ class Infrastructure:
         """``P * F`` element-wise — the usable capacity of Eq. 4's RHS."""
         return self.capacity * self.capacity_factor
 
+    def blocked_usage(
+        self, usage: FloatArray | None, servers: Sequence[int] | np.ndarray
+    ) -> FloatArray:
+        """A copy of the (m, h) ``usage`` (zeros when None) with every
+        server in ``servers`` — indices or a boolean mask — filled to its
+        effective capacity.
+
+        An out-of-service server is full: a placer handed this usage
+        puts nothing on it.  Cells already above capacity keep their
+        value.
+        """
+        blocked = (
+            np.zeros((self.m, self.h))
+            if usage is None
+            else np.array(usage, dtype=np.float64)
+        )
+        effective = self.effective_capacity
+        blocked[servers] = np.maximum(blocked[servers], effective[servers])
+        return blocked
+
     def servers_in_datacenter(self, datacenter: int) -> IntArray:
         """Indices of the servers hosted in ``datacenter``."""
         if not (0 <= datacenter < self.g):

@@ -202,16 +202,6 @@ class TimeWindowScheduler:
     # ------------------------------------------------------------------
     # Window processing
     # ------------------------------------------------------------------
-    def _blocked_usage(self) -> np.ndarray:
-        """Committed usage plus full blocks on failed servers, so no
-        allocator can place anything on an out-of-service host."""
-        usage = self.state.snapshot_usage()
-        if self._failed_servers:
-            failed = sorted(self._failed_servers)
-            effective = self.infrastructure.effective_capacity
-            usage[failed] = np.maximum(usage[failed], effective[failed])
-        return usage
-
     def _displace_tenants_on(self, server: int) -> list[tuple[str, Request, np.ndarray]]:
         """Release every tenant touching ``server``; return their
         (key, request, previous assignment) for re-placement.  Genes on
@@ -303,10 +293,15 @@ class TimeWindowScheduler:
                 window=self._window_index,
                 requests=len(batch_requests),
             ):
+                # Committed usage with every failed server full, so no
+                # allocator can place anything on an out-of-service host.
+                base_usage = self.infrastructure.blocked_usage(
+                    self.state.committed_usage, sorted(self._failed_servers)
+                )
                 outcome = self.allocator.allocate(
                     self.infrastructure,
                     batch_requests,
-                    base_usage=self._blocked_usage(),
+                    base_usage=base_usage,
                     previous_assignment=previous_assignment,
                 )
             offset = 0
@@ -625,9 +620,9 @@ class TimeWindowScheduler:
         # blocked for the re-optimization too.
         base_usage = None
         if self._failed_servers:
-            base_usage = np.zeros_like(self.state.committed_usage)
-            failed = sorted(self._failed_servers)
-            base_usage[failed] = self.infrastructure.effective_capacity[failed]
+            base_usage = self.infrastructure.blocked_usage(
+                None, sorted(self._failed_servers)
+            )
         outcome = algo.allocate(
             self.infrastructure,
             requests,

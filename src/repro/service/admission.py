@@ -85,31 +85,34 @@ def diagnose_rejection(state: ServiceState, request: Request) -> str:
     """Best-effort structured reason for a greedy rejection.
 
     Re-walks the request's resources (greedy order) against the
-    current committed usage: if some resource has no server passing
-    the capacity mask the reason is ``capacity``; if capacity passes
-    but the affinity mask empties the candidate set it is
-    ``affinity``.  Heuristic by construction — the greedy path is
-    order-dependent — but cheap and right in the common cases.
+    current committed usage, failed servers full: if some resource has
+    no server passing the capacity test the reason is ``capacity``; if
+    capacity passes but the group rules empty the candidate set it is
+    ``affinity``.  Both are the validity primitives of
+    :class:`~repro.tabu.neighborhood.NeighborFinder`, over the
+    scheduler's cached compilation of the request.  Heuristic by
+    construction — the greedy path is order-dependent — but cheap and
+    right in the common cases.
     """
     scheduler = state.scheduler
     infra = scheduler.infrastructure
-    finder = NeighborFinder(infra, request)
-    usage = scheduler.state.snapshot_usage()
-    if scheduler.failed_servers:
-        failed = sorted(scheduler.failed_servers)
-        effective = infra.effective_capacity
-        usage[failed] = np.maximum(usage[failed], effective[failed])
+    finder = NeighborFinder(scheduler.problem_cache.get(infra, request))
+    usage = infra.blocked_usage(
+        scheduler.state.committed_usage, sorted(scheduler.failed_servers)
+    )
+    limit = finder.limit
+    residual = limit - usage
     assignment = np.full(request.n, -1, dtype=np.int64)
     for k in range(request.n):
-        capacity_ok = finder.capacity_mask(usage, assignment, k)
-        if not capacity_ok.any():
-            return "capacity"
-        valid = capacity_ok & finder.affinity_mask(assignment, k)
+        valid = finder.fits(residual, k)
         if not valid.any():
+            return "capacity"
+        if not finder.apply_rules(valid, assignment, k).any():
             return "affinity"
         server = int(np.flatnonzero(valid)[0])
         assignment[k] = server
         usage[server] += request.demand[k]
+        residual[server] = limit[server] - usage[server]
     # The full request walks through greedily now — the window
     # allocator rejected it in competition with the rest of its batch.
     return "capacity"

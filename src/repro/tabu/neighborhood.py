@@ -3,11 +3,15 @@
 ``findNeighbor(I, i)`` scans servers and returns the first one where
 re-hosting VM i is a *valid allocation*: the server has room for the
 VM's demand on every attribute, and the move does not break any
-affinity/anti-affinity group the VM belongs to.  The scan is one
-capacity compare over the residual ``limit - usage`` (which the repair
-walk maintains move by move) with the group rules ANDed in, and a
-:class:`TabuList` removes recently vacated (vm, server) pairs from the
-candidate set so repeated repairs do not cycle.
+affinity/anti-affinity group the VM belongs to.  Those are the two
+primitives of :class:`NeighborFinder`: :meth:`~NeighborFinder.fits`
+compares a residual ``limit - usage`` with the demand, and
+:meth:`~NeighborFinder.apply_rules` ANDs the VM's group rules into a
+mask.  :meth:`~NeighborFinder.find` runs both over the residual the
+repair walk maintains move by move, and a :class:`TabuList` removes
+recently vacated (vm, server) pairs from the candidate set so repeated
+repairs do not cycle.  The greedy baselines and admission's rejection
+diagnosis call the two primitives over residuals of their own.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.engine.compiled import CompiledProblem
 from repro.errors import ValidationError
-from repro.model.infrastructure import Infrastructure
-from repro.model.request import Request
 from repro.types import BoolArray, FloatArray, IntArray, PlacementRule
 
 __all__ = ["TabuList", "NeighborFinder"]
@@ -82,94 +85,57 @@ class NeighborFinder:
 
     Parameters
     ----------
-    infrastructure, request:
-        The problem instance.
+    compiled:
+        The :class:`~repro.engine.CompiledProblem` of the instance.
     base_usage:
         Committed usage from earlier windows (shrinks free capacity).
-    compiled:
-        Optional :class:`~repro.engine.CompiledProblem` of the same
-        instance; when given, its effective-capacity matrix and per-VM
-        group index are reused instead of recomputed.
     """
 
     def __init__(
-        self,
-        infrastructure: Infrastructure,
-        request: Request,
-        base_usage: FloatArray | None = None,
-        compiled=None,
+        self, compiled: CompiledProblem, base_usage: FloatArray | None = None
     ) -> None:
-        self.infrastructure = infrastructure
-        self.request = request
-        limit = (
-            compiled.effective_capacity
-            if compiled is not None
-            else infrastructure.effective_capacity
-        )
+        self.request = compiled.request
+        limit = compiled.effective_capacity
         if base_usage is not None:
             limit = limit - np.asarray(base_usage, dtype=np.float64)
+        #: (m, h) capacity left to the request; ``limit - usage`` is the
+        #: residual the two primitives read.
         self.limit = limit
         #: Group membership index: for each VM, the ids of its groups.
-        if compiled is not None:
-            self.groups_of_vm: list[list[int]] = [
-                list(ids) for ids in compiled.member_groups
-            ]
-        else:
-            self.groups_of_vm = [[] for _ in range(request.n)]
-            for gi, group in enumerate(request.groups):
-                for member in group.members:
-                    self.groups_of_vm[member].append(gi)
-        self._no_groups_mask = np.ones(infrastructure.m, dtype=bool)
-        self._no_groups_mask.setflags(write=False)
+        self.groups_of_vm: list[list[int]] = [
+            list(ids) for ids in compiled.member_groups
+        ]
+        server_datacenter = compiled.infrastructure.server_datacenter
         #: Datacenter of each server, as plain ints.
-        self.dc_of: list[int] = infrastructure.server_datacenter.tolist()
+        self.dc_of: list[int] = server_datacenter.tolist()
         #: (g, m) membership: row d marks the servers of datacenter d.
-        self._dc_servers = (
-            np.arange(infrastructure.g)[:, None] == infrastructure.server_datacenter
-        )
+        self._dc_servers = np.arange(compiled.g)[:, None] == server_datacenter
         self._dc_servers.setflags(write=False)
         # Per-VM capacity bar of the validity test: demand less the
         # float tolerance, the very floats ``demand - 1e-9`` yields.
-        self._need = request.demand - 1e-9
+        self._need = self.request.demand - 1e-9
 
     # ------------------------------------------------------------------
-    def capacity_mask(
-        self, usage: FloatArray, assignment: IntArray, vm: int
+    def fits(self, residual: FloatArray, vm: int) -> BoolArray:
+        """Servers whose ``residual`` row has room for ``vm``'s demand on
+        every attribute (to a 1e-9 tolerance), as a new mask.
+
+        ``residual`` is ``self.limit - usage`` for some (m, h) usage;
+        each caller keeps its own, one touched row at a time.
+        """
+        return (residual >= self._need[vm]).all(axis=1)
+
+    def apply_rules(
+        self, mask: BoolArray, assignment: IntArray, vm: int
     ) -> BoolArray:
-        """Servers that can absorb ``vm`` given current ``usage``.
+        """AND into ``mask`` (in place) the servers where hosting ``vm``
+        breaks none of its groups; returns ``mask``.
 
-        ``usage`` must reflect ``assignment`` *including* the VM's
-        current placement; the VM's own demand is credited back to its
-        current host before testing.
+        Other members are taken at their *current* positions in
+        ``assignment`` (an int array or list); unplaced members impose
+        nothing.  This is the constraint-graph view the repair walks,
+        one VM at a time.
         """
-        demand = self.request.demand[vm]
-        residual = self.limit - usage
-        current = int(assignment[vm])
-        if current >= 0:
-            residual = residual.copy()
-            residual[current] += demand
-        return np.all(residual >= demand - 1e-9, axis=1)
-
-    def affinity_mask(self, assignment: IntArray, vm: int) -> BoolArray:
-        """Servers where hosting ``vm`` violates none of its groups.
-
-        Other members are taken at their *current* positions; the mask
-        is therefore the constraint-graph view the repair walks, one VM
-        at a time.
-        """
-        if not self.groups_of_vm[vm]:
-            return self._no_groups_mask
-        return self._and_rules(
-            np.ones(self.infrastructure.m, dtype=bool),
-            self._member_rules(assignment, vm),
-        )
-
-    def _member_rules(
-        self, assignment: IntArray, vm: int
-    ) -> list[tuple[PlacementRule, list[int]]]:
-        """``(rule, servers of the other placed members)`` for each group
-        of ``vm`` that has a placed member besides ``vm``."""
-        rules = []
         for gi in self.groups_of_vm[vm]:
             group = self.request.groups[gi]
             placed = [
@@ -177,21 +143,15 @@ class NeighborFinder:
                 for k in group.members
                 if k != vm and assignment[k] >= 0
             ]
-            if placed:
-                rules.append((group.rule, placed))
-        return rules
-
-    def _and_rules(
-        self, mask: BoolArray, rules: list[tuple[PlacementRule, list[int]]]
-    ) -> BoolArray:
-        """AND the servers each rule admits into ``mask`` (in place)."""
-        for rule, placed in rules:
+            if not placed:
+                continue
+            rule = group.rule
             if rule is PlacementRule.SAME_SERVER:
                 # Any current member server is progress: joining one
                 # strictly reduces the distinct-location count, and the
                 # capacity test steers the group toward a member server
                 # that actually has room.
-                allowed = np.zeros(self.infrastructure.m, dtype=bool)
+                allowed = np.zeros(len(mask), dtype=bool)
                 allowed[placed] = True
                 mask &= allowed
             elif rule is PlacementRule.SAME_DATACENTER:
@@ -240,10 +200,7 @@ class NeighborFinder:
         A server id, or None when no valid allocation exists
         (``findNeighbor`` falls through its loop).
         """
-        valid = self._and_rules(
-            (residual >= self._need[vm]).all(axis=1),
-            self._member_rules(assignment, vm),
-        )
+        valid = self.apply_rules(self.fits(residual, vm), assignment, vm)
         current = int(assignment[vm])
         if current >= 0:
             valid[current] = False

@@ -30,7 +30,6 @@ import time
 import numpy as np
 
 from repro.constraints.groups import group_violations
-from repro.constraints.registry import ConstraintSet
 from repro.engine.compiled import CompiledProblem
 from repro.errors import ValidationError
 from repro.model.infrastructure import Infrastructure
@@ -282,8 +281,11 @@ class TabuRepair:
 
     Parameters
     ----------
-    infrastructure, request:
-        The problem instance.
+    compiled:
+        The :class:`~repro.engine.CompiledProblem` of the instance; the
+        constraint set shares its prebuilt group constraints and the
+        finder its indexes, so one compilation serves every repair call
+        of a run.
     base_usage:
         Committed usage from earlier windows.
     max_rounds:
@@ -294,11 +296,6 @@ class TabuRepair:
         Neighbour preference passed to :class:`NeighborFinder`.
     seed:
         RNG for the ``"random"`` order and VM scan shuffling.
-    compiled:
-        Optional :class:`~repro.engine.CompiledProblem` of the same
-        instance; when given, the constraint set shares its prebuilt
-        group constraints and the finder reuses its compiled indexes —
-        one compilation then serves every repair call of a run.
     engine:
         Optional :class:`~repro.engine.parallel.ParallelEngine`.  When
         given, population repair fans the infeasible rows out across
@@ -314,32 +311,21 @@ class TabuRepair:
 
     def __init__(
         self,
-        infrastructure: Infrastructure,
-        request: Request,
+        compiled: CompiledProblem,
         base_usage: FloatArray | None = None,
         max_rounds: int = 4,
         tenure: int = 64,
         order: str = "first",
         seed=None,
-        compiled=None,
         engine=None,
     ) -> None:
         if max_rounds < 1:
             raise ValidationError(f"max_rounds must be >= 1, got {max_rounds}")
-        self.infrastructure = infrastructure
-        self.request = request
         self.compiled = compiled
-        if compiled is not None:
-            self.constraints = compiled.constraint_set(
-                base_usage=base_usage, include_assignment=False
-            )
-        else:
-            self.constraints = ConstraintSet(
-                infrastructure, request, base_usage=base_usage, include_assignment=False
-            )
-        self.finder = NeighborFinder(
-            infrastructure, request, base_usage=base_usage, compiled=compiled
+        self.constraints = compiled.constraint_set(
+            base_usage=base_usage, include_assignment=False
         )
+        self.finder = NeighborFinder(compiled, base_usage=base_usage)
         self.max_rounds = int(max_rounds)
         self.tenure = int(tenure)
         self.order = order
@@ -353,17 +339,13 @@ class TabuRepair:
         self._stream = np.random.default_rng(0)
         self._batch_counter = 0
         # E + U per server: the cheap cost proxy for ideal-point scoring.
-        self._cost_rate = (
-            compiled.per_resource_rate
-            if compiled is not None
-            else infrastructure.operating_cost + infrastructure.usage_cost
-        )
+        self._cost_rate = compiled.per_resource_rate
         # The walk's static tables depend only on the request and the
         # committed usage, so they are built once.
         self._tables = _WalkTables(
             self.finder.limit,
             self.constraints.capacity.threshold,
-            request,
+            compiled.request,
             self.finder.groups_of_vm,
             self.finder.dc_of,
         )
@@ -384,8 +366,8 @@ class TabuRepair:
         engine, stream or counters.  The copy compiles the instance
         itself; the parallel engine's workers repair with it."""
         return _rebuild, (
-            self.infrastructure,
-            self.request,
+            self.compiled.infrastructure,
+            self.compiled.request,
             self.base_usage,
             self.max_rounds,
             self.tenure,
@@ -440,7 +422,7 @@ class TabuRepair:
         lets the walk escape local optima instead of stalling, at the
         price of temporarily shifted violations (bounded by the
         best-state tracking in :meth:`repair_genome`)."""
-        demand = self.request.demand[vm]
+        demand = self.compiled.request.demand[vm]
         limit = self.finder.limit
         # Overflow added on each prospective target.
         after = np.maximum(0.0, usage + demand[None, :] - limit)
@@ -452,7 +434,7 @@ class TabuRepair:
             candidates[server] = False
         if not candidates.any():
             return None
-        affinity_ok = self.finder.affinity_mask(assignment, vm) & candidates
+        affinity_ok = self.finder.apply_rules(candidates.copy(), assignment, vm)
         pool = affinity_ok if affinity_ok.any() else candidates
         idx = np.flatnonzero(pool)
         return int(idx[np.argmin(added[idx])])
@@ -690,11 +672,9 @@ def _rebuild(
 ) -> TabuRepair:
     """Unpickle a :class:`TabuRepair` (see :meth:`TabuRepair.__reduce__`)."""
     return TabuRepair(
-        infrastructure,
-        request,
+        CompiledProblem(infrastructure, request),
         base_usage=base_usage,
         max_rounds=max_rounds,
         tenure=tenure,
         order=order,
-        compiled=CompiledProblem(infrastructure, request),
     )

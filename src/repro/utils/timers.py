@@ -3,7 +3,7 @@
 Execution time is one of the paper's four comparison criteria
 (Figures 7 and 8), so timing is a first-class concern: every algorithm
 run is wrapped in a :class:`Stopwatch` and the elapsed seconds travel
-with the :class:`~repro.evaluation.metrics.AllocationOutcome`.
+with the :class:`~repro.allocator.BatchOutcome`.
 """
 
 from __future__ import annotations

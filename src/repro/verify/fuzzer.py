@@ -9,7 +9,9 @@ drawn per scenario), then drives the three conformance layers:
    drawn per scenario (committed usage, previous assignment, downtime
    mode, per-server operating cost, strict load cap, energy weight)
    and cross-checked against the LP/CP backends when the instance and
-   settings qualify;
+   settings qualify.  About a tenth of the target's genes are
+   unplaced; the target as drawn, before that, is complete and is
+   replayed through the LP backend too;
 2. **allocator invariants** — a real allocator (round robin by
    default: deterministic and fast) places the window and its
    :class:`~repro.allocator.BatchOutcome` must satisfy every invariant
@@ -20,7 +22,9 @@ drawn per scenario), then drives the three conformance layers:
 Everything is derived from one seed, so a failing iteration is
 reproducible from the ``(seed, index)`` pair and size that prefix each
 of its mismatches.  The campaign returns one ``fuzz``
-:class:`~repro.verify.checks.Report` folding in every layer's report.
+:class:`~repro.verify.checks.Report` folding in every layer's report;
+its ``cp_unproved`` stat sums the oracle's CP searches that ended
+without a proof (they compared no cost bound).
 ``python -m repro verify --fuzz N --seed S`` is a thin shell around
 :func:`run_fuzz`.
 """
@@ -96,17 +100,27 @@ def _random_spec(
     )
 
 
+def _merge_oracle(report: Report, oracle: Report, where: str) -> None:
+    """Fold one oracle replay into the campaign, its unproved CP
+    searches into ``stats["cp_unproved"]``."""
+    report.merge(oracle, where)
+    report.stats["cp_unproved"] += oracle.stats.get("cp_unproved", 0)
+
+
 def run_fuzz(config: FuzzConfig | None = None) -> Report:
     """Run one fuzzing campaign; see the module docstring for shape.
 
     Every layer's comparisons and mismatches fold into the returned
     ``fuzz`` report, each mismatch prefixed with its scenario's index,
     seed and size; ``stats`` counts the scenarios run, the invariant
-    checkers that ran and each layer's comparisons.
+    checkers that ran, the oracle's unproved CP searches and each
+    layer's comparisons.
     """
     config = config or FuzzConfig()
     report = Report(
-        "fuzz", f"seed={config.seed}", stats={"scenarios": 0, "invariants": 0}
+        "fuzz",
+        f"seed={config.seed}",
+        stats={"scenarios": 0, "invariants": 0, "cp_unproved": 0},
     )
     master = np.random.SeedSequence(config.seed)
 
@@ -123,7 +137,8 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
 
         # 1. Differential oracle over a random target assignment (some
         # genes deliberately unplaced).
-        target = rng.integers(0, scenario.infrastructure.m, size=merged.n)
+        drawn = rng.integers(0, scenario.infrastructure.m, size=merged.n)
+        target = drawn.copy()
         target[rng.random(merged.n) < 0.1] = UNPLACED
         with_previous = bool(rng.random() < 0.5)
         previous = (
@@ -148,9 +163,11 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
             qos_strict=bool(rng.random() < 0.3),
             energy_weight=0.5 if rng.random() < 0.3 else 0.0,
         )
-        report.merge(
-            DifferentialOracle(evaluator).replay(target), f"{where} oracle"
-        )
+        oracle = DifferentialOracle(evaluator)
+        _merge_oracle(report, oracle.replay(target), f"{where} oracle")
+        # The target as drawn is complete, so the LP backend checks it
+        # under the drawn settings; the CP search would repeat itself.
+        _merge_oracle(report, oracle.replay(drawn, cp=False), f"{where} oracle")
 
         # 2. A real allocator's outcome must satisfy every invariant.
         allocator = config.allocator_factory()
@@ -182,8 +199,8 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
                     base_usage=base_usage, include_assignment_constraint=True
                 )
             )
-            report.merge(
-                outcome_oracle.replay(outcome.assignment), f"{where} oracle"
+            _merge_oracle(
+                report, outcome_oracle.replay(outcome.assignment), f"{where} oracle"
             )
 
         # 3. Metamorphic laws over that same placement.

@@ -77,13 +77,7 @@ def check_parallel_determinism(
     )
 
     def engine_run(engine: ParallelEngine | None):
-        repair = TabuRepair(
-            scenario.infrastructure,
-            merged,
-            seed=config.seed,
-            compiled=compiled,
-            engine=engine,
-        )
+        repair = TabuRepair(compiled, seed=config.seed, engine=engine)
         evaluator = compiled.evaluator()
         nsga = NSGA3(config=config, handler=RepairHandling(repair))
         return nsga.run(evaluator).population

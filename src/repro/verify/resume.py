@@ -98,13 +98,7 @@ def check_resume_determinism(
             checkpoint_every=checkpoint_every,
             seed=seed,
         )
-        repair = TabuRepair(
-            scenario.infrastructure,
-            merged,
-            seed=config.seed,
-            compiled=compiled,
-            engine=engine,
-        )
+        repair = TabuRepair(compiled, seed=config.seed, engine=engine)
         evaluator = compiled.evaluator()
         nsga = NSGA3(config=config, handler=RepairHandling(repair))
         return nsga.run(

@@ -19,6 +19,7 @@ from repro import (
     solve_ilp,
 )
 from repro.cp import CPSolver
+from repro.engine import CompiledProblem
 from repro.model import Request
 
 _FAST = NSGAConfig(population_size=20, max_evaluations=600, seed=0)
@@ -91,8 +92,7 @@ class TestExactSolverAgreement:
         merged, _ = Request.concatenate(scenario.requests)
         ilp = solve_ilp(scenario.infrastructure, merged, time_limit=60)
         cp = CPSolver(
-            scenario.infrastructure,
-            merged,
+            CompiledProblem(scenario.infrastructure, merged),
             limits=SearchLimits(max_nodes=500_000, time_limit=60),
         ).optimize()
         assert ilp.optimal and cp.proved and cp.found
@@ -107,8 +107,7 @@ class TestExactSolverAgreement:
         merged, _ = Request.concatenate(scenario.requests)
         ilp = solve_ilp(scenario.infrastructure, merged, time_limit=60)
         cp = CPSolver(
-            scenario.infrastructure,
-            merged,
+            CompiledProblem(scenario.infrastructure, merged),
             limits=SearchLimits(max_nodes=500_000, time_limit=60),
         ).find_feasible()
         if not cp.proved:

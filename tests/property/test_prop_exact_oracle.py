@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.constraints import ConstraintSet
 from repro.cp import CPSolver, SearchLimits
+from repro.engine import CompiledProblem
 from repro.lp import solve_ilp
 from repro.model import AttributeSchema, Infrastructure, PlacementGroup, Request
 from repro.types import PlacementRule
@@ -81,7 +82,7 @@ def test_cp_matches_brute_force(instance):
     infra, request = instance
     truth_feasible, truth_cost = _brute_force(infra, request)
     solver = CPSolver(
-        infra, request, limits=SearchLimits(max_nodes=1_000_000, time_limit=30)
+        CompiledProblem(infra, request), limits=SearchLimits(max_nodes=1_000_000, time_limit=30)
     )
     solution = solver.optimize()
     assert solution.proved, "tiny instance must be fully explored"

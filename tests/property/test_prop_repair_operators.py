@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.constraints import ConstraintSet
 from repro.cp import CPSolver, SearchLimits
 from repro.ea.operators import polynomial_mutation, sbx_crossover, uniform_crossover
+from repro.engine import CompiledProblem
 from repro.tabu import TabuRepair
 
 from tests.property.test_prop_constraints_objectives import instances
@@ -19,7 +20,7 @@ def test_repair_never_increases_violations(instance, seed):
     infra, request = instance
     rng = np.random.default_rng(seed)
     constraint_set = ConstraintSet(infra, request, include_assignment=False)
-    repair = TabuRepair(infra, request, seed=seed)
+    repair = TabuRepair(CompiledProblem(infra, request), seed=seed)
     population = rng.integers(0, infra.m, size=(6, request.n))
     before = constraint_set.batch_violations(population)
     fixed = repair(population)
@@ -36,12 +37,12 @@ def test_repair_reaches_feasibility_when_cp_proves_it(instance, seed):
     CP solution (already feasible) must keep it feasible."""
     infra, request = instance
     solution = CPSolver(
-        infra, request, limits=SearchLimits(max_nodes=5_000, time_limit=1.0)
+        CompiledProblem(infra, request), limits=SearchLimits(max_nodes=5_000, time_limit=1.0)
     ).find_feasible()
     if not solution.found:
         return  # instance infeasible or too hard for the budget
     constraint_set = ConstraintSet(infra, request, include_assignment=False)
-    repair = TabuRepair(infra, request, seed=seed)
+    repair = TabuRepair(CompiledProblem(infra, request), seed=seed)
     fixed = repair.repair_genome(solution.assignment)
     assert constraint_set.violations(fixed) == 0
 
@@ -101,7 +102,7 @@ def test_repair_idempotent_on_feasible_output(instance, seed):
     infra, request = instance
     rng = np.random.default_rng(seed)
     constraint_set = ConstraintSet(infra, request, include_assignment=False)
-    repair = TabuRepair(infra, request, seed=seed)
+    repair = TabuRepair(CompiledProblem(infra, request), seed=seed)
     genome = rng.integers(0, infra.m, size=request.n)
     once = repair.repair_genome(genome)
     if constraint_set.violations(once) == 0:
@@ -121,7 +122,7 @@ def test_group_block_crossover_preserves_rule_consistency(instance, seed):
     if not request.groups:
         return
     solution = CPSolver(
-        infra, request, limits=SearchLimits(max_nodes=3_000, time_limit=0.5)
+        CompiledProblem(infra, request), limits=SearchLimits(max_nodes=3_000, time_limit=0.5)
     ).find_feasible()
     if not solution.found:
         return

@@ -15,6 +15,7 @@ from repro.baselines import (
 from repro.constraints import ConstraintSet
 from repro.cp import CPAllocator, SearchLimits
 from repro.ea import NSGAConfig
+from repro.engine import CompiledProblem
 from repro.hybrid import (
     NSGA2Allocator,
     NSGA3Allocator,
@@ -240,7 +241,7 @@ class TestTabuPostProcess:
         allocator = NSGA3TabuAllocator(_FAST)
         feasible = np.array([0, 0, 2, 3, 4, 5])
         out = allocator._post_process(
-            feasible.copy(), small_infra, small_request, None
+            feasible.copy(), CompiledProblem(small_infra, small_request), None
         )
         assert np.array_equal(out, feasible)
 
@@ -248,7 +249,7 @@ class TestTabuPostProcess:
         allocator = NSGA3TabuAllocator(_FAST)
         broken = np.array([0, 1, 2, 3, 4, 5])  # same-server pair split
         out = allocator._post_process(
-            broken.copy(), small_infra, small_request, None
+            broken.copy(), CompiledProblem(small_infra, small_request), None
         )
         from repro.constraints import ConstraintSet
 

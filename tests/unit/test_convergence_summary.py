@@ -10,6 +10,7 @@ from repro.baselines import FirstFitAllocator
 from repro.ea import NSGA3, NSGAConfig, RepairHandling, greedy_seed
 from repro.ea.result import EvolutionResult, GenerationStats
 from repro.ea.population import Population
+from repro.engine import CompiledProblem
 from repro.errors import ValidationError
 from repro.evaluation import (
     convergence_summary,
@@ -90,7 +91,7 @@ class TestConvergenceHelpers:
             evaluations_to_feasible(bare)
 
     def test_summary_keys(self, small_infra, small_request):
-        repair = TabuRepair(small_infra, small_request, seed=0)
+        repair = TabuRepair(CompiledProblem(small_infra, small_request), seed=0)
         evaluator = PopulationEvaluator(small_infra, small_request)
         result = NSGA3(
             NSGAConfig(population_size=16, max_evaluations=320, seed=0),

@@ -14,6 +14,7 @@ from repro.ea import (
     NSGAConfig,
     PenaltyHandling,
 )
+from repro.engine import CompiledProblem
 from repro.hybrid import NSGA3TabuAllocator
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
@@ -100,7 +101,7 @@ class TestRoundRobinState:
 class TestCPValueOrders:
     @pytest.mark.parametrize("order", ["index", "cheapest", "spread"])
     def test_all_orders_find_feasible(self, order, small_infra, small_request):
-        solver = CPSolver(small_infra, small_request, value_order=order)
+        solver = CPSolver(CompiledProblem(small_infra, small_request), value_order=order)
         solution = solver.find_feasible()
         assert solution.found
 
@@ -108,10 +109,10 @@ class TestCPValueOrders:
         self, small_infra, small_request
     ):
         cheap = CPSolver(
-            small_infra, small_request, value_order="cheapest"
+            CompiledProblem(small_infra, small_request), value_order="cheapest"
         ).find_feasible()
         index = CPSolver(
-            small_infra, small_request, value_order="index"
+            CompiledProblem(small_infra, small_request), value_order="index"
         ).find_feasible()
         assert cheap.cost <= index.cost + 1e-9
 
@@ -122,7 +123,7 @@ class TestCPValueOrders:
             downtime_cost=np.array([1.0]),
             migration_cost=np.array([1.0]),
         )
-        search = CPSearch(small_infra, request, value_order="spread")
+        search = CPSearch(CompiledProblem(small_infra, request), value_order="spread")
         assignment, _cost = search.solve()
         # Servers 2, 3, 6, 7 are the big boxes; spread goes there first.
         assert assignment[0] in (2, 3, 6, 7)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.constraints import ConstraintSet
 from repro.cp import CPSearch, CPSolver, DomainStore, SearchLimits
+from repro.engine import CompiledProblem
 from repro.errors import ValidationError
 from repro.model import PlacementGroup, Request
 from repro.types import PlacementRule
@@ -70,7 +71,7 @@ class TestCPSolve:
     def test_finds_feasible_and_respects_constraints(
         self, small_infra, small_request
     ):
-        solution = CPSolver(small_infra, small_request).find_feasible()
+        solution = CPSolver(CompiledProblem(small_infra, small_request)).find_feasible()
         assert solution.found
         constraint_set = ConstraintSet(
             small_infra, small_request, include_assignment=False
@@ -78,14 +79,14 @@ class TestCPSolve:
         assert constraint_set.violations(solution.assignment) == 0
 
     def test_optimize_not_worse_than_feasible(self, small_infra, small_request):
-        solver = CPSolver(small_infra, small_request)
+        solver = CPSolver(CompiledProblem(small_infra, small_request))
         feasible = solver.find_feasible()
         optimal = solver.optimize()
         assert optimal.found and optimal.cost <= feasible.cost + 1e-9
 
     def test_optimal_is_cheapest_rate_placement(self, tiny_infra, tiny_request):
         # Both VMs fit on server 0 (rate 1.5) -> optimal cost 3.0.
-        solution = CPSolver(tiny_infra, tiny_request).optimize()
+        solution = CPSolver(CompiledProblem(tiny_infra, tiny_request)).optimize()
         assert solution.found and solution.proved
         assert solution.cost == pytest.approx(3.0)
         assert solution.assignment.tolist() == [0, 0]
@@ -98,7 +99,7 @@ class TestCPSolve:
             downtime_cost=np.array([1.0]),
             migration_cost=np.array([1.0]),
         )
-        solution = CPSolver(small_infra, request).find_feasible()
+        solution = CPSolver(CompiledProblem(small_infra, request)).find_feasible()
         assert not solution.found and solution.proved
 
     def test_pigeonhole_different_datacenters(self, small_infra):
@@ -112,12 +113,12 @@ class TestCPSolve:
                 PlacementGroup(PlacementRule.DIFFERENT_DATACENTERS, (0, 1, 2)),
             ),
         )
-        solution = CPSolver(small_infra, request).find_feasible()
+        solution = CPSolver(CompiledProblem(small_infra, request)).find_feasible()
         assert not solution.found and solution.proved
 
     def test_node_limit_aborts(self, small_infra, small_request):
         solver = CPSolver(
-            small_infra, small_request, limits=SearchLimits(max_nodes=1)
+            CompiledProblem(small_infra, small_request), limits=SearchLimits(max_nodes=1)
         )
         solution = solver.find_feasible()
         assert solution.stats.aborted or solution.found
@@ -127,17 +128,17 @@ class TestCPSolve:
         base = np.zeros((2, 2))
         base[0] = tiny_infra.effective_capacity[0]
         solution = CPSolver(
-            tiny_infra, tiny_request, base_usage=base
+            CompiledProblem(tiny_infra, tiny_request), base_usage=base
         ).find_feasible()
         assert solution.found
         assert solution.assignment.tolist() == [1, 1]
 
     def test_value_order_validated(self, small_infra, small_request):
         with pytest.raises(ValidationError):
-            CPSearch(small_infra, small_request, value_order="bogus")
+            CPSearch(CompiledProblem(small_infra, small_request), value_order="bogus")
 
     def test_search_stats_populated(self, small_infra, small_request):
-        solver = CPSolver(small_infra, small_request)
+        solver = CPSolver(CompiledProblem(small_infra, small_request))
         solution = solver.optimize()
         assert solution.stats.nodes > 0
         assert solution.stats.elapsed >= 0
@@ -146,7 +147,7 @@ class TestCPSolve:
 
 class TestCPGroupPropagation:
     def _solve(self, infra, request):
-        return CPSolver(infra, request).find_feasible()
+        return CPSolver(CompiledProblem(infra, request)).find_feasible()
 
     def test_same_server_group_lands_together(self, small_infra):
         request = Request(
@@ -202,7 +203,7 @@ class TestCPGroupPropagation:
 
 class TestCPRepair:
     def test_repairs_broken_genome(self, small_infra, small_request):
-        solver = CPSolver(small_infra, small_request)
+        solver = CPSolver(CompiledProblem(small_infra, small_request))
         broken = np.array([0, 1, 2, 3, 4, 5])
         fixed = solver.repair_genome(broken)
         constraint_set = ConstraintSet(
@@ -211,14 +212,14 @@ class TestCPRepair:
         assert constraint_set.violations(fixed) == 0
 
     def test_feasible_genome_preserved(self, small_infra, small_request):
-        solver = CPSolver(small_infra, small_request)
+        solver = CPSolver(CompiledProblem(small_infra, small_request))
         feasible = np.array([0, 0, 2, 3, 4, 5])
         fixed = solver.repair_population(np.vstack([feasible]))
         assert np.array_equal(fixed[0], feasible)
 
     def test_budget_exhaustion_returns_unchanged(self, small_infra, small_request):
         solver = CPSolver(
-            small_infra, small_request, limits=SearchLimits(max_nodes=1)
+            CompiledProblem(small_infra, small_request), limits=SearchLimits(max_nodes=1)
         )
         broken = np.array([0, 1, 2, 3, 4, 5])
         fixed = solver.repair_genome(broken)

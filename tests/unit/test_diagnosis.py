@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.engine import CompiledProblem
 from repro.model import AttributeSchema, PlacementGroup, Request
 from repro.model.diagnosis import diagnose_instance
 from repro.types import PlacementRule
@@ -118,8 +119,7 @@ class TestDiagnosis:
         for request in bad_requests:
             assert diagnose_instance(small_infra, request)
             solution = CPSolver(
-                small_infra,
-                request,
+                CompiledProblem(small_infra, request),
                 limits=SearchLimits(max_nodes=100_000, time_limit=10),
             ).find_feasible()
             assert not solution.found and solution.proved

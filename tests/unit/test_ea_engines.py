@@ -13,6 +13,7 @@ from repro.ea import (
     RepairHandling,
     hypervolume,
 )
+from repro.engine import CompiledProblem
 from repro.errors import ValidationError
 from repro.objectives import PopulationEvaluator
 from repro.tabu import TabuRepair
@@ -56,7 +57,7 @@ class TestEngines:
     def test_best_aggregate_never_worsens_with_repair(
         self, small_infra, small_request
     ):
-        repair = TabuRepair(small_infra, small_request, seed=0)
+        repair = TabuRepair(CompiledProblem(small_infra, small_request), seed=0)
         ev = PopulationEvaluator(small_infra, small_request)
         result = NSGA3(
             _FAST, handler=RepairHandling(repair), track_history=True
@@ -126,7 +127,7 @@ class TestHandlers:
             handler.prepare(np.zeros((4, 3), dtype=np.int64))
 
     def test_repaired_run_ends_feasible(self, small_infra, small_request):
-        repair = TabuRepair(small_infra, small_request, seed=1)
+        repair = TabuRepair(CompiledProblem(small_infra, small_request), seed=1)
         ev = PopulationEvaluator(small_infra, small_request)
         result = NSGA3(_FAST, handler=RepairHandling(repair)).run(ev)
         # The small instance is easy; the final best must be feasible.

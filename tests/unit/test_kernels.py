@@ -222,12 +222,7 @@ class TestRepairUsageTile:
         from repro.tabu.repair import TabuRepair
 
         compiled = _compiled(servers=6, vms=16, seed=13, tightness=0.95)
-        repairer = TabuRepair(
-            compiled.infrastructure,
-            compiled.request,
-            seed=0,
-            compiled=compiled,
-        )
+        repairer = TabuRepair(compiled, seed=0)
         rng = np.random.default_rng(4)
         population = rng.integers(
             0, compiled.m, size=(7, compiled.request.n), dtype=np.int64

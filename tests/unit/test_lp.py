@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constraints import ConstraintSet
+from repro.engine import CompiledProblem
 from repro.lp import ILPModel, solve_ilp
 from repro.model import PlacementGroup, Request
 from repro.types import PlacementRule
@@ -105,6 +106,6 @@ class TestSolve:
         from repro.cp import CPSolver
 
         ilp = solve_ilp(small_infra, small_request, time_limit=30)
-        cp = CPSolver(small_infra, small_request).optimize()
+        cp = CPSolver(CompiledProblem(small_infra, small_request)).optimize()
         assert ilp.optimal and cp.proved
         assert ilp.cost == pytest.approx(cp.cost)

@@ -49,18 +49,10 @@ def _random_population(compiled: CompiledProblem, rows: int, seed: int = 0):
     return rng.integers(0, n_servers, size=(rows, n_vms), dtype=np.int64)
 
 
-def _repair_population(
-    engine: ParallelEngine | None, seed: int = 3, precompiled: bool = True
-):
+def _repair_population(engine: ParallelEngine | None, seed: int = 3):
     """Run one population repair, serially or through the engine."""
-    scenario, merged, compiled = _tight_instance()
-    repairer = TabuRepair(
-        scenario.infrastructure,
-        merged,
-        seed=seed,
-        compiled=compiled if precompiled else None,
-        engine=engine,
-    )
+    _, _, compiled = _tight_instance()
+    repairer = TabuRepair(compiled, seed=seed, engine=engine)
     population = _random_population(compiled, rows=10, seed=seed)
     return repairer(population)
 
@@ -79,8 +71,8 @@ class TestWorkerRepairers:
         monkeypatch.setattr(parallel_mod, "_REPAIRERS", {})
 
     def test_cache_is_bounded_and_keeps_recent_keys(self):
-        scenario, merged, compiled = _tight_instance()
-        parent = TabuRepair(scenario.infrastructure, merged, seed=3, compiled=compiled)
+        _, _, compiled = _tight_instance()
+        parent = TabuRepair(compiled, seed=3)
         payload = pickle.dumps(parent)
         genomes = _random_population(compiled, rows=2, seed=3)
         rows = np.arange(2)
@@ -111,8 +103,8 @@ class TestWorkerRepairers:
         base = np.full((scenario.infrastructure.m, 3), 0.5)
         with ParallelEngine(1) as engine:
             parent = TabuRepair(
-                scenario.infrastructure, merged, base_usage=base, max_rounds=5,
-                tenure=7, order="best_fit", seed=3, compiled=compiled, engine=engine,
+                compiled, base_usage=base, max_rounds=5, tenure=7, order="best_fit",
+                seed=3, engine=engine,
             )
             parent.repair_genome(_random_population(compiled, rows=1, seed=3)[0])
             payload = pickle.dumps(parent)
@@ -137,7 +129,7 @@ class TestWorkerRepairers:
         ).compile(at=0.0).infrastructure
         merged, _ = Request.concatenate(scenario.requests)
         compiled = CompiledProblem(estate, merged)
-        parent = TabuRepair(estate, merged, seed=1, compiled=compiled)
+        parent = TabuRepair(compiled, seed=1)
         shipped = pickle.dumps(parent)
         genomes = _random_population(compiled, rows=2, seed=1)
         parallel_mod._repair_task(
@@ -147,30 +139,28 @@ class TestWorkerRepairers:
         assert worker.compiled.fingerprint == compiled.fingerprint
         assert estate.p == 3
         np.testing.assert_array_equal(
-            worker.infrastructure.server_provider, estate.server_provider
+            worker.compiled.infrastructure.server_provider, estate.server_provider
         )
 
 
 class TestRepairDeterminism:
     @pytest.mark.parametrize(
-        "n_workers, kernel, precompiled",
+        "n_workers, kernel",
         [
-            *(pytest.param(n, "numpy", True, id=str(n)) for n in (1, 2, 4)),
-            *(pytest.param(n, "reference", True, id=f"{n}-reference") for n in (1, 2)),
-            pytest.param(2, "numpy", False, id="2-uncompiled"),
+            *(pytest.param(n, "numpy", id=str(n)) for n in (1, 2, 4)),
+            *(pytest.param(n, "reference", id=f"{n}-reference") for n in (1, 2)),
         ],
     )
-    def test_parallel_repair_matches_serial_bytes(self, n_workers, kernel, precompiled):
+    def test_parallel_repair_matches_serial_bytes(self, n_workers, kernel):
         """Workers are forked on the numpy kernel before the parent
         switches, so a reference parent fans out to numpy workers; the
         kernels' conformance keeps the bytes equal to serial.  Workers
-        always compile the instance, also for a parent repairer built
-        without a compilation."""
+        compile the instance themselves."""
         with ParallelEngine(n_workers) as engine:
             _repair_population(engine, seed=5)  # forks the workers
             with use_kernel(kernel):
-                serial = _repair_population(None, precompiled=precompiled)
-                parallel = _repair_population(engine, precompiled=precompiled)
+                serial = _repair_population(None)
+                parallel = _repair_population(engine)
             assert engine.available  # no silent fallback happened
         assert serial.tobytes() == parallel.tobytes()
 
@@ -178,9 +168,9 @@ class TestRepairDeterminism:
         """Population repair must not consume the repairer's own RNG —
         otherwise post-process ``repair_genome`` calls would see a
         different stream depending on how batches were dispatched."""
-        scenario, merged, compiled = _tight_instance()
-        a = TabuRepair(scenario.infrastructure, merged, seed=5, compiled=compiled)
-        b = TabuRepair(scenario.infrastructure, merged, seed=5, compiled=compiled)
+        _, _, compiled = _tight_instance()
+        a = TabuRepair(compiled, seed=5)
+        b = TabuRepair(compiled, seed=5)
         population = _random_population(compiled, rows=6, seed=1)
         a(population)  # consume a batch on one repairer only
         genome = _random_population(compiled, rows=1, seed=2)[0]
@@ -217,15 +207,9 @@ class TestRepairDeterminism:
         """A batch with fewer than MIN_DISPATCH_ROWS infeasible rows
         never starts the pool, so a broken pool cannot hurt small
         windows."""
-        scenario, merged, compiled = _tight_instance()
+        _, _, compiled = _tight_instance()
         with ParallelEngine(2) as engine:
-            repairer = TabuRepair(
-                scenario.infrastructure,
-                merged,
-                seed=3,
-                compiled=compiled,
-                engine=engine,
-            )
+            repairer = TabuRepair(compiled, seed=3, engine=engine)
             with use_registry(MetricsRegistry()) as registry:
                 repairer(_random_population(compiled, rows=1, seed=3))
             snapshot = registry.snapshot()

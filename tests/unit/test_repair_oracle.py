@@ -50,6 +50,12 @@ def _server_usage(capacity, assignment: IntArray) -> FloatArray:
 class _ReferenceFinder(NeighborFinder):
     """``findNeighbor`` with one m-wide capacity and affinity mask per call."""
 
+    def __init__(self, compiled: CompiledProblem, base_usage=None) -> None:
+        super().__init__(compiled, base_usage=base_usage)
+        self.infrastructure = compiled.infrastructure
+        self._no_groups_mask = np.ones(compiled.m, dtype=bool)
+        self._no_groups_mask.setflags(write=False)
+
     def capacity_mask(
         self, usage: FloatArray, assignment: IntArray, vm: int
     ) -> BoolArray:
@@ -164,11 +170,11 @@ class _ReferenceFinder(NeighborFinder):
 class _ReferenceRepair(TabuRepair):
     """The repair walk that rebuilds its state from the genome per call."""
 
-    def __init__(self, infrastructure, request, base_usage=None, **kwargs) -> None:
-        super().__init__(infrastructure, request, base_usage=base_usage, **kwargs)
-        self.finder = _ReferenceFinder(
-            infrastructure, request, base_usage=base_usage, compiled=self.compiled
-        )
+    def __init__(self, compiled: CompiledProblem, base_usage=None, **kwargs) -> None:
+        super().__init__(compiled, base_usage=base_usage, **kwargs)
+        self.infrastructure = compiled.infrastructure
+        self.request = compiled.request
+        self.finder = _ReferenceFinder(compiled, base_usage=base_usage)
 
     def _group_violations(self, assignment: IntArray, group) -> int:
         dc_of = self.infrastructure.server_datacenter
@@ -445,16 +451,9 @@ def _assert_same(got, want, walk: TabuRepair, reference: _ReferenceRepair) -> No
 def test_walk_matches_reference_byte_for_byte(order, max_rounds):
     moves = 0
     for infra, request, base, genomes, seed in _cases():
-        options = dict(
-            base_usage=base,
-            max_rounds=max_rounds,
-            order=order,
-            seed=seed,
-            # The allocators hand the repairer their compilation.
-            compiled=CompiledProblem.compile(infra, request) if seed >= 2 else None,
-        )
-        walk = TabuRepair(infra, request, **options)
-        reference = _ReferenceRepair(infra, request, **options)
+        options = dict(base_usage=base, max_rounds=max_rounds, order=order, seed=seed)
+        walk = TabuRepair(CompiledProblem.compile(infra, request), **options)
+        reference = _ReferenceRepair(CompiledProblem.compile(infra, request), **options)
 
         # 1-D calls on each repairer's own stream.
         for genome in genomes:
@@ -509,13 +508,9 @@ def test_batch_walks_match_reference_up_to_a_deadline(checks):
     count) or never."""
     cut = 0
     for infra, request, base, genomes, seed in _cases():
-        options = dict(
-            base_usage=base,
-            seed=seed,
-            compiled=CompiledProblem.compile(infra, request) if seed % 2 else None,
-        )
-        walk = TabuRepair(infra, request, **options)
-        reference = _ReferenceRepair(infra, request, **options)
+        compiled = CompiledProblem.compile(infra, request)
+        walk = TabuRepair(compiled, base_usage=base, seed=seed)
+        reference = _ReferenceRepair(compiled, base_usage=base, seed=seed)
         if checks is not None:
             _deadline_after(walk, checks)
             _deadline_after(reference, checks)
@@ -541,26 +536,41 @@ def test_batch_walks_match_reference_up_to_a_deadline(checks):
 
 
 def test_finder_matches_reference():
-    """``find`` on the residual and the two masks the greedy baselines
-    use agree with the per-call masks."""
+    """``find`` on the residual agrees with the per-call masks, and so do
+    its two primitives, which the greedy baselines, admission's
+    diagnosis and the least-overflow move call directly: ``fits`` with
+    the reference's capacity mask and ``apply_rules`` with its affinity
+    mask.  The capacity mask credits a placed VM's demand back to its
+    own host, which ``find`` excludes anyway, so that host is left out
+    of the comparison."""
     checked = 0
     for infra, request, base, genomes, seed in _cases():
-        finder = NeighborFinder(infra, request, base_usage=base)
-        reference = _ReferenceFinder(infra, request, base_usage=base)
-        capacity = TabuRepair(infra, request, base_usage=base).constraints.capacity
+        compiled = CompiledProblem.compile(infra, request)
+        finder = NeighborFinder(compiled, base_usage=base)
+        reference = _ReferenceFinder(compiled, base_usage=base)
+        capacity = TabuRepair(compiled, base_usage=base).constraints.capacity
         rng = np.random.default_rng(seed)
         for genome in genomes:
             usage = _server_usage(capacity, genome)
             residual = finder.limit - usage
             tabu = TabuList(tenure=8)
-            for vm in np.flatnonzero(genome != UNPLACED)[:10].tolist():
+            placed = np.flatnonzero(genome != UNPLACED)[:10].tolist()
+            unplaced = np.flatnonzero(genome == UNPLACED)[:3].tolist()
+            for vm in placed + unplaced:
+                other = np.arange(infra.m) != genome[vm]
+                fits = finder.fits(residual, vm)
                 assert np.array_equal(
-                    finder.affinity_mask(genome, vm), reference.affinity_mask(genome, vm)
+                    fits[other], reference.capacity_mask(usage, genome, vm)[other]
+                )
+                affinity = reference.affinity_mask(genome, vm)
+                assert np.array_equal(
+                    finder.apply_rules(np.ones(infra.m, dtype=bool), genome, vm), affinity
                 )
                 assert np.array_equal(
-                    finder.capacity_mask(usage, genome, vm),
-                    reference.capacity_mask(usage, genome, vm),
+                    finder.apply_rules(fits.copy(), genome, vm), fits & affinity
                 )
+                if vm in unplaced:
+                    continue
                 for order in ("first", "best_fit", "random"):
                     draw = int(rng.integers(1 << 30))
                     want = reference.find(

@@ -161,7 +161,7 @@ class TestTrajectoryKey:
         spec = ScenarioSpec(servers=4, datacenters=1, vms=6, tightness=0.5)
         scenario = ScenarioGenerator(spec, seed=0).generate()
         merged, _ = Request.concatenate(scenario.requests)
-        repair = TabuRepair(scenario.infrastructure, merged)
+        repair = TabuRepair(CompiledProblem(scenario.infrastructure, merged))
         assert NoHandling().trajectory_tag() != RepairHandling(repair).trajectory_tag()
 
 

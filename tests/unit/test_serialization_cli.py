@@ -6,6 +6,7 @@ import pytest
 from repro import NSGAConfig, ScenarioGenerator, ScenarioSpec
 from repro.cli import build_parser, main
 from repro.ea import UNSGA3, NSGA3, RepairHandling
+from repro.engine import CompiledProblem
 from repro.errors import ValidationError
 from repro.evaluation.metrics import RunRecord
 from repro.objectives import PopulationEvaluator
@@ -158,7 +159,7 @@ class TestUNSGA3:
         )
 
     def test_with_repair_reaches_feasibility(self, small_infra, small_request):
-        repair = TabuRepair(small_infra, small_request, seed=0)
+        repair = TabuRepair(CompiledProblem(small_infra, small_request), seed=0)
         evaluator = PopulationEvaluator(small_infra, small_request)
         result = UNSGA3(self._FAST, handler=RepairHandling(repair)).run(evaluator)
         assert result.best_violations() == 0

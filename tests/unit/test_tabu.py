@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.constraints import ConstraintSet
+from repro.engine import CompiledProblem
 from repro.errors import ValidationError
 from repro.model import Request
 from repro.model.placement import UNPLACED
@@ -62,36 +63,39 @@ class TestTabuList:
 
 
 class TestNeighborFinder:
-    def test_capacity_mask_credits_current_host(self, small_infra, small_request):
-        finder = NeighborFinder(small_infra, small_request)
-        assignment = np.array([0, 0, 2, 3, 4, 5])
-        usage = ConstraintSet(
-            small_infra, small_request, include_assignment=False
-        ).capacity.batch_usage(assignment[None, :])[0]
-        mask = finder.capacity_mask(usage, assignment, 0)
-        assert mask[0]  # its own host must still be "valid capacity-wise"
-
     def test_affinity_mask_same_server(self, small_infra, small_request):
-        finder = NeighborFinder(small_infra, small_request)
+        finder = NeighborFinder(CompiledProblem(small_infra, small_request))
         # VM 0 and 1 are a SAME_SERVER pair; VM 1 sits on server 3.
         assignment = np.array([0, 3, 2, 4, 5, 6])
-        mask = finder.affinity_mask(assignment, 0)
+        mask = finder.apply_rules(np.ones(small_infra.m, dtype=bool), assignment, 0)
         assert mask[3] and mask.sum() == 1
 
     def test_affinity_mask_different_servers(self, small_infra, small_request):
-        finder = NeighborFinder(small_infra, small_request)
+        finder = NeighborFinder(CompiledProblem(small_infra, small_request))
         # VMs 2 and 3 must differ; VM 3 on server 4.
         assignment = np.array([0, 0, 2, 4, 5, 6])
-        mask = finder.affinity_mask(assignment, 2)
+        mask = finder.apply_rules(np.ones(small_infra.m, dtype=bool), assignment, 2)
         assert not mask[4] and mask.sum() == small_infra.m - 1
 
     def test_affinity_mask_no_groups_is_all_true(self, small_infra, small_request):
-        finder = NeighborFinder(small_infra, small_request)
+        finder = NeighborFinder(CompiledProblem(small_infra, small_request))
         assignment = np.array([0, 0, 2, 4, 5, 6])
-        assert finder.affinity_mask(assignment, 5).all()
+        mask = np.ones(small_infra.m, dtype=bool)
+        assert finder.apply_rules(mask, assignment, 5) is mask and mask.all()
+
+    def test_fits_reads_the_residual(self, small_infra, small_request):
+        """A server fits a VM when its residual row holds the demand on
+        every attribute; the tolerance admits a row short by under 1e-9."""
+        finder = NeighborFinder(CompiledProblem(small_infra, small_request))
+        residual = np.tile(small_request.demand[2], (small_infra.m, 1))
+        residual[1, 0] -= 1e-10
+        residual[5, 2] -= 1e-6
+        expected = np.ones(small_infra.m, dtype=bool)
+        expected[5] = False
+        assert np.array_equal(finder.fits(residual, 2), expected)
 
     def test_find_first_order_returns_lowest_id(self, small_infra, small_request):
-        finder = NeighborFinder(small_infra, small_request)
+        finder = NeighborFinder(CompiledProblem(small_infra, small_request))
         assignment = np.array([0, 0, 2, 3, 4, 5])
         usage = ConstraintSet(
             small_infra, small_request, include_assignment=False
@@ -100,7 +104,7 @@ class TestNeighborFinder:
         assert target == 0  # server 0 has room and the lowest id
 
     def test_find_respects_tabu(self, small_infra, small_request):
-        finder = NeighborFinder(small_infra, small_request)
+        finder = NeighborFinder(CompiledProblem(small_infra, small_request))
         assignment = np.array([0, 0, 2, 3, 4, 5])
         usage = ConstraintSet(
             small_infra, small_request, include_assignment=False
@@ -111,7 +115,7 @@ class TestNeighborFinder:
         assert target not in (0, 5)  # 0 is tabu, 5 is current
 
     def test_find_orders(self, small_infra, small_request):
-        finder = NeighborFinder(small_infra, small_request)
+        finder = NeighborFinder(CompiledProblem(small_infra, small_request))
         assignment = np.array([0, 0, 2, 3, 4, 5])
         usage = ConstraintSet(
             small_infra, small_request, include_assignment=False
@@ -133,7 +137,7 @@ class TestNeighborFinder:
             migration_cost=np.array([1.0]),
         )
         base = small_infra.effective_capacity * 0.5
-        finder = NeighborFinder(small_infra, request, base_usage=base)
+        finder = NeighborFinder(CompiledProblem(small_infra, request), base_usage=base)
         assignment = np.array([2])
         usage = np.zeros_like(base)
         assert finder.find(finder.limit - usage, assignment, 0) is None
@@ -141,13 +145,13 @@ class TestNeighborFinder:
 
 class TestTabuRepair:
     def test_feasible_genome_untouched(self, small_infra, small_request):
-        repair = TabuRepair(small_infra, small_request, seed=0)
+        repair = TabuRepair(CompiledProblem(small_infra, small_request), seed=0)
         genome = np.array([0, 0, 2, 3, 4, 5])
         assert np.array_equal(repair.repair_genome(genome), genome)
         assert repair.repaired_individuals == 0
 
     def test_repairs_affinity_violation(self, small_infra, small_request):
-        repair = TabuRepair(small_infra, small_request, seed=0)
+        repair = TabuRepair(CompiledProblem(small_infra, small_request), seed=0)
         broken = np.array([0, 1, 2, 3, 4, 5])  # same-server pair split
         fixed = repair.repair_genome(broken)
         constraint_set = ConstraintSet(
@@ -156,7 +160,7 @@ class TestTabuRepair:
         assert constraint_set.violations(fixed) == 0
 
     def test_repairs_anti_affinity_violation(self, small_infra, small_request):
-        repair = TabuRepair(small_infra, small_request, seed=0)
+        repair = TabuRepair(CompiledProblem(small_infra, small_request), seed=0)
         broken = np.array([0, 0, 2, 2, 4, 5])  # different-servers collided
         fixed = repair.repair_genome(broken)
         constraint_set = ConstraintSet(
@@ -169,7 +173,7 @@ class TestTabuRepair:
             small_infra, small_request, include_assignment=False
         )
         rng = np.random.default_rng(1)
-        repair = TabuRepair(small_infra, small_request, seed=2)
+        repair = TabuRepair(CompiledProblem(small_infra, small_request), seed=2)
         for _ in range(20):
             genome = rng.integers(0, small_infra.m, size=small_request.n)
             before = constraint_set.violations(genome)
@@ -179,7 +183,7 @@ class TestTabuRepair:
     def test_population_call_only_touches_infeasible(
         self, small_infra, small_request
     ):
-        repair = TabuRepair(small_infra, small_request, seed=3)
+        repair = TabuRepair(CompiledProblem(small_infra, small_request), seed=3)
         feasible = np.array([0, 0, 2, 3, 4, 5])
         broken = np.array([0, 1, 2, 3, 4, 5])
         population = np.vstack([feasible, broken])
@@ -188,7 +192,7 @@ class TestTabuRepair:
         assert not np.array_equal(fixed[1], broken)
 
     def test_genes_stay_in_range(self, small_infra, small_request):
-        repair = TabuRepair(small_infra, small_request, seed=4)
+        repair = TabuRepair(CompiledProblem(small_infra, small_request), seed=4)
         rng = np.random.default_rng(5)
         population = rng.integers(0, small_infra.m, size=(10, small_request.n))
         fixed = repair(population)
@@ -196,7 +200,7 @@ class TestTabuRepair:
 
     def test_max_rounds_validated(self, small_infra, small_request):
         with pytest.raises(ValidationError):
-            TabuRepair(small_infra, small_request, max_rounds=0)
+            TabuRepair(CompiledProblem(small_infra, small_request), max_rounds=0)
 
 
 class _CheckedWalkState(WalkState):
@@ -267,7 +271,7 @@ class TestRepairWithUnplacedGenes:
         for infra, request, genome in _genomes_with_unplaced_members(200):
             constraint_set = ConstraintSet(infra, request, include_assignment=False)
             checked_walk.constraints = constraint_set
-            repair = TabuRepair(infra, request, seed=0)
+            repair = TabuRepair(CompiledProblem(infra, request), seed=0)
             repaired = repair.repair_genome(genome)
             unplaced = genome == UNPLACED
             assert np.all(repaired[unplaced] == UNPLACED)
@@ -292,7 +296,7 @@ class TestRepairWithUnplacedGenes:
             population = np.stack(
                 [genome, rng.permutation(genome), rng.integers(0, infra.m, size=genome.size)]
             )
-            repair = TabuRepair(infra, request, base_usage=base, seed=0)
+            repair = TabuRepair(CompiledProblem(infra, request), base_usage=base, seed=0)
             repaired = repair(population)
             assert np.all(repaired[population == UNPLACED] == UNPLACED)
             walks += repair.repaired_individuals
@@ -484,7 +488,7 @@ class TestDeadlineRegression:
         import time
 
         infra, request = self._tight_instance()
-        repair = TabuRepair(infra, request, max_rounds=10_000, seed=0)
+        repair = TabuRepair(CompiledProblem(infra, request), max_rounds=10_000, seed=0)
         repair.set_deadline(time.perf_counter())  # already passed
         broken = np.zeros(12, dtype=np.int64)  # everything on server 0
         assert np.array_equal(repair.repair_genome(broken), broken)
@@ -494,7 +498,7 @@ class TestDeadlineRegression:
         import time
 
         infra, request = self._tight_instance()
-        repair = TabuRepair(infra, request, max_rounds=10_000, seed=0)
+        repair = TabuRepair(CompiledProblem(infra, request), max_rounds=10_000, seed=0)
         rng = np.random.default_rng(0)
         population = rng.integers(0, 4, size=(8, 12))
         repair.set_deadline(time.perf_counter())
@@ -507,7 +511,7 @@ class TestDeadlineRegression:
         import time
 
         infra, request = self._tight_instance()
-        repair = TabuRepair(infra, request, max_rounds=8, seed=0)
+        repair = TabuRepair(CompiledProblem(infra, request), max_rounds=8, seed=0)
         broken = np.zeros(12, dtype=np.int64)
         repair.set_deadline(time.perf_counter())
         assert np.array_equal(repair.repair_genome(broken), broken)
@@ -525,7 +529,7 @@ class TestDeadlineRegression:
         infra, request = self._tight_instance()
         evaluator = PopulationEvaluator(infra, request)
         repair = TabuRepair(
-            infra, request, max_rounds=100_000, tenure=2, seed=0
+            CompiledProblem(infra, request), max_rounds=100_000, tenure=2, seed=0
         )
         config = NSGAConfig(
             population_size=12,

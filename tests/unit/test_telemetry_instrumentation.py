@@ -7,6 +7,7 @@ import pytest
 from repro.baselines import FirstFitAllocator
 from repro.cp import CPSolver, SearchLimits
 from repro.ea import NSGAConfig
+from repro.engine import CompiledProblem
 from repro.hybrid import NSGA3TabuAllocator
 from repro.model import Infrastructure, PlacementGroup, Request
 from repro.objectives import PopulationEvaluator
@@ -129,7 +130,7 @@ class TestTabuInstrumentation:
         assignment = np.zeros(6, dtype=np.int64)
         registry = MetricsRegistry()
         with use_registry(registry), capture_events() as sink:
-            repairer = TabuRepair(infra, request, seed=2)
+            repairer = TabuRepair(CompiledProblem(infra, request), seed=2)
             repairer.repair_genome(assignment)
         [event] = sink.of(RepairInvoked)
         assert event.repairer == "tabu"
@@ -144,7 +145,7 @@ class TestCPInstrumentation:
         registry = MetricsRegistry()
         with use_registry(registry):
             solver = CPSolver(
-                infra, _request(), limits=SearchLimits(max_nodes=10_000)
+                CompiledProblem(infra, _request()), limits=SearchLimits(max_nodes=10_000)
             )
             solution = solver.find_feasible()
         assert solution.assignment is not None

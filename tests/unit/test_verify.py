@@ -196,7 +196,7 @@ def feasible(scenario, merged):
     """The CP optimum: a complete placement the constraint set accepts."""
     from repro.cp import CPSolver
 
-    solution = CPSolver(scenario.infrastructure, merged).optimize()
+    solution = CPSolver(CompiledProblem(scenario.infrastructure, merged)).optimize()
     assert solution.found and solution.proved
     return np.asarray(solution.assignment, dtype=np.int64)
 
@@ -245,6 +245,22 @@ def test_verify_returns_clean_structured_report(scenario, merged, reference, fea
     assert report.stats["backends"] == "lp,cp"
     assert report.comparisons >= 4
     assert report.format().startswith(f"oracle [5x10]: ok — {report.comparisons} comparisons")
+
+
+def test_oracle_counts_a_cp_search_that_ends_unproved(scenario, merged, reference):
+    """The CP check searches under a node budget only.  On this 5x10
+    instance 20,000 nodes prove no optimum (the solver's default
+    200,000 do), so the cost bound compares nothing for a feasible
+    placement and the report counts the unproved search."""
+    from repro.cp import CPSolver
+
+    placement = CPSolver(CompiledProblem(scenario.infrastructure, merged)).find_feasible()
+    assert placement.found
+    report = DifferentialOracle(reference).replay(placement.assignment, lp=False)
+    assert report.ok, report.format()
+    assert report.stats["backends"] == "cp"
+    assert report.stats["cp_unproved"] == 1
+    assert report.comparisons == 1  # the placement CP returned is feasible
 
 
 def test_oracle_clean_replay(scenario, merged, reference):
@@ -441,6 +457,7 @@ def test_run_fuzz_small_campaign_clean():
     assert report.comparisons == (
         report.stats["oracle"] + report.stats["metamorphic"]
     )
+    assert report.stats["cp_unproved"] >= 0
 
 
 def test_cli_verify_exits_zero_on_clean_run(capsys):

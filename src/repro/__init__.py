@@ -160,7 +160,7 @@ _EXPORTS = {
     **{
         name: f"repro.{name}"
         for name in (
-            "allocator", "analysis", "baselines", "cli", "constraints", "cp",
+            "allocator", "baselines", "cli", "constraints", "cp",
             "ea", "engine", "errors", "evaluation", "hybrid", "lp", "market",
             "model", "objectives", "portfolio", "runtime", "scheduler",
             "serialization", "service", "tabu", "telemetry", "topology",

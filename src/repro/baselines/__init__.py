@@ -24,10 +24,6 @@ from repro.baselines.fits import (
     WorstFitAllocator,
 )
 from repro.baselines.filter_scheduler import FilterSchedulerAllocator
-from repro.baselines.vector_packing import (
-    DotProductAllocator,
-    FirstFitDecreasingAllocator,
-)
 
 __all__ = [
     "GreedyAllocator",
@@ -36,7 +32,5 @@ __all__ = [
     "BestFitAllocator",
     "WorstFitAllocator",
     "RandomAllocator",
-    "FirstFitDecreasingAllocator",
-    "DotProductAllocator",
     "FilterSchedulerAllocator",
 ]

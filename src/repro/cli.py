@@ -109,7 +109,8 @@ def _sweep_specs(sizes: list[tuple[int, int]], tightness: float) -> list:
     ]
 
 
-def _run_figure(args, sizes, metric: str, title: str) -> int:
+def _run_figure(args, sizes, *tables: tuple[str, str]) -> int:
+    """Sweep ``sizes`` and print one table per ``(metric, title)``."""
     from repro.evaluation import ExperimentRunner, format_series_table
 
     runner = ExperimentRunner(
@@ -124,7 +125,11 @@ def _run_figure(args, sizes, metric: str, title: str) -> int:
     if result.interrupted:
         print(_INTERRUPTED_MSG)
         return 130
-    print(format_series_table(result, metric, title=title))
+    print(
+        "\n\n".join(
+            format_series_table(result, metric, title=title) for metric, title in tables
+        )
+    )
     return 0
 
 
@@ -133,8 +138,7 @@ def cmd_fig7(args) -> int:
     return _run_figure(
         args,
         [(10, 20), (20, 40), (40, 80)],
-        "execution_time",
-        "Figure 7: mean execution time (s), few resources",
+        ("execution_time", "Figure 7: mean execution time (s), few resources"),
     )
 
 
@@ -146,8 +150,7 @@ def cmd_fig8(args) -> int:
     return _run_figure(
         args,
         sizes,
-        "execution_time",
-        "Figure 8: mean execution time (s), many resources",
+        ("execution_time", "Figure 8: mean execution time (s), many resources"),
     )
 
 
@@ -156,8 +159,7 @@ def cmd_fig9(args) -> int:
     return _run_figure(
         args,
         [(16, 32), (32, 64), (64, 128)],
-        "rejection_rate",
-        "Figure 9: mean rejection rate vs size",
+        ("rejection_rate", "Figure 9: mean rejection rate vs size"),
     )
 
 
@@ -166,41 +168,21 @@ def cmd_fig10(args) -> int:
     return _run_figure(
         args,
         [(16, 32), (32, 64), (64, 128)],
-        "violations",
-        "Figure 10: mean violated constraints vs size",
+        ("violations", "Figure 10: mean violated constraints vs size"),
     )
 
 
 def cmd_fig11(args) -> int:
     """Run ``python -m repro fig11``."""
-    from repro.evaluation import ExperimentRunner, format_series_table
-
-    runner = ExperimentRunner(
-        _factories(args, include_cp_hybrid=args.include_cp_hybrid),
-        runs=args.runs,
-        seed=args.seed,
-    )
-    result = runner.run_sweep(
-        _sweep_specs([(16, 32), (32, 64)], args.tightness),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-    )
-    if result.interrupted:
-        print(_INTERRUPTED_MSG)
-        return 130
-    print(
-        format_series_table(
-            result, "provider_cost", title="Figure 11: mean provider cost"
-        )
-    )
-    print()
-    print(
-        format_series_table(
-            result,
+    return _run_figure(
+        args,
+        [(16, 32), (32, 64)],
+        ("provider_cost", "Figure 11: mean provider cost"),
+        (
             "cost_per_request",
-            title="Figure 11 (future-work metric): cost per accepted request",
-        )
+            "Figure 11 (future-work metric): cost per accepted request",
+        ),
     )
-    return 0
 
 
 def cmd_table2(args) -> int:

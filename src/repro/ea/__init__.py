@@ -18,7 +18,6 @@ from repro.ea.crowding import crowding_distance
 from repro.ea.reference_points import das_dennis_points, ReferencePointNiching
 from repro.ea.nsga2 import NSGA2
 from repro.ea.nsga3 import NSGA3
-from repro.ea.unsga3 import UNSGA3
 from repro.ea.result import EvolutionResult, GenerationStats
 from repro.ea.constraint_handling import (
     ConstraintHandler,
@@ -42,7 +41,6 @@ __all__ = [
     "ReferencePointNiching",
     "NSGA2",
     "NSGA3",
-    "UNSGA3",
     "EvolutionResult",
     "GenerationStats",
     "ConstraintHandler",

@@ -10,7 +10,6 @@ mutation) is provided for the operator ablation study.
 from repro.ea.operators.sbx import sbx_crossover
 from repro.ea.operators.polynomial import polynomial_mutation
 from repro.ea.operators.discrete import uniform_crossover, random_reset_mutation
-from repro.ea.operators.group_aware import group_block_crossover
 from repro.ea.operators.selection import binary_tournament
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "uniform_crossover",
     "random_reset_mutation",
     "binary_tournament",
-    "group_block_crossover",
 ]

@@ -10,8 +10,8 @@
   distance), and niche-preserving selection from the partial front.
 
 Both the lattice and the niching operator built from it depend only on
-``(n_objectives, divisions)``, so they are memoized: every NSGA-III /
-U-NSGA-III construction in a sweep shares one set of points and one
+``(n_objectives, divisions)``, so they are memoized: every NSGA-III
+construction in a sweep shares one set of points and one
 :class:`ReferencePointNiching` instead of rebuilding the recursion per
 run (the operator keeps no per-run state — the selection RNG is passed
 per call).

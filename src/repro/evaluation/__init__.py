@@ -15,7 +15,6 @@ from repro.evaluation.metrics import (
     RunRecord,
     aggregate_records,
 )
-from repro.evaluation.parallel import ParallelExperimentRunner
 from repro.evaluation.runner import AllocatorFactory, ExperimentRunner, SweepResult
 from repro.evaluation.comparison import TABLE2_CRITERIA, capability_matrix
 from repro.evaluation.convergence import (
@@ -25,7 +24,6 @@ from repro.evaluation.convergence import (
     sparkline,
 )
 from repro.evaluation.reporting import format_series_table
-from repro.evaluation.stats import Comparison, bootstrap_ci, compare_algorithms, paired_differences
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "aggregate_records",
     "AllocatorFactory",
     "ExperimentRunner",
-    "ParallelExperimentRunner",
     "SweepResult",
     "capability_matrix",
     "TABLE2_CRITERIA",
@@ -44,8 +41,4 @@ __all__ = [
     "evaluations_to_feasible",
     "evaluations_to_within",
     "sparkline",
-    "Comparison",
-    "bootstrap_ci",
-    "compare_algorithms",
-    "paired_differences",
 ]

@@ -39,11 +39,10 @@ AllocatorFactory = Callable[[], Allocator]
 class SweepResult:
     """All records of one experiment, with aggregation helpers.
 
-    ``telemetry`` carries the sweep's merged
-    :class:`~repro.telemetry.MetricsSnapshot` — for parallel runs this
-    is the fold of every worker's per-cell snapshot, so counters like
-    ``nsga.evaluations`` aggregate across processes.  It is not part
-    of the CSV round-trip.
+    ``telemetry`` carries the :class:`~repro.telemetry.MetricsSnapshot`
+    of the sweep's own registry: one ``evaluation.cells`` count per
+    computed cell plus every nested counter (``nsga.evaluations``, CP
+    nodes, repair moves).  It is not part of the CSV round-trip.
     """
 
     records: list[RunRecord] = field(default_factory=list)
@@ -299,8 +298,7 @@ class ExperimentRunner:
                             result.records.append(record)
                             if journal is not None:
                                 # runtime.sweep.* counters only exist on
-                                # journaled sweeps, keeping serial and
-                                # parallel telemetry comparable.
+                                # journaled sweeps.
                                 self._append_cell(journal, key, record)
                                 registry.count("runtime.sweep.cells_completed")
         finally:

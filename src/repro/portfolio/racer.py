@@ -97,12 +97,6 @@ class _Member:
     def evaluations(self) -> int:
         return int(self.run.evaluations)
 
-    def best_solution(self) -> IntArray:
-        getter = getattr(self.run, "best_solution", None)
-        if getter is not None:
-            return getter()
-        return self.run.best_assignment()  # TabuRun
-
     def close(self) -> None:
         closer = getattr(self.run, "close", None)
         if closer is not None:
@@ -249,7 +243,7 @@ class PortfolioRun(AnytimeRun):
                 genomes, objectives = front()
                 self.pool.offer(genomes, objectives, source=member.name)
                 continue
-            candidate = member.best_solution()
+            candidate = member.run.best_solution()
             if np.any(candidate == UNPLACED):
                 continue
             objectives, violations = self._judge.assess(candidate)
@@ -299,7 +293,7 @@ class PortfolioRun(AnytimeRun):
         pooled = self.pool.best()
         if pooled is not None:
             candidates.append(pooled[0])
-        candidates.extend(m.best_solution() for m in self.members)
+        candidates.extend(m.run.best_solution() for m in self.members)
         best = None
         best_score = None
         for candidate in candidates:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -31,12 +32,14 @@ __all__ = ["LoadReport", "LoadGenerator", "percentile"]
 
 
 def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (0 for an empty sample)."""
+    """Nearest-rank percentile, ``q`` in [0, 100] (0 for an empty
+    sample): the smallest value with at least ``q``% of the sample at
+    or below it."""
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(round(q / 100.0 * len(ordered))) - 1))
-    return ordered[rank]
+    rank = math.ceil(q * len(ordered) / 100.0)
+    return ordered[min(len(ordered), max(1, rank)) - 1]
 
 
 @dataclass

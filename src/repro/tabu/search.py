@@ -117,7 +117,7 @@ class TabuRun:
     Obtained from :meth:`TabuSearch.start`.  Holds the walk state —
     current genome, tabu memory, current/best scores, the search's RNG —
     so :meth:`step` can run bounded slices of the classic loop and
-    :meth:`best_assignment` is valid between any two slices.  Driving
+    :meth:`best_solution` is valid between any two slices.  Driving
     ``while run.step(): pass`` then :meth:`result` is byte-identical to
     the blocking :meth:`TabuSearch.run`, which now does exactly that.
     """
@@ -216,7 +216,7 @@ class TabuRun:
             self._advance()
         return self.iteration < self.search.max_iterations
 
-    def best_assignment(self) -> IntArray:
+    def best_solution(self) -> IntArray:
         """Best placement visited so far (copy), at any instant."""
         return self.best.copy()
 

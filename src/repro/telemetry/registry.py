@@ -5,11 +5,11 @@ solver behaviour — execution time, rejection rate, violations, cost.
 :class:`MetricsRegistry` is the substrate those observations flow
 through at runtime: instrumented code records into the *default*
 registry (:func:`get_registry`), experiments swap in a scoped registry
-(:func:`use_registry`), and process-parallel sweeps snapshot each
-worker's registry and fold the :class:`MetricsSnapshot` back into the
-parent (snapshots are plain picklable dataclasses; merging is
-associative and commutative, so the merged parent registry equals the
-sum of its per-worker snapshots).
+(:func:`use_registry`), and the process-parallel repair pool snapshots
+each worker task's registry and folds the :class:`MetricsSnapshot`
+back into the parent (snapshots are plain picklable dataclasses;
+merging is associative and commutative, so the merged parent registry
+equals the sum of its per-task snapshots).
 
 Metric semantics follow the usual conventions:
 

@@ -9,9 +9,8 @@ server capacities and costs, VM demands drawn from flavour-like size
 classes and scaled to a target *tightness* (fraction of estate capacity
 demanded), and affinity/anti-affinity rules sampled per request.
 
-:mod:`repro.workloads.profiles` pins the named size sweeps used by the
-figure benches, and :mod:`repro.workloads.scenarios` is the registry of
-named *dynamic* scenarios — seeded churn/traffic/failure event streams
+:mod:`repro.workloads.scenarios` is the registry of named *dynamic*
+scenarios — seeded churn/traffic/failure event streams
 replayable through the time-window scheduler (docs/SCENARIOS.md).
 """
 
@@ -26,12 +25,6 @@ from repro.workloads.scenarios import (
     scenario_names,
 )
 from repro.workloads.traces import Trace, TraceGenerator, TraceSpec
-from repro.workloads.profiles import (
-    FIG7_SIZES,
-    FIG8_SIZES,
-    scenario_spec_for_size,
-    sweep_specs,
-)
 
 __all__ = [
     "Scenario",
@@ -47,8 +40,4 @@ __all__ = [
     "Trace",
     "TraceGenerator",
     "TraceSpec",
-    "FIG7_SIZES",
-    "FIG8_SIZES",
-    "scenario_spec_for_size",
-    "sweep_specs",
 ]

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from repro.baselines import (
     BestFitAllocator,
-    DotProductAllocator,
     FilterSchedulerAllocator,
     FirstFitAllocator,
-    FirstFitDecreasingAllocator,
     RoundRobinAllocator,
     WorstFitAllocator,
 )
@@ -26,8 +24,6 @@ _GREEDY = [
     BestFitAllocator,
     WorstFitAllocator,
     RoundRobinAllocator,
-    FirstFitDecreasingAllocator,
-    DotProductAllocator,
     FilterSchedulerAllocator,
 ]
 

@@ -108,27 +108,3 @@ def test_repair_idempotent_on_feasible_output(instance, seed):
     if constraint_set.violations(once) == 0:
         twice = repair.repair_genome(once.copy())
         assert np.array_equal(once, twice)
-
-
-@given(instances(), st.integers(0, 2**31 - 1))
-@settings(max_examples=20, deadline=None)
-def test_group_block_crossover_preserves_rule_consistency(instance, seed):
-    """Children of rule-consistent parents stay rule-consistent under
-    the group-aware crossover (on arbitrary instances)."""
-    from repro.cp import CPSolver, SearchLimits
-    from repro.ea.operators import group_block_crossover
-
-    infra, request = instance
-    if not request.groups:
-        return
-    solution = CPSolver(
-        CompiledProblem(infra, request), limits=SearchLimits(max_nodes=3_000, time_limit=0.5)
-    ).find_feasible()
-    if not solution.found:
-        return
-    parents = np.vstack([solution.assignment] * 4)
-    children = group_block_crossover(parents, request, rate=1.0, seed=seed)
-    constraint_set = ConstraintSet(infra, request, include_assignment=False)
-    for child in children:
-        for constraint in constraint_set.group_constraints:
-            assert constraint.violations(child) == 0

@@ -29,7 +29,7 @@ LAYERS = (
     ("portfolio", "market"),
     ("scheduler", "workloads"),  # dynamics
     ("service",),
-    ("evaluation", "verify", "analysis"),  # harness
+    ("evaluation", "verify"),  # harness
     ("cli", "__main__"),  # interface
 )
 RANK = {f"repro.{name}": rank for rank, names in enumerate(LAYERS) for name in names}

@@ -1,6 +1,6 @@
 """Byte pins of the placers that no benchmark workload runs.
 
-The eight greedy baselines, the CP allocator, the NSGA-III + CP hybrid
+The six greedy baselines, the CP allocator, the NSGA-III + CP hybrid
 and admission's rejection diagnosis place VMs from the compiled
 instance, the greedy ones and the diagnosis through the neighbour
 finder's validity test.  Each digest below is a blake2b hash of what
@@ -21,10 +21,8 @@ import pytest
 from repro import NSGAConfig
 from repro.baselines import (
     BestFitAllocator,
-    DotProductAllocator,
     FilterSchedulerAllocator,
     FirstFitAllocator,
-    FirstFitDecreasingAllocator,
     RandomAllocator,
     RoundRobinAllocator,
     WorstFitAllocator,
@@ -94,11 +92,6 @@ _GREEDY = {
     "best_fit": (BestFitAllocator, "b253a99b4008f2e498929cd9e52aed4e"),
     "worst_fit": (WorstFitAllocator, "93b24ee5840076decaaa644a3bf8bba8"),
     "random_fit": (lambda: RandomAllocator(seed=3), "f30afe42154cbdf0422c9971d121d3ce"),
-    "first_fit_decreasing": (
-        FirstFitDecreasingAllocator,
-        "441e170668957ac9cc41bdbecd9260b0",
-    ),
-    "dot_product": (DotProductAllocator, "d4b36911f3abd75b07d9f81c86d49a6f"),
     "filter_scheduler": (
         lambda: FilterSchedulerAllocator(cost_weight=2.0),
         "996abf51e1fc25f712e6e1f426931fca",

@@ -1,15 +1,12 @@
-"""Unit tests for JSON serialization, the CLI and the U-NSGA-III variant."""
+"""Unit tests for JSON serialization and the CLI."""
 
 import numpy as np
 import pytest
 
-from repro import NSGAConfig, ScenarioGenerator, ScenarioSpec
+from repro import ScenarioGenerator, ScenarioSpec
 from repro.cli import build_parser, main
-from repro.ea import UNSGA3, NSGA3, RepairHandling
-from repro.engine import CompiledProblem
 from repro.errors import ValidationError
 from repro.evaluation.metrics import RunRecord
-from repro.objectives import PopulationEvaluator
 from repro.serialization import (
     infrastructure_from_dict,
     infrastructure_to_dict,
@@ -18,7 +15,6 @@ from repro.serialization import (
     request_to_dict,
     save_json,
 )
-from repro.tabu import TabuRepair
 from repro.workloads.generator import scenario_from_dict, scenario_to_dict
 
 
@@ -137,45 +133,6 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
-
-
-class TestUNSGA3:
-    _FAST = NSGAConfig(population_size=16, max_evaluations=320, seed=2)
-
-    def test_runs_and_respects_budget(self, small_infra, small_request):
-        evaluator = PopulationEvaluator(small_infra, small_request)
-        result = UNSGA3(self._FAST).run(evaluator)
-        assert result.evaluations <= self._FAST.max_evaluations
-        assert len(result.population) == self._FAST.population_size
-        assert result.algorithm == "unsga3"
-
-    def test_deterministic(self, small_infra, small_request):
-        runs = []
-        for _ in range(2):
-            evaluator = PopulationEvaluator(small_infra, small_request)
-            runs.append(UNSGA3(self._FAST).run(evaluator))
-        assert np.array_equal(
-            runs[0].population.genomes, runs[1].population.genomes
-        )
-
-    def test_with_repair_reaches_feasibility(self, small_infra, small_request):
-        repair = TabuRepair(CompiledProblem(small_infra, small_request), seed=0)
-        evaluator = PopulationEvaluator(small_infra, small_request)
-        result = UNSGA3(self._FAST, handler=RepairHandling(repair)).run(evaluator)
-        assert result.best_violations() == 0
-
-    def test_selection_pressure_at_least_random(self, small_infra, small_request):
-        """U-NSGA-III's tournament must not converge worse than plain
-        NSGA-III's random mating on the same budget (same seeds)."""
-        def best(cls):
-            evaluator = PopulationEvaluator(small_infra, small_request)
-            result = cls(self._FAST).run(evaluator)
-            return result.best_objectives().sum()
-
-        # Not a strict theorem per-instance; assert it is not wildly
-        # worse (50% headroom) so regressions in the tournament logic
-        # are caught without flakiness.
-        assert best(UNSGA3) <= 1.5 * best(NSGA3) + 1e-9
 
 
 class TestCliDiagnose:

@@ -1,4 +1,5 @@
-"""Unit tests for the service's single-writer state and admission layer."""
+"""Unit tests for the service's single-writer state, its admission layer
+and the load generator's latency percentiles."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from repro.service import (
     replay_admission_log,
 )
 from repro.service.admission import diagnose_rejection
+from repro.service.loadgen import percentile
 
 
 def _request(n=2, scale=1.0):
@@ -178,3 +180,24 @@ class TestAdmissionController:
         # Saturate so the next giant request cannot fit anywhere.
         reason = diagnose_rejection(state, _request(n=2, scale=1e5))
         assert reason in ("capacity", "affinity")
+
+
+class TestPercentile:
+    """Nearest rank: the smallest value with at least q% of the sample
+    at or below it."""
+
+    @pytest.mark.parametrize(
+        "values, q, expected",
+        [
+            ([1, 2, 3, 4, 5], 50, 3),
+            (list(range(1, 11)), 25, 3),
+            ([5, 1, 3], 0, 1),
+            ([5, 1, 3], 100, 5),
+            (list(range(1, 101)), 99, 99),
+        ],
+    )
+    def test_nearest_rank(self, values, q, expected):
+        assert percentile(values, q) == expected
+
+    def test_empty_sample_is_zero(self):
+        assert percentile([], 50) == 0.0

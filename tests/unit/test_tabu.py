@@ -359,7 +359,7 @@ class TestTabuSearch:
             pass
         result = run.result()
 
-        objectives, violations = evaluator.assess(run.best_assignment())
+        objectives, violations = evaluator.assess(run.best_solution())
         assert result.violations == violations
         assert np.array_equal(result.objectives, objectives.as_array())
         assert run.best_score[0] == violations

@@ -1,4 +1,4 @@
-"""Unit tests for RNG plumbing, validators, timers and error types."""
+"""Unit tests for RNG plumbing, timers and error types."""
 
 import time
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import errors
-from repro.errors import DimensionError, ValidationError
 from repro.utils import rng as rng_module
 from repro.utils.rng import (
     as_generator,
@@ -16,14 +15,6 @@ from repro.utils.rng import (
     spawn_generators,
 )
 from repro.utils.timers import Stopwatch, format_duration
-from repro.utils.validation import (
-    as_float_matrix,
-    as_float_vector,
-    check_fraction,
-    check_nonnegative,
-    check_positive_int,
-    check_shape,
-)
 
 
 class TestRng:
@@ -129,39 +120,6 @@ class TestInstallStream:
                 self._assert_starts_like_derived(generator, root, (1, row))
                 assert len(rng_module._STREAM_STATES) <= 8
         rng_module._STREAM_STATES.clear()
-
-
-class TestValidation:
-    def test_positive_int_accepts_numpy_ints(self):
-        assert check_positive_int(np.int64(3), "x") == 3
-
-    def test_positive_int_rejects_bool_and_zero(self):
-        with pytest.raises(ValidationError):
-            check_positive_int(True, "x")
-        with pytest.raises(ValidationError):
-            check_positive_int(0, "x")
-
-    def test_nonnegative_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            check_nonnegative(np.array([1.0, np.nan]), "x")
-
-    def test_fraction_strict_upper(self):
-        check_fraction(np.array([0.0, 0.999]), "x")
-        with pytest.raises(ValidationError):
-            check_fraction(np.array([1.0]), "x")
-        check_fraction(np.array([1.0]), "x", strict_upper=False)
-
-    def test_shape_mismatch_is_dimension_error(self):
-        with pytest.raises(DimensionError):
-            check_shape(np.ones((2, 3)), (3, 2), "x")
-
-    def test_matrix_vector_coercion(self):
-        m = as_float_matrix([[1, 2], [3, 4]], 2, 2, "m")
-        assert m.dtype == np.float64 and m.flags.c_contiguous
-        v = as_float_vector([1, 2, 3], 3, "v")
-        assert v.shape == (3,)
-        with pytest.raises(DimensionError):
-            as_float_vector([1, 2], 3, "v")
 
 
 class TestStopwatch:

@@ -32,13 +32,13 @@ from tests.unit.test_docs_metric_drift import documented_metric_names
 VERIFY_DOC = Path(__file__).resolve().parents[2] / "docs" / "VERIFY.md"
 
 
-@pytest.fixture()
+@pytest.fixture(scope="module")
 def scenario():
     spec = ScenarioSpec(servers=5, datacenters=2, vms=10, tightness=0.8)
     return ScenarioGenerator(spec, seed=17).generate()
 
 
-@pytest.fixture()
+@pytest.fixture(scope="module")
 def merged(scenario):
     request, _ = Request.concatenate(scenario.requests)
     return request
@@ -191,14 +191,18 @@ def test_invariants_flag_non_finite_objectives(scenario):
 # ----------------------------------------------------------------------
 # Differential oracle: clean replay + fault injection self-test
 # ----------------------------------------------------------------------
-@pytest.fixture()
+@pytest.fixture(scope="module")
 def feasible(scenario, merged):
-    """The CP optimum: a complete placement the constraint set accepts."""
+    """The CP optimum: a complete placement the constraint set accepts.
+    One default-budget search serves the whole module, so the placement
+    is read-only."""
     from repro.cp import CPSolver
 
     solution = CPSolver(CompiledProblem(scenario.infrastructure, merged)).optimize()
     assert solution.found and solution.proved
-    return np.asarray(solution.assignment, dtype=np.int64)
+    placement = np.array(solution.assignment, dtype=np.int64)
+    placement.setflags(write=False)
+    return placement
 
 
 def _corrupt_ilp(monkeypatch, **changes):

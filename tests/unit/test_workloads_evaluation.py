@@ -8,20 +8,14 @@ from repro.errors import ValidationError
 from repro.evaluation import (
     ExperimentRunner,
     RunRecord,
+    SweepResult,
     aggregate_records,
     capability_matrix,
     format_series_table,
     format_table,
 )
 from repro.types import PlacementRule
-from repro.workloads import (
-    FIG7_SIZES,
-    FIG8_SIZES,
-    ScenarioGenerator,
-    ScenarioSpec,
-    scenario_spec_for_size,
-    sweep_specs,
-)
+from repro.workloads import ScenarioGenerator, ScenarioSpec
 
 
 class TestScenarioGenerator:
@@ -102,24 +96,6 @@ class TestScenarioGenerator:
             ScenarioSpec(max_vm_fraction=0.0)
 
 
-class TestProfiles:
-    def test_paper_max_size_present(self):
-        assert (800, 1600) in FIG8_SIZES
-        assert all(s <= 100 for s, _ in FIG7_SIZES)
-
-    def test_spec_for_size_defaults(self):
-        spec = scenario_spec_for_size(40, 80)
-        assert spec.servers == 40 and spec.vms == 80
-        assert spec.datacenters == 2
-        large = scenario_spec_for_size(400, 800)
-        assert large.datacenters == 4
-
-    def test_sweep_specs(self):
-        specs = sweep_specs(FIG7_SIZES, tightness=0.5)
-        assert len(specs) == len(FIG7_SIZES)
-        assert all(s.tightness == 0.5 for s in specs)
-
-
 class TestMetrics:
     def _record(self, **kw):
         base = dict(
@@ -181,6 +157,13 @@ class TestRunner:
         assert result.sizes() == [(10, 20), (20, 40)]
         agg = result.aggregate("ff", (10, 20))
         assert agg.runs == 2
+        # One evaluation.cells count per (spec, run) cell of each label.
+        telemetry = result.telemetry
+        for label in ("ff", "rr"):
+            assert telemetry.counters[f"evaluation.cells{{algorithm={label}}}"] == 2 * 2
+            timed = telemetry.histograms[f"evaluation.cell_seconds{{algorithm={label}}}"]
+            assert timed.count == 2 * 2
+        assert telemetry.counter_total("evaluation.cells") == len(result.records)
 
     def test_series_shape(self):
         runner = ExperimentRunner({"ff": FirstFitAllocator}, runs=1, seed=1)
@@ -194,6 +177,17 @@ class TestRunner:
             ExperimentRunner({}, runs=1)
         with pytest.raises(ValidationError):
             ExperimentRunner({"ff": FirstFitAllocator}, runs=0)
+
+
+class TestSweepCsv:
+    def test_roundtrip(self, tmp_path):
+        runner = ExperimentRunner({"ff": FirstFitAllocator}, runs=2, seed=0)
+        result = runner.run_sweep([ScenarioSpec(servers=10, vms=20)])
+        path = result.to_csv(tmp_path / "sweep.csv")
+        back = SweepResult.from_csv(path)
+        assert len(back.records) == len(result.records)
+        assert back.records[0] == result.records[0]
+        assert back.series("rejection_rate") == result.series("rejection_rate")
 
 
 class TestReporting:

@@ -157,6 +157,22 @@ class TestRunner:
         assert result.sizes() == [(10, 20), (20, 40)]
         agg = result.aggregate("ff", (10, 20))
         assert agg.runs == 2
+
+    def test_sweep_counts_each_cell(self):
+        runner = ExperimentRunner(
+            {
+                "ff": FirstFitAllocator,
+                "rr": RoundRobinAllocator,
+            },
+            runs=2,
+            seed=0,
+        )
+        result = runner.run_sweep(
+            [
+                ScenarioSpec(servers=10, vms=20, tightness=0.5),
+                ScenarioSpec(servers=20, vms=40, tightness=0.5),
+            ]
+        )
         # One evaluation.cells count per (spec, run) cell of each label.
         telemetry = result.telemetry
         for label in ("ff", "rr"):

@@ -43,9 +43,6 @@ __all__ = [
     "BatchOutcome",
     # model
     "AttributeSchema",
-    "Server",
-    "Datacenter",
-    "VirtualResource",
     "Infrastructure",
     "Request",
     "PlacementGroup",
@@ -53,13 +50,11 @@ __all__ = [
     "PlatformState",
     "PlacementRule",
     "AlgorithmKind",
-    "ConstraintHandling",
     # algorithms
     "RoundRobinAllocator",
     "FirstFitAllocator",
     "BestFitAllocator",
     "WorstFitAllocator",
-    "RandomAllocator",
     "CPAllocator",
     "CPSolver",
     "SearchLimits",
@@ -111,9 +106,6 @@ _EXPORTS = {
     "AnytimeRun": "repro.allocator",
     "BatchOutcome": "repro.allocator",
     "AttributeSchema": "repro.model.attributes",
-    "Server": "repro.model.resources",
-    "Datacenter": "repro.model.resources",
-    "VirtualResource": "repro.model.resources",
     "Infrastructure": "repro.model.infrastructure",
     "Request": "repro.model.request",
     "PlacementGroup": "repro.model.request",
@@ -121,12 +113,10 @@ _EXPORTS = {
     "PlatformState": "repro.model.state",
     "PlacementRule": "repro.types",
     "AlgorithmKind": "repro.types",
-    "ConstraintHandling": "repro.types",
     "RoundRobinAllocator": "repro.baselines.round_robin",
     "FirstFitAllocator": "repro.baselines.fits",
     "BestFitAllocator": "repro.baselines.fits",
     "WorstFitAllocator": "repro.baselines.fits",
-    "RandomAllocator": "repro.baselines.fits",
     "CPAllocator": "repro.cp.allocator",
     "CPSolver": "repro.cp.solver",
     "SearchLimits": "repro.cp.search",

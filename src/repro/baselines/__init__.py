@@ -5,9 +5,9 @@
   server pointer, with request resources sorted so affinity groups are
   placed together.
 * :class:`FirstFitAllocator`, :class:`BestFitAllocator`,
-  :class:`WorstFitAllocator`, :class:`RandomAllocator` — classical
-  greedy packing heuristics, included as extra reference points (the
-  bin-packing family the paper's related work positions against).
+  :class:`WorstFitAllocator` — classical greedy packing heuristics,
+  included as extra reference points (the bin-packing family the
+  paper's related work positions against).
 
 All greedy allocators process requests in arrival order, respect
 capacity and the request's own affinity rules, and *reject* (leave
@@ -20,7 +20,6 @@ from repro.baselines.round_robin import RoundRobinAllocator
 from repro.baselines.fits import (
     BestFitAllocator,
     FirstFitAllocator,
-    RandomAllocator,
     WorstFitAllocator,
 )
 from repro.baselines.filter_scheduler import FilterSchedulerAllocator
@@ -31,6 +30,5 @@ __all__ = [
     "FirstFitAllocator",
     "BestFitAllocator",
     "WorstFitAllocator",
-    "RandomAllocator",
     "FilterSchedulerAllocator",
 ]

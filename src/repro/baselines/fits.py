@@ -1,5 +1,4 @@
-"""Classical greedy packing heuristics: first-fit, best-fit, worst-fit,
-random-fit.
+"""Classical greedy packing heuristics: first-fit, best-fit, worst-fit.
 
 Not compared in the paper's figures, but the natural extra reference
 points: the related work frames cloud allocation as multidimensional
@@ -21,7 +20,6 @@ __all__ = [
     "FirstFitAllocator",
     "BestFitAllocator",
     "WorstFitAllocator",
-    "RandomAllocator",
 ]
 
 
@@ -74,20 +72,3 @@ class WorstFitAllocator(GreedyAllocator):
         candidates = np.flatnonzero(valid)
         headroom = (residual[candidates] - demand).sum(axis=1)
         return candidates[np.argsort(-headroom, kind="stable")].astype(np.int64)
-
-
-class RandomAllocator(GreedyAllocator):
-    """Uniformly random valid server — the chance-level baseline."""
-
-    name = "random_fit"
-
-    def _candidate_order(
-        self,
-        compiled: CompiledProblem,
-        residual: FloatArray,
-        demand: FloatArray,
-        valid: np.ndarray,
-    ) -> IntArray:
-        candidates = np.flatnonzero(valid).astype(np.int64)
-        self._rng.shuffle(candidates)
-        return candidates

@@ -32,10 +32,6 @@ class RoundRobinAllocator(GreedyAllocator):
         super().__init__(seed=seed)
         self._pointer = 0
 
-    def reset(self) -> None:
-        """Rewind the rotation pointer (between independent scenarios)."""
-        self._pointer = 0
-
     def runtime_state(self) -> dict | None:
         """RNG state plus the persistent rotation pointer."""
         state = super().runtime_state() or {}

@@ -482,6 +482,9 @@ def cmd_verify(args) -> int:
     from repro.telemetry import get_registry
     from repro.verify import CHECKS, FuzzConfig, run_fuzz
 
+    if not args.fuzz and not args.check:
+        print("error: nothing to verify", file=sys.stderr)
+        return 2
     fuzz_kwargs = {}
     if args.scenario:
         from repro.workloads.scenarios import scenario_names
@@ -513,15 +516,13 @@ def cmd_verify(args) -> int:
             )
             return 2
         fuzz_kwargs["allocator_factory"] = factories[args.allocator]
-    config = FuzzConfig(
-        scenarios=args.fuzz,
-        seed=args.seed,
-        sizes=args.sizes,
-        **fuzz_kwargs,
-    )
-    report = run_fuzz(config)
-    print(report.format())
-    ok = report.ok
+    ok = True
+    if args.fuzz:
+        report = run_fuzz(
+            FuzzConfig(scenarios=args.fuzz, seed=args.seed, sizes=args.sizes, **fuzz_kwargs)
+        )
+        print(report.format())
+        ok = report.ok
     # name -> ARG; an explicit NAME=ARG wins over the bare run `all` asks for.
     selected: dict[str, object] = {}
     for name, arg in args.check or ():
@@ -529,10 +530,11 @@ def cmd_verify(args) -> int:
             selected.update({each: selected.get(each) for each in CHECKS})
         else:
             selected[name] = arg
-    for name, arg in selected.items():
+    for index, (name, arg) in enumerate(selected.items()):
         check = CHECKS[name]
         check_report = check(seed=args.seed) if arg is None else check(arg, seed=args.seed)
-        print()
+        if args.fuzz or index:
+            print()
         print(check_report.format())
         ok = ok and check_report.ok
     snapshot = get_registry().format_summary()

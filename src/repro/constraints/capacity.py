@@ -39,19 +39,18 @@ class CapacityConstraint(Constraint):
     base_usage:
         Optional committed usage matrix (m, h) from earlier scheduling
         windows; defaults to an empty platform.
-    tolerance:
-        Relative slack for float comparisons (overflow must exceed
-        capacity by more than ``tolerance`` to count).
     """
 
     name = "capacity"
+    #: Relative slack for float comparisons: overflow must exceed
+    #: capacity by more than ``tolerance`` to count.
+    tolerance = 1e-9
 
     def __init__(
         self,
         infrastructure: Infrastructure,
         demand: FloatArray,
         base_usage: FloatArray | None = None,
-        tolerance: float = 1e-9,
     ) -> None:
         self.infrastructure = infrastructure
         demand = np.ascontiguousarray(demand, dtype=np.float64)
@@ -70,7 +69,6 @@ class CapacityConstraint(Constraint):
             effective = effective - base_usage
         #: Residual usable capacity per (server, attribute).
         self.limit: FloatArray = effective
-        self.tolerance = float(tolerance)
         self._slack = self.tolerance * np.maximum(1.0, np.abs(self.limit))
         #: Overflow threshold per (server, attribute): ``limit`` plus the
         #: relative slack.  A cell violates when its usage is strictly

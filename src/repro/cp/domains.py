@@ -20,20 +20,12 @@ __all__ = ["DomainStore"]
 class DomainStore:
     """Trailed boolean domain matrix of shape (n, m)."""
 
-    def __init__(self, n: int, m: int, initial: BoolArray | None = None) -> None:
+    def __init__(self, n: int, m: int) -> None:
         if n < 1 or m < 1:
             raise ValidationError(f"n and m must be >= 1 (got {n}, {m})")
         self.n = int(n)
         self.m = int(m)
-        if initial is None:
-            self.mask = np.ones((n, m), dtype=bool)
-        else:
-            initial = np.asarray(initial, dtype=bool)
-            if initial.shape != (n, m):
-                raise ValidationError(
-                    f"initial domains shape {initial.shape}, expected {(n, m)}"
-                )
-            self.mask = initial.copy()
+        self.mask = np.ones((n, m), dtype=bool)
         # Trail: one list of (vm, removed-server-indices) per frame.
         self._trail: list[list[tuple[int, IntArray]]] = []
 
@@ -74,10 +66,6 @@ class DomainStore:
     def contains(self, vm: int, server: int) -> bool:
         """Whether ``server`` is still a candidate for ``vm``."""
         return bool(self.mask[vm, server])
-
-    def is_empty(self, vm: int) -> bool:
-        """True when ``vm`` has no candidates (dead end)."""
-        return not self.mask[vm].any()
 
     # ------------------------------------------------------------------
     # Updates (logged to the current frame)

@@ -113,21 +113,15 @@ class CPSearch:
         return int(np.argmin(sizes))
 
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        best_cost: float = np.inf,
-        find_all_improving: bool = False,
-    ) -> tuple[IntArray | None, float]:
+    def solve(self, find_all_improving: bool = False) -> tuple[IntArray | None, float]:
         """Depth-first search.
 
         Parameters
         ----------
-        best_cost:
-            Branch-and-bound incumbent: subtrees whose optimistic cost
-            reaches it are pruned.  ``inf`` means pure feasibility.
         find_all_improving:
             When True, keep searching after a solution for cheaper ones
-            (full branch & bound); when False, return the first
+            (full branch & bound, pruning each subtree whose optimistic
+            cost reaches the incumbent); when False, return the first
             feasible placement.
 
         Returns
@@ -154,7 +148,7 @@ class CPSearch:
         assignment = np.full(n, -1, dtype=np.int64)
         residual = self.free_capacity.copy()
         best: IntArray | None = None
-        incumbent = best_cost
+        incumbent = np.inf
 
         # Optimistic completion bound: each undecided VM pays at least
         # the cheapest rate still in its domain.

@@ -12,8 +12,8 @@ rate 0.70 / distribution index 15, PM rate 0.20 / distribution index 15.
 
 from repro.ea.config import NSGAConfig
 from repro.ea.population import Population
-from repro.ea.encoding import random_population, greedy_seed
-from repro.ea.sorting import fast_non_dominated_sort, constrained_sort_keys
+from repro.ea.encoding import random_population
+from repro.ea.sorting import fast_non_dominated_sort
 from repro.ea.crowding import crowding_distance
 from repro.ea.reference_points import das_dennis_points, ReferencePointNiching
 from repro.ea.nsga2 import NSGA2
@@ -33,9 +33,7 @@ __all__ = [
     "NSGAConfig",
     "Population",
     "random_population",
-    "greedy_seed",
     "fast_non_dominated_sort",
-    "constrained_sort_keys",
     "crowding_distance",
     "das_dennis_points",
     "ReferencePointNiching",

@@ -87,16 +87,6 @@ class ParetoArchive:
             self._evict_most_crowded()
         return True
 
-    def add_population(self, genomes: IntArray, objectives: FloatArray) -> int:
-        """Offer a whole population; returns how many entered."""
-        genomes = np.asarray(genomes)
-        objectives = np.asarray(objectives)
-        if genomes.shape[0] != objectives.shape[0]:
-            raise ValidationError("genome/objective row counts differ")
-        return sum(
-            self.add(genomes[i], objectives[i]) for i in range(genomes.shape[0])
-        )
-
     # ------------------------------------------------------------------
     def _evict_most_crowded(self) -> None:
         objs = np.stack(self._objectives)

@@ -134,14 +134,3 @@ class NSGAConfig:
     def with_(self, **changes) -> "NSGAConfig":
         """Functional update (frozen dataclass convenience)."""
         return replace(self, **changes)
-
-
-#: Sanity anchor used in tests: the defaults must stay Table III.
-_TABLE_III = {
-    "population_size": 100,
-    "max_evaluations": 10_000,
-    "sbx_rate": 0.70,
-    "sbx_distribution_index": 15.0,
-    "pm_rate": 0.20,
-    "pm_distribution_index": 15.0,
-}

@@ -1,11 +1,8 @@
 """Genome initialization.
 
 A genome assigns each of the n requested resources a server id in
-``[0, m)``.  :func:`random_population` draws uniformly;``greedy_seed``
-produces one capacity-aware genome (first-fit over shuffled servers) so
-callers can optionally seed the population with a decent starting point
-— the EA chapters of the paper start from random populations, so
-seeding is off by default everywhere.
+``[0, m)``.  :func:`random_population` draws uniformly, as the EA
+chapters of the paper do.
 """
 
 from __future__ import annotations
@@ -13,12 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.model.infrastructure import Infrastructure
-from repro.model.request import Request
 from repro.types import IntArray, SeedLike
 from repro.utils.rng import as_generator
 
-__all__ = ["random_population", "greedy_seed"]
+__all__ = ["random_population"]
 
 
 def random_population(
@@ -31,30 +26,3 @@ def random_population(
         )
     rng = as_generator(seed)
     return rng.integers(0, m, size=(pop_size, n), dtype=np.int64)
-
-
-def greedy_seed(
-    infrastructure: Infrastructure,
-    request: Request,
-    seed: SeedLike = None,
-) -> IntArray:
-    """One first-fit genome: place each resource on the first shuffled
-    server with room.  Falls back to a random server when nothing fits
-    (the genome stays fully placed; feasibility is not guaranteed)."""
-    rng = as_generator(seed)
-    m = infrastructure.m
-    remaining = infrastructure.effective_capacity.copy()
-    order = rng.permutation(m)
-    genome = np.empty(request.n, dtype=np.int64)
-    for k in range(request.n):
-        demand = request.demand[k]
-        placed = False
-        for j in order:
-            if np.all(demand <= remaining[j]):
-                genome[k] = j
-                remaining[j] -= demand
-                placed = True
-                break
-        if not placed:
-            genome[k] = rng.integers(0, m)
-    return genome

@@ -30,14 +30,12 @@ class NSGA3(NSGABase):
         config: NSGAConfig | None = None,
         handler: ConstraintHandler | None = None,
         track_history: bool = False,
-        n_objectives: int = 3,
     ) -> None:
         super().__init__(config=config, handler=handler, track_history=track_history)
-        # Memoized by lattice shape: repeated runs (sweeps, windows)
-        # share one lattice + niching operator instead of re-deriving.
-        self.niching = niching_for(
-            n_objectives, self.config.reference_point_divisions
-        )
+        # The lattice spans Eq. 15's three objectives.  Memoized by
+        # lattice shape: repeated runs (sweeps, windows) share one
+        # lattice + niching operator instead of re-deriving.
+        self.niching = niching_for(3, self.config.reference_point_divisions)
 
     def _select_parents(
         self,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ea.population import Population
-from repro.types import FloatArray, IntArray
+from repro.types import IntArray
 from repro.utils.pareto import pareto_front_indices
 
 __all__ = ["GenerationStats", "EvolutionResult"]
@@ -74,13 +74,6 @@ class EvolutionResult:
         if idx is None:
             idx = self.population.least_violating_index()
         return self.population.genomes[idx].copy()
-
-    def best_objectives(self) -> FloatArray:
-        """Objectives of :meth:`best_genome`."""
-        idx = self.population.best_feasible_index()
-        if idx is None:
-            idx = self.population.least_violating_index()
-        return self.population.objectives[idx].copy()
 
     def best_violations(self) -> int:
         """Violations of :meth:`best_genome` (0 when a feasible one exists)."""

@@ -1,4 +1,4 @@
-"""Fast nondominated sorting (Deb et al. 2002) and constrained ordering.
+"""Fast nondominated sorting (Deb et al. 2002).
 
 :func:`fast_non_dominated_sort` returns a rank per individual (0 = first
 Pareto front).  The pairwise dominance matrix is computed with one
@@ -6,10 +6,6 @@ broadcast pass; the peeling loop then strips fronts by repeatedly
 removing individuals whose dominators are all already ranked.  For the
 population sizes involved (Table III: 100; merged parent+offspring:
 200) the O(N^2 M) broadcast beats any Python-level bookkeeping.
-
-:func:`constrained_sort_keys` implements Deb's feasibility-first
-comparison as a sortable key: feasible individuals always precede
-infeasible ones, infeasible ones order by total violations.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import numpy as np
 from repro.types import FloatArray, IntArray
 from repro.utils.pareto import dominance_matrix
 
-__all__ = ["fast_non_dominated_sort", "constrained_sort_keys"]
+__all__ = ["fast_non_dominated_sort"]
 
 
 def fast_non_dominated_sort(objectives: FloatArray) -> IntArray:
@@ -52,27 +48,3 @@ def fast_non_dominated_sort(objectives: FloatArray) -> IntArray:
         front += 1
         current = np.flatnonzero(dominators_left == 0)
     return ranks
-
-
-def constrained_sort_keys(
-    objectives: FloatArray, violations: IntArray
-) -> tuple[IntArray, IntArray]:
-    """Feasibility-first ranking inputs.
-
-    Returns ``(ranks, tiers)`` where ``tiers`` is 0 for feasible
-    individuals and ``1 + violations`` otherwise; survivor selection
-    sorts lexicographically by (tier, rank).  Feasible individuals are
-    Pareto-ranked among themselves; infeasible individuals all get the
-    rank of the worst feasible front + their violation tier, so a
-    repaired near-feasible individual still beats a badly violating one.
-    """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    violations = np.asarray(violations, dtype=np.int64)
-    pop = objectives.shape[0]
-    ranks = np.zeros(pop, dtype=np.int64)
-    feasible = violations == 0
-    if feasible.any():
-        idx = np.flatnonzero(feasible)
-        ranks[idx] = fast_non_dominated_sort(objectives[idx])
-    tiers = np.where(feasible, 0, 1 + violations).astype(np.int64)
-    return ranks, tiers

@@ -17,9 +17,6 @@ __all__ = [
     "ValidationError",
     "TopologyError",
     "ConstraintError",
-    "SolverError",
-    "InfeasibleError",
-    "SolverTimeoutError",
     "EncodingError",
     "SchedulerError",
     "CheckpointError",
@@ -48,18 +45,6 @@ class TopologyError(ReproError):
 
 class ConstraintError(ReproError):
     """A constraint definition is inconsistent with the model."""
-
-
-class SolverError(ReproError):
-    """An allocation algorithm failed for a reason other than infeasibility."""
-
-
-class InfeasibleError(SolverError):
-    """No placement satisfying the request constraints exists (request rejected)."""
-
-
-class SolverTimeoutError(SolverError):
-    """The solver exceeded its time budget before proving anything."""
 
 
 class EncodingError(ReproError):

@@ -21,7 +21,6 @@ from repro.evaluation.convergence import (
     convergence_summary,
     evaluations_to_feasible,
     evaluations_to_within,
-    sparkline,
 )
 from repro.evaluation.reporting import format_series_table
 from repro.utils.tables import format_table
@@ -40,5 +39,4 @@ __all__ = [
     "convergence_summary",
     "evaluations_to_feasible",
     "evaluations_to_within",
-    "sparkline",
 ]

@@ -55,15 +55,6 @@ class CapabilityRow:
     control_over_infrastructure: bool
     details: dict
 
-    def as_tuple(self) -> tuple[bool, bool, bool, bool]:
-        """Values in TABLE2_CRITERIA order."""
-        return (
-            self.compliance_with_constraints,
-            self.resource_scalability,
-            self.compliance_with_customer_requests,
-            self.control_over_infrastructure,
-        )
-
 
 def _cheapest_rate_bound(scenario) -> float:
     """Optimistic provider cost: every VM on the cheapest server."""

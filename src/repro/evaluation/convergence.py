@@ -10,13 +10,10 @@ test such claims:
   first contains a feasible individual;
 * :func:`evaluations_to_within` — budget spent before the running best
   aggregate first comes within a factor of its final value;
-* :func:`convergence_summary` — both, plus endpoints, as a dict;
-* :func:`sparkline` — a terminal-friendly trace of any history series.
+* :func:`convergence_summary` — both, plus endpoints, as a dict.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.ea.result import EvolutionResult, GenerationStats
 
@@ -24,10 +21,7 @@ __all__ = [
     "evaluations_to_feasible",
     "evaluations_to_within",
     "convergence_summary",
-    "sparkline",
 ]
-
-_BARS = "▁▂▃▄▅▆▇█"
 
 
 def _history(result: EvolutionResult) -> list[GenerationStats]:
@@ -76,29 +70,3 @@ def convergence_summary(result: EvolutionResult) -> dict:
         "final_feasible_fraction": history[-1].feasible_fraction,
         "elapsed": result.elapsed,
     }
-
-
-def sparkline(values: list[float], width: int = 40) -> str:
-    """Render a numeric series as a unicode bar sparkline.
-
-    The series is resampled to ``width`` points; NaNs render as spaces.
-    """
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    if not values:
-        return ""
-    if len(values) > width:
-        step = len(values) / width
-        values = [values[int(i * step)] for i in range(width)]
-    finite = [v for v in values if not math.isnan(v)]
-    if not finite:
-        return " " * len(values)
-    lo, hi = min(finite), max(finite)
-    span = hi - lo if hi > lo else 1.0
-    chars = []
-    for v in values:
-        if math.isnan(v):
-            chars.append(" ")
-        else:
-            chars.append(_BARS[int((v - lo) / span * (len(_BARS) - 1))])
-    return "".join(chars)

@@ -42,7 +42,7 @@ class SweepResult:
     ``telemetry`` carries the :class:`~repro.telemetry.MetricsSnapshot`
     of the sweep's own registry: one ``evaluation.cells`` count per
     computed cell plus every nested counter (``nsga.evaluations``, CP
-    nodes, repair moves).  It is not part of the CSV round-trip.
+    nodes, repair moves).
     """
 
     records: list[RunRecord] = field(default_factory=list)
@@ -51,65 +51,6 @@ class SweepResult:
     #: completed cells are journaled and a rerun with the same
     #: ``checkpoint_dir`` picks up where this one stopped.
     interrupted: bool = False
-
-    # Column order of the CSV export (and of from_csv's expectations).
-    _CSV_FIELDS = (
-        "algorithm",
-        "servers",
-        "vms",
-        "requests",
-        "elapsed",
-        "rejection_rate",
-        "violations",
-        "provider_cost",
-        "downtime_cost",
-        "migration_cost",
-        "evaluations",
-        "seed",
-    )
-
-    def to_csv(self, path) -> "Path":
-        """Write every record to ``path`` (one row per run)."""
-        import csv
-        from pathlib import Path
-
-        path = Path(path)
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self._CSV_FIELDS)
-            for record in self.records:
-                writer.writerow(
-                    [getattr(record, field) for field in self._CSV_FIELDS]
-                )
-        return path
-
-    @classmethod
-    def from_csv(cls, path) -> "SweepResult":
-        """Reload an exported sweep (inverse of :meth:`to_csv`)."""
-        import csv
-        from pathlib import Path
-
-        records: list[RunRecord] = []
-        with Path(path).open(newline="") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                records.append(
-                    RunRecord(
-                        algorithm=row["algorithm"],
-                        servers=int(row["servers"]),
-                        vms=int(row["vms"]),
-                        requests=int(row["requests"]),
-                        elapsed=float(row["elapsed"]),
-                        rejection_rate=float(row["rejection_rate"]),
-                        violations=int(row["violations"]),
-                        provider_cost=float(row["provider_cost"]),
-                        downtime_cost=float(row["downtime_cost"]),
-                        migration_cost=float(row["migration_cost"]),
-                        evaluations=int(row["evaluations"]),
-                        seed=None if row["seed"] in ("", "None") else int(row["seed"]),
-                    )
-                )
-        return cls(records=records)
 
     def algorithms(self) -> list[str]:
         """Distinct algorithm labels, in first-seen order."""

@@ -234,36 +234,22 @@ class NSGA3Allocator(_NSGAAllocatorBase):
 class NSGA3TabuAllocator(_NSGAAllocatorBase):
     """**The paper's proposed algorithm**: NSGA-III + tabu-search repair.
 
+    The repair walk runs with :class:`~repro.tabu.repair.TabuRepair`'s
+    defaults (4 rounds, tenure 64, the ``"first"`` neighbour order).
+
     Parameters
     ----------
     config:
         EA settings (Table III defaults).
-    repair_rounds, tenure, order:
-        Tabu repair knobs (see :class:`~repro.tabu.repair.TabuRepair`).
     """
 
     name = "nsga3_tabu"
     kind = AlgorithmKind.NSGA3_TABU
 
-    def __init__(
-        self,
-        config: NSGAConfig | None = None,
-        repair_rounds: int = 4,
-        tenure: int = 64,
-        order: str = "first",
-    ) -> None:
-        super().__init__(config)
-        self.repair_rounds = repair_rounds
-        self.tenure = tenure
-        self.order = order
-
     def _build_engine(self, compiled, base_usage):
         repair = TabuRepair(
             compiled,
             base_usage=base_usage,
-            max_rounds=self.repair_rounds,
-            tenure=self.tenure,
-            order=self.order,
             seed=self.config.seed,
             engine=self._ensure_execution_engine(),
         )
@@ -274,12 +260,7 @@ class NSGA3TabuAllocator(_NSGAAllocatorBase):
         # reduced evaluation budgets large instances can end with a few
         # residual violations that a longer tabu walk removes cheaply.
         repair = TabuRepair(
-            compiled,
-            base_usage=base_usage,
-            max_rounds=max(32, 4 * self.repair_rounds),
-            tenure=self.tenure,
-            order=self.order,
-            seed=self.config.seed,
+            compiled, base_usage=base_usage, max_rounds=32, seed=self.config.seed
         )
         return repair.repair_genome(assignment)
 

@@ -15,13 +15,12 @@ prices are in force), then builds one *candidate plan* per route:
   profitable.
 
 Every plan is scored on the *same* merged instance (identical objective
-semantics), then checked against the market-layer constraints: QoS
-co-location (each request wholly inside one provider — a request is the
-broker's atomic unit) and optional per-provider quotas.  Plans that
-violate market constraints are excluded from the brokered front unless
-no clean plan exists.  The surviving plans' objective vectors are
-filtered to mutual non-domination — the **brokered Pareto front** — and
-the deployed plan is chosen by
+semantics), then checked against the market-layer constraint of QoS
+co-location: each request wholly inside one provider — a request is the
+broker's atomic unit.  Plans that violate it are excluded from the
+brokered front unless no clean plan exists.  The surviving plans'
+objective vectors are filtered to mutual non-domination — the
+**brokered Pareto front** — and the deployed plan is chosen by
 :func:`repro.objectives.preference.select_index`: the active
 ceteris-paribus order when one is set, the paper's ideal-point pick
 otherwise.
@@ -39,7 +38,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.allocator import Allocator, BatchOutcome
-from repro.constraints.provider import ProviderQuotaConstraint
 from repro.errors import ValidationError
 from repro.market.providers import MarketInstance, ProviderMarket
 from repro.model.placement import UNPLACED
@@ -67,7 +65,7 @@ class BrokeredPlan:
     objectives:
         The plan's (3,) objective vector (= ``outcome.objectives``).
     market_violations:
-        QoS-colocation + quota violations of the market layer (0 for a
+        QoS-colocation violations of the market layer (0 for a
         clean brokered plan; instance-level violations are counted in
         ``outcome.violations`` as usual).
     provider_of_request:
@@ -119,31 +117,18 @@ class BrokeredAllocator:
         Zero-argument callable building a fresh inner
         :class:`~repro.allocator.Allocator` per route (fresh state
         keeps routes independent and seed-deterministic).
-    quotas:
-        Optional per-provider VM caps for the split route (negative =
-        unlimited); see
-        :class:`~repro.constraints.provider.ProviderQuotaConstraint`.
-    qos_colocation:
-        When True (default), a request straddling two providers in the
-        split route counts market violations — requests are atomic
-        brokering units.
+
+    A request the split route places on k > 1 providers counts k - 1
+    market violations: requests are atomic brokering units.
     """
 
     def __init__(
         self,
         market: ProviderMarket,
         allocator_factory: Callable[[], Allocator],
-        quotas: Sequence[int] | None = None,
-        qos_colocation: bool = True,
     ) -> None:
         self.market = market
         self.allocator_factory = allocator_factory
-        self.quotas = None if quotas is None else tuple(int(q) for q in quotas)
-        if self.quotas is not None and len(self.quotas) != len(market):
-            raise ValidationError(
-                f"{len(self.quotas)} quotas for {len(market)} providers"
-            )
-        self.qos_colocation = qos_colocation
 
     # ------------------------------------------------------------------
     def allocate(
@@ -240,14 +225,9 @@ class BrokeredAllocator:
             providers = np.unique(provider_of_server[placed])
             if providers.size == 1:
                 provider_of_request[r] = int(providers[0])
-            elif self.qos_colocation:
+            else:
                 # Distinct providers beyond the first are violations.
                 market_violations += int(providers.size) - 1
-
-        if self.quotas is not None:
-            market_violations += ProviderQuotaConstraint(
-                provider_of_server, np.asarray(self.quotas, dtype=np.int64)
-            ).violations(assignment)
 
         return BrokeredPlan(
             route=route,

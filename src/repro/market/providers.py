@@ -91,17 +91,8 @@ class PriceBook:
         dyn = self.multiplier_at(time)
         return self.operating_rate * dyn, self.usage_rate * dyn
 
-    @property
-    def is_neutral(self) -> bool:
-        """True when the book never changes a cost vector (identity)."""
-        return (
-            self.operating_rate == 1.0
-            and self.usage_rate == 1.0
-            and (self.curve == "flat" or self.amplitude == 0.0)
-        )
-
     def to_dict(self) -> dict:
-        """The tariff as a JSON-ready dict (:meth:`from_dict` inverts it)."""
+        """The tariff as a JSON-ready dict."""
         return {
             "operating_rate": self.operating_rate,
             "usage_rate": self.usage_rate,
@@ -110,11 +101,6 @@ class PriceBook:
             "period": self.period,
             "phase": self.phase,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PriceBook":
-        """The book :meth:`to_dict` serialized."""
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -153,12 +139,6 @@ class MarketInstance:
     def p(self) -> int:
         """Number of providers in the merged estate."""
         return self.infrastructure.p
-
-    def provider_slices(self) -> tuple[IntArray, ...]:
-        """Per-provider server index arrays, in provider order."""
-        return tuple(
-            self.infrastructure.servers_in_provider(k) for k in range(self.p)
-        )
 
 
 class ProviderMarket:

@@ -11,7 +11,6 @@ loops.
 """
 
 from repro.model.attributes import AttributeSchema, DEFAULT_ATTRIBUTES
-from repro.model.resources import Datacenter, Server, VirtualResource
 from repro.model.infrastructure import Infrastructure
 from repro.model.request import PlacementGroup, Request
 from repro.model.placement import Placement
@@ -21,9 +20,6 @@ from repro.model.diagnosis import Finding, diagnose_instance
 __all__ = [
     "AttributeSchema",
     "DEFAULT_ATTRIBUTES",
-    "Server",
-    "Datacenter",
-    "VirtualResource",
     "Infrastructure",
     "Request",
     "PlacementGroup",

@@ -10,7 +10,7 @@ same attribute set (h = h').
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.errors import ValidationError
 
@@ -69,11 +69,6 @@ class AttributeSchema:
 
     def __contains__(self, name: object) -> bool:
         return name in self.names
-
-    @classmethod
-    def from_names(cls, names: Sequence[str]) -> "AttributeSchema":
-        """Build a schema from any sequence of names."""
-        return cls(tuple(names))
 
 
 #: The paper's default attribute set: "we focus on attributes such as

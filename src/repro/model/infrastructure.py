@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.errors import DimensionError, ValidationError
 from repro.model.attributes import DEFAULT_ATTRIBUTES, AttributeSchema
-from repro.model.resources import Datacenter, Server
 from repro.types import FloatArray, IntArray
 
 __all__ = ["Infrastructure"]
@@ -190,14 +189,6 @@ class Infrastructure:
             return np.zeros(self.m, dtype=np.int64)
         return self.server_provider
 
-    def servers_in_provider(self, provider: int) -> IntArray:
-        """Indices of the servers owned by ``provider``."""
-        if not (0 <= provider < self.p):
-            raise ValidationError(
-                f"provider {provider} out of range [0, {self.p})"
-            )
-        return np.flatnonzero(self.provider_of_server == provider).astype(np.int64)
-
     # ------------------------------------------------------------------
     # Derived matrices
     # ------------------------------------------------------------------
@@ -234,44 +225,9 @@ class Infrastructure:
             )
         return np.flatnonzero(self.server_datacenter == datacenter).astype(np.int64)
 
-    def datacenter_sizes(self) -> IntArray:
-        """Server count per datacenter, shape (g,)."""
-        return np.bincount(self.server_datacenter, minlength=self.g).astype(np.int64)
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_datacenters(cls, datacenters: Sequence[Datacenter]) -> "Infrastructure":
-        """Flatten record-style :class:`Datacenter` objects into matrices."""
-        if not datacenters:
-            raise ValidationError("need at least one datacenter")
-        servers: list[Server] = []
-        dc_of: list[int] = []
-        dc_names: list[str] = []
-        for i, dc in enumerate(datacenters):
-            if len(dc) == 0:
-                raise ValidationError(f"datacenter {i} ({dc.name!r}) has no servers")
-            dc_names.append(dc.name or f"dc{i}")
-            for server in dc.servers:
-                servers.append(server)
-                dc_of.append(i)
-        schema = servers[0].schema
-        return cls(
-            capacity=np.stack([s.capacity for s in servers]),
-            capacity_factor=np.stack([s.capacity_factor for s in servers]),
-            operating_cost=np.array([s.operating_cost for s in servers]),
-            usage_cost=np.array([s.usage_cost for s in servers]),
-            max_load=np.stack([s.max_load for s in servers]),
-            max_qos=np.stack([s.max_qos for s in servers]),
-            server_datacenter=np.array(dc_of, dtype=np.int64),
-            schema=schema,
-            datacenter_names=tuple(dc_names),
-            server_names=tuple(
-                s.name or f"srv{j}" for j, s in enumerate(servers)
-            ),
-        )
-
     @classmethod
     def homogeneous(
         cls,

@@ -71,18 +71,6 @@ class Placement:
         """Boolean mask of resources that are actually hosted."""
         return self.assignment != UNPLACED
 
-    @property
-    def is_complete(self) -> bool:
-        """True when every resource is hosted (Eq. 5 satisfied for all k)."""
-        return bool(np.all(self.placed_mask))
-
-    def datacenter_of(self) -> IntArray:
-        """Datacenter index per resource (UNPLACED stays -1)."""
-        out = np.full(self.n, UNPLACED, dtype=np.int64)
-        mask = self.placed_mask
-        out[mask] = self.infrastructure.server_datacenter[self.assignment[mask]]
-        return out
-
     # ------------------------------------------------------------------
     # Tensor form
     # ------------------------------------------------------------------
@@ -154,12 +142,6 @@ class Placement:
             load = np.where(cap > 0, usage / np.where(cap > 0, cap, 1.0), 0.0)
             load = np.where((cap == 0) & (usage > 0), np.inf, load)
         return load
-
-    def with_assignment(self, resource: int, server: int) -> "Placement":
-        """Return a copy with one gene changed (used by repair moves)."""
-        new = self.assignment.copy()
-        new[resource] = server
-        return Placement(assignment=new, infrastructure=self.infrastructure)
 
     def copy(self) -> "Placement":
         """Independent copy (the assignment array is duplicated)."""

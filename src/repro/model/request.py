@@ -11,13 +11,12 @@ request's resources.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConstraintError, DimensionError, ValidationError
 from repro.model.attributes import DEFAULT_ATTRIBUTES, AttributeSchema
-from repro.model.resources import VirtualResource
 from repro.types import FloatArray, IntArray, PlacementRule
 
 __all__ = ["PlacementGroup", "Request"]
@@ -136,39 +135,11 @@ class Request:
         """Number of attributes."""
         return self.demand.shape[1]
 
-    def groups_of(self, rule: PlacementRule) -> tuple[PlacementGroup, ...]:
-        """All groups using ``rule``."""
-        return tuple(gr for gr in self.groups if gr.rule is rule)
-
     def total_demand(self) -> FloatArray:
         """Column sums of C — aggregate demand per attribute."""
         return self.demand.sum(axis=0)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_resources(
-        cls,
-        resources: Sequence[VirtualResource],
-        groups: Iterable[PlacementGroup] = (),
-        name: str = "",
-    ) -> "Request":
-        """Flatten record-style :class:`VirtualResource` objects."""
-        if not resources:
-            raise ValidationError("need at least one virtual resource")
-        schema = resources[0].schema
-        for vr in resources[1:]:
-            if vr.schema.names != schema.names:
-                raise ValidationError("all resources must share one attribute schema")
-        return cls(
-            demand=np.stack([vr.demand for vr in resources]),
-            qos_guarantee=np.array([vr.qos_guarantee for vr in resources]),
-            downtime_cost=np.array([vr.downtime_cost for vr in resources]),
-            migration_cost=np.array([vr.migration_cost for vr in resources]),
-            groups=tuple(groups),
-            schema=schema,
-            name=name,
-        )
-
     @classmethod
     def concatenate(cls, requests: Sequence["Request"]) -> tuple["Request", IntArray]:
         """Merge several requests into one batch (the cyclic time window).

@@ -39,11 +39,6 @@ class PlatformState:
 
     # ------------------------------------------------------------------
     @property
-    def residual_capacity(self) -> FloatArray:
-        """Usable capacity still free per server/attribute: P*F - usage."""
-        return self.infrastructure.effective_capacity - self.committed_usage
-
-    @property
     def committed_load(self) -> FloatArray:
         """Current load L_jl induced by committed resources (Eq. 25)."""
         cap = self.infrastructure.capacity
@@ -102,23 +97,6 @@ class PlatformState:
         """The committed assignment for ``key`` (X^t for Eq. 26), if any."""
         entry = self._residents.get(key)
         return None if entry is None else entry[0].copy()
-
-    def reassign(self, key: str, placement: Placement, request: Request) -> IntArray:
-        """Replace ``key``'s placement, returning the old assignment.
-
-        This is the reconfiguration step: the caller computes migration
-        cost from the returned X^t versus the new X^{t+1}.
-        """
-        old = self.previous_assignment(key)
-        if old is None:
-            raise SchedulerError(f"request key {key!r} is not committed")
-        self.release(key)
-        self.commit(key, placement, request)
-        return old
-
-    def snapshot_usage(self) -> FloatArray:
-        """Defensive copy of the committed usage matrix."""
-        return self.committed_usage.copy()
 
     def verify_consistency(self) -> None:
         """Recompute usage from residents and check it matches (test hook)."""

@@ -20,7 +20,7 @@ from repro.objectives.energy import ENERGY_IDLE_FRACTION, EnergyCost, power_mode
 from repro.objectives.migration import MigrationCost
 from repro.objectives.aggregate import ObjectiveVector, aggregate_scalar
 from repro.objectives.evaluator import PopulationEvaluator
-from repro.objectives.network import CommunicationCost, uniform_group_traffic
+from repro.objectives.network import CommunicationCost
 
 __all__ = [
     "qos_from_load",
@@ -35,5 +35,4 @@ __all__ = [
     "aggregate_scalar",
     "PopulationEvaluator",
     "CommunicationCost",
-    "uniform_group_traffic",
 ]

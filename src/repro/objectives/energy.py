@@ -59,17 +59,14 @@ class EnergyCost:
     Parameters
     ----------
     infrastructure:
-        Supplies capacities and, via :func:`power_model`, the default
-        power prices.
+        Supplies capacities and, via :func:`power_model`, the power
+        prices.
     demand:
         The request's (n, h) demand matrix — needed to scatter usage
         when the caller has none at hand.
     base_usage:
         Committed usage from earlier windows; counts toward each
         host's load fraction but never toggles a host active.
-    idle_power, dynamic_power:
-        Override price vectors (m,); defaults come from
-        :func:`power_model`.
     """
 
     name = "energy"
@@ -80,20 +77,10 @@ class EnergyCost:
         demand: FloatArray,
         *,
         base_usage: FloatArray | None = None,
-        idle_power: FloatArray | None = None,
-        dynamic_power: FloatArray | None = None,
     ) -> None:
         self.infrastructure = infrastructure
         self._demand = np.asarray(demand, dtype=np.float64)
-        default_idle, default_dynamic = power_model(infrastructure)
-        self.idle_power: FloatArray = (
-            default_idle if idle_power is None
-            else np.asarray(idle_power, dtype=np.float64)
-        )
-        self.dynamic_power: FloatArray = (
-            default_dynamic if dynamic_power is None
-            else np.asarray(dynamic_power, dtype=np.float64)
-        )
+        self.idle_power, self.dynamic_power = power_model(infrastructure)
         capacity = infrastructure.effective_capacity
         self._base: FloatArray = (
             np.zeros_like(capacity) if base_usage is None

@@ -122,17 +122,6 @@ class PopulationEvaluator:
             if self.energy_weight > 0.0
             else None
         )
-        self._evaluations = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def evaluation_count(self) -> int:
-        """Genome evaluations performed so far (Table III budget metric)."""
-        return self._evaluations
-
-    def reset_counter(self) -> None:
-        """Zero the evaluation counter (between algorithm runs)."""
-        self._evaluations = 0
 
     # ------------------------------------------------------------------
     def evaluate(self, assignment: IntArray) -> ObjectiveVector:
@@ -157,7 +146,6 @@ class PopulationEvaluator:
                 f"population must be 2-D (pop, n), got {population.shape}"
             )
         pop = population.shape[0]
-        self._evaluations += pop
 
         usage = self.constraints.capacity.batch_usage(population)
         violations = self.constraints.batch_violations(population, usage=usage)

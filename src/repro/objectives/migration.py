@@ -54,11 +54,6 @@ class MigrationCost:
                 )
         self.previous_assignment = previous_assignment
 
-    @property
-    def is_active(self) -> bool:
-        """False for first placements (objective identically zero)."""
-        return self.previous_assignment is not None
-
     def batch(self, population: IntArray) -> FloatArray:
         """Migration cost per individual (pop,)."""
         population = np.asarray(population, dtype=np.int64)

@@ -24,27 +24,7 @@ from repro.errors import DimensionError, ValidationError
 from repro.model.placement import UNPLACED
 from repro.types import FloatArray, IntArray
 
-__all__ = ["CommunicationCost", "uniform_group_traffic"]
-
-
-def uniform_group_traffic(
-    n: int, groups: list[tuple[int, ...]] | tuple[tuple[int, ...], ...], rate: float = 1.0
-) -> FloatArray:
-    """Symmetric traffic matrix: ``rate`` between every pair that shares
-    a communication group (e.g. the VMs of one consumer request)."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if rate < 0:
-        raise ValidationError(f"rate must be >= 0, got {rate}")
-    traffic = np.zeros((n, n))
-    for members in groups:
-        idx = np.asarray(members, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValidationError(f"group {members} outside [0, {n})")
-        for a in idx:
-            traffic[a, idx] = rate
-    np.fill_diagonal(traffic, 0.0)
-    return traffic
+__all__ = ["CommunicationCost"]
 
 
 class CommunicationCost:
@@ -87,11 +67,6 @@ class CommunicationCost:
     def n(self) -> int:
         """Number of VMs the traffic matrix covers."""
         return self.traffic.shape[0]
-
-    @property
-    def n_flows(self) -> int:
-        """Nonzero traffic pairs."""
-        return int(self._pair_w.size)
 
     # ------------------------------------------------------------------
     def value(self, assignment: IntArray) -> float:

@@ -426,57 +426,39 @@ class PortfolioAllocator(Allocator):
     deadline_ms:
         Wall-clock budget for :meth:`allocate`; ``None`` races every
         member to its own budget (fully deterministic).
-    exchange_every:
-        Incumbent-exchange cadence in epochs.
-    pool_capacity:
-        Incumbent pool bound.
-    tabu_step_iterations / tabu_max_iterations:
-        The tabu lane's slice size and total budget.
-    cp_node_budget:
-        Per-request node cap for the CP lane.  Much tighter than the
-        standalone :class:`CPAllocator` default: an exhaustive
-        per-request search would hog the round-robin and starve the EA
-        lanes of wall clock.  Node-based, so exhaustion-bounded races
-        stay deterministic.
-    ea_generations_per_epoch:
-        Generations each EA lane advances per epoch.  EA generations
-        are the cheapest work unit in the race; a multi-generation
-        slice keeps the champion's share of the wall clock dominant so
-        an equal-deadline portfolio stays competitive with a solo run.
     """
 
     name = "portfolio"
+    #: Incumbent-exchange cadence in epochs.
+    exchange_every = 4
+    #: Incumbent pool bound.
+    pool_capacity = 128
+    #: The tabu lane's slice size and total budget, in iterations.
+    tabu_step_iterations = 10
+    tabu_max_iterations = 2048
+    #: Per-request node cap for the CP lane.  Much tighter than the
+    #: standalone :class:`CPAllocator` default: an exhaustive per-request
+    #: search would hog the round-robin and starve the EA lanes of wall
+    #: clock.  Node-based, so exhaustion-bounded races stay deterministic.
+    cp_node_budget = 400
+    #: Generations each EA lane advances per epoch.  EA generations are
+    #: the cheapest work unit in the race; a multi-generation slice keeps
+    #: the champion's share of the wall clock dominant so an
+    #: equal-deadline portfolio stays competitive with a solo run.
+    ea_generations_per_epoch = 8
 
     def __init__(
         self,
         config: NSGAConfig | None = None,
         members: str | Sequence[str] = "nsga3_tabu+cp+tabu",
         deadline_ms: float | None = None,
-        exchange_every: int = 4,
-        pool_capacity: int = 128,
-        tabu_step_iterations: int = 10,
-        tabu_max_iterations: int = 2048,
-        cp_node_budget: int = 400,
-        ea_generations_per_epoch: int = 8,
     ) -> None:
-        if exchange_every < 1:
-            raise ValidationError("exchange_every must be >= 1")
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValidationError("deadline_ms must be > 0 when set")
-        if cp_node_budget < 1:
-            raise ValidationError("cp_node_budget must be >= 1")
-        if ea_generations_per_epoch < 1:
-            raise ValidationError("ea_generations_per_epoch must be >= 1")
         self.config = config or NSGAConfig()
         self.energy_weight = self.config.energy_weight
         self.member_names = parse_members(members)
         self.deadline_ms = deadline_ms
-        self.exchange_every = int(exchange_every)
-        self.pool_capacity = int(pool_capacity)
-        self.tabu_step_iterations = int(tabu_step_iterations)
-        self.tabu_max_iterations = int(tabu_max_iterations)
-        self.cp_node_budget = int(cp_node_budget)
-        self.ea_generations_per_epoch = int(ea_generations_per_epoch)
         self._member_allocators: list[Allocator] = []
 
     @property

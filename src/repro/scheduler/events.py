@@ -112,21 +112,12 @@ class EventQueue:
         """Enqueue one event (any of the event dataclasses above)."""
         heapq.heappush(self._heap, (event.time, next(self._counter), event))
 
-    def push_all(self, events) -> None:
-        """Enqueue an iterable of events."""
-        for event in events:
-            self.push(event)
-
     def pop_until(self, time: float) -> list:
         """Dequeue every event with ``event.time <= time``, in order."""
         out: list = []
         while self._heap and self._heap[0][0] <= time:
             out.append(heapq.heappop(self._heap)[2])
         return out
-
-    def peek_time(self) -> float | None:
-        """Timestamp of the next event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
 
     def snapshot(self) -> list:
         """Pending events in pop order, without consuming them.

@@ -562,8 +562,6 @@ class TimeWindowScheduler:
         allocator: Allocator,
         checkpoint_manager: CheckpointManager,
         name: str = "scheduler",
-        problem_cache: ProblemCache | None = None,
-        execution_engine: ParallelEngine | None = None,
     ) -> "TimeWindowScheduler":
         """Rebuild a scheduler from the manager's latest snapshot.
 
@@ -578,8 +576,6 @@ class TimeWindowScheduler:
             allocator=allocator,
             window_length=float(payload["window_length"]),
             checkpoint_manager=checkpoint_manager,
-            **({"problem_cache": problem_cache} if problem_cache is not None else {}),
-            execution_engine=execution_engine,
         )
         scheduler.load_state_dict(payload)
         return scheduler

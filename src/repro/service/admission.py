@@ -36,17 +36,6 @@ from repro.telemetry import get_registry
 
 __all__ = ["AdmissionDecision", "AdmissionController", "diagnose_rejection"]
 
-#: Structured rejection reasons the controller can emit.
-REASONS = (
-    "capacity",
-    "affinity",
-    "displaced",
-    "duplicate_key",
-    "unknown_key",
-    "not_hosted",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class AdmissionDecision:

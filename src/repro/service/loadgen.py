@@ -105,10 +105,12 @@ class LoadReport:
 class _Client:
     """Minimal keep-alive HTTP/1.1 client pool (stdlib only)."""
 
-    def __init__(self, host: str, port: int, size: int = 8) -> None:
+    #: Connections the pool opens at most.
+    size = 8
+
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.size = size
         self._pool: asyncio.Queue = asyncio.Queue()
         self._created = 0
 
@@ -194,7 +196,6 @@ class LoadGenerator:
         scenario_spec: ScenarioSpec | None = None,
         rate: float = 50.0,
         seed: int = 0,
-        connections: int = 8,
     ) -> None:
         self.host = host
         self.port = port
@@ -206,7 +207,6 @@ class LoadGenerator:
         )
         self.rate = float(rate)
         self.seed = int(seed)
-        self.connections = int(connections)
 
     async def run(self, max_events: int | None = None) -> LoadReport:
         """Replay the trace; returns the observed :class:`LoadReport`."""
@@ -235,7 +235,7 @@ class LoadGenerator:
         # Compress trace time onto the wall clock: `arrival_rate`
         # events per trace-time-unit should fire at `rate` per second.
         scale = self.trace_spec.arrival_rate / self.rate
-        client = _Client(self.host, self.port, size=self.connections)
+        client = _Client(self.host, self.port)
         report = LoadReport()
         started = time.perf_counter()
         lock = asyncio.Lock()

@@ -174,7 +174,6 @@ class Reoptimizer:
         state: ServiceState,
         config: NSGAConfig | None = None,
         every: float = 30.0,
-        executor: ThreadPoolExecutor | None = None,
         members: str = DEFAULT_MEMBERS,
         deadline_ms: float | None = None,
     ) -> None:
@@ -185,20 +184,15 @@ class Reoptimizer:
         self.every = float(every)
         self.members = members
         self.deadline_ms = deadline_ms
-        self._executor = executor or ThreadPoolExecutor(
+        self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="reoptimizer"
         )
-        self._owns_executor = executor is None
         self._wake = asyncio.Event()
         self._stopping = False
         self._lock = asyncio.Lock()
         self.cycles: list[ReoptimizeCycle] = []
 
     # ------------------------------------------------------------------
-    def trigger(self) -> None:
-        """Request a cycle now instead of waiting out the interval."""
-        self._wake.set()
-
     async def run(self) -> None:
         """The background task: cycle every ``every`` seconds."""
         while not self._stopping:
@@ -220,8 +214,7 @@ class Reoptimizer:
         """Stop the loop and release the worker thread."""
         self._stopping = True
         self._wake.set()
-        if self._owns_executor:
-            self._executor.shutdown(wait=True, cancel_futures=True)
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     async def run_cycle(self) -> ReoptimizeCycle | None:

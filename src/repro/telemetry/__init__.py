@@ -30,10 +30,7 @@ from repro.telemetry.events import (
     TabuIteration,
     TelemetryEvent,
     WindowClosed,
-    capture_events,
     get_bus,
-    set_bus,
-    use_bus,
 )
 from repro.telemetry.registry import (
     HistogramSummary,
@@ -48,7 +45,6 @@ from repro.telemetry.sinks import (
     ConsoleSink,
     InMemorySink,
     JsonlSink,
-    NullSink,
     Sink,
 )
 from repro.telemetry.tracer import (
@@ -57,7 +53,6 @@ from repro.telemetry.tracer import (
     get_tracer,
     set_tracer,
     span,
-    use_tracer,
 )
 
 __all__ = [
@@ -75,7 +70,6 @@ __all__ = [
     "span",
     "get_tracer",
     "set_tracer",
-    "use_tracer",
     # events
     "TelemetryEvent",
     "GenerationCompleted",
@@ -86,12 +80,8 @@ __all__ = [
     "MigrationPlanned",
     "EventBus",
     "get_bus",
-    "set_bus",
-    "use_bus",
-    "capture_events",
     # sinks
     "Sink",
-    "NullSink",
     "InMemorySink",
     "JsonlSink",
     "ConsoleSink",

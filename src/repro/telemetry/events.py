@@ -26,9 +26,8 @@ subscribe to the default bus via :func:`get_bus` or the CLI's
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import ClassVar, Iterator
+from typing import ClassVar
 
 __all__ = [
     "TelemetryEvent",
@@ -40,9 +39,6 @@ __all__ = [
     "MigrationPlanned",
     "EventBus",
     "get_bus",
-    "set_bus",
-    "use_bus",
-    "capture_events",
 ]
 
 
@@ -149,8 +145,8 @@ class EventBus:
     them, which the scheduler tests rely on.
     """
 
-    def __init__(self, sinks=()) -> None:
-        self._sinks = list(sinks)
+    def __init__(self) -> None:
+        self._sinks: list = []
 
     @property
     def enabled(self) -> bool:
@@ -184,42 +180,3 @@ _default_bus = EventBus()
 def get_bus() -> EventBus:
     """The process-default event bus."""
     return _default_bus
-
-
-def set_bus(bus: EventBus) -> EventBus:
-    """Replace the default bus; returns the previous one."""
-    global _default_bus
-    previous = _default_bus
-    _default_bus = bus
-    return previous
-
-
-@contextmanager
-def use_bus(bus: EventBus) -> Iterator[EventBus]:
-    """Scope ``bus`` as the default for the ``with`` block."""
-    previous = set_bus(bus)
-    try:
-        yield bus
-    finally:
-        set_bus(previous)
-
-
-@contextmanager
-def capture_events():
-    """Subscribe an in-memory sink to the default bus for the block.
-
-    Test helper::
-
-        with capture_events() as sink:
-            scheduler.run_window()
-        assert sink.of(WindowClosed)
-    """
-    from repro.telemetry.sinks import InMemorySink
-
-    sink = InMemorySink()
-    bus = get_bus()
-    bus.subscribe(sink)
-    try:
-        yield sink
-    finally:
-        bus.unsubscribe(sink)

@@ -187,13 +187,6 @@ class MetricsRegistry:
                     summary if existing is None else existing.combine(summary)
                 )
 
-    def reset(self) -> None:
-        """Drop every recorded series."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
     # ------------------------------------------------------------------
     def format_summary(self) -> str:
         """Human-readable dump, one series per line (sorted)."""

@@ -6,9 +6,8 @@ Three concrete sinks cover the common needs:
 * :class:`JsonlSink` — one JSON object per line, for offline tooling;
 * :class:`ConsoleSink` — human-readable lines on a stream.
 
-:class:`NullSink` exists for completeness (an explicit "discard"
-target); the usual zero-cost path is simply an empty bus, which the
-instrumented code skips entirely.
+To discard events, leave the bus empty: the instrumented code then
+skips emitting entirely.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from pathlib import Path
 
 from repro.telemetry.events import TelemetryEvent
 
-__all__ = ["Sink", "NullSink", "InMemorySink", "JsonlSink", "ConsoleSink"]
+__all__ = ["Sink", "InMemorySink", "JsonlSink", "ConsoleSink"]
 
 
 class Sink:
@@ -32,14 +31,6 @@ class Sink:
 
     def close(self) -> None:
         """Release any resources (files, streams); idempotent."""
-
-
-class NullSink(Sink):
-    """Discards everything."""
-
-    def handle(self, event: TelemetryEvent) -> None:
-        """Drop the event."""
-        pass
 
 
 class InMemorySink(Sink):

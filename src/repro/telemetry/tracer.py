@@ -14,9 +14,8 @@ so a rendered trace shows *when* within its parent each child began.
 The default tracer is **disabled**: :func:`span` then returns a shared
 no-op context manager, so instrumentation in hot loops costs one
 attribute check per call.  Enable tracing by installing an enabled
-:class:`Tracer` (``set_tracer(Tracer(enabled=True))`` or the
-:func:`use_tracer` scope) and read the result with
-:meth:`Tracer.format_tree`.
+:class:`Tracer` (``set_tracer(Tracer(enabled=True))``) and read the
+recorded forest from :attr:`Tracer.roots`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.utils.timers import Stopwatch, format_duration
+from repro.utils.timers import Stopwatch
 
 __all__ = [
     "SpanRecord",
@@ -33,7 +32,6 @@ __all__ = [
     "span",
     "get_tracer",
     "set_tracer",
-    "use_tracer",
 ]
 
 
@@ -94,39 +92,6 @@ class Tracer:
             record.elapsed = stopwatch.stop()
             self._stack.pop()
 
-    def reset(self) -> None:
-        """Drop every recorded span (open spans stay on the stack)."""
-        self.roots = []
-
-    # ------------------------------------------------------------------
-    def format_tree(self) -> str:
-        """Render the recorded forest, one span per line::
-
-            nsga3.run                          1.21 s
-              nsga3.generation gen=1  +12 ms   58 ms  (self 41 ms)
-        """
-        lines: list[str] = []
-
-        def render(record: SpanRecord, depth: int) -> None:
-            attrs = " ".join(
-                f"{k}={v}" for k, v in sorted(record.attributes.items())
-            )
-            head = f"{'  ' * depth}{record.name}"
-            if attrs:
-                head += f" {attrs}"
-            if depth:
-                head += f"  +{format_duration(record.start_offset)}"
-            line = f"{head}  {format_duration(record.elapsed)}"
-            if record.children:
-                line += f"  (self {format_duration(record.self_time)})"
-            lines.append(line)
-            for child in record.children:
-                render(child, depth + 1)
-
-        for root in self.roots:
-            render(root, 0)
-        return "\n".join(lines)
-
 
 # ----------------------------------------------------------------------
 # Process-default tracer (disabled: spans are no-ops)
@@ -150,16 +115,6 @@ def set_tracer(tracer: Tracer) -> Tracer:
     previous = _default_tracer
     _default_tracer = tracer
     return previous
-
-
-@contextmanager
-def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
-    """Scope ``tracer`` as the default for the ``with`` block."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
 
 
 def span(name: str, **attributes):

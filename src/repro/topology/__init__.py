@@ -18,7 +18,6 @@ shape rather than raw matrices.
 
 from repro.topology.spine_leaf import FabricSpec, SpineLeafFabric
 from repro.topology.analysis import (
-    hop_distance,
     hop_matrix,
     oversubscription_ratio,
     path_redundancy,
@@ -27,7 +26,6 @@ from repro.topology.analysis import (
 __all__ = [
     "FabricSpec",
     "SpineLeafFabric",
-    "hop_distance",
     "hop_matrix",
     "oversubscription_ratio",
     "path_redundancy",

@@ -5,8 +5,8 @@ bandwidth" (paper Section III); these functions quantify exactly that:
 
 * :func:`path_redundancy` — edge-disjoint paths between two servers
   (how many independent failures the pair survives);
-* :func:`hop_distance` — shortest-path length, the latency proxy the
-  affinity rules trade against availability;
+* :func:`hop_matrix` — all-pairs shortest-path lengths, the latency
+  proxy the affinity rules trade against availability;
 * :func:`oversubscription_ratio` — downlink/uplink bandwidth ratio at
   the leaf tier, the classic fabric sizing metric.
 """
@@ -20,7 +20,6 @@ from repro.topology.spine_leaf import SpineLeafFabric
 
 __all__ = [
     "path_redundancy",
-    "hop_distance",
     "hop_matrix",
     "oversubscription_ratio",
 ]
@@ -51,26 +50,12 @@ def path_redundancy(fabric: SpineLeafFabric, a: str, b: str) -> int:
     return nx.edge_connectivity(fabric.graph, leaf_a, leaf_b)
 
 
-def hop_distance(fabric: SpineLeafFabric, a: str, b: str) -> int:
-    """Shortest-path hop count between two servers.
-
-    0 for the same server; 2 same leaf; 4 same datacenter, different
-    leaves; 6 across datacenters (server-leaf-spine-core-spine-leaf-
-    server).
-    """
-    _check_server(fabric, a)
-    _check_server(fabric, b)
-    if a == b:
-        return 0
-    return nx.shortest_path_length(fabric.graph, a, b)
-
-
 def hop_matrix(fabric: SpineLeafFabric):
     """All-pairs server hop distances as an (m, m) float matrix.
 
     Exploits the regular structure instead of running BFS per pair:
     0 on the diagonal, 2 within a leaf, 4 within a datacenter, 6
-    across datacenters (per :func:`hop_distance`'s path shapes).  The
+    across datacenters (server-leaf-spine-core-spine-leaf-server).  The
     structural shortcut is asserted against networkx in the tests.
     """
     import numpy as np

@@ -74,11 +74,6 @@ class FabricSpec:
         """Hosts per datacenter."""
         return self.leaves * self.servers_per_leaf
 
-    @property
-    def total_servers(self) -> int:
-        """Hosts across the whole fabric."""
-        return self.datacenters * self.servers_per_datacenter
-
 
 @dataclass
 class SpineLeafFabric:

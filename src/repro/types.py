@@ -21,7 +21,6 @@ __all__ = [
     "PlacementRule",
     "AlgorithmKind",
     "ObjectiveKind",
-    "ConstraintHandling",
     "FloatArray",
     "IntArray",
     "BoolArray",
@@ -67,11 +66,6 @@ class PlacementRule(enum.Enum):
         """True for the two co-localization rules."""
         return self in (PlacementRule.SAME_DATACENTER, PlacementRule.SAME_SERVER)
 
-    @property
-    def is_anti_affinity(self) -> bool:
-        """True for the two separation rules."""
-        return not self.is_affinity
-
 
 class AlgorithmKind(enum.Enum):
     """The six allocation algorithms compared in Section IV."""
@@ -90,17 +84,3 @@ class ObjectiveKind(enum.Enum):
     USAGE_AND_OPERATING_COST = "usage_and_operating_cost"  # Eq. 22
     DOWNTIME_COST = "downtime_cost"  # Eq. 23
     MIGRATION_COST = "migration_cost"  # Eq. 26
-
-
-class ConstraintHandling(enum.Enum):
-    """Strategies for strict constraints in evolutionary search (Section III).
-
-    The paper lists four methods and adopts repair; we implement the
-    first three plus the penalty variant the authors tried and rejected.
-    """
-
-    NONE = "none"  # unmodified NSGA: constraints ignored
-    EXCLUDE = "exclude"  # method 1: drop infeasible individuals
-    REPAIR_TABU = "repair_tabu"  # method 2 with tabu search (the contribution)
-    REPAIR_CP = "repair_cp"  # method 2 with the constraint solver
-    PENALTY = "penalty"  # attempted-and-rejected: violation penalty

@@ -1,8 +1,8 @@
 """Small shared utilities: RNG handling, timers, Pareto math,
 scatter-adds and text tables."""
 
-from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timers import Stopwatch, format_duration
+from repro.utils.rng import as_generator
+from repro.utils.timers import Stopwatch
 from repro.utils.pareto import (
     dominates,
     non_dominated_mask,
@@ -11,9 +11,7 @@ from repro.utils.pareto import (
 
 __all__ = [
     "as_generator",
-    "spawn_generators",
     "Stopwatch",
-    "format_duration",
     "dominates",
     "non_dominated_mask",
     "pareto_front_indices",

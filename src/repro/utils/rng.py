@@ -18,7 +18,6 @@ from repro.types import SeedLike
 
 __all__ = [
     "as_generator",
-    "spawn_generators",
     "root_sequence",
     "derive_sequence",
     "install_stream",
@@ -121,19 +120,3 @@ def install_stream(
         "uinteger": 0,
     }
     return generator
-
-
-def spawn_generators(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from ``seed``.
-
-    Used by the multi-run evaluation harness so that run *i* of an
-    experiment sees the same scenario stream regardless of how many
-    total runs were requested.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    root = as_generator(seed)
-    seq = root.bit_generator.seed_seq  # type: ignore[attr-defined]
-    if seq is None:  # pragma: no cover - only for exotic bit generators
-        return [np.random.default_rng(root.integers(2**63)) for _ in range(count)]
-    return [np.random.default_rng(child) for child in seq.spawn(count)]

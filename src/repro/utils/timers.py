@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["Stopwatch", "format_duration"]
+__all__ = ["Stopwatch"]
 
 
 class Stopwatch:
@@ -56,16 +56,6 @@ class Stopwatch:
             return 0.0
         return time.perf_counter() - self._start
 
-    def reset(self) -> None:
-        """Zero the stopwatch (also stops it)."""
-        self._start = None
-        self._elapsed = 0.0
-
-    @property
-    def running(self) -> bool:
-        """Whether the stopwatch is currently accumulating time."""
-        return self._start is not None
-
     @property
     def elapsed(self) -> float:
         """Accumulated seconds (includes the in-flight span when running)."""
@@ -78,25 +68,3 @@ class Stopwatch:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-def format_duration(seconds: float) -> str:
-    """Render seconds as a human-readable string (``1.23 s``, ``45 ms``...).
-
-    Tiny negative values in ``(-1e-9, 0)`` are floating-point noise
-    (they arise when a span's self-time is computed as total minus
-    children) and are clamped to zero; anything more negative is a
-    caller bug and still raises.
-    """
-    if -1e-9 < seconds < 0:
-        seconds = 0.0
-    if seconds < 0:
-        raise ValueError(f"duration must be >= 0, got {seconds}")
-    if seconds >= 60.0:
-        minutes, rem = divmod(seconds, 60.0)
-        return f"{int(minutes)} min {rem:.1f} s"
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.1f} ms"
-    return f"{seconds * 1e6:.0f} us"

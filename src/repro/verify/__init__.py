@@ -66,7 +66,6 @@ from repro.verify.invariants import (
     CheckContext,
     InvariantReport,
     InvariantViolation,
-    invariant_names,
     register_invariant,
     run_invariants,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "CheckContext",
     "InvariantReport",
     "InvariantViolation",
-    "invariant_names",
     "register_invariant",
     "run_invariants",
     # oracle

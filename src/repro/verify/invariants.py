@@ -52,7 +52,6 @@ __all__ = [
     "CheckContext",
     "InvariantReport",
     "InvariantViolation",
-    "invariant_names",
     "register_invariant",
     "run_invariants",
 ]
@@ -179,11 +178,6 @@ def register_invariant(name: str):
         return fn
 
     return wrap
-
-
-def invariant_names() -> tuple[str, ...]:
-    """The registered invariant catalog, in registration order."""
-    return tuple(_CHECKERS)
 
 
 # ----------------------------------------------------------------------

@@ -356,7 +356,6 @@ class CompiledScenario:
         allocator: Allocator,
         *,
         max_windows: int | None = None,
-        reoptimize_allocator: Allocator | None = None,
     ) -> ScenarioResult:
         """Replay the stream through a scheduler and fold the metrics.
 
@@ -389,7 +388,7 @@ class CompiledScenario:
                 and scheduler.window_index % spec.reoptimize_every == 0
                 and scheduler.state.tenants()
             ):
-                result = scheduler.reoptimize(reoptimize_allocator)
+                result = scheduler.reoptimize()
                 if result is not None:
                     outcome, plan = result
                     applied = (

@@ -87,11 +87,6 @@ class Trace:
     failures: list[ServerFailureEvent] = field(default_factory=list)
     recoveries: list[ServerRecoveryEvent] = field(default_factory=list)
 
-    def all_events(self) -> list:
-        """Every event, time-sorted (stable)."""
-        events = [*self.arrivals, *self.departures, *self.failures, *self.recoveries]
-        return sorted(events, key=lambda e: e.time)
-
     def apply_to(self, scheduler) -> None:
         """Submit the whole trace into a
         :class:`~repro.scheduler.window.TimeWindowScheduler`."""

@@ -110,7 +110,9 @@ class TestExactSolverAgreement:
             CompiledProblem(scenario.infrastructure, merged),
             limits=SearchLimits(max_nodes=500_000, time_limit=60),
         ).find_feasible()
-        if not cp.proved:
+        # find_feasible stops at its first placement, so a found one is
+        # a verdict without a proof of optimality.
+        if not (cp.found or cp.proved):
             pytest.skip("CP budget exhausted; verdicts not comparable")
         assert cp.found == (not ilp.infeasible)
 

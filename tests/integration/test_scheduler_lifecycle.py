@@ -61,8 +61,9 @@ class TestLifecycleWithHybridAllocator:
             scheduler.schedule_departure(f"r{i}", at=at + float(rng.integers(1, 4)))
         scheduler.run(max_windows=20)
         assert np.all(scheduler.state.committed_usage >= -1e-9)
-        residual = scheduler.state.residual_capacity
-        assert np.all(residual <= scenario.infrastructure.effective_capacity + 1e-9)
+        capacity = scenario.infrastructure.effective_capacity
+        residual = capacity - scheduler.state.committed_usage
+        assert np.all(residual <= capacity + 1e-9)
 
     def test_reoptimize_with_migration_costs_reduces_moves(self, scenario):
         """The migration objective must make the optimizer prefer

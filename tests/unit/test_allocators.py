@@ -8,7 +8,6 @@ from repro.allocator import per_request_rejections
 from repro.baselines import (
     BestFitAllocator,
     FirstFitAllocator,
-    RandomAllocator,
     RoundRobinAllocator,
     WorstFitAllocator,
 )
@@ -32,7 +31,6 @@ GREEDY = [
     FirstFitAllocator,
     BestFitAllocator,
     WorstFitAllocator,
-    RandomAllocator,
 ]
 
 

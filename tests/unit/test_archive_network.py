@@ -1,19 +1,24 @@
 """Unit tests for the Pareto archive, hop matrix and communication-cost
 extension objective."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.ea import ParetoArchive
 from repro.errors import DimensionError, ValidationError
 from repro.model.placement import UNPLACED
-from repro.objectives import CommunicationCost, uniform_group_traffic
-from repro.topology import (
-    FabricSpec,
-    SpineLeafFabric,
-    hop_distance,
-    hop_matrix,
-)
+from repro.objectives import CommunicationCost
+from repro.topology import FabricSpec, SpineLeafFabric, hop_matrix
+
+
+def _traffic(n, groups, rate):
+    """``rate`` between every two members of a group, zero elsewhere."""
+    traffic = np.zeros((n, n))
+    for members in groups:
+        traffic[np.ix_(members, members)] = rate
+    np.fill_diagonal(traffic, 0.0)
+    return traffic
 
 
 class TestParetoArchive:
@@ -49,13 +54,6 @@ class TestParetoArchive:
         objs = archive.objectives
         assert [0.0, 10.0] in objs.tolist()
         assert [10.0, 0.0] in objs.tolist()
-
-    def test_add_population_counts(self):
-        archive = ParetoArchive()
-        genomes = np.arange(6).reshape(3, 2)
-        objectives = np.array([[1.0, 3.0], [3.0, 1.0], [4.0, 4.0]])
-        entered = archive.add_population(genomes, objectives)
-        assert entered == 2
 
     def test_best_by_ideal_point(self):
         archive = ParetoArchive()
@@ -93,7 +91,9 @@ class TestHopMatrix:
         servers = fabric.server_nodes
         for i in range(len(servers)):
             for j in range(len(servers)):
-                assert matrix[i, j] == hop_distance(fabric, servers[i], servers[j])
+                assert matrix[i, j] == nx.shortest_path_length(
+                    fabric.graph, servers[i], servers[j]
+                )
 
     def test_symmetric_zero_diagonal(self, fabric):
         matrix = hop_matrix(fabric)
@@ -102,39 +102,27 @@ class TestHopMatrix:
 
 
 class TestCommunicationCost:
-    def test_traffic_builder(self):
-        traffic = uniform_group_traffic(4, [(0, 1, 2)], rate=2.0)
-        assert traffic[0, 1] == 2.0 and traffic[1, 2] == 2.0
-        assert traffic[0, 3] == 0.0
-        assert np.allclose(np.diag(traffic), 0.0)
-
-    def test_builder_validates(self):
-        with pytest.raises(ValidationError):
-            uniform_group_traffic(2, [(0, 5)])
-        with pytest.raises(ValidationError):
-            uniform_group_traffic(2, [(0, 1)], rate=-1.0)
-
     def test_same_server_is_free(self, fabric):
-        traffic = uniform_group_traffic(2, [(0, 1)], rate=3.0)
+        traffic = _traffic(2, [(0, 1)], 3.0)
         cost = CommunicationCost(traffic, hop_matrix(fabric))
         assert cost.value(np.array([0, 0])) == 0.0
 
     def test_hop_weighting(self, fabric):
-        traffic = uniform_group_traffic(2, [(0, 1)], rate=3.0)
+        traffic = _traffic(2, [(0, 1)], 3.0)
         cost = CommunicationCost(traffic, hop_matrix(fabric))
         # Same leaf: 2 hops x rate 3 = 6; cross-dc: 6 hops x 3 = 18.
         assert cost.value(np.array([0, 1])) == pytest.approx(6.0)
         assert cost.value(np.array([0, 4])) == pytest.approx(18.0)
 
     def test_unplaced_pair_free(self, fabric):
-        traffic = uniform_group_traffic(2, [(0, 1)], rate=1.0)
+        traffic = _traffic(2, [(0, 1)], 1.0)
         cost = CommunicationCost(traffic, hop_matrix(fabric))
         assert cost.value(np.array([0, UNPLACED])) == 0.0
 
     def test_batch_matches_single(self, fabric):
         rng = np.random.default_rng(0)
         n = 6
-        traffic = uniform_group_traffic(n, [(0, 1, 2), (3, 4)], rate=1.5)
+        traffic = _traffic(n, [(0, 1, 2), (3, 4)], 1.5)
         cost = CommunicationCost(traffic, hop_matrix(fabric))
         population = rng.integers(0, fabric.n_servers, size=(20, n))
         population[3, 1] = UNPLACED
@@ -155,7 +143,7 @@ class TestCommunicationCost:
     def test_affinity_rules_reduce_cost(self, fabric):
         """Placing a chatty pair under SAME_DATACENTER can never cost
         more than the worst cross-datacenter split."""
-        traffic = uniform_group_traffic(2, [(0, 1)], rate=1.0)
+        traffic = _traffic(2, [(0, 1)], 1.0)
         cost = CommunicationCost(traffic, hop_matrix(fabric))
         same_dc = [
             cost.value(np.array([i, j]))
@@ -171,7 +159,7 @@ class TestCommunicationCost:
             CommunicationCost(bad, hop_matrix(fabric))
 
     def test_shape_checks(self, fabric):
-        traffic = uniform_group_traffic(2, [(0, 1)])
+        traffic = _traffic(2, [(0, 1)], 1.0)
         cost = CommunicationCost(traffic, hop_matrix(fabric))
         with pytest.raises(DimensionError):
             cost.value(np.array([0, 1, 2]))

@@ -1,13 +1,11 @@
 """Unit tests for convergence analysis, warm starts and the scheduler
 summary."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.baselines import FirstFitAllocator
-from repro.ea import NSGA3, NSGAConfig, RepairHandling, greedy_seed
+from repro.ea import NSGA3, NSGAConfig, RepairHandling
 from repro.ea.result import EvolutionResult, GenerationStats
 from repro.ea.population import Population
 from repro.engine import CompiledProblem
@@ -16,7 +14,6 @@ from repro.evaluation import (
     convergence_summary,
     evaluations_to_feasible,
     evaluations_to_within,
-    sparkline,
 )
 from repro.model import Request
 from repro.objectives import PopulationEvaluator
@@ -103,30 +100,17 @@ class TestConvergenceHelpers:
         assert summary["evaluations"] <= 320
         assert 0 <= summary["final_feasible_fraction"] <= 1
 
-    def test_sparkline_shapes(self):
-        line = sparkline([1.0, 2.0, 3.0, 2.0, 1.0])
-        assert len(line) == 5
-        assert line[2] == "█" and line[0] == "▁"
-
-    def test_sparkline_resamples_and_handles_nan(self):
-        line = sparkline(list(range(100)), width=10)
-        assert len(line) == 10
-        assert " " in sparkline([1.0, math.nan, 2.0])
-
-    def test_sparkline_constant_series(self):
-        assert set(sparkline([5.0, 5.0, 5.0])) == {"▁"}
-
 
 class TestWarmStart:
     def test_seeded_run_contains_seed_lineage(self, small_infra, small_request):
-        seed_genome = greedy_seed(small_infra, small_request, seed=0)
+        seed_genome = FirstFitAllocator().allocate(small_infra, [small_request]).assignment
         config = NSGAConfig(population_size=16, max_evaluations=320, seed=1)
         evaluator = PopulationEvaluator(small_infra, small_request)
         result = NSGA3(config, track_history=True).run(
             evaluator, initial_genomes=seed_genome
         )
-        # The greedy seed is capacity-feasible on this easy instance,
-        # so the very first generation already has feasible members.
+        # First fit places this easy instance without a violation, so
+        # the very first generation already has feasible members.
         assert result.history[0].feasible_fraction > 0
 
     def test_wrong_seed_length_rejected(self, small_infra, small_request):

@@ -53,7 +53,7 @@ class TestDomainStore:
         store.push()
         store.remove_value(0, 0)
         assert not store.remove_value(0, 1)
-        assert store.is_empty(0)
+        assert not store.mask[0].any()
 
     def test_restrict_to(self):
         store = DomainStore(1, 4)

@@ -11,8 +11,6 @@ from repro.ea import (
     das_dennis_points,
     fast_non_dominated_sort,
     ReferencePointNiching,
-    constrained_sort_keys,
-    greedy_seed,
     random_population,
 )
 from repro.errors import ValidationError
@@ -61,14 +59,6 @@ class TestFastNonDominatedSort:
 
     def test_empty(self):
         assert fast_non_dominated_sort(np.empty((0, 2))).size == 0
-
-    def test_constrained_keys_feasible_first(self):
-        objs = np.array([[1.0, 1.0], [0.5, 0.5], [9.0, 9.0]])
-        violations = np.array([0, 3, 0])
-        ranks, tiers = constrained_sort_keys(objs, violations)
-        assert tiers.tolist() == [0, 4, 0]
-        # Feasible ones Pareto-ranked among themselves.
-        assert ranks[0] == 0 and ranks[2] == 1
 
 
 class TestCrowding:
@@ -367,10 +357,3 @@ class TestConfigAndEncoding:
         assert np.array_equal(
             random_population(4, 3, 5, seed=1), random_population(4, 3, 5, seed=1)
         )
-
-    def test_greedy_seed_feasible_when_roomy(self, small_infra, small_request):
-        genome = greedy_seed(small_infra, small_request, seed=0)
-        from repro.constraints import CapacityConstraint
-
-        constraint = CapacityConstraint(small_infra, small_request.demand)
-        assert constraint.violations(genome) == 0

@@ -213,7 +213,7 @@ def test_public_names_subpackages_and_unknown_names():
         }))
     """)
     names = result["names"]
-    assert len(names) == len(set(names)) == 54
+    assert len(names) == len(set(names)) == 49
     assert result["elsewhere"] == []
     assert result["unlisted"] == []
     assert result["unbound"] == []

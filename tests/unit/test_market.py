@@ -5,7 +5,7 @@ market-layer invariants and the ``verify --check market`` checker."""
 import numpy as np
 import pytest
 
-from repro.baselines import RoundRobinAllocator
+from repro.baselines import FirstFitAllocator, RoundRobinAllocator
 from repro.errors import ValidationError
 from repro.market import (
     BrokeredAllocator,
@@ -13,6 +13,7 @@ from repro.market import (
     Provider,
     ProviderMarket,
 )
+from repro.model import Infrastructure, PlacementGroup, Request
 from repro.model.placement import UNPLACED
 from repro.objectives.preference import (
     PREFERENCE_CRITERIA,
@@ -21,13 +22,10 @@ from repro.objectives.preference import (
     select_index,
     set_preference,
 )
+from repro.types import PlacementRule
 from repro.utils.pareto import dominance_matrix
-from repro.verify import (
-    CheckContext,
-    check_market_conformance,
-    invariant_names,
-    run_invariants,
-)
+from repro.verify import CheckContext, check_market_conformance, run_invariants
+from repro.verify.invariants import _CHECKERS
 from repro.workloads import ScenarioGenerator, ScenarioSpec
 
 
@@ -145,7 +143,6 @@ class TestSelection:
 class TestPriceBook:
     def test_neutral_default(self):
         book = PriceBook()
-        assert book.is_neutral
         assert book.price_at(13.0) == (1.0, 1.0)
 
     def test_diurnal_curve_oscillates(self):
@@ -249,7 +246,7 @@ class TestProviderMarket:
         compiled = market.compile(at=0.0)
         merged = compiled.infrastructure
         for k, provider in enumerate(market.providers):
-            rows = merged.servers_in_provider(k)
+            rows = np.flatnonzero(merged.provider_of_server == k)
             np.testing.assert_allclose(
                 merged.usage_cost[rows],
                 provider.infrastructure.usage_cost * books[k].usage_rate,
@@ -332,10 +329,36 @@ class TestBrokeredAllocator:
         with pytest.raises(ValidationError):
             BrokeredAllocator(market, RoundRobinAllocator).allocate([])
 
-    def test_quota_count_must_match_providers(self, scenario):
-        market = ProviderMarket.from_infrastructure(scenario.infrastructure, 2)
-        with pytest.raises(ValidationError):
-            BrokeredAllocator(market, RoundRobinAllocator, quotas=(1, 2, 3))
+    def test_a_straddling_request_counts_its_extra_providers(self):
+        """Each provider owns one datacenter, so the split route can host
+        the different-datacenters trio only across all three providers:
+        two market violations, and the clean confined plans keep that
+        plan out of the front."""
+        infrastructure = Infrastructure.homogeneous(
+            datacenters=3, servers_per_datacenter=2, capacity=[32, 128, 2000]
+        )
+
+        def request(n, groups=()):
+            return Request(
+                demand=np.ones((n, 3)),
+                qos_guarantee=np.full(n, 0.9),
+                downtime_cost=np.ones(n),
+                migration_cost=np.ones(n),
+                groups=groups,
+            )
+
+        trio = request(3, (PlacementGroup(PlacementRule.DIFFERENT_DATACENTERS, (0, 1, 2)),))
+        market = ProviderMarket.from_infrastructure(infrastructure, 3)
+        outcome = BrokeredAllocator(market, FirstFitAllocator).allocate([trio, request(1)])
+        *confined, split = outcome.plans
+        assert split.route == "split"
+        assert split.outcome.accepted.tolist() == [True, True]
+        assert split.market_violations == 2 and not split.clean
+        assert split.provider_of_request[0] == -1
+        for k, plan in enumerate(confined):
+            assert plan.market_violations == 0 and plan.clean, plan.route
+            assert plan.provider_of_request[1] == k
+        assert all(plan is not split for plan in outcome.front)
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +370,7 @@ class TestMarketVerification:
             "provider_capacity_closure",
             "preference_selection_consistency",
             "brokered_front_non_domination",
-        } <= set(invariant_names())
+        } <= set(_CHECKERS)
 
     def test_invariants_pass_on_brokered_outcome(self, scenario):
         market = ProviderMarket.from_infrastructure(scenario.infrastructure, 3)

@@ -1,17 +1,10 @@
-"""Unit tests for the model layer: attributes, resources, infrastructure."""
+"""Unit tests for the model layer: attributes and infrastructure."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DimensionError, ValidationError
-from repro.model import (
-    AttributeSchema,
-    DEFAULT_ATTRIBUTES,
-    Datacenter,
-    Infrastructure,
-    Server,
-    VirtualResource,
-)
+from repro.model import DEFAULT_ATTRIBUTES, AttributeSchema, Infrastructure
 
 
 class TestAttributeSchema:
@@ -43,67 +36,10 @@ class TestAttributeSchema:
             AttributeSchema(names=("a", "b"), units=("x",))
 
     def test_iteration_and_contains(self):
-        schema = AttributeSchema.from_names(["x", "y"])
+        schema = AttributeSchema(names=("x", "y"))
         assert list(schema) == ["x", "y"]
         assert "x" in schema and "z" not in schema
         assert len(schema) == 2
-
-
-class TestServer:
-    def test_effective_capacity(self):
-        server = Server(
-            capacity=[10, 20, 30], capacity_factor=[0.5, 1.0, 0.9]
-        )
-        assert server.effective_capacity.tolist() == [5.0, 20.0, 27.0]
-
-    def test_defaults(self):
-        server = Server(capacity=[1, 2, 3])
-        assert np.all(server.capacity_factor == 1.0)
-        assert np.all(server.max_load == 0.8)
-
-    def test_wrong_capacity_shape(self):
-        with pytest.raises(ValidationError):
-            Server(capacity=[1, 2])
-
-    def test_factor_range_enforced(self):
-        with pytest.raises(ValidationError):
-            Server(capacity=[1, 2, 3], capacity_factor=[0.0, 1.0, 1.0])
-        with pytest.raises(ValidationError):
-            Server(capacity=[1, 2, 3], capacity_factor=[1.5, 1.0, 1.0])
-
-    def test_max_load_must_be_fraction(self):
-        with pytest.raises(ValidationError):
-            Server(capacity=[1, 2, 3], max_load=[1.0, 0.5, 0.5])
-
-
-class TestVirtualResource:
-    def test_valid(self):
-        vr = VirtualResource(demand=[1, 2, 3], qos_guarantee=0.95)
-        assert vr.demand.tolist() == [1.0, 2.0, 3.0]
-
-    def test_qos_bounds(self):
-        with pytest.raises(ValidationError):
-            VirtualResource(demand=[1, 2, 3], qos_guarantee=0.0)
-        with pytest.raises(ValidationError):
-            VirtualResource(demand=[1, 2, 3], qos_guarantee=1.5)
-
-    def test_negative_demand_rejected(self):
-        with pytest.raises(ValidationError):
-            VirtualResource(demand=[-1, 2, 3])
-
-
-class TestDatacenter:
-    def test_schema_consistency_enforced(self):
-        dc = Datacenter(servers=[Server(capacity=[1, 2, 3])])
-        other_schema = AttributeSchema(names=("x",))
-        with pytest.raises(ValidationError):
-            dc.add(Server(capacity=[1], schema=other_schema))
-
-    def test_len(self):
-        dc = Datacenter()
-        assert len(dc) == 0
-        dc.add(Server(capacity=[1, 2, 3]))
-        assert len(dc) == 1
 
 
 class TestInfrastructure:
@@ -119,9 +55,6 @@ class TestInfrastructure:
         assert small_infra.servers_in_datacenter(1).tolist() == [4, 5, 6, 7]
         with pytest.raises(ValidationError):
             small_infra.servers_in_datacenter(2)
-
-    def test_datacenter_sizes(self, small_infra):
-        assert small_infra.datacenter_sizes().tolist() == [4, 4]
 
     def test_non_contiguous_dc_ids_rejected(self):
         with pytest.raises(ValidationError):
@@ -141,20 +74,6 @@ class TestInfrastructure:
         )
         assert (infra.g, infra.m) == (3, 15)
         assert np.all(infra.capacity == np.array([8, 32, 100]))
-
-    def test_from_datacenters(self):
-        dcs = [
-            Datacenter(servers=[Server(capacity=[1, 2, 3], name="a")], name="east"),
-            Datacenter(servers=[Server(capacity=[4, 5, 6])]),
-        ]
-        infra = Infrastructure.from_datacenters(dcs)
-        assert infra.m == 2 and infra.g == 2
-        assert infra.datacenter_names == ("east", "dc1")
-        assert infra.server_names[0] == "a"
-
-    def test_from_empty_datacenter_rejected(self):
-        with pytest.raises(ValidationError):
-            Infrastructure.from_datacenters([Datacenter()])
 
     def test_matrix_shape_mismatch(self):
         with pytest.raises(DimensionError):

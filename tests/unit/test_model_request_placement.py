@@ -10,7 +10,6 @@ from repro.model import (
     Placement,
     PlacementGroup,
     Request,
-    VirtualResource,
 )
 from repro.model.placement import UNPLACED
 from repro.types import PlacementRule
@@ -32,8 +31,8 @@ class TestPlacementGroup:
     def test_rule_family_flags(self):
         assert PlacementRule.SAME_SERVER.is_affinity
         assert PlacementRule.SAME_DATACENTER.is_affinity
-        assert PlacementRule.DIFFERENT_SERVERS.is_anti_affinity
-        assert PlacementRule.DIFFERENT_DATACENTERS.is_anti_affinity
+        assert not PlacementRule.DIFFERENT_SERVERS.is_affinity
+        assert not PlacementRule.DIFFERENT_DATACENTERS.is_affinity
 
 
 class TestRequest:
@@ -54,17 +53,6 @@ class TestRequest:
         assert np.allclose(
             small_request.total_demand(), small_request.demand.sum(axis=0)
         )
-
-    def test_groups_of(self, small_request):
-        assert len(small_request.groups_of(PlacementRule.SAME_SERVER)) == 1
-        assert len(small_request.groups_of(PlacementRule.SAME_DATACENTER)) == 0
-
-    def test_from_resources(self):
-        request = Request.from_resources(
-            [VirtualResource(demand=[1, 2, 3]), VirtualResource(demand=[4, 5, 6])]
-        )
-        assert request.n == 2
-        assert request.demand[1].tolist() == [4.0, 5.0, 6.0]
 
     def test_concatenate_shifts_groups(self, small_request):
         merged, owner = Request.concatenate([small_request, small_request])
@@ -148,30 +136,9 @@ class TestPlacement:
         assert np.isinf(loads[0, 0])
         assert loads[0, 1] == 0.5
 
-    def test_with_assignment_copies(self, small_infra):
-        placement = Placement(
-            assignment=np.array([0, 1]), infrastructure=small_infra
-        )
-        moved = placement.with_assignment(0, 7)
-        assert placement.assignment[0] == 0
-        assert moved.assignment[0] == 7
-
     def test_equality_and_hash(self, small_infra):
         a = Placement(assignment=np.array([0, 1]), infrastructure=small_infra)
         b = Placement(assignment=np.array([0, 1]), infrastructure=small_infra)
         c = Placement(assignment=np.array([1, 0]), infrastructure=small_infra)
         assert a == b and hash(a) == hash(b)
         assert a != c
-
-    def test_datacenter_of(self, small_infra):
-        placement = Placement(
-            assignment=np.array([0, 6, UNPLACED]), infrastructure=small_infra
-        )
-        assert placement.datacenter_of().tolist() == [0, 1, UNPLACED]
-
-    def test_is_complete(self, small_infra):
-        full = Placement(assignment=np.array([0, 1]), infrastructure=small_infra)
-        partial = Placement(
-            assignment=np.array([0, UNPLACED]), infrastructure=small_infra
-        )
-        assert full.is_complete and not partial.is_complete

@@ -45,30 +45,12 @@ class TestCommitRelease:
 
     def test_residual_capacity(self, small_infra, small_request):
         state = PlatformState(small_infra)
-        before = state.residual_capacity.copy()
+        before = small_infra.effective_capacity - state.committed_usage
         assert np.allclose(before, small_infra.effective_capacity)
         state.commit("a", _placement(small_infra, [0] * 6), small_request)
-        after = state.residual_capacity
+        after = small_infra.effective_capacity - state.committed_usage
         assert np.all(after[0] < before[0])
         assert np.allclose(after[1:], before[1:])
-
-
-class TestReassign:
-    def test_reassign_returns_old(self, small_infra, small_request):
-        state = PlatformState(small_infra)
-        state.commit("a", _placement(small_infra, [0, 0, 1, 2, 3, 4]), small_request)
-        old = state.reassign(
-            "a", _placement(small_infra, [5, 5, 6, 7, 3, 4]), small_request
-        )
-        assert old.tolist() == [0, 0, 1, 2, 3, 4]
-        assert state.previous_assignment("a").tolist() == [5, 5, 6, 7, 3, 4]
-
-    def test_reassign_unknown_rejected(self, small_infra, small_request):
-        state = PlatformState(small_infra)
-        with pytest.raises(SchedulerError):
-            state.reassign(
-                "ghost", _placement(small_infra, [0] * 6), small_request
-            )
 
 
 class TestConsistency:

@@ -155,7 +155,6 @@ class TestDowntime:
 class TestMigration:
     def test_inactive_for_first_placement(self, tiny_request):
         migration = MigrationCost(tiny_request)
-        assert not migration.is_active
         assert migration_of(migration, [0, 1]) == 0.0
 
     def test_charges_moved_resources(self, tiny_request):
@@ -210,14 +209,6 @@ class TestPopulationEvaluator:
             violations, objectives = price(small_infra, small_request, population[i])
             assert np.allclose(objectives, result.objectives[i])
             assert total_violations(violations) == result.violations[i]
-
-    def test_counts_evaluations(self, small_infra, small_request):
-        evaluator = PopulationEvaluator(small_infra, small_request)
-        evaluator.evaluate_population(np.zeros((4, 6), dtype=np.int64))
-        evaluator.evaluate(np.zeros(6, dtype=np.int64))
-        assert evaluator.evaluation_count == 5
-        evaluator.reset_counter()
-        assert evaluator.evaluation_count == 0
 
     def test_migration_column_active_with_previous(
         self, small_infra, small_request

@@ -23,7 +23,6 @@ from repro.baselines import (
     BestFitAllocator,
     FilterSchedulerAllocator,
     FirstFitAllocator,
-    RandomAllocator,
     RoundRobinAllocator,
     WorstFitAllocator,
 )
@@ -91,7 +90,6 @@ _GREEDY = {
     "first_fit": (FirstFitAllocator, "5ba5898163525b83ca31cfc4accae5dc"),
     "best_fit": (BestFitAllocator, "b253a99b4008f2e498929cd9e52aed4e"),
     "worst_fit": (WorstFitAllocator, "93b24ee5840076decaaa644a3bf8bba8"),
-    "random_fit": (lambda: RandomAllocator(seed=3), "f30afe42154cbdf0422c9971d121d3ce"),
     "filter_scheduler": (
         lambda: FilterSchedulerAllocator(cost_weight=2.0),
         "996abf51e1fc25f712e6e1f426931fca",

@@ -20,10 +20,17 @@ only in an import line and ``__all__`` is a re-export and reaches
 nothing, and so do the strings of an ``_EXPORTS`` table until a name
 resolves through it.  Everything is read from the syntax tree, so no
 module is executed.
+
+The same holds for the symbols inside a reached module: each top-level
+function, class and constant, and each method of a top-level class,
+must be used by name outside its own lines, in a reached module or an
+entry file (``unused_symbols`` says what counts).
 """
 
 import ast
 import re
+import textwrap
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -51,10 +58,14 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _is_exports_table(node: ast.AST) -> bool:
+def _assigns(node: ast.AST, *names: str) -> bool:
     return isinstance(node, ast.Assign) and any(
-        isinstance(target, ast.Name) and target.id == "_EXPORTS" for target in node.targets
+        isinstance(target, ast.Name) and target.id in names for target in node.targets
     )
+
+
+def _is_exports_table(node: ast.AST) -> bool:
+    return _assigns(node, "_EXPORTS")
 
 
 def _lazy_exports(path: Path) -> dict[str, str]:
@@ -71,10 +82,10 @@ def _lazy_exports(path: Path) -> dict[str, str]:
 
 def _walk(node: ast.AST):
     """Every node under ``node``, skipping ``if TYPE_CHECKING:`` bodies
-    and ``_EXPORTS`` tables."""
+    and the ``_EXPORTS`` and ``__all__`` tables."""
     yield node
     for child in ast.iter_child_nodes(node):
-        if _is_exports_table(child):
+        if _assigns(child, "_EXPORTS", "__all__"):
             continue
         if isinstance(child, ast.If) and ast.unparse(child.test).endswith("TYPE_CHECKING"):
             for statement in child.orelse:
@@ -205,6 +216,154 @@ def reached() -> set[str]:
     return seen
 
 
+#: Decorators that only change how a definition binds.  Any other
+#: decorator, such as ``@register_invariant(...)``, is itself the use.
+_PLAIN_DECORATORS = frozenset(
+    {
+        "property",
+        "classmethod",
+        "staticmethod",
+        "contextmanager",
+        "abstractmethod",
+        "cache",
+        "dataclass",
+    }
+)
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+@dataclass(frozen=True)
+class Symbol:
+    path: Path
+    module: str
+    qualname: str
+    first: int  # the first decorator's line, if any
+    last: int
+    kept: bool  # a dunder, or registered by a decorator
+
+    @property
+    def name(self) -> str:
+        return self.qualname.rpartition(".")[2]
+
+    @property
+    def lines(self) -> int:
+        return self.last - self.first + 1
+
+    def __str__(self) -> str:
+        return f"{self.module}::{self.qualname} ({self.lines} lines)"
+
+
+def _decorator_name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _symbol(path: Path, module: str, node: ast.stmt, qualname: str) -> Symbol:
+    decorators = getattr(node, "decorator_list", [])
+    name = qualname.rpartition(".")[2]
+    kept = (name.startswith("__") and name.endswith("__")) or any(
+        _decorator_name(decorator) not in _PLAIN_DECORATORS for decorator in decorators
+    )
+    first = min([node.lineno] + [decorator.lineno for decorator in decorators])
+    return Symbol(path, module, qualname, first, node.end_lineno, kept)
+
+
+def symbols(path: Path, module: str) -> list[Symbol]:
+    """The top-level functions, classes and plain-name assignments of one
+    module (``__all__`` and ``_EXPORTS`` excepted), and the methods of
+    its top-level classes."""
+    found = []
+    for node in _tree(path).body:
+        if isinstance(node, _DEFINITIONS):
+            found.append(_symbol(path, module, node, node.name))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    _symbol(path, module, child, f"{node.name}.{child.name}")
+                    for child in node.body
+                    if isinstance(child, _DEFINITIONS[:2])
+                )
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        else:
+            targets = [node.target] if isinstance(node, ast.AnnAssign) else []
+        found.extend(
+            _symbol(path, module, node, target.id)
+            for target in targets
+            if isinstance(target, ast.Name) and target.id not in ("__all__", "_EXPORTS")
+        )
+    return found
+
+
+def occurrences(path: Path) -> list[tuple[str, int]]:
+    """``(name, line)`` for each use of a name in one file: a loaded
+    name, an attribute, a ``from ... import`` name (not in a package
+    ``__init__``, whose re-exports use nothing) and each identifier in a
+    string that is not a docstring."""
+    tree = _tree(path)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, *_DEFINITIONS))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    found = []
+    for node in _walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            found.extend((alias.name, node.lineno) for alias in node.names)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            found.extend((word, node.lineno) for word in _IDENTIFIER.findall(node.value))
+    return found
+
+
+def unused_symbols(files: dict[Path, str | None]) -> list[Symbol]:
+    """The symbols of ``files`` no file uses.
+
+    ``files`` maps each file to its module name, or to ``None`` for an
+    entry file, whose own definitions are not checked.  A name used
+    inside an unused symbol is no use, so this iterates until no more
+    symbols fall.
+    """
+    defined = [
+        symbol for path, module in files.items() if module for symbol in symbols(path, module)
+    ]
+    # Each use with the symbols around it.
+    uses: dict[str, list[tuple[Path, int, list[Symbol]]]] = {}
+    for path in files:
+        around = [symbol for symbol in defined if symbol.path == path]
+        for name, line in occurrences(path):
+            enclosing = [symbol for symbol in around if symbol.first <= line <= symbol.last]
+            uses.setdefault(name, []).append((path, line, enclosing))
+
+    def used(symbol: Symbol, dead: set[Symbol]) -> bool:
+        return any(
+            (path != symbol.path or not symbol.first <= line <= symbol.last)
+            and dead.isdisjoint(enclosing)
+            for path, line, enclosing in uses.get(symbol.name, ())
+        )
+
+    dead: set[Symbol] = set()
+    while True:
+        fallen = {symbol for symbol in defined if not symbol.kept and not used(symbol, dead)}
+        if fallen == dead:
+            return sorted(dead, key=lambda symbol: (symbol.module, symbol.first))
+        dead = fallen
+
+
 def test_every_module_is_reached_from_an_entry_point():
     # The package root is not listed: every import runs it.
     paths = dict(modules())
@@ -214,6 +373,17 @@ def test_every_module_is_reached_from_an_entry_point():
     assert not unreached, (
         f"{len(unreached)} modules, {sum(lines.values())} lines, run for no "
         f"entry point: {listed}"
+    )
+
+
+def test_every_symbol_is_used_from_an_entry_point():
+    files: dict[Path, str | None] = {source(module): module for module in reached()}
+    files.update(dict.fromkeys(entry_files()))
+    unused = unused_symbols(files)
+    listed = ", ".join(map(str, unused))
+    assert not unused, (
+        f"{len(unused)} symbols, {sum(symbol.lines for symbol in unused)} lines, used by "
+        f"no entry point: {listed}"
     )
 
 
@@ -256,3 +426,66 @@ def test_type_checking_imports_are_not_edges(tmp_path):
         "    from repro.cp.solver import CPSolver\n"
     )
     assert file_edges(script) == {"repro.cp.solver"}
+
+
+def _unused_in(tmp_path, module_code: str, entry_code: str) -> list[str]:
+    """The unused symbols of a one-module tree with one entry script."""
+    module = tmp_path / "mod.py"
+    module.write_text(textwrap.dedent(module_code))
+    entry = tmp_path / "main.py"
+    entry.write_text(textwrap.dedent(entry_code))
+    return [symbol.qualname for symbol in unused_symbols({module: "mod", entry: None})]
+
+
+def test_a_registration_decorator_keeps_a_definition(tmp_path):
+    module = """
+        CHECKS = {}
+
+        def register(name):
+            def add(function):
+                CHECKS[name] = function
+                return function
+            return add
+
+        @register("a")
+        def check_a(): ...
+
+        @staticmethod
+        def check_b(): ...
+    """
+    assert _unused_in(tmp_path, module, "from mod import CHECKS\n") == ["check_b"]
+
+
+def test_a_docstring_mention_is_no_use(tmp_path):
+    module = """
+        \"\"\"Its entry point is main, which helper serves.\"\"\"
+
+        def helper(): ...
+
+        def main():
+            \"\"\"Would call helper.\"\"\"
+    """
+    assert _unused_in(tmp_path, module, "from mod import main\nmain()\n") == ["helper"]
+
+
+def test_a_getattr_string_is_a_use(tmp_path):
+    module = """
+        class Job:
+            def run(self): ...
+
+            def stop(self): ...
+    """
+    entry = "from mod import Job\ngetattr(Job(), 'run')()\n"
+    assert _unused_in(tmp_path, module, entry) == ["Job.stop"]
+
+
+def test_a_use_inside_an_unused_symbol_is_no_use(tmp_path):
+    module = """
+        def leaf(): ...
+
+        def middle():
+            return leaf()
+
+        def main(): ...
+    """
+    assert _unused_in(tmp_path, module, "from mod import main\n") == ["leaf", "middle"]

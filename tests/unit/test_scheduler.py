@@ -45,7 +45,7 @@ class TestEventQueue:
         queue.push(DepartureEvent(time=3.0, key="b"))
         assert [e.key for e in queue.pop_until(2.0)] == ["a"]
         assert len(queue) == 1
-        assert queue.peek_time() == 3.0
+        assert [e.time for e in queue.snapshot()] == [3.0]
 
     def test_negative_time_rejected(self):
         with pytest.raises(SchedulerError):

@@ -8,11 +8,8 @@ from repro.baselines import FirstFitAllocator
 from repro.errors import SchedulerError
 from repro.model import Request
 from repro.scheduler import TimeWindowScheduler
-from repro.telemetry import (
-    RequestRejected,
-    WindowClosed,
-    capture_events,
-)
+from repro.telemetry import RequestRejected, WindowClosed
+from tests.telemetry_helpers import capture_events
 
 
 def _request(n=2, scale=1.0):

@@ -413,7 +413,8 @@ class TestTabuMemoryRegression:
         never fired and a single VM on two equal servers oscillated,
         accepting a move-back every iteration."""
         from repro.model import AttributeSchema, Infrastructure
-        from repro.telemetry import TabuIteration, capture_events
+        from repro.telemetry import TabuIteration
+        from tests.telemetry_helpers import capture_events
 
         infra = Infrastructure(
             capacity=np.array([[10.0], [10.0]]),

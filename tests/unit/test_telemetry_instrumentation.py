@@ -22,10 +22,9 @@ from repro.telemetry import (
     TabuIteration,
     Tracer,
     WindowClosed,
-    capture_events,
     use_registry,
-    use_tracer,
 )
+from tests.telemetry_helpers import capture_events, use_tracer
 
 
 @pytest.fixture

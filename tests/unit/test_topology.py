@@ -7,7 +7,7 @@ from repro.errors import TopologyError, ValidationError
 from repro.topology import (
     FabricSpec,
     SpineLeafFabric,
-    hop_distance,
+    hop_matrix,
     oversubscription_ratio,
     path_redundancy,
 )
@@ -26,7 +26,6 @@ class TestSpec:
     def test_sizes(self):
         spec = FabricSpec(datacenters=2, spines=2, leaves=4, servers_per_leaf=8)
         assert spec.servers_per_datacenter == 32
-        assert spec.total_servers == 64
 
     def test_multi_dc_needs_core(self):
         with pytest.raises(TopologyError):
@@ -35,7 +34,7 @@ class TestSpec:
     def test_single_dc_without_core_allowed(self):
         spec = FabricSpec(datacenters=1, cores=0)
         fabric = SpineLeafFabric(spec)
-        assert fabric.n_servers == spec.total_servers
+        assert fabric.n_servers == spec.servers_per_datacenter
 
     def test_positive_sizes_enforced(self):
         with pytest.raises(ValidationError):
@@ -64,11 +63,11 @@ class TestFabricStructure:
 
 class TestAnalysis:
     def test_hop_distances(self, fabric):
-        servers = fabric.server_nodes
-        assert hop_distance(fabric, servers[0], servers[0]) == 0
-        assert hop_distance(fabric, servers[0], servers[1]) == 2  # same leaf
-        assert hop_distance(fabric, servers[0], servers[2]) == 4  # same dc
-        assert hop_distance(fabric, servers[0], servers[8]) == 6  # cross dc
+        hops = hop_matrix(fabric)
+        assert hops[0, 0] == 0
+        assert hops[0, 1] == 2  # same leaf
+        assert hops[0, 2] == 4  # same dc
+        assert hops[0, 8] == 6  # cross dc
 
     def test_redundancy_same_dc_equals_spines(self, fabric):
         # Two leaves in one datacenter are joined through all 3 spines
@@ -102,7 +101,7 @@ class TestAnalysis:
 
     def test_non_server_node_rejected(self, fabric):
         with pytest.raises(TopologyError):
-            hop_distance(fabric, "core:0", fabric.server_nodes[0])
+            path_redundancy(fabric, "core:0", fabric.server_nodes[0])
 
 
 class TestToInfrastructure:

@@ -72,14 +72,6 @@ class TestTraceGeneration:
             assert recovery.time > failure.time
             assert 0 <= failure.server < scenario_spec.servers
 
-    def test_all_events_sorted(self, scenario_spec):
-        trace, _ = TraceGenerator(
-            TraceSpec(horizon=6.0, arrival_rate=3.0, failure_rate=0.3),
-            scenario_spec,
-            seed=4,
-        ).generate()
-        times = [e.time for e in trace.all_events()]
-        assert times == sorted(times)
 
 
 class TestTraceThroughScheduler:

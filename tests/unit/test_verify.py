@@ -14,6 +14,7 @@ from repro.cli import build_parser, main
 from repro.engine import CompiledProblem
 from repro.model import Request
 from repro.model.placement import UNPLACED
+from repro.telemetry import MetricsRegistry, use_registry
 from repro.types import PlacementRule
 from repro.verify import (
     CHECKS,
@@ -22,10 +23,10 @@ from repro.verify import (
     FuzzConfig,
     Report,
     check_service_conformance,
-    invariant_names,
     run_fuzz,
     run_invariants,
 )
+from repro.verify.invariants import _CHECKERS
 from repro.workloads import ScenarioGenerator, ScenarioSpec
 from tests.unit.test_docs_metric_drift import documented_metric_names
 
@@ -58,7 +59,7 @@ def test_invariant_catalog_contains_documented_checkers():
     """VERIFY.md's catalog table documents every registered invariant,
     and nothing else."""
     documented = documented_metric_names(VERIFY_DOC.read_text(), header="invariant")
-    assert sorted(documented) == sorted(invariant_names())
+    assert sorted(documented) == sorted(_CHECKERS)
     assert len(documented) == len(set(documented))
 
 
@@ -102,7 +103,7 @@ def test_invariants_pass_on_real_outcome(scenario):
         report = run_invariants(ctx)
         assert report.ok, report.format()
         assert report.checked == tuple(
-            name for name in invariant_names() if name not in absent
+            name for name in _CHECKERS if name not in absent
         )
 
 
@@ -486,8 +487,19 @@ def test_cli_verify_exits_nonzero_on_injected_fault(capsys, monkeypatch):
 
 
 def test_cli_verify_runs_a_registered_check(capsys):
-    code = main(["verify", "--fuzz", "0", "--check", "market"])
+    """``--fuzz 0`` runs the named check and no fuzz campaign."""
+    with use_registry(MetricsRegistry()):
+        code = main(["verify", "--fuzz", "0", "--check", "market"])
     assert code == 0
     out = capsys.readouterr().out
     assert "market [seed=0]: ok" in out
     assert "verify.comparisons{check=market}" in out
+    assert "fuzz [" not in out
+    assert "check=fuzz" not in out
+
+
+def test_cli_verify_with_nothing_to_run_is_a_usage_error(capsys):
+    assert main(["verify", "--fuzz", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "error: nothing to verify"
+    assert captured.out == ""

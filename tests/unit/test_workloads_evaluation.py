@@ -8,7 +8,6 @@ from repro.errors import ValidationError
 from repro.evaluation import (
     ExperimentRunner,
     RunRecord,
-    SweepResult,
     aggregate_records,
     capability_matrix,
     format_series_table,
@@ -193,17 +192,6 @@ class TestRunner:
             ExperimentRunner({}, runs=1)
         with pytest.raises(ValidationError):
             ExperimentRunner({"ff": FirstFitAllocator}, runs=0)
-
-
-class TestSweepCsv:
-    def test_roundtrip(self, tmp_path):
-        runner = ExperimentRunner({"ff": FirstFitAllocator}, runs=2, seed=0)
-        result = runner.run_sweep([ScenarioSpec(servers=10, vms=20)])
-        path = result.to_csv(tmp_path / "sweep.csv")
-        back = SweepResult.from_csv(path)
-        assert len(back.records) == len(result.records)
-        assert back.records[0] == result.records[0]
-        assert back.series("rejection_rate") == result.series("rejection_rate")
 
 
 class TestReporting:

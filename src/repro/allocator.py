@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.constraints.registry import ConstraintSet
 from repro.engine import CompiledProblem, ParallelEngine, ProblemCache
-from repro.runtime.checkpoint import CheckpointManager
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
@@ -313,25 +312,17 @@ class Allocator(abc.ABC):
     #: a private cache on first :meth:`compile_problem` call.
     problem_cache: ProblemCache | None = None
     #: Intra-run parallel execution engine (a worker pool for tabu
-    #: repair).  ``None`` = serial.  The scheduler can inject one so
-    #: the pool persists across windows; EA allocators also create one
-    #: lazily when their config asks for workers.  Whoever triggered
-    #: creation should call :meth:`close` when done.
+    #: repair).  ``None`` = serial.  EA allocators create one lazily
+    #: when their config asks for workers, and a portfolio shares its
+    #: own with its members; the pool persists across windows until
+    #: :meth:`close`.
     execution_engine: ParallelEngine | None = None
-    #: Checkpoint store for crash-safe runs.  ``None`` = no snapshots
-    #: (EA allocators still honor ``NSGAConfig.checkpoint_dir`` on
-    #: their own).  The scheduler injects one so every window's run
-    #: checkpoints into a single campaign directory, stamped with the
-    #: window index.  Non-EA allocators ignore it: their solves are
-    #: single-pass and cheap to redo.
-    checkpoint_manager: CheckpointManager | None = None
     #: Weight of the optional energy term folded into the provider-cost
     #: objective (column 0).  0.0 — the default everywhere — keeps the
     #: evaluation stack byte-identical to the paper's three-objective
     #: formulation; EA allocators override from ``NSGAConfig``.
     energy_weight: float = 0.0
 
-    @abc.abstractmethod
     def allocate(
         self,
         infrastructure: Infrastructure,
@@ -339,7 +330,25 @@ class Allocator(abc.ABC):
         base_usage: FloatArray | None = None,
         previous_assignment: IntArray | None = None,
     ) -> BatchOutcome:
-        """Place one window of requests and report uniformly."""
+        """Place one window of requests and report uniformly.
+
+        Drives :meth:`start`'s run to its end, freezes it with
+        :meth:`AnytimeRun.finish` and releases it.  The greedy
+        baselines override this with their direct solve, which the
+        default :meth:`start` wraps.
+        """
+        run = self.start(
+            infrastructure,
+            requests,
+            base_usage=base_usage,
+            previous_assignment=previous_assignment,
+        )
+        try:
+            while run.step():
+                pass
+            return run.finish()
+        finally:
+            run.close()
 
     def start(
         self,
@@ -350,10 +359,12 @@ class Allocator(abc.ABC):
     ) -> AnytimeRun:
         """Begin an anytime solve of one window.
 
-        The default wraps :meth:`allocate` in a single-step run, which
-        is exactly right for the sub-millisecond greedy baselines.
-        Iterative allocators override this with genuinely incremental
-        runs (generation-, iteration- or subproblem-granular).
+        The default wraps an overriding :meth:`allocate` in a
+        single-step run, which is exactly right for the
+        sub-millisecond greedy baselines.  Iterative allocators
+        override this with genuinely incremental runs (generation-,
+        iteration- or subproblem-granular); every allocator overrides
+        one of the two.
         """
         return _BatchStepRun(
             self,
@@ -364,15 +375,14 @@ class Allocator(abc.ABC):
         )
 
     def runtime_state(self) -> dict | None:
-        """JSON-able cross-call state, for scheduler checkpoints.
+        """JSON-able cross-call state, for scheduler snapshots.
 
         Stateless allocators (each ``allocate`` call independent)
-        return ``None`` — the default.  Allocators carrying state
-        across windows (round-robin's rotation pointer, a greedy
-        tie-break RNG) override this and :meth:`restore_runtime_state`
-        so a resumed scheduler continues byte-identically.  EA
-        trajectory state is *not* captured here; that lives in the EA's
-        own :class:`~repro.runtime.checkpoint.RunCheckpoint`.
+        return ``None`` — the default.  Round robin overrides this and
+        :meth:`restore_runtime_state` with its rotation pointer, so a
+        restored scheduler continues byte-identically.  EA trajectory
+        state is *not* captured here; that lives in the EA's own
+        :class:`~repro.runtime.checkpoint.RunCheckpoint`.
         """
         return None
 

@@ -48,9 +48,7 @@ class FilterSchedulerAllocator(GreedyAllocator):
         self,
         free_capacity_weight: float = 1.0,
         cost_weight: float = 1.0,
-        seed=None,
     ) -> None:
-        super().__init__(seed=seed)
         if free_capacity_weight < 0 or cost_weight < 0:
             raise ValidationError("weights must be >= 0")
         if free_capacity_weight == 0 and cost_weight == 0:

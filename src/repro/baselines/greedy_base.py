@@ -27,7 +27,6 @@ from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.tabu.neighborhood import NeighborFinder
 from repro.types import FloatArray, IntArray
-from repro.utils.rng import as_generator
 from repro.utils.timers import Stopwatch
 
 __all__ = ["GreedyAllocator"]
@@ -36,18 +35,6 @@ __all__ = ["GreedyAllocator"]
 class GreedyAllocator(Allocator):
     """Template for request-sequential, never-violating allocators."""
 
-    def __init__(self, seed=None) -> None:
-        self._rng = as_generator(seed)
-
-    def runtime_state(self) -> dict | None:
-        """Cross-window state: the tie-break RNG's bit-generator state."""
-        return {"rng_state": self._rng.bit_generator.state}
-
-    def restore_runtime_state(self, state: dict) -> None:
-        """Restore the tie-break RNG captured by :meth:`runtime_state`."""
-        self._rng.bit_generator.state = state["rng_state"]
-
-    # ------------------------------------------------------------------
     @abc.abstractmethod
     def _candidate_order(
         self,

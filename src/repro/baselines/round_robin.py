@@ -28,19 +28,15 @@ class RoundRobinAllocator(GreedyAllocator):
     name = "round_robin"
     kind = AlgorithmKind.ROUND_ROBIN
 
-    def __init__(self, seed=None) -> None:
-        super().__init__(seed=seed)
+    def __init__(self) -> None:
         self._pointer = 0
 
     def runtime_state(self) -> dict | None:
-        """RNG state plus the persistent rotation pointer."""
-        state = super().runtime_state() or {}
-        state["pointer"] = self._pointer
-        return state
+        """The persistent rotation pointer."""
+        return {"pointer": self._pointer}
 
     def restore_runtime_state(self, state: dict) -> None:
-        """Restore RNG state and rotation pointer."""
-        super().restore_runtime_state(state)
+        """Restore the rotation pointer."""
         self._pointer = int(state["pointer"])
 
     def _candidate_order(

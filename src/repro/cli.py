@@ -66,10 +66,10 @@ def _factories(
         population_size=args.population,
         max_evaluations=args.evaluations,
         seed=args.seed,
-        n_workers=getattr(args, "workers", 0),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        checkpoint_every=getattr(args, "checkpoint_every", None),
-        energy_weight=getattr(args, "energy_weight", 0.0),
+        n_workers=args.workers,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        energy_weight=args.energy_weight,
     )
     factories: dict[str, Callable] = {
         "round_robin": lambda: RoundRobinAllocator(),
@@ -89,8 +89,8 @@ def _factories(
 
         factories["portfolio"] = lambda: PortfolioAllocator(
             config=config,
-            members=getattr(args, "members", None) or "nsga3_tabu+cp+tabu",
-            deadline_ms=getattr(args, "deadline_ms", None),
+            members=args.members or "nsga3_tabu+cp+tabu",
+            deadline_ms=args.deadline_ms,
         )
     return factories
 
@@ -120,7 +120,7 @@ def _run_figure(args, sizes, *tables: tuple[str, str]) -> int:
     )
     result = runner.run_sweep(
         _sweep_specs(sizes, args.tightness),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
+        checkpoint_dir=args.checkpoint_dir,
     )
     if result.interrupted:
         print(_INTERRUPTED_MSG)
@@ -242,7 +242,7 @@ def cmd_compare(args) -> int:
             )
             return 2
         factories = {args.allocator: factories[args.allocator]}
-    providers = getattr(args, "providers", 1)
+    providers = args.providers
     market = None
     if providers > 1:
         from repro.market import BrokeredAllocator, ProviderMarket
@@ -370,6 +370,13 @@ def _parse_prefer(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _fuzz_count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"--fuzz must be >= 0, got {text!r}")
+    return count
+
+
 def _providers_count(text: str) -> int:
     count = int(text)
     if count < 1:
@@ -430,7 +437,7 @@ def cmd_scenario(args) -> int:
         )
         return 2
     compiled = compile_scenario(args.name, seed=args.seed)
-    providers = getattr(args, "providers", 1)
+    providers = args.providers
     if providers > 1:
         # Tag + price the estate across N providers; the merged
         # infrastructure drives every window (p == 1 is byte-identical
@@ -619,19 +626,44 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument grammar (exposed for tests)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate artifacts of the IPDPSW 2017 IaaS-allocation paper.",
+def _option_groups() -> dict[str, argparse.ArgumentParser]:
+    """The options several commands share, grouped by the code that
+    reads them; :func:`build_parser` gives each command its groups."""
+    groups = {
+        name: argparse.ArgumentParser(add_help=False)
+        for name in (
+            "telemetry",
+            "seed",
+            "runs",
+            "tightness",
+            "cp_hybrid",
+            "ea",
+            "energy",
+            "checkpoints",
+            "portfolio",
+        )
+    }
+    groups["telemetry"].add_argument(
+        "--telemetry",
+        default=None,
+        metavar="SPEC",
+        help="event sink: console, jsonl:PATH, or off (default; see "
+        "docs/OBSERVABILITY.md)",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--runs", type=int, default=1, help="scenarios per point")
-    common.add_argument("--tightness", type=float, default=0.65)
-    common.add_argument("--population", type=int, default=20)
-    common.add_argument("--evaluations", type=int, default=600)
-    common.add_argument(
+    groups["seed"].add_argument("--seed", type=int, default=0)
+    groups["runs"].add_argument(
+        "--runs", type=int, default=1, help="scenarios per point"
+    )
+    groups["tightness"].add_argument("--tightness", type=float, default=0.65)
+    groups["cp_hybrid"].add_argument(
+        "--include-cp-hybrid",
+        action="store_true",
+        help="include the slow nsga3_cp hybrid in sweeps",
+    )
+    ea = groups["ea"]
+    ea.add_argument("--population", type=int, default=20)
+    ea.add_argument("--evaluations", type=int, default=600)
+    ea.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -640,39 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = serial, the default; results are byte-identical either "
         "way — see docs/PARALLEL.md)",
     )
-    common.add_argument(
-        "--include-cp-hybrid",
-        action="store_true",
-        help="include the slow nsga3_cp hybrid in sweeps",
-    )
-    common.add_argument(
-        "--energy-weight",
-        type=float,
-        default=0.0,
-        metavar="W",
-        help="fold a datacenter energy-cost term into the provider "
-        "objective with this weight (0 = off, the default; "
-        "docs/PORTFOLIO.md)",
-    )
-    common.add_argument(
-        "--members",
-        default=None,
-        metavar="SPEC",
-        help="portfolio member spec, '+'-joined (default "
-        "nsga3_tabu+cp+tabu; used by --allocator portfolio and "
-        "`repro serve`; docs/PORTFOLIO.md)",
-    )
-    common.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="wall-clock budget for portfolio solves: the race ships "
-        "its best pooled incumbent when the clock expires "
-        "(default none = run every member to its own budget; "
-        "docs/PORTFOLIO.md)",
-    )
-    common.add_argument(
+    ea.add_argument(
         "--prefer",
         type=_parse_prefer,
         default=None,
@@ -682,14 +682,16 @@ def build_parser() -> argparse.ArgumentParser:
         "first (e.g. provider_cost>qos>migration; default: the "
         "paper's ideal-point pick — docs/MARKET.md)",
     )
-    common.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="SPEC",
-        help="event sink: console, jsonl:PATH, or off (default; see "
-        "docs/OBSERVABILITY.md)",
+    groups["energy"].add_argument(
+        "--energy-weight",
+        type=float,
+        default=0.0,
+        metavar="W",
+        help="fold a datacenter energy-cost term into the provider "
+        "objective with this weight (0 = off, the default; "
+        "docs/PORTFOLIO.md)",
     )
-    common.add_argument(
+    groups["checkpoints"].add_argument(
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
@@ -698,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
         "`python -m repro resume DIR`) continues instead of restarting "
         "(docs/RUNBOOK.md)",
     )
-    common.add_argument(
+    groups["checkpoints"].add_argument(
         "--checkpoint-every",
         type=int,
         default=None,
@@ -706,24 +708,70 @@ def build_parser() -> argparse.ArgumentParser:
         help="EA checkpoint cadence in generations (default 10; only "
         "meaningful with --checkpoint-dir)",
     )
+    portfolio = groups["portfolio"]
+    portfolio.add_argument(
+        "--members",
+        default=None,
+        metavar="SPEC",
+        help="portfolio member spec, '+'-joined (default "
+        "nsga3_tabu+cp+tabu; used by --allocator portfolio and "
+        "`repro serve`; docs/PORTFOLIO.md)",
+    )
+    portfolio.add_argument(
+        "--deadline-ms",
+        type=float,
+        default=None,
+        metavar="MS",
+        help="wall-clock budget for portfolio solves: the race ships "
+        "its best pooled incumbent when the clock expires "
+        "(default none = run every member to its own budget; "
+        "docs/PORTFOLIO.md)",
+    )
+    return groups
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI argument grammar (exposed for tests)."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Regenerate artifacts of the IPDPSW 2017 IaaS-allocation paper.",
+    )
+    groups = _option_groups()
+    # Each command takes the option groups its own code reads, so an
+    # option it would ignore is rejected (exit 2) instead of parsed.
+    figure = ("seed", "runs", "tightness", "cp_hybrid", "ea", "energy", "checkpoints")
+    solver = ("seed", "ea", "energy", "checkpoints", "portfolio")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, help_text in [
-        ("fig7", cmd_fig7, "execution time, few resources"),
-        ("fig8", cmd_fig8, "execution time, many resources"),
-        ("fig9", cmd_fig9, "rejection rate vs size"),
-        ("fig10", cmd_fig10, "violated constraints vs size"),
-        ("fig11", cmd_fig11, "provider cost (+ cost per request)"),
-        ("table2", cmd_table2, "measured capability matrix"),
-        ("table3", cmd_table3, "NSGA settings"),
-        ("compare", cmd_compare, "all algorithms on one scenario"),
-        ("generate", cmd_generate, "dump a scenario to JSON"),
-        ("diagnose", cmd_diagnose, "pre-flight feasibility checks on a scenario JSON"),
-        ("scenario", cmd_scenario, "dynamic scenario registry: list / run (docs/SCENARIOS.md)"),
-        ("verify", cmd_verify, "cross-solver conformance fuzzing (docs/VERIFY.md)"),
-        ("serve", cmd_serve, "always-on allocation service (docs/SERVICE.md)"),
+    for name, fn, option_groups, help_text in [
+        ("fig7", cmd_fig7, figure, "execution time, few resources"),
+        ("fig8", cmd_fig8, figure, "execution time, many resources"),
+        ("fig9", cmd_fig9, figure, "rejection rate vs size"),
+        ("fig10", cmd_fig10, figure, "violated constraints vs size"),
+        ("fig11", cmd_fig11, figure, "provider cost (+ cost per request)"),
+        (
+            "table2",
+            cmd_table2,
+            ("seed", "runs", "ea", "energy", "checkpoints"),
+            "measured capability matrix",
+        ),
+        ("table3", cmd_table3, (), "NSGA settings"),
+        ("compare", cmd_compare, ("tightness", *solver), "all algorithms on one scenario"),
+        ("generate", cmd_generate, ("seed", "tightness"), "dump a scenario to JSON"),
+        ("diagnose", cmd_diagnose, (), "pre-flight feasibility checks on a scenario JSON"),
+        ("scenario", cmd_scenario, solver, "dynamic scenario registry: list / run (docs/SCENARIOS.md)"),
+        ("verify", cmd_verify, solver, "cross-solver conformance fuzzing (docs/VERIFY.md)"),
+        (
+            "serve",
+            cmd_serve,
+            ("seed", "tightness", "ea", "portfolio"),
+            "always-on allocation service (docs/SERVICE.md)",
+        ),
     ]:
-        p = sub.add_parser(name, help=help_text, parents=[common])
+        p = sub.add_parser(
+            name,
+            help=help_text,
+            parents=[groups["telemetry"], *(groups[group] for group in option_groups)],
+        )
         p.set_defaults(func=fn)
         if name == "scenario":
             p.add_argument(
@@ -757,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--fuzz",
-                type=int,
+                type=_fuzz_count,
                 default=20,
                 metavar="N",
                 help="random scenarios to fuzz (default 20)",
@@ -861,6 +909,22 @@ def build_parser() -> argparse.ArgumentParser:
                 "of generating one — or the name of a registered "
                 "dynamic scenario (`repro scenario list`), which the "
                 "service then plays back through live admission",
+            )
+            p.add_argument(
+                "--checkpoint-dir",
+                default=None,
+                metavar="DIR",
+                help="service checkpoint directory: the state is "
+                "snapshotted here every --checkpoint-every admission "
+                "windows and on shutdown (docs/SERVICE.md)",
+            )
+            p.add_argument(
+                "--checkpoint-every",
+                type=int,
+                default=None,
+                metavar="W",
+                help="service checkpoint cadence in admission windows "
+                "(default 50; only meaningful with --checkpoint-dir)",
             )
             p.add_argument(
                 "--resume",

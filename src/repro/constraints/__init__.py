@@ -20,7 +20,6 @@ from repro.constraints.base import Constraint
 from repro.constraints.capacity import CapacityConstraint
 from repro.constraints.assignment import AssignmentConstraint
 from repro.constraints.groups import GroupConstraint, group_violations
-from repro.constraints.load_cap import LoadCapConstraint
 from repro.constraints.registry import ConstraintSet
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "AssignmentConstraint",
     "GroupConstraint",
     "group_violations",
-    "LoadCapConstraint",
     "ConstraintSet",
 ]

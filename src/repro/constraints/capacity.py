@@ -69,28 +69,12 @@ class CapacityConstraint(Constraint):
             effective = effective - base_usage
         #: Residual usable capacity per (server, attribute).
         self.limit: FloatArray = effective
-        self._slack = self.tolerance * np.maximum(1.0, np.abs(self.limit))
         #: Overflow threshold per (server, attribute): ``limit`` plus the
         #: relative slack.  A cell violates when its usage is strictly
         #: above it; every scorer compares against these exact floats.
-        self.threshold: FloatArray = self.limit + self._slack
-
-    def retarget(self, limit: FloatArray) -> None:
-        """Swap the limit matrix, keeping slack/threshold consistent.
-
-        The precomputed ``threshold`` must never go stale relative to
-        ``limit`` — wrappers that repurpose the capacity machinery with
-        a different right-hand side (:class:`LoadCapConstraint`) go
-        through here instead of assigning ``limit`` directly.
-        """
-        limit = np.ascontiguousarray(limit, dtype=np.float64)
-        if limit.shape != self.limit.shape:
-            raise DimensionError(
-                f"limit shape {limit.shape}, expected {self.limit.shape}"
-            )
-        self.limit = limit
-        self._slack = self.tolerance * np.maximum(1.0, np.abs(limit))
-        self.threshold = self.limit + self._slack
+        self.threshold: FloatArray = self.limit + self.tolerance * np.maximum(
+            1.0, np.abs(self.limit)
+        )
 
     # ------------------------------------------------------------------
     @property

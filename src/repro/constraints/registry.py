@@ -47,7 +47,6 @@ class ConstraintSet:
     request: Request
     base_usage: FloatArray | None = None
     include_assignment: bool = True
-    qos_strict: bool = False
     #: Group constraints compiled once per instance (see
     #: :class:`repro.engine.CompiledProblem`); groups are stateless
     #: w.r.t. per-window dynamics, so sharing them is safe.
@@ -69,13 +68,6 @@ class ConstraintSet:
         self.assignment: AssignmentConstraint | None = (
             AssignmentConstraint(self.request.n) if self.include_assignment else None
         )
-        self.load_cap = None
-        if self.qos_strict:
-            from repro.constraints.load_cap import LoadCapConstraint
-
-            self.load_cap = LoadCapConstraint(
-                self.infrastructure, self.request.demand, base_usage=self.base_usage
-            )
         self._group_layout: GroupLayout | None = None
 
     # ------------------------------------------------------------------
@@ -96,10 +88,8 @@ class ConstraintSet:
     # ------------------------------------------------------------------
     @property
     def all_constraints(self) -> tuple[Constraint, ...]:
-        """Capacity first, then groups, then the optional extras."""
+        """Capacity first, then groups, then the optional assignment check."""
         cons: tuple[Constraint, ...] = (self.capacity, *self.group_constraints)
-        if self.load_cap is not None:
-            cons = (*cons, self.load_cap)
         if self.assignment is not None:
             cons = (*cons, self.assignment)
         return cons
@@ -141,9 +131,8 @@ class ConstraintSet:
         total = active_kernel().batch_over_counts(usage, capacity.threshold)
         if self.group_constraints:
             total += self.batch_group_violations(population).sum(axis=1)
-        for extra in (self.load_cap, self.assignment):
-            if extra is not None:
-                total += extra.batch_violations(population)
+        if self.assignment is not None:
+            total += self.assignment.batch_violations(population)
         return total
 
     def batch_group_violations(self, population: IntArray) -> IntArray:
@@ -177,7 +166,6 @@ class ConstraintSet:
         groups = self.batch_group_violations(population)
         for column, constraint in enumerate(self.group_constraints):
             out[constraint.name] = out.get(constraint.name, 0) + groups[:, column]
-        for extra in (self.load_cap, self.assignment):
-            if extra is not None:
-                out[extra.name] = extra.batch_violations(population)
+        if self.assignment is not None:
+            out[self.assignment.name] = self.assignment.batch_violations(population)
         return out

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.allocator import Allocator, AnytimeRun, BatchOutcome
+from repro.allocator import Allocator, AnytimeRun
 from repro.cp.search import SearchLimits
 from repro.cp.solver import CPSolver
 from repro.model.infrastructure import Infrastructure
@@ -95,7 +95,6 @@ class _CPAnytimeRun(AnytimeRun):
             allocator.compile_problem(self.infrastructure, request),
             base_usage=self._usage,
             limits=limits,
-            value_order=allocator.value_order,
         )
         solution = solver.optimize() if allocator.optimize else solver.find_feasible()
         self._nodes += solution.stats.nodes
@@ -187,8 +186,6 @@ class CPAllocator(Allocator):
         feasible placement (False).
     limits:
         Per-request search budget.
-    value_order:
-        Candidate ordering heuristic (see :class:`~repro.cp.search.CPSearch`).
     """
 
     name = "constraint_programming"
@@ -198,11 +195,9 @@ class CPAllocator(Allocator):
         self,
         optimize: bool = True,
         limits: SearchLimits | None = None,
-        value_order: str = "cheapest",
     ) -> None:
         self.optimize = bool(optimize)
         self.limits = limits or SearchLimits(max_nodes=50_000, time_limit=10.0)
-        self.value_order = value_order
 
     def start(
         self,
@@ -219,21 +214,3 @@ class CPAllocator(Allocator):
             base_usage=base_usage,
             previous_assignment=previous_assignment,
         )
-
-    def allocate(
-        self,
-        infrastructure: Infrastructure,
-        requests: Sequence[Request],
-        base_usage: FloatArray | None = None,
-        previous_assignment: IntArray | None = None,
-    ) -> BatchOutcome:
-        """Solve each request exactly via CP; see :meth:`Allocator.allocate`."""
-        run = self.start(
-            infrastructure,
-            requests,
-            base_usage=base_usage,
-            previous_assignment=previous_assignment,
-        )
-        while run.step():
-            pass
-        return run.finish()

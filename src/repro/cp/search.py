@@ -2,9 +2,8 @@
 
 The engine enumerates assignments depth-first.  At every node it picks
 the undecided VM with the fewest remaining candidates (minimum
-remaining values — fail-first), tries its candidate servers in a
-configurable value order, applies forward checking, and backtracks on
-wipe-out.  An optional cost bound turns the same machinery into the
+remaining values — fail-first), tries its candidate servers cheapest
+E+U rate first, applies forward checking, and backtracks on wipe-out.  An optional cost bound turns the same machinery into the
 branch-and-bound optimizer used by :class:`~repro.cp.solver.CPSolver`.
 """
 
@@ -62,9 +61,6 @@ class CPSearch:
         index.
     base_usage:
         Committed usage (shrinks the free capacity).
-    value_order:
-        ``"index"`` (first-fit flavour), ``"cheapest"`` (by E+U rate) or
-        ``"spread"`` (most residual room first).
     limits:
         Node/time budget.
     """
@@ -73,15 +69,9 @@ class CPSearch:
         self,
         compiled: CompiledProblem,
         base_usage: FloatArray | None = None,
-        value_order: str = "cheapest",
         limits: SearchLimits | None = None,
     ) -> None:
-        if value_order not in ("index", "cheapest", "spread"):
-            raise ValidationError(
-                f"value_order must be index/cheapest/spread, got {value_order!r}"
-            )
         self.compiled = compiled
-        self.value_order = value_order
         self.limits = limits or SearchLimits()
         effective = compiled.effective_capacity
         if base_usage is not None:
@@ -94,17 +84,12 @@ class CPSearch:
         self.stats = SearchStats()
 
     # ------------------------------------------------------------------
-    def _ordered_candidates(
-        self, domains: DomainStore, residual: FloatArray, vm: int
-    ) -> IntArray:
+    def _ordered_candidates(self, domains: DomainStore, vm: int) -> IntArray:
+        """``vm``'s candidate servers, cheapest E+U rate first (stable)."""
         candidates = domains.candidates(vm)
-        if self.value_order == "index" or candidates.size <= 1:
+        if candidates.size <= 1:
             return candidates
-        if self.value_order == "cheapest":
-            return candidates[np.argsort(self._rate[candidates], kind="stable")]
-        # "spread": prefer the roomiest server (availability-oriented).
-        headroom = residual[candidates].sum(axis=1)
-        return candidates[np.argsort(-headroom, kind="stable")]
+        return candidates[np.argsort(self._rate[candidates], kind="stable")]
 
     def _select_vm(self, domains: DomainStore, assignment: IntArray) -> int:
         sizes = domains.domain_sizes()
@@ -189,7 +174,7 @@ class CPSearch:
                 return False  # pruned
 
             vm = self._select_vm(domains, assignment)
-            candidates = self._ordered_candidates(domains, residual, vm)
+            candidates = self._ordered_candidates(domains, vm)
             demand = request.demand[vm]
             for server in candidates:
                 server = int(server)

@@ -59,8 +59,6 @@ class CPSolver:
         Committed usage from earlier windows.
     limits:
         Node/time budget per solve call.
-    value_order:
-        Candidate ordering heuristic (see :class:`CPSearch`).
     """
 
     def __init__(
@@ -68,20 +66,13 @@ class CPSolver:
         compiled: CompiledProblem,
         base_usage: FloatArray | None = None,
         limits: SearchLimits | None = None,
-        value_order: str = "cheapest",
     ) -> None:
         self.compiled = compiled
         self.base_usage = base_usage
         self.limits = limits or SearchLimits()
-        self.value_order = value_order
 
     def _search(self) -> CPSearch:
-        return CPSearch(
-            self.compiled,
-            base_usage=self.base_usage,
-            value_order=self.value_order,
-            limits=self.limits,
-        )
+        return CPSearch(self.compiled, base_usage=self.base_usage, limits=self.limits)
 
     # ------------------------------------------------------------------
     def find_feasible(self) -> CPSolution:
@@ -116,8 +107,8 @@ class CPSolver:
 
         original_order = search._ordered_candidates
 
-        def seeded_order(domains, residual, vm):  # type: ignore[no-untyped-def]
-            candidates = original_order(domains, residual, vm)
+        def seeded_order(domains, vm):  # type: ignore[no-untyped-def]
+            candidates = original_order(domains, vm)
             current = int(assignment[vm])
             if current in candidates:
                 rest = candidates[candidates != current]

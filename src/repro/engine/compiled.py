@@ -185,7 +185,6 @@ class CompiledProblem:
         *,
         base_usage: FloatArray | None = None,
         include_assignment: bool = True,
-        qos_strict: bool = False,
     ) -> ConstraintSet:
         """A :class:`ConstraintSet` sharing this compilation's groups."""
         return ConstraintSet(
@@ -193,7 +192,6 @@ class CompiledProblem:
             self.request,
             base_usage=base_usage,
             include_assignment=include_assignment,
-            qos_strict=qos_strict,
             prebuilt_groups=self.group_constraints,
         )
 
@@ -202,27 +200,20 @@ class CompiledProblem:
         *,
         base_usage: FloatArray | None = None,
         previous_assignment: IntArray | None = None,
-        downtime_mode: str = "shortfall",
-        per_server_operating: bool = False,
         include_assignment_constraint: bool = False,
-        qos_strict: bool = False,
         energy_weight: float = 0.0,
     ) -> PopulationEvaluator:
         """A :class:`PopulationEvaluator` bound to per-window dynamics."""
         constraints = self.constraint_set(
             base_usage=base_usage,
             include_assignment=include_assignment_constraint,
-            qos_strict=qos_strict,
         )
         return PopulationEvaluator(
             self.infrastructure,
             self.request,
             base_usage=base_usage,
             previous_assignment=previous_assignment,
-            downtime_mode=downtime_mode,
-            per_server_operating=per_server_operating,
             include_assignment_constraint=include_assignment_constraint,
-            qos_strict=qos_strict,
             energy_weight=energy_weight,
             constraints=constraints,
         )

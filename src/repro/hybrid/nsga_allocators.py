@@ -74,9 +74,7 @@ class _NSGAAnytimeRun(AnytimeRun):
         )
         self.engine = allocator._build_engine(self.compiled, base_usage)
         self.run = self.engine.start_run(
-            evaluator,
-            checkpoint_manager=allocator.checkpoint_manager,
-            fingerprint=self.compiled.fingerprint,
+            evaluator, fingerprint=self.compiled.fingerprint
         )
 
     def step(self, budget: int = 1) -> bool:
@@ -115,7 +113,7 @@ class _NSGAAnytimeRun(AnytimeRun):
         assignment = allocator._post_process(
             result.best_genome(), self.compiled, self.base_usage
         )
-        extra = {"generations": len(result.history)}
+        extra = {"generations": self.run.generation}
         handler = getattr(self.engine, "handler", None)
         if isinstance(handler, RepairHandling):
             extra["repair_calls"] = handler.repair_calls
@@ -145,10 +143,10 @@ class _NSGAAllocatorBase(Allocator):
     def _ensure_execution_engine(self) -> ParallelEngine | None:
         """The allocator's parallel engine, or ``None`` for serial runs.
 
-        An engine injected from outside (e.g. by the scheduler, shared
-        across windows) wins; otherwise one is created lazily when the
-        config asks for workers.  The engine — and its worker pool —
-        persists across ``allocate`` calls until :meth:`close`.
+        An engine injected from outside (the portfolio's shared pool)
+        wins; otherwise one is created lazily when the config asks for
+        workers.  The engine — and its worker pool — persists across
+        ``allocate`` calls until :meth:`close`.
         """
         engine = self.execution_engine
         if engine is None and self.config.n_workers >= 1:
@@ -190,24 +188,6 @@ class _NSGAAllocatorBase(Allocator):
             base_usage=base_usage,
             previous_assignment=previous_assignment,
         )
-
-    def allocate(
-        self,
-        infrastructure: Infrastructure,
-        requests: Sequence[Request],
-        base_usage: FloatArray | None = None,
-        previous_assignment: IntArray | None = None,
-    ) -> BatchOutcome:
-        """Run the configured NSGA variant; see :meth:`Allocator.allocate`."""
-        run = self.start(
-            infrastructure,
-            requests,
-            base_usage=base_usage,
-            previous_assignment=previous_assignment,
-        )
-        while run.step():
-            pass
-        return run.finish()
 
 
 class NSGA2Allocator(_NSGAAllocatorBase):

@@ -6,17 +6,14 @@ misses the guaranteed level C^Q_k.  A resource's delivered QoS is the
 *worst* attribute of its host: one saturated attribute (CPU, say)
 degrades the hosted service regardless of how idle the others are.
 
-Two accounting modes:
+The penalty is the relative shortfall::
 
-``"shortfall"`` (default)
-    penalty_k = C^U_k * max(0, (C^Q_k - Q) / C^Q_k) — zero while the
-    guarantee holds, growing with the relative shortfall.  This matches
-    the prose ("if it is not respected the provider pays a downtime
-    penalty").
-``"literal"``
-    penalty_k = C^U_k * (Q / C^Q_k) — the formula exactly as printed in
-    Eq. 23.  Note it *rewards* degradation readers should treat it as a
-    typo; it is kept for fidelity experiments only.
+    penalty_k = C^U_k * max(0, (C^Q_k - Q) / C^Q_k)
+
+zero while the guarantee holds, growing with the shortfall.  This
+matches the prose ("if it is not respected the provider pays a downtime
+penalty").  Eq. 23 as printed, ``C^U_k * Q / C^Q_k``, *rewards*
+degradation; docs/MODEL.md records it as a deviation.
 """
 
 from __future__ import annotations
@@ -24,15 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.kernels import active_kernel
-from repro.errors import DimensionError, ValidationError
+from repro.errors import DimensionError
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
 from repro.types import FloatArray, IntArray
 
 __all__ = ["DowntimeCost"]
-
-_MODES = ("shortfall", "literal")
 
 
 class DowntimeCost:
@@ -45,8 +40,6 @@ class DowntimeCost:
     base_usage:
         Committed usage from prior windows; adds to the load every
         candidate induces.
-    mode:
-        ``"shortfall"`` or ``"literal"`` (see module docstring).
     """
 
     name = "downtime_cost"
@@ -56,13 +49,9 @@ class DowntimeCost:
         infrastructure: Infrastructure,
         request: Request,
         base_usage: FloatArray | None = None,
-        mode: str = "shortfall",
     ) -> None:
-        if mode not in _MODES:
-            raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
         self.infrastructure = infrastructure
         self.request = request
-        self.mode = mode
         if base_usage is None:
             base_usage = np.zeros((infrastructure.m, infrastructure.h))
         else:
@@ -91,12 +80,9 @@ class DowntimeCost:
         cq = self.request.qos_guarantee
         cu = self.request.downtime_cost
         out = qos_per_resource
-        if self.mode == "literal":
-            np.divide(out, cq, out=out)
-        else:
-            np.subtract(cq, out, out=out)
-            np.divide(out, cq, out=out)
-            np.maximum(0.0, out, out=out)
+        np.subtract(cq, out, out=out)
+        np.divide(out, cq, out=out)
+        np.maximum(0.0, out, out=out)
         return np.multiply(cu, out, out=out)
 
     # ------------------------------------------------------------------

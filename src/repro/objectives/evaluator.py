@@ -64,16 +64,9 @@ class PopulationEvaluator:
         Committed usage from earlier windows.
     previous_assignment:
         X^t for the migration objective (None for first placement).
-    downtime_mode:
-        Passed through to :class:`DowntimeCost`.
-    per_server_operating:
-        Passed through to :class:`UsageOperatingCost`.
     include_assignment_constraint:
         Whether unplaced genes count as violations (off for EAs whose
         genomes are always fully placed).
-    qos_strict:
-        Enable the hard load-cap constraint (L <= LM) in addition to
-        plain capacity (see :mod:`repro.constraints.load_cap`).
     energy_weight:
         Weight of the optional :class:`EnergyCost` term folded into
         objective column 0 (see :mod:`repro.objectives.energy`);
@@ -93,10 +86,7 @@ class PopulationEvaluator:
         *,
         base_usage: FloatArray | None = None,
         previous_assignment: IntArray | None = None,
-        downtime_mode: str = "shortfall",
-        per_server_operating: bool = False,
         include_assignment_constraint: bool = False,
-        qos_strict: bool = False,
         energy_weight: float = 0.0,
         constraints: ConstraintSet | None = None,
     ) -> None:
@@ -107,14 +97,9 @@ class PopulationEvaluator:
             request,
             base_usage=base_usage,
             include_assignment=include_assignment_constraint,
-            qos_strict=qos_strict,
         )
-        self.usage_cost = UsageOperatingCost(
-            infrastructure, per_server_operating=per_server_operating
-        )
-        self.downtime = DowntimeCost(
-            infrastructure, request, base_usage=base_usage, mode=downtime_mode
-        )
+        self.usage_cost = UsageOperatingCost(infrastructure)
+        self.downtime = DowntimeCost(infrastructure, request, base_usage=base_usage)
         self.migration = MigrationCost(request, previous_assignment)
         self.energy_weight = float(energy_weight)
         self.energy: EnergyCost | None = (

@@ -5,11 +5,11 @@ contributes the server's exploitation cost E_j plus its usage cost U_j::
 
     cost(X) = sum_k hosted on j  (E_j + U_j)
 
-An alternative accounting — E_j paid once per *activated* (non-empty)
-server, the consolidation view — is offered behind
-``per_server_operating=True`` because it is what energy-oriented work
-in the related-work section optimizes; the default follows the paper's
-equation.
+The evaluator always prices it that way.  An alternative accounting —
+E_j paid once per *activated* (non-empty) server, the consolidation
+view that energy-oriented work in the related-work section optimizes —
+is offered behind ``per_server_operating=True`` for
+``examples/provider_consolidation.py``, which contrasts the two.
 """
 
 from __future__ import annotations

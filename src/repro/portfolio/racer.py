@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.allocator import Allocator, AnytimeRun, BatchOutcome
+from repro.allocator import Allocator, AnytimeRun
 from repro.cp.allocator import CPAllocator
 from repro.cp.search import SearchLimits
 from repro.ea.config import NSGAConfig
@@ -130,13 +130,14 @@ class PortfolioRun(AnytimeRun):
         self.interrupted = False
         self._deadline: float | None = None
         self._exhausted = False
-        # Same fallback EngineRun has: an injected manager wins, else a
-        # configured checkpoint_dir builds one.  Members never get it —
-        # the composite snapshot below is the only writer, so every
-        # lane is captured at the same epoch boundary.
-        self.manager = allocator.checkpoint_manager
-        if self.manager is None and allocator.config.checkpoint_dir is not None:
-            self.manager = CheckpointManager(allocator.config.checkpoint_dir)
+        # A configured checkpoint_dir builds the store.  Members never
+        # get it — the composite snapshot below is the only writer, so
+        # every lane is captured at the same epoch boundary.
+        self.manager = (
+            CheckpointManager(allocator.config.checkpoint_dir)
+            if allocator.config.checkpoint_dir is not None
+            else None
+        )
         # The judge: one evaluator scoring every member's candidates
         # under identical semantics (assignment constraint on, shared
         # energy weight), so the final pick is member-agnostic.
@@ -424,8 +425,9 @@ class PortfolioAllocator(Allocator):
         ``"+"``-joined member spec (default the paper's champion, the
         exact CP solve and a standalone tabu walk).
     deadline_ms:
-        Wall-clock budget for :meth:`allocate`; ``None`` races every
-        member to its own budget (fully deterministic).
+        Wall-clock budget of each race, counted from the moment
+        :meth:`start` has built it; ``None`` races every member to its
+        own budget (fully deterministic).
     """
 
     name = "portfolio"
@@ -548,24 +550,10 @@ class PortfolioAllocator(Allocator):
         base_usage: FloatArray | None = None,
         previous_assignment: IntArray | None = None,
     ) -> PortfolioRun:
-        """Begin an epoch-granular portfolio race."""
-        return PortfolioRun(
+        """Begin an epoch-granular portfolio race (to the deadline, if
+        one is configured)."""
+        run = PortfolioRun(
             self,
-            infrastructure,
-            requests,
-            base_usage=base_usage,
-            previous_assignment=previous_assignment,
-        )
-
-    def allocate(
-        self,
-        infrastructure: Infrastructure,
-        requests: Sequence[Request],
-        base_usage: FloatArray | None = None,
-        previous_assignment: IntArray | None = None,
-    ) -> BatchOutcome:
-        """Race the members (to the deadline, if one is configured)."""
-        run = self.start(
             infrastructure,
             requests,
             base_usage=base_usage,
@@ -573,12 +561,7 @@ class PortfolioAllocator(Allocator):
         )
         if self.deadline_ms is not None:
             run.set_deadline(time.perf_counter() + self.deadline_ms / 1000.0)
-        try:
-            while run.step():
-                pass
-            return run.finish()
-        finally:
-            run.close()
+        return run
 
     def close(self) -> None:
         """Release every member allocator's resources, then our own."""

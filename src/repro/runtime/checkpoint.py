@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -198,9 +198,6 @@ class RunCheckpoint:
         per-individual RNG streams — or ``None`` for stateless handlers.
     history:
         Per-generation stats dictionaries when history tracking is on.
-    window_index:
-        Scheduler window the run belongs to, when driven by
-        :class:`~repro.scheduler.window.TimeWindowScheduler`.
     """
 
     algorithm: str
@@ -218,7 +215,6 @@ class RunCheckpoint:
     best_aggregate: float
     repair_state: dict[str, Any] | None = None
     history: tuple[dict[str, Any], ...] = ()
-    window_index: int | None = None
 
     def to_payload(self) -> dict[str, Any]:
         """The JSON-safe dictionary form (inverse of :meth:`from_payload`)."""
@@ -238,7 +234,6 @@ class RunCheckpoint:
             "best_aggregate": float(self.best_aggregate),
             "repair_state": self.repair_state,
             "history": list(self.history),
-            "window_index": self.window_index,
         }
 
     @classmethod
@@ -261,7 +256,6 @@ class RunCheckpoint:
                 best_aggregate=float(data["best_aggregate"]),
                 repair_state=data.get("repair_state"),
                 history=tuple(data.get("history", ())),
-                window_index=data.get("window_index"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint payload: {exc}") from None
@@ -282,13 +276,6 @@ class CheckpointManager:
         boundaries are deleted after each successful write, so disk use
         is bounded while the newest valid checkpoint always survives a
         torn write of its successor.
-
-    Attributes
-    ----------
-    window_index:
-        Mutable context stamp: a scheduler sets this before delegating
-        to an allocator so EA checkpoints record which window they
-        belong to.
     """
 
     _RUN_KIND = "run_checkpoint"
@@ -299,7 +286,6 @@ class CheckpointManager:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.retain = int(retain)
-        self.window_index: int | None = None
 
     # ------------------------------------------------------------------
     def _trajectory_tag(self, fingerprint: str, config_key: str) -> str:
@@ -313,8 +299,6 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def save(self, checkpoint: RunCheckpoint) -> Path:
         """Atomically persist one checkpoint and prune old boundaries."""
-        if self.window_index is not None and checkpoint.window_index is None:
-            checkpoint = replace(checkpoint, window_index=self.window_index)
         path = self.path_for(checkpoint)
         stopwatch = Stopwatch().start()
         size = atomic_write_json(path, self._RUN_KIND, checkpoint.to_payload())
@@ -377,7 +361,7 @@ class CheckpointManager:
         return None
 
     # ------------------------------------------------------------------
-    # Generic named states (scheduler snapshots, campaign manifests)
+    # Generic named states (service snapshots, the portfolio's race)
     # ------------------------------------------------------------------
     def save_state(self, name: str, kind: str, data: dict[str, Any]) -> Path:
         """Atomically persist an arbitrary named payload (same envelope)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.allocator import Allocator, BatchOutcome
-from repro.engine import ParallelEngine, ProblemCache
+from repro.engine import ProblemCache
 from repro.errors import SchedulerError
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import Placement
@@ -33,7 +33,6 @@ from repro.scheduler.events import (
     ServerFailureEvent,
     ServerRecoveryEvent,
 )
-from repro.runtime.checkpoint import CheckpointManager
 from repro.scheduler.reconfiguration import MigrationPlan, plan_migration
 from repro.serialization import request_from_dict, request_to_dict
 from repro.telemetry import (
@@ -85,17 +84,6 @@ class TimeWindowScheduler:
     #: reoptimize-override allocator), so instances seen in earlier
     #: windows are never recompiled.
     problem_cache: ProblemCache = field(default_factory=ProblemCache)
-    #: Optional intra-run parallel engine threaded through the window
-    #: allocator (and any reoptimize override) the same way, so one
-    #: worker pool serves every window.  The scheduler does not own its lifecycle — call
-    #: :meth:`close` (or the engine's) when the simulation ends.
-    execution_engine: ParallelEngine | None = None
-    #: Optional checkpoint store.  When set, (a) every window solve's
-    #: EA checkpoints land in it stamped with the window index, so a
-    #: killed mid-window run resumes inside the window, and (b) the
-    #: scheduler snapshots its own state (clock, residents, pending
-    #: events) after each window — restore with :meth:`resume`.
-    checkpoint_manager: CheckpointManager | None = None
     state: PlatformState = field(init=False)
     _queue: EventQueue = field(init=False, default_factory=EventQueue)
     _requests: dict[str, Request] = field(init=False, default_factory=dict)
@@ -110,10 +98,6 @@ class TimeWindowScheduler:
             )
         self.state = PlatformState(self.infrastructure)
         self.allocator.problem_cache = self.problem_cache
-        if self.execution_engine is not None:
-            self.allocator.execution_engine = self.execution_engine
-        if self.checkpoint_manager is not None:
-            self.allocator.checkpoint_manager = self.checkpoint_manager
 
     # ------------------------------------------------------------------
     # Event submission
@@ -273,10 +257,6 @@ class TimeWindowScheduler:
                 batch_requests.append(event.request)
                 batch_previous.append(None)
 
-        if self.checkpoint_manager is not None:
-            # Stamp EA checkpoints written during this window's solve.
-            self.checkpoint_manager.window_index = self._window_index
-
         outcome: BatchOutcome | None = None
         accepted: list[str] = []
         rejected: list[str] = []
@@ -334,8 +314,6 @@ class TimeWindowScheduler:
         )
         self._record_window_telemetry(report)
         self._window_index += 1
-        if self.checkpoint_manager is not None:
-            self.checkpoint()
         return report
 
     def _record_window_telemetry(self, report: WindowReport) -> None:
@@ -388,19 +366,12 @@ class TimeWindowScheduler:
         return reports
 
     def close(self) -> None:
-        """Release the allocator's resources and the shared engine.
-
-        The allocator may hold its own worker pool (or, for a
-        portfolio, its members' pools) even when no engine was injected
-        into the scheduler — closing only the injected engine used to
-        leak those."""
+        """Release the allocator's resources: its own worker pool, or
+        for a portfolio its members' shared pool."""
         self.allocator.close()
-        if self.execution_engine is not None:
-            self.execution_engine.close()
-            self.execution_engine = None
 
     # ------------------------------------------------------------------
-    # Checkpoint / resume
+    # Snapshot / restore
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-able snapshot of the simulation state.
@@ -461,23 +432,10 @@ class TimeWindowScheduler:
             # allocators the exact same base_usage.
             "committed_usage": self.state.committed_usage.tolist(),
             "pending": events,
-            # Cross-window allocator state (round-robin pointer, greedy
-            # tie-break RNG); None for stateless allocators.
+            # Cross-window allocator state (round robin's pointer); None
+            # for stateless allocators.
             "allocator": self.allocator.runtime_state(),
         }
-
-    def checkpoint(self, name: str = "scheduler") -> None:
-        """Persist :meth:`state_dict` through the checkpoint manager.
-
-        :meth:`run_window` calls this automatically at every window
-        boundary when a manager is configured; callers may also invoke
-        it manually (e.g. before a risky reoptimize pass).
-        """
-        if self.checkpoint_manager is None:
-            raise SchedulerError("scheduler has no checkpoint manager configured")
-        self.checkpoint_manager.save_state(
-            name, "scheduler_checkpoint", self.state_dict()
-        )
 
     def load_state_dict(self, payload: dict) -> None:
         """Restore a :meth:`state_dict` snapshot into this scheduler.
@@ -555,31 +513,6 @@ class TimeWindowScheduler:
         if allocator_state is not None:
             self.allocator.restore_runtime_state(allocator_state)
 
-    @classmethod
-    def resume(
-        cls,
-        infrastructure: Infrastructure,
-        allocator: Allocator,
-        checkpoint_manager: CheckpointManager,
-        name: str = "scheduler",
-    ) -> "TimeWindowScheduler":
-        """Rebuild a scheduler from the manager's latest snapshot.
-
-        The returned scheduler keeps the manager attached, so the run
-        continues checkpointing into the same directory; a mid-window
-        EA checkpoint written before the kill is picked up by the
-        window solve's auto-resume.
-        """
-        payload = checkpoint_manager.load_state(name, "scheduler_checkpoint")
-        scheduler = cls(
-            infrastructure=infrastructure,
-            allocator=allocator,
-            window_length=float(payload["window_length"]),
-            checkpoint_manager=checkpoint_manager,
-        )
-        scheduler.load_state_dict(payload)
-        return scheduler
-
     # ------------------------------------------------------------------
     # Reconfiguration
     # ------------------------------------------------------------------
@@ -602,12 +535,8 @@ class TimeWindowScheduler:
         algo = allocator or self.allocator
         # Override allocators join the scheduler's compilation cache so
         # a reoptimize pass over already-hosted tenants reuses the
-        # windows' compiled instances (and its worker pool, if any).
+        # windows' compiled instances.
         algo.problem_cache = self.problem_cache
-        if self.execution_engine is not None:
-            algo.execution_engine = self.execution_engine
-        if self.checkpoint_manager is not None:
-            algo.checkpoint_manager = self.checkpoint_manager
         requests = [self._requests[k] for k in tenants]
         previous_parts = [self.state.previous_assignment(k) for k in tenants]
         previous = np.concatenate(previous_parts)
@@ -642,8 +571,6 @@ class TimeWindowScheduler:
 
         registry = get_registry()
         registry.count("scheduler.reoptimizations")
-        if applied and self.checkpoint_manager is not None:
-            self.checkpoint()
         if applied:
             registry.count("scheduler.migration_moves", plan.size)
         bus = get_bus()

@@ -41,14 +41,15 @@ from repro.telemetry import get_registry
 __all__ = ["ServiceState", "default_admission_allocator", "replay_admission_log"]
 
 
-def default_admission_allocator(seed: int = 0) -> Allocator:
+def default_admission_allocator() -> Allocator:
     """The incumbent-placement algorithm of the admission path.
 
     Best-fit greedy: deterministic, never emits violating placements,
     and O(milliseconds) per micro-batch — the properties live admission
-    needs.  Seeded so a replay constructs the byte-identical allocator.
+    needs.  Stateless, so a replay constructs the byte-identical
+    allocator.
     """
-    return BestFitAllocator(seed=seed)
+    return BestFitAllocator()
 
 
 class ServiceState:
@@ -59,14 +60,14 @@ class ServiceState:
     infrastructure:
         The provider estate the service allocates.
     allocator:
-        Admission allocator (defaults to seeded best-fit greedy).
+        Admission allocator (defaults to best-fit greedy).
     window_length:
         Simulated length of one admission micro-batch window.  The
         service clock is *logical*: it advances by this much per
         processed batch, which is what makes the admission log
         replayable.
     seed:
-        Seed for the default allocator when ``allocator`` is not given.
+        Seed of the background reoptimizer's EA; kept in snapshots.
     """
 
     def __init__(
@@ -79,7 +80,7 @@ class ServiceState:
         self.seed = int(seed)
         self.scheduler = TimeWindowScheduler(
             infrastructure=infrastructure,
-            allocator=allocator or default_admission_allocator(seed),
+            allocator=allocator or default_admission_allocator(),
             window_length=window_length,
         )
         #: Ordered JSON-able mutation records (see module docstring).
@@ -265,7 +266,7 @@ def replay_admission_log(
     """Replay an admission log through a fresh batch scheduler.
 
     This is the deterministic half of the service's differential
-    oracle: windows are re-run through the same (seeded) admission
+    oracle: windows are re-run through the same admission
     allocator, reoptimize records re-apply their recorded plans
     verbatim, and the resulting :class:`ServiceState` can be compared
     byte-for-byte against the live service's residents and ledger
@@ -273,7 +274,7 @@ def replay_admission_log(
     """
     replayed = ServiceState(
         infrastructure,
-        allocator=allocator or default_admission_allocator(seed),
+        allocator=allocator or default_admission_allocator(),
         window_length=window_length,
         seed=seed,
     )

@@ -6,10 +6,9 @@ drawn per scenario), then drives the three conformance layers:
 
 1. **differential oracle** — a random target assignment over the
    merged instance, scored by the reference evaluator under settings
-   drawn per scenario (committed usage, previous assignment, downtime
-   mode, per-server operating cost, strict load cap, energy weight)
-   and cross-checked against the LP/CP backends when the instance and
-   settings qualify.  About a tenth of the target's genes are
+   drawn per scenario (committed usage, previous assignment, energy
+   weight) and cross-checked against the LP/CP backends when the
+   instance qualifies.  About a tenth of the target's genes are
    unplaced; the target as drawn, before that, is complete and is
    replayed through the LP backend too;
 2. **allocator invariants** — a real allocator (round robin by
@@ -157,10 +156,7 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
         evaluator = compiled.evaluator(
             base_usage=base_usage,
             previous_assignment=previous,
-            downtime_mode="literal" if rng.random() < 0.3 else "shortfall",
-            per_server_operating=bool(rng.random() < 0.3),
             include_assignment_constraint=True,
-            qos_strict=bool(rng.random() < 0.3),
             energy_weight=0.5 if rng.random() < 0.3 else 0.0,
         )
         oracle = DifferentialOracle(evaluator)
@@ -191,8 +187,8 @@ def run_fuzz(config: FuzzConfig | None = None) -> Report:
         )
 
         # 2b. Fully placed outcomes also go through the oracle with the
-        # default scoring modes and the same committed usage, where the
-        # LP relaxation bound and the CP optimum cross-checks apply.
+        # same committed usage, where the LP relaxation bound and the CP
+        # optimum cross-checks apply.
         if np.all(outcome.assignment != UNPLACED):
             outcome_oracle = DifferentialOracle(
                 compiled.evaluator(

@@ -56,11 +56,6 @@ def _reference_terms(evaluator, assignment: IntArray) -> dict[str, float]:
     terms = {
         "capacity": constraints.capacity.batch_violations(population)[0],
         "group": constraints.batch_group_violations(population).sum(),
-        "load_cap": (
-            constraints.load_cap.batch_violations(population)[0]
-            if constraints.load_cap is not None
-            else 0
-        ),
         "unplaced": np.count_nonzero(population == UNPLACED),
         "usage_cost": evaluator.usage_cost.batch(population)[0],
     }
@@ -155,9 +150,7 @@ class DifferentialOracle:
         report.stats["cp_unproved"] = int(not solution.proved)
         if solution.found:
             cp_terms = _reference_terms(evaluator, np.asarray(solution.assignment))
-            non_assignment = (
-                cp_terms["capacity"] + cp_terms["group"] + cp_terms["load_cap"]
-            )
+            non_assignment = cp_terms["capacity"] + cp_terms["group"]
             broken = ", ".join(
                 f"{t}={cp_terms[t]:g}"
                 for t in ("capacity", "group", "unplaced")
@@ -191,8 +184,7 @@ class DifferentialOracle:
         """Cross-check ``assignment`` through every applicable backend.
 
         The LP checks run for fully placed assignments when SciPy's LP
-        stack imports and the scalar usage-cost mode is in effect; the
-        CP check additionally requires ``n * m <= 400``.  The returned
+        stack imports; the CP check runs when ``n * m <= 400``.  The returned
         ``oracle`` report lists the backends consulted in
         ``stats["backends"]`` and, when CP ran, whether its search ended
         without a proof in ``stats["cp_unproved"]`` (0 or 1).
@@ -205,21 +197,15 @@ class DifferentialOracle:
 
         reference = _reference_terms(evaluator, target)
         complete = reference["unplaced"] == 0
-        feasible = complete and (
-            reference["capacity"] + reference["group"] + reference["load_cap"] == 0
-        )
-        scalar_cost_mode = (
-            not evaluator.usage_cost.per_server_operating
-            and evaluator.constraints.load_cap is None
-        )
+        feasible = complete and reference["capacity"] + reference["group"] == 0
 
-        if lp and complete and scalar_cost_mode:
+        if lp and complete:
             try:
                 self._check_lp(target, feasible, reference["usage_cost"], report)
                 backends.append("lp")
             except ImportError:  # pragma: no cover - scipy always bundled
                 pass
-        if cp and scalar_cost_mode and n * m <= _CP_MAX_VARIABLES:
+        if cp and n * m <= _CP_MAX_VARIABLES:
             self._check_cp(feasible, reference["usage_cost"], report)
             backends.append("cp")
 

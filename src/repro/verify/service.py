@@ -4,7 +4,7 @@ The service's claim (``docs/SERVICE.md``) is that live admission is
 just the paper's cyclic time-window model run in micro-batches: every
 mutation lands in a replayable admission log, and replaying that log
 through a *fresh* batch :class:`~repro.scheduler.window.TimeWindowScheduler`
-with the same seeded admission allocator must reproduce the live
+with the same admission allocator must reproduce the live
 state byte for byte — residents, genes, committed-usage ledger, clock.
 This module is that differential oracle:
 

@@ -401,10 +401,10 @@ class CompiledScenario:
                 f"scenario {spec.name!r} compiled to an empty stream"
             )
         metrics = scenario_metrics(reports, migration_moves=moves)
-        # Trajectory state only: the allocator entry carries its private
-        # tie-break RNG, whose *state* is allocator identity, not
-        # scenario identity (its decisions are already pinned through
-        # residents and committed usage).
+        # Trajectory state only: the allocator entry (round robin's
+        # pointer) is allocator identity, not scenario identity (its
+        # decisions are already pinned through residents and committed
+        # usage).
         state = scheduler.state_dict()
         state.pop("allocator", None)
         ledger = json.dumps(state, sort_keys=True, separators=(",", ":"))

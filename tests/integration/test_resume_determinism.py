@@ -3,12 +3,13 @@
 The acceptance bar of the checkpoint subsystem: a run killed at a
 checkpoint boundary and resumed from disk finishes byte-identically to
 the uninterrupted run — at the engine layer, through the allocator,
-through the scheduler, and through the sweep runner's cell journal.
+through the scheduler's snapshot, and through the sweep runner's cell
+journal.
 """
 
-import pytest
+import json
 
-from repro import CheckpointManager, NSGAConfig, NSGA3TabuAllocator
+from repro import NSGAConfig, NSGA3TabuAllocator
 from repro.baselines.round_robin import RoundRobinAllocator
 from repro.evaluation.runner import ExperimentRunner
 from repro.runtime.signals import clear_shutdown, request_shutdown
@@ -69,23 +70,25 @@ class TestSchedulerResume:
         scheduler.schedule_failure(1, at=1.2)
         scheduler.schedule_recovery(1, at=3.6)
 
-    def test_snapshot_restores_byte_identical_trajectory(self, tmp_path):
+    def test_snapshot_restores_byte_identical_trajectory(self):
+        """A ``state_dict()`` taken through JSON and loaded into a fresh
+        scheduler — the path the service's snapshot restore and shadow
+        reoptimize take — continues byte-identically, round robin's
+        pointer included."""
         spec = ScenarioSpec(servers=6, datacenters=2, vms=14, tightness=0.5)
         scenario = ScenarioGenerator(spec, seed=11).generate()
-        manager = CheckpointManager(tmp_path)
         scheduler = TimeWindowScheduler(
-            scenario.infrastructure,
-            RoundRobinAllocator(),
-            window_length=1.0,
-            checkpoint_manager=manager,
+            scenario.infrastructure, RoundRobinAllocator(), window_length=1.0
         )
         self._feed(scheduler, scenario)
         scheduler.run_window()
         scheduler.run_window()
 
-        resumed = TimeWindowScheduler.resume(
-            scenario.infrastructure, RoundRobinAllocator(), manager
+        payload = json.loads(json.dumps(scheduler.state_dict()))
+        resumed = TimeWindowScheduler(
+            scenario.infrastructure, RoundRobinAllocator(), window_length=1.0
         )
+        resumed.load_state_dict(payload)
         assert resumed.clock == scheduler.clock
         assert resumed.failed_servers == scheduler.failed_servers
         assert resumed.state.tenants() == scheduler.state.tenants()
@@ -111,18 +114,6 @@ class TestSchedulerResume:
             == scheduler.state.committed_usage.tobytes()
         )
         resumed.state.verify_consistency()
-
-    def test_resume_requires_snapshot(self, tmp_path):
-        from repro.errors import CheckpointError
-
-        spec = ScenarioSpec(servers=4, datacenters=1, vms=6, tightness=0.5)
-        scenario = ScenarioGenerator(spec, seed=0).generate()
-        with pytest.raises(CheckpointError):
-            TimeWindowScheduler.resume(
-                scenario.infrastructure,
-                RoundRobinAllocator(),
-                CheckpointManager(tmp_path),
-            )
 
 
 class TestSweepJournalResume:

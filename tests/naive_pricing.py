@@ -4,12 +4,12 @@ The library scores every genome through one body, the population path
 of :class:`~repro.objectives.evaluator.PopulationEvaluator`.  This
 module prices one genome again from the instance arrays alone, with
 Python loops and scalar float arithmetic, so tests can hold the
-population path to it row by row in every scoring mode.
+population path to it row by row under every evaluation setting.
 
 Usage cells are summed in VM index order — the order ``np.bincount``
-accumulates in — and the capacity and knee thresholds follow the
-constraint layer's relative slack, so violation counts compare
-exactly; objective terms compare to float re-association noise.
+accumulates in — and the capacity threshold follows the constraint
+layer's relative slack, so violation counts compare exactly; objective
+terms compare to float re-association noise.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from repro.model.placement import UNPLACED
 from repro.types import PlacementRule
 
-#: Overflow slack of the capacity-style constraints (relative, >= 1 abs).
+#: Overflow slack of the capacity constraint (relative, >= 1 abs).
 TOLERANCE = 1e-9
 #: Idle share of a host's E + U power price in the linear power model.
 IDLE_FRACTION = 0.6
@@ -62,17 +62,16 @@ def price(
     *,
     base_usage=None,
     previous_assignment=None,
-    downtime_mode: str = "shortfall",
     per_server_operating: bool = False,
     include_assignment_constraint: bool = False,
-    qos_strict: bool = False,
     energy_weight: float = 0.0,
 ) -> tuple[dict[str, int], np.ndarray]:
     """Violations by term and the (3,) objective vector of one genome.
 
-    The keyword arguments mirror :class:`PopulationEvaluator`'s.  The
-    violation terms are ``capacity``, ``group``, ``load_cap`` and
-    ``unplaced`` (the last two 0 when their constraint is off).
+    The keyword arguments mirror :class:`PopulationEvaluator`'s, plus
+    :class:`UsageOperatingCost`'s ``per_server_operating``.  The
+    violation terms are ``capacity``, ``group`` and ``unplaced`` (0
+    when the assignment constraint is off).
     """
     m, h = infrastructure.m, infrastructure.h
     genes = [int(g) for g in assignment]
@@ -94,16 +93,12 @@ def price(
         for a in range(h):
             usage[server][a] += demand[k][a]
 
-    # Constraints: Eq. 4 capacity, Eq. 9-12 groups, the strict knee and
-    # Eq. 5 assignment.
-    violations = {"capacity": 0, "group": 0, "load_cap": 0, "unplaced": 0}
+    # Constraints: Eq. 4 capacity, Eq. 9-12 groups and Eq. 5 assignment.
+    violations = {"capacity": 0, "group": 0, "unplaced": 0}
     for j in range(m):
         for a in range(h):
             limit = capacity[j][a] * factor[j][a] - base[j][a]
             violations["capacity"] += usage[j][a] > _threshold(limit)
-            if qos_strict:
-                knee_limit = knee[j][a] * capacity[j][a] - base[j][a]
-                violations["load_cap"] += usage[j][a] > _threshold(knee_limit)
     datacenter = infrastructure.server_datacenter.tolist()
     for group in request.groups:
         placed = [genes[k] for k in group.members if genes[k] != UNPLACED]
@@ -148,10 +143,7 @@ def price(
             for a in range(h)
         )
         for k in residents[j]:
-            if downtime_mode == "literal":
-                downtime += charge[k] * (qos / guarantee[k])
-            else:
-                downtime += charge[k] * max(0.0, (guarantee[k] - qos) / guarantee[k])
+            downtime += charge[k] * max(0.0, (guarantee[k] - qos) / guarantee[k])
 
     # Eq. 26: a previously placed resource pays when its host changes.
     migration = 0.0

@@ -62,14 +62,10 @@ def instances(draw):
 @st.composite
 def settings_drawn(draw):
     """Every evaluation setting the fuzz campaign draws for its oracle:
-    committed usage, a previous assignment, literal downtime, per-server
-    operating cost, the strict load cap and energy weight 0.5."""
+    committed usage, a previous assignment and energy weight 0.5."""
     return {
         "with_base_usage": draw(st.booleans()),
         "with_previous": draw(st.booleans()),
-        "downtime_mode": draw(st.sampled_from(["shortfall", "literal"])),
-        "per_server_operating": draw(st.booleans()),
-        "qos_strict": draw(st.booleans()),
         "energy_weight": draw(st.sampled_from([0.0, 0.5])),
     }
 
@@ -93,10 +89,7 @@ def test_batch_evaluation_equals_single(instance, drawn, seed, with_unplaced):
         "previous_assignment": (
             rng.integers(-1, infra.m, size=request.n) if drawn["with_previous"] else None
         ),
-        "downtime_mode": drawn["downtime_mode"],
-        "per_server_operating": drawn["per_server_operating"],
         "include_assignment_constraint": True,
-        "qos_strict": drawn["qos_strict"],
         "energy_weight": drawn["energy_weight"],
     }
     evaluator = PopulationEvaluator(infra, request, **options)

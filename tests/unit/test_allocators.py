@@ -219,6 +219,14 @@ class TestNSGAAllocators:
         assert outcome.rejection_rate == 0.0
         assert "repair_calls" in outcome.extra
 
+    def test_outcome_reports_the_generations_run(self, small_infra, small_request):
+        """Population 10 and 100 evaluations: the initial population plus
+        nine generations, whether or not the engine tracks history."""
+        config = NSGAConfig(population_size=10, max_evaluations=100, seed=3)
+        outcome = NSGA3TabuAllocator(config).allocate(small_infra, [small_request])
+        assert outcome.evaluations == 100
+        assert outcome.extra["generations"] == 9
+
     def test_cp_hybrid_feasible_on_easy_instance(self, small_infra, small_request):
         outcome = NSGA3CPAllocator(
             _FAST, repair_limits=SearchLimits(max_nodes=500, time_limit=0.2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constraints import ConstraintSet
-from repro.cp import CPSearch, CPSolver, DomainStore, SearchLimits
+from repro.cp import CPSolver, DomainStore, SearchLimits
 from repro.engine import CompiledProblem
 from repro.errors import ValidationError
 from repro.model import PlacementGroup, Request
@@ -132,10 +132,6 @@ class TestCPSolve:
         ).find_feasible()
         assert solution.found
         assert solution.assignment.tolist() == [1, 1]
-
-    def test_value_order_validated(self, small_infra, small_request):
-        with pytest.raises(ValidationError):
-            CPSearch(CompiledProblem(small_infra, small_request), value_order="bogus")
 
     def test_search_stats_populated(self, small_infra, small_request):
         solver = CPSolver(CompiledProblem(small_infra, small_request))

@@ -5,8 +5,8 @@ The heavy numpy-vs-reference sweep lives in
 scoped override, that the sweep catches drift, the structural edge
 cases vectorized code most often gets wrong — empty populations,
 all-UNPLACED rows, single-server estates, int32 genomes — and the
-satellite contracts around them (capacity retargeting, the repair usage
-tile, each constraint's batch body).
+satellite contracts around them (the repair usage tile, each
+constraint's batch body).
 """
 
 import dataclasses
@@ -17,11 +17,8 @@ import pytest
 
 from repro.constraints import group_violations
 from repro.constraints.base import Constraint
-from repro.constraints.capacity import CapacityConstraint
-from repro.constraints.load_cap import LoadCapConstraint
 from repro.engine import CompiledProblem
 from repro.engine.kernels import GroupLayout, NumpyKernel, active_kernel, use_kernel
-from repro.errors import DimensionError
 from repro.model.infrastructure import Infrastructure
 from repro.model.placement import UNPLACED
 from repro.model.request import Request
@@ -134,9 +131,6 @@ class TestBatchViolationOverrides:
         checked = [constraints.capacity, *constraints.group_constraints]
         if constraints.assignment is not None:
             checked.append(constraints.assignment)
-        checked.append(
-            LoadCapConstraint(compiled.infrastructure, compiled.request.demand)
-        )
         assert len(checked) >= 3
         for constraint in checked:
             assert (
@@ -164,34 +158,6 @@ class TestBatchViolationOverrides:
                 for genome in population
             ]
             assert constraint.batch_violations(population).tolist() == per_row
-
-
-class TestCapacityRetarget:
-    def test_retarget_keeps_threshold_consistent(self, small_infra, small_request):
-        constraint = CapacityConstraint(small_infra, small_request.demand)
-        new_limit = constraint.limit * 0.5
-        constraint.retarget(new_limit)
-        expected_slack = constraint.tolerance * np.maximum(
-            1.0, np.abs(new_limit)
-        )
-        assert np.array_equal(constraint.limit, new_limit)
-        assert np.array_equal(constraint._slack, expected_slack)
-        assert np.array_equal(
-            constraint.threshold, new_limit + expected_slack
-        )
-
-    def test_retarget_rejects_wrong_shape(self, small_infra, small_request):
-        constraint = CapacityConstraint(small_infra, small_request.demand)
-        with pytest.raises(DimensionError):
-            constraint.retarget(np.zeros((1, 1)))
-
-    def test_load_cap_threshold_tracks_knee(self, small_infra, small_request):
-        cap = LoadCapConstraint(small_infra, small_request.demand)
-        inner = cap._inner
-        assert np.array_equal(
-            inner.threshold, inner.limit + inner._slack
-        )
-        assert cap.threshold is inner.threshold
 
 
 class TestGroupLayout:

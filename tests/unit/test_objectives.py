@@ -134,15 +134,6 @@ class TestDowntime:
         expect = 2 * 10.0 * shortfall  # two VMs, C^U = 10 each
         assert downtime_of(downtime, [0, 0]) == pytest.approx(expect)
 
-    def test_literal_mode_rewards_qos(self, tiny_infra, tiny_request):
-        literal = DowntimeCost(tiny_infra, tiny_request, mode="literal")
-        # Literal Eq. 23: cost = C^U * Q / C^Q, positive even when met.
-        value = downtime_of(literal, [0, 1])
-        assert value == pytest.approx(2 * 10.0 * 0.9 / 0.8)
-
-    def test_unknown_mode_rejected(self, tiny_infra, tiny_request):
-        with pytest.raises(ValidationError):
-            DowntimeCost(tiny_infra, tiny_request, mode="bogus")
 
     def test_base_usage_raises_load(self, tiny_infra, tiny_request):
         base = np.full((2, 2), 4.0)  # pre-existing tenants
@@ -241,8 +232,6 @@ def allocating_penalties(self, qos_per_resource):
     """``DowntimeCost._penalties`` returning a new array."""
     cq = self.request.qos_guarantee
     cu = self.request.downtime_cost
-    if self.mode == "literal":
-        return cu * (qos_per_resource / cq)
     shortfall = np.maximum(0.0, (cq - qos_per_resource) / cq)
     return cu * shortfall
 
@@ -307,16 +296,16 @@ class TestBatchObjectiveParity:
         return [*parity_cases(), paper_scale_case()]
 
     def test_downtime_batch(self, cases):
-        for case, mode in itertools.product(cases, ("shortfall", "literal")):
+        for case in cases:
             cost = DowntimeCost(
-                case.infrastructure, case.request, base_usage=case.base_usage, mode=mode
+                case.infrastructure, case.request, base_usage=case.base_usage
             )
             usage = flat_key_batch_usage(
                 case.population, case.request.demand, case.infrastructure.m
             )
             want = take_along_axis_downtime_batch(cost, case.population, usage)
             got = cost.batch(case.population, usage)
-            assert same_bytes(got, want), f"{case.name}, {mode}"
+            assert same_bytes(got, want), case.name
 
     def test_usage_cost_batch(self, cases):
         for case, per_server in itertools.product(cases, (False, True)):

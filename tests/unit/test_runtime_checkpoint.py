@@ -54,7 +54,6 @@ def _checkpoint(generation=2, fingerprint="f" * 32, config_key="c" * 32):
         best_aggregate=3.5,
         repair_state={"batch_counter": 7},
         history=(),
-        window_index=None,
     )
 
 

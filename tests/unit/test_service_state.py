@@ -4,10 +4,12 @@ and the load generator's latency percentiles."""
 from __future__ import annotations
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
 
+from repro.baselines import BestFitAllocator, RoundRobinAllocator
 from repro.errors import SchedulerError
 from repro.model import Request
 from repro.service import (
@@ -94,6 +96,35 @@ class TestServiceState:
         assert restored.residents() == state.residents()
         usage = state.scheduler.state.committed_usage
         assert restored.scheduler.state.committed_usage.tobytes() == usage.tobytes()
+
+    @pytest.mark.parametrize("allocator_class", [RoundRobinAllocator, BestFitAllocator])
+    def test_snapshot_with_a_greedy_rng_state_still_restores(
+        self, small_infra, allocator_class
+    ):
+        """Snapshots written while the greedy baselines carried a seeded
+        RNG hold its ``rng_state`` in their ``"allocator"`` entry (round
+        robin's beside its pointer).  ``serve --resume`` on such a
+        directory restores them: the entry is read for the pointer only,
+        and the restored state admits exactly as the original does."""
+        state = ServiceState(small_infra, allocator=allocator_class(), seed=5)
+        state.admit(arrivals=[("a", _request()), ("b", _request())])
+        payload = json.loads(json.dumps(state.state_payload()))
+        legacy = {"rng_state": np.random.default_rng(5).bit_generator.state}
+        if allocator_class is RoundRobinAllocator:
+            assert payload["scheduler"]["allocator"] == {"pointer": 4}
+            legacy["pointer"] = 4
+        else:
+            assert payload["scheduler"]["allocator"] is None
+        payload["scheduler"]["allocator"] = legacy
+
+        restored = ServiceState(small_infra, allocator=allocator_class(), seed=5)
+        restored.restore_payload(payload)
+        assert restored.residents() == state.residents()
+        arrivals = [("c", _request()), ("d", _request(n=1))]
+        assert restored.admit(arrivals=arrivals).accepted == state.admit(
+            arrivals=arrivals
+        ).accepted
+        assert restored.residents() == state.residents()
 
     def test_replay_reproduces_residents(self, small_infra):
         state = ServiceState(small_infra, seed=2)

@@ -346,10 +346,7 @@ class TestTabuSearch:
             small_request,
             base_usage=base,
             previous_assignment=np.array([0, 0, 2, 3, 4, 5]),
-            downtime_mode="literal",
-            per_server_operating=True,
             include_assignment_constraint=True,
-            qos_strict=True,
             energy_weight=0.5,
         )
         run = TabuSearch(evaluator, max_iterations=40, seed=3).start(

@@ -503,3 +503,10 @@ def test_cli_verify_with_nothing_to_run_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.err.strip() == "error: nothing to verify"
     assert captured.out == ""
+
+
+def test_cli_verify_negative_fuzz_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--fuzz", "-1"])
+    assert exit_info.value.code == 2
+    assert "error: argument --fuzz: --fuzz must be >= 0, got '-1'" in capsys.readouterr().err
